@@ -111,7 +111,9 @@ class Tape:
         """Accumulate d(loss)/d(t) into ``t.grad`` for every tensor on the tape.
 
         Gradients add across multiple uses of a tensor; tensors not on any
-        path to ``loss`` keep ``grad is None`` (read as zero).
+        path to ``loss`` keep ``grad is None`` (read as zero). Gradient
+        arrays are values: they may share memory with each other and are
+        replaced, never modified in place.
         """
         if loss.data.size != 1:
             raise ContractError(f"loss must be scalar, got shape {loss.data.shape}")
@@ -123,11 +125,9 @@ class Tape:
             for parent, pg in zip(parents, backward_fn(g)):
                 if pg is None:
                     continue
-                if parent.grad is None:
-                    # never alias: later accumulations build fresh arrays
-                    parent.grad = pg if pg.base is None and pg is not g else pg.copy()
-                else:
-                    parent.grad = parent.grad + pg
+                # gradient arrays are never written in place, so a parent may
+                # share memory with ``g``; accumulation builds a fresh array
+                parent.grad = pg if parent.grad is None else parent.grad + pg
 
 
 _TAPES: list[Tape] = []
@@ -213,18 +213,19 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def transpose(a: Tensor) -> Tensor:
     if a.data.ndim < 2:
         raise ShapeError(f"transpose: need >=2 dims, got {a.data.shape}")
-    out = Tensor(np.swapaxes(a.data, -1, -2).copy())
+    out = Tensor(np.swapaxes(a.data, -1, -2))  # a view; BLAS reads it in place
     return _record(out, (a,), lambda g: (np.swapaxes(g, -1, -2),))
 
 
 def sigmoid(a: Tensor) -> Tensor:
     x = a.data
-    out_data = np.empty_like(x)
-    pos = x >= 0
-    out_data[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out_data[~pos] = ex / (1.0 + ex)
-    out = Tensor(out_data)
+    # 1/(1+e) for x >= 0 and e/(1+e) below, with e = exp(-|x|): it cannot
+    # overflow, and its underflow to 0 at very negative x is expected
+    with np.errstate(under="ignore"):
+        e = np.exp(-np.abs(x), out=np.empty_like(x))  # an array even at 0-d
+        d = 1.0 + e
+        np.copyto(e, 1.0, where=x >= 0)  # e becomes the numerator
+        out = Tensor(np.divide(e, d, out=e))
     return _record(out, (a,), lambda g: (g * out.data * (1.0 - out.data),))
 
 
@@ -323,6 +324,20 @@ def tmax(a: Tensor, axis: int) -> Tensor:
     return _record(out, (a,), backward)
 
 
+def pass_zero_grads(a: Tensor, params) -> Tensor:
+    """Identity on ``a`` whose backward also gives each of ``params`` a zero
+    gradient.
+
+    For parameters whose terms a graph skips because they are known to be
+    zero: they end the reverse pass with a zero array rather than ``None``,
+    exactly as if the zero terms had been computed.
+    """
+    params = tuple(params)
+    out = Tensor(a.data)
+    return _record(out, (a, *params),
+                   lambda g: (g, *(np.zeros_like(p.data) for p in params)))
+
+
 def mean(a: Tensor) -> Tensor:
     return scale(tsum(a), 1.0 / a.data.size)
 
@@ -399,15 +414,15 @@ class Adam:
 
 def clip_global_norm(params, max_norm: float) -> float:
     """Scale all gradients so the global L2 norm is at most ``max_norm``."""
+    params = [p for p in params if p.grad is not None]
     total = 0.0
-    grads = [p.grad for p in params if p.grad is not None]
-    for g in grads:
-        total += float((g * g).sum())
+    for p in params:
+        total += float((p.grad * p.grad).sum())
     norm = math.sqrt(total)
     if norm > max_norm and norm > 0:
         s = max_norm / norm
-        for g in grads:
-            g *= s
+        for p in params:
+            p.grad = p.grad * s  # rebind: gradients may share memory
     return norm
 
 

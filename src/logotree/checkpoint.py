@@ -9,6 +9,7 @@ of (name, shape, byte offset). Values are little-endian float64.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -51,20 +52,35 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         raise CheckpointError(f"cannot read {path}: {exc}") from exc
     if raw[:8] != MAGIC:
         raise CheckpointError(f"{path}: bad magic, not a checkpoint")
+    if len(raw) < 12:
+        raise CheckpointError(f"{path}: truncated before the header length")
     (hlen,) = struct.unpack("<I", raw[8:12])
+    if 12 + hlen > len(raw):
+        raise CheckpointError(f"{path}: header length {hlen} runs past the end "
+                              f"of the {len(raw)}-byte file")
     try:
         header = json.loads(raw[12:12 + hlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: corrupt header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: header is not a JSON object")
     if header.get("format_version") != FORMAT_VERSION:
         raise CheckpointError(f"{path}: unsupported format version "
                               f"{header.get('format_version')}")
     payload = raw[12 + hlen:]
+    try:
+        index = [(e["name"], tuple(int(d) for d in e["shape"]), int(e["offset"]))
+                 for e in header["tensors"]]
+        manifest = header["manifest"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: malformed tensor index: {exc!r}") from exc
     tensors = {}
-    for entry in header["tensors"]:
-        shape = tuple(entry["shape"])
-        n = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
+    for name, shape, start in index:
+        n = math.prod(shape)
+        if min(shape, default=0) < 0 or start < 0 or start + 8 * n > len(payload):
+            raise CheckpointError(f"{path}: tensor {name!r} (shape {list(shape)}, "
+                                  f"offset {start}) runs past the "
+                                  f"{len(payload)}-byte payload")
         arr = np.frombuffer(payload, dtype="<f8", count=n, offset=start)
-        tensors[entry["name"]] = arr.astype(np.float64).reshape(shape)
-    return tensors, header["manifest"]
+        tensors[name] = arr.astype(np.float64).reshape(shape)
+    return tensors, manifest

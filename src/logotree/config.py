@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -75,6 +76,12 @@ def _check_choice(name: str, value, allowed) -> None:
         raise ConfigError(f"{name}={value!r} not one of {sorted(allowed)}")
 
 
+def _check_finite_above(name: str, value: float, lo: float, inclusive: bool) -> None:
+    if not (math.isfinite(value) and (value >= lo if inclusive else value > lo)):
+        bound = f">= {lo}" if inclusive else f"> {lo}"
+        raise ConfigError(f"{name}={value} must be finite and {bound}")
+
+
 def validate_config(config: RunConfig) -> RunConfig:
     _check_choice("encoder", config.encoder, ENCODER_KINDS)
     _check_choice("linearization", config.linearization, LINEARIZATIONS)
@@ -85,6 +92,8 @@ def validate_config(config: RunConfig) -> RunConfig:
     for name in ("epochs", "batch_size", "hidden", "d_in", "cnn_filters"):
         if getattr(config, name) < 1:
             raise ConfigError(f"{name} must be positive")
+    _check_finite_above("learning_rate", config.learning_rate, 0.0, inclusive=True)
+    _check_finite_above("clip_norm", config.clip_norm, 0.0, inclusive=False)
     return config
 
 
@@ -105,8 +114,8 @@ def validate_lm_config(config: LmConfig) -> LmConfig:
     for name in ("epochs", "batch_size", "bptt", "embed_dim"):
         if getattr(config, name) < 1:
             raise ConfigError(f"{name} must be positive")
-    if config.learning_rate <= 0:
-        raise ConfigError("learning_rate must be positive")
+    _check_finite_above("learning_rate", config.learning_rate, 0.0, inclusive=False)
+    _check_finite_above("clip_norm", config.clip_norm, 0.0, inclusive=False)
     return config
 
 

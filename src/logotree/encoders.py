@@ -148,6 +148,37 @@ def treelstm_node(x_n: Tensor, x_l: Tensor, x_r: Tensor, h_l: Tensor,
     return c_n, h_n
 
 
+def treelstm_leaf(x_n: Tensor, p: TreeLstmParams) -> tuple[Tensor, Tensor]:
+    """``treelstm_node`` at a leaf, without its known-zero terms.
+
+    With zero child states and zero child inputs only V·x + b remains of
+    each gate, and the child forget gates multiply zero cells, so the cell
+    is i*cand and fl/fr are not computed. The result equals
+    ``treelstm_node(x_n, 0, 0, 0, 0, 0, 0, p)``.
+    """
+    w = p.weights
+
+    def pre(g):
+        v = matmul(x_n, w[f"V_{g}"].T)
+        return v + w[f"b_{g}"] if p.use_bias else v
+
+    i = sigmoid(pre("i"))
+    o = sigmoid(pre("o"))
+    cand = tanh(pre("c"))
+    c_n = i * cand
+    return c_n, o * tanh(c_n)
+
+
+def _leaf_skipped_weights(p: TreeLstmParams, inner_levels: bool) -> list[Tensor]:
+    """Weights a level-batched pass never reads, though ``treelstm_node``
+    would have multiplied them by zeros at the leaves."""
+    used = {f"{kind}_{g}" for kind in ("V", "b") for g in ("i", "o", "c")}
+    if inner_levels:
+        kinds = ("Ul", "Ur", "b") + (("V", "Vl", "Vr") if p.operator_inputs else ())
+        used |= {f"{kind}_{g}" for kind in kinds for g in GATES}
+    return [t for key, t in p.weights.items() if key not in used]
+
+
 @dataclass
 class NodeState:
     """Evaluation record of one tree node, children before parents."""
@@ -276,7 +307,9 @@ def treelstm_batch_forward(trees, embeds: VocabEmbeddings, p: TreeLstmParams,
     """Level-batched evaluation; returns root hidden states, one row per tree.
 
     Per-tree results match the sequential evaluation (same arithmetic,
-    grouped into one matrix operation per level).
+    grouped into one matrix operation per level). Leaves use
+    ``treelstm_leaf``; weights read only by the terms it skips get zero
+    gradients, as in the sequential evaluation.
     """
     schedule = schedule or build_level_schedule(trees)
     h_pool: Tensor | None = None
@@ -290,13 +323,9 @@ def treelstm_batch_forward(trees, embeds: VocabEmbeddings, p: TreeLstmParams,
         return x
 
     for lvl, slots in enumerate(schedule.levels):
-        n = len(slots)
         x_n = maybe_drop(embeds.lookup([s.token for s in slots]))
         if lvl == 0:
-            zeros_h = Tensor(np.zeros((n, p.hidden)))
-            zeros_x = Tensor(np.zeros((n, p.d_in)))
-            c, h = treelstm_node(x_n, zeros_x, zeros_x, zeros_h, zeros_h,
-                                 zeros_h, zeros_h, p, inputs_on=True)
+            c, h = treelstm_leaf(x_n, p)
         else:
             left = np.array([s.left for s in slots], dtype=np.intp)
             right = np.array([s.right for s in slots], dtype=np.intp)
@@ -308,7 +337,9 @@ def treelstm_batch_forward(trees, embeds: VocabEmbeddings, p: TreeLstmParams,
                                  p, inputs_on=p.operator_inputs)
         h_pool = h if h_pool is None else concat([h_pool, h], axis=0)
         c_pool = c if c_pool is None else concat([c_pool, c], axis=0)
-    return rows(h_pool, np.array(schedule.roots, dtype=np.intp))
+    roots = rows(h_pool, np.array(schedule.roots, dtype=np.intp))
+    skipped = _leaf_skipped_weights(p, len(schedule.levels) > 1)
+    return ad.pass_zero_grads(roots, skipped) if skipped else roots
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,17 @@
 import os
-from pathlib import Path
 
-import pytest
+# One BLAS thread, as in perfbench, set before numpy loads. On a two-CPU
+# machine a threaded OpenBLAS worker can wake on the main thread's CPU; until
+# the scheduler moves it (about a second) every matmul then waits a time
+# slice, which the timing criterion would measure instead of the code.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
-from logotree import ids, phono
+from pathlib import Path  # noqa: E402
+
+import pytest  # noqa: E402
+
+from logotree import ids, phono  # noqa: E402
 
 DATA_DIR = Path(__file__).parent / "data"
 

@@ -193,6 +193,30 @@ def test_sigmoid_tanh_ranges(values):
     assert np.all(t[interior] > -1.0) and np.all(t[interior] < 1.0)
 
 
+def _masked_sigmoid(x):
+    """The boolean-mask form: 1/(1+exp(-x)) where x >= 0, exp(x)/(1+exp(x))
+    elsewhere, each evaluated on the gathered entries only."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_bitwise_equals_masked_form():
+    rng = np.random.default_rng(46)
+    edges = [1000.0, -1000.0, 710.0, -710.0, 745.0, -745.0, 0.0, -0.0, 1e-300,
+             -1e-300, 36.0, -36.0]
+    x = np.concatenate([rng.standard_normal(500) * 40, edges]).reshape(8, -1)
+    with np.errstate(all="raise"):
+        got = sigmoid(Tensor(x)).data
+    assert np.all(np.isfinite(got))
+    assert got.dtype == x.dtype and got.shape == x.shape
+    want = _masked_sigmoid(x)
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=6),
        st.integers(min_value=0, max_value=2**31 - 1))
@@ -270,6 +294,45 @@ def test_clip_global_norm():
     assert norm == pytest.approx(5.0)
     total = np.sqrt((a.grad ** 2).sum() + (b.grad ** 2).sum())
     assert total == pytest.approx(1.0)
+
+
+def test_clip_global_norm_scales_shared_gradients_once():
+    # a copy-free reverse pass may leave gradients sharing memory; each must
+    # still be scaled exactly once, and the shared array left as it was
+    g = np.array([[3.0, 0.0], [0.0, 4.0]])
+    a = Tensor(np.zeros((2, 2)), name="a")
+    b = Tensor(np.zeros((2, 2)), name="b")
+    c = Tensor(np.zeros(2), name="c")
+    a.grad, b.grad, c.grad = g, g, g[1]
+    norm = ad.clip_global_norm([a, b, c], 2.0)
+    hand = np.sqrt(3.0 ** 2 + 4.0 ** 2 + 3.0 ** 2 + 4.0 ** 2 + 4.0 ** 2)
+    assert norm == pytest.approx(hand, rel=1e-15)
+    s = 2.0 / hand
+    np.testing.assert_allclose(a.grad, [[3.0 * s, 0.0], [0.0, 4.0 * s]], rtol=1e-15)
+    np.testing.assert_allclose(b.grad, a.grad, rtol=1e-15)
+    np.testing.assert_allclose(c.grad, [0.0, 4.0 * s], rtol=1e-15)
+    np.testing.assert_array_equal(g, [[3.0, 0.0], [0.0, 4.0]])
+
+
+def test_clip_global_norm_below_bound_keeps_arrays():
+    a = Tensor(np.zeros(2), name="a")
+    a.grad = np.array([0.3, 0.4])
+    before = a.grad
+    assert ad.clip_global_norm([a, Tensor(np.zeros(1))], 1.0) == pytest.approx(0.5)
+    assert a.grad is before
+
+
+def test_pass_zero_grads_is_identity_with_zero_gradients():
+    x = Tensor(np.array([[1.0, -2.0]]))
+    w = Tensor(np.ones((3, 2)), name="w")
+    tp = Tape()
+    with tp:
+        y = ad.pass_zero_grads(x, [w])
+        loss = (y * y).sum()
+    np.testing.assert_array_equal(y.data, x.data)
+    tp.backward(loss)
+    np.testing.assert_array_equal(x.grad, [[2.0, -4.0]])
+    np.testing.assert_array_equal(w.grad, np.zeros((3, 2)))
 
 
 # ---------------------------------------------------------------------------

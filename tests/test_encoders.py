@@ -100,6 +100,21 @@ def test_node_all_zero_weights_closed_form():
     np.testing.assert_allclose(h_n.data, 0.5 * np.tanh(c_n.data), atol=1e-12)
 
 
+@pytest.mark.parametrize("use_bias", [True, False])
+def test_leaf_cell_equals_node_with_zero_children(use_bias):
+    rng = np.random.default_rng(47)
+    p = TreeLstmParams.init(5, 3, rng, use_bias=use_bias)
+    for key, w in p.weights.items():
+        if key.startswith("b_"):
+            w.data[:] = rng.standard_normal(5)
+    x = Tensor(rng.standard_normal((4, 3)))
+    zx, zh = Tensor(np.zeros((4, 3))), Tensor(np.zeros((4, 5)))
+    c_leaf, h_leaf = enc.treelstm_leaf(x, p)
+    c_node, h_node = treelstm_node(x, zx, zx, zh, zh, zh, zh, p)
+    np.testing.assert_array_equal(c_leaf.data, c_node.data)
+    np.testing.assert_array_equal(h_leaf.data, h_node.data)
+
+
 @pytest.mark.parametrize("inputs_on", [True, False])
 @pytest.mark.parametrize("bias", [True, False])
 def test_node_matches_scalar_oracle(inputs_on, bias):
@@ -248,29 +263,109 @@ def test_batched_equals_sequential_50_random_trees(ablated):
         assert np.abs(h_bat.data[k] - h_seq.data[0]).max() < 1e-9
 
 
-def test_batched_gradients_match_sequential():
-    rng = np.random.default_rng(13)
-    p = TreeLstmParams.init(3, 3, rng)
-    embeds = VocabEmbeddings("abc", 3, rng)
-    pyrng = random.Random(14)
-    trees = [random_tree(pyrng, 3) for _ in range(5)]
+def _tree_grads(trees, embeds, p, batched: bool) -> dict:
+    """Gradients of sum(root h) by the level-batched or the sequential path."""
     params = {**p.params(), **embeds.params()}
-
     tp = Tape()
     with tp:
-        loss = treelstm_batch_forward(trees, embeds, p).sum()
+        if batched:
+            loss = treelstm_batch_forward(trees, embeds, p).sum()
+        else:
+            hs = [treelstm_forward(t, embeds, p)[0] for t in trees]
+            loss = ad.concat(hs, axis=0).sum()
     ad.zero_grads(params.values())
     tp.backward(loss)
-    batched = {k: t.grad.copy() for k, t in params.items()}
+    return {k: t.grad for k, t in params.items()}
 
+
+def test_batched_gradients_match_sequential():
+    # (tree_bias, operator_inputs): the default cell and both ablations
+    for use_bias, operator_inputs in ((True, True), (False, True), (True, False)):
+        rng = np.random.default_rng(13)
+        p = TreeLstmParams.init(3, 3, rng, use_bias=use_bias,
+                                operator_inputs=operator_inputs)
+        embeds = VocabEmbeddings("abc", 3, rng)
+        pyrng = random.Random(14)
+        trees = [random_tree(pyrng, 3) for _ in range(5)]
+        assert max(len(build_level_schedule([t]).levels) for t in trees) > 1
+        batched = _tree_grads(trees, embeds, p, batched=True)
+        sequential = _tree_grads(trees, embeds, p, batched=False)
+        for k, g in sequential.items():
+            assert batched[k] is not None, k
+            np.testing.assert_allclose(g, batched[k], atol=1e-9, err_msg=k)
+
+
+@pytest.mark.parametrize("use_bias,operator_inputs",
+                         [(True, True), (False, True), (True, False)])
+def test_all_leaf_batch_gradients_match_sequential(use_bias, operator_inputs):
+    # leaves skip the child and forget-gate terms; the weights only those
+    # terms read still get zero arrays, as in the sequential cell
+    rng = np.random.default_rng(41)
+    p = TreeLstmParams.init(4, 3, rng, use_bias=use_bias,
+                            operator_inputs=operator_inputs)
+    embeds = VocabEmbeddings("abc", 3, rng)
+    trees = [Leaf("a"), Leaf("c"), Leaf("a"), Leaf("z")]
+    batched = _tree_grads(trees, embeds, p, batched=True)
+    sequential = _tree_grads(trees, embeds, p, batched=False)
+    for k, g in sequential.items():
+        assert isinstance(batched[k], np.ndarray), k
+        np.testing.assert_allclose(batched[k], g, rtol=0, atol=1e-12, err_msg=k)
+    assert not batched["tree.Ul_i"].any() and not batched["tree.V_fl"].any()
+
+
+def test_all_leaf_batch_keeps_adam_update():
+    # Adam decays its moments on a zero gradient but skips a None one, so
+    # an all-leaf step after a mixed one must move the same parameters
+    mixed = [Op("⿰", Leaf("a"), Leaf("b")), Leaf("c")]
+    leaves = [Leaf("a"), Leaf("b")]
+    finals = []
+    for batched in (True, False):
+        rng = np.random.default_rng(42)
+        p = TreeLstmParams.init(4, 3, rng)
+        embeds = VocabEmbeddings("abc", 3, rng)
+        params = {**p.params(), **embeds.params()}
+        opt = ad.Adam(0.01)
+        for trees in (mixed, leaves):
+            _tree_grads(trees, embeds, p, batched)
+            opt.step(params)
+        finals.append({k: t.data.copy() for k, t in params.items()})
+    for k, value in finals[1].items():
+        np.testing.assert_allclose(finals[0][k], value, rtol=0, atol=1e-12,
+                                   err_msg=k)
+
+
+def _assert_grads_unshared(params: dict) -> None:
+    items = list(params.items())
+    for a, (ka, ta) in enumerate(items):
+        assert ta.grad is not None, ka
+        for kb, tb in items[a + 1:]:
+            assert not np.shares_memory(ta.grad, tb.grad), (ka, kb)
+
+
+def test_tree_batch_gradients_do_not_alias():
+    rng = np.random.default_rng(43)
+    p = TreeLstmParams.init(5, 4, rng)
+    embeds = make_embeds(rng)
+    pyrng = random.Random(44)
+    trees = [random_tree(pyrng, 3) for _ in range(8)]
+    params = {**p.params(), **embeds.params()}
+    _tree_grads(trees, embeds, p, batched=True)
+    _assert_grads_unshared(params)
+
+
+def test_lstm_batch_gradients_do_not_alias():
+    rng = np.random.default_rng(45)
+    p = BiLstmParams.init(5, 4, rng, layers=2)
+    embeds = make_embeds(rng)
+    params = {**p.params(), **embeds.params()}
     tp = Tape()
     with tp:
-        hs = [treelstm_forward(t, embeds, p)[0] for t in trees]
-        loss = ad.concat(hs, axis=0).sum()
+        h = enc.bilstm_batch_forward([list("abc"), list("de"), list("fgha")],
+                                     embeds, p)
+        loss = (h * h).sum()
     ad.zero_grads(params.values())
     tp.backward(loss)
-    for k, t in params.items():
-        np.testing.assert_allclose(t.grad, batched[k], atol=1e-9, err_msg=k)
+    _assert_grads_unshared(params)
 
 
 # ---------------------------------------------------------------------------

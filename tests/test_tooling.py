@@ -4,7 +4,8 @@ from pathlib import Path
 import pytest
 
 from logotree.cli import dispatch
-from logotree.config import LmConfig, RunConfig, load_config
+from logotree.config import (LmConfig, RunConfig, load_config, validate_config,
+                             validate_lm_config)
 from logotree.errors import ConfigError
 from logotree.manifest import config_hash
 
@@ -52,6 +53,28 @@ def test_dropout_out_of_range_rejected(tmp_path):
     path = write_config(tmp_path, {"run": {"dropout": 0.9}})
     with pytest.raises(ConfigError, match="dropout"):
         load_config(path)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("learning_rate", -1.0), ("learning_rate", float("nan")),
+    ("learning_rate", float("inf")), ("clip_norm", 0.0), ("clip_norm", -1.0),
+    ("clip_norm", float("nan")), ("clip_norm", float("inf"))])
+def test_validate_config_rejects_bad_rate_and_clip(field, value):
+    with pytest.raises(ConfigError, match=field):
+        validate_config(RunConfig(**{field: value}))
+
+
+def test_validate_config_accepts_zero_learning_rate():
+    assert validate_config(RunConfig(learning_rate=0.0)).learning_rate == 0.0
+
+
+@pytest.mark.parametrize("field,value", [
+    ("learning_rate", 0.0), ("learning_rate", float("nan")),
+    ("learning_rate", float("inf")), ("clip_norm", 0.0), ("clip_norm", -2.0),
+    ("clip_norm", float("nan"))])
+def test_validate_lm_config_rejects_bad_rate_and_clip(field, value):
+    with pytest.raises(ConfigError, match=field):
+        validate_lm_config(LmConfig(**{field: value}))
 
 
 def test_lm_config_kind(tmp_path):
