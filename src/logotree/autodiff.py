@@ -2,8 +2,9 @@
 
 Deliberately small: float64 numpy storage, an explicit tape of executed
 primitives, and only the operations the encoders need (matmul, add, mul,
-sigmoid, tanh, log, softmax, concat, slicing, gather, sum, max). When no
-tape is active all operations run untracked, which is the evaluation path.
+sigmoid, tanh, softmax, softmax cross-entropy, dropout, concat, slicing,
+gather, sum, max). When no tape is active all operations run untracked,
+which is the evaluation path.
 """
 
 from __future__ import annotations
@@ -15,9 +16,6 @@ import numpy as np
 from .errors import ContractError, NumericsError, ShapeError
 
 _DEFAULT_DTYPE = np.dtype(np.float64)
-
-#: Debug switch: verify every primitive output is finite.
-CHECK_FINITE = False
 
 
 def set_default_dtype(dtype) -> None:
@@ -54,9 +52,6 @@ class Tensor:
     def __sub__(self, other):
         return sub(self, other)
 
-    def __neg__(self):
-        return scale(self, -1.0)
-
     def __mul__(self, other):
         if isinstance(other, (int, float)):
             return scale(self, float(other))
@@ -68,8 +63,8 @@ class Tensor:
     def __matmul__(self, other):
         return matmul(self, other)
 
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
+    def sum(self):
+        return tsum(self)
 
     def max(self, axis):
         return tmax(self, axis)
@@ -134,8 +129,6 @@ _TAPES: list[Tape] = []
 
 
 def _record(out: Tensor, parents, backward_fn) -> Tensor:
-    if CHECK_FINITE and not np.all(np.isfinite(out.data)):
-        raise NumericsError("non-finite value produced")
     if _TAPES:
         _TAPES[-1]._entries.append((out, parents, backward_fn))
     return out
@@ -234,11 +227,6 @@ def tanh(a: Tensor) -> Tensor:
     return _record(out, (a,), lambda g: (g * (1.0 - out.data * out.data),))
 
 
-def log(a: Tensor) -> Tensor:
-    out = Tensor(np.log(a.data))
-    return _record(out, (a,), lambda g: (g / a.data,))
-
-
 def softmax(a: Tensor) -> Tensor:
     """Softmax over the last axis; rows sum to 1."""
     z = a.data - a.data.max(axis=-1, keepdims=True)
@@ -251,6 +239,32 @@ def softmax(a: Tensor) -> Tensor:
         return (p * (g - dot),)
 
     return _record(out, (a,), backward)
+
+
+def softmax_cross_entropy(logits: Tensor, target_ids) -> Tensor:
+    """Sum over rows of ``-log softmax(logits)[row, target_ids[row]]``.
+
+    Each row's loss is computed as logsumexp(row) - row[target], so a target
+    whose probability underflows gets a large finite loss rather than inf.
+    The backward pass is (softmax - onehot) * g; no one-hot is built.
+    """
+    z = logits.data
+    t = np.asarray(target_ids, dtype=np.intp)
+    if z.ndim != 2 or t.shape != z.shape[:1]:
+        raise ShapeError(f"softmax_cross_entropy: logits {z.shape} and "
+                         f"targets {t.shape}")
+    r = np.arange(t.size)
+    m = z.max(axis=-1, keepdims=True)
+    e = np.exp(z - m)
+    s = e.sum(axis=-1, keepdims=True)
+    out = Tensor((np.log(s[:, 0]) + (m[:, 0] - z[r, t])).sum())
+
+    def backward(g):
+        gz = e / s
+        gz[r, t] -= 1.0
+        return (gz * g,)
+
+    return _record(out, (logits,), backward)
 
 
 def concat(tensors, axis: int = -1) -> Tensor:
@@ -298,16 +312,10 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _record(out, (a,), lambda g: (g.reshape(a.data.shape),))
 
 
-def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = Tensor(a.data.sum(axis=axis, keepdims=keepdims))
-
-    def backward(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.data.shape).copy(),)
-        ge = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(ge, a.data.shape).copy(),)
-
-    return _record(out, (a,), backward)
+def tsum(a: Tensor) -> Tensor:
+    """Sum of all entries."""
+    out = Tensor(a.data.sum())
+    return _record(out, (a,), lambda g: (np.broadcast_to(g, a.data.shape).copy(),))
 
 
 def tmax(a: Tensor, axis: int) -> Tensor:
@@ -338,27 +346,35 @@ def pass_zero_grads(a: Tensor, params) -> Tensor:
                    lambda g: (g, *(np.zeros_like(p.data) for p in params)))
 
 
-def mean(a: Tensor) -> Tensor:
-    return scale(tsum(a), 1.0 / a.data.size)
-
-
 # ---------------------------------------------------------------------------
 # dropout
 # ---------------------------------------------------------------------------
 
-def dropout_mask(shape, rate: float, rng: np.random.Generator,
-                 training: bool = True) -> Tensor:
-    """Inverted-dropout mask: 0 with probability ``rate``, else 1/(1-rate).
+def dropout(x: Tensor, rate: float, rng: np.random.Generator | None,
+            training: bool) -> Tensor:
+    """Inverted dropout: each entry is zeroed with probability ``rate``, the
+    rest are scaled by 1/(1-rate).
 
-    In evaluation mode (or at rate 0) the mask is all ones, so the
-    evaluation path is scale-free.
+    Returns ``x`` itself when not training or at rate 0, so evaluation
+    records nothing. The mask is a constant: the backward pass is
+    ``g * mask`` and computes no gradient for it.
     """
     if not 0.0 <= rate < 1.0:
         raise ContractError(f"dropout rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
-        return Tensor(np.ones(shape))
-    keep = rng.random(shape) >= rate
-    return Tensor(keep / (1.0 - rate))
+        return x
+    if rng is None:
+        raise ContractError("training dropout needs an rng")
+    mask = Tensor((rng.random(x.data.shape) >= rate) / (1.0 - rate)).data
+    out = Tensor(x.data * mask)
+    return _record(out, (x,), lambda g: (g * mask,))
+
+
+def dropout_mask(shape, rate: float, rng: np.random.Generator,
+                 training: bool = True) -> Tensor:
+    """The mask ``dropout`` multiplies by: all ones in evaluation mode or at
+    rate 0, so the evaluation path is scale-free."""
+    return dropout(Tensor(np.ones(shape)), rate, rng, training)
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +440,20 @@ def clip_global_norm(params, max_norm: float) -> float:
         for p in params:
             p.grad = p.grad * s  # rebind: gradients may share memory
     return norm
+
+
+def check_finite_step(step: int, loss: float, norm: float, params) -> None:
+    """Raise ``NumericsError`` when a training step's loss or global gradient
+    norm is not finite, naming the step and the parameter with the most
+    non-finite gradient entries."""
+    if math.isfinite(loss) and math.isfinite(norm):
+        return
+    counts = {p.name: int(np.count_nonzero(~np.isfinite(p.grad)))
+              for p in params if p.grad is not None}
+    worst = max(counts, key=counts.get, default=None)
+    raise NumericsError(f"step {step}: loss {loss}, gradient norm {norm}; "
+                        f"{counts.get(worst, 0)} non-finite gradient entries "
+                        f"in {worst!r}")
 
 
 # ---------------------------------------------------------------------------

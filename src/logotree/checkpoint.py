@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CheckpointError
+from .errors import CheckpointError, ContractError, ShapeError
 
 MAGIC = b"LGTCKPT1"
 FORMAT_VERSION = 1
@@ -84,3 +84,14 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         arr = np.frombuffer(payload, dtype="<f8", count=n, offset=start)
         tensors[name] = arr.astype(np.float64).reshape(shape)
     return tensors, manifest
+
+
+def restore_tensors(path, params: dict, tensors: dict[str, np.ndarray]) -> None:
+    """Copy each loaded array into the model parameter of the same name."""
+    for name, t in params.items():
+        if name not in tensors:
+            raise ContractError(f"{path}: missing tensor {name}")
+        if tensors[name].shape != t.data.shape:
+            raise ShapeError(f"{path}: {name} shape {tensors[name].shape} "
+                             f"vs expected {t.data.shape}")
+        t.data[:] = tensors[name]

@@ -127,18 +127,34 @@ def config_to_dict(config) -> dict:
     return out
 
 
-def _from_dict(cls, payload: dict, context: str):
+def _has_type(value, kind: str) -> bool:
+    """Whether a JSON value fits a field annotated ``kind`` (annotations are
+    strings here); an int fits a float field, a bool fits only a bool one."""
+    if kind == "tuple[int, ...]":
+        return (isinstance(value, (list, tuple))
+                and all(_has_type(v, "int") for v in value))
+    allowed = {"bool": bool, "int": int, "float": (int, float), "str": str}[kind]
+    return (isinstance(value, allowed)
+            and (kind == "bool" or not isinstance(value, bool)))
+
+
+def config_from_dict(cls, payload: dict, context: str):
+    """Build a config dataclass from JSON values, rejecting unknown keys and
+    values of the wrong type; ``layer_sizes`` arrives as a list."""
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{context}: config must be an object")
     known = {f.name: f for f in dataclasses.fields(cls)}
     unknown = set(payload) - set(known)
     if unknown:
         raise ConfigError(f"{context}: unknown keys {sorted(unknown)}")
+    for key, value in payload.items():
+        if not _has_type(value, known[key].type):
+            raise ConfigError(f"{context}: {key}={value!r} is not "
+                              f"{known[key].type}")
     kwargs = dict(payload)
-    if "layer_sizes" in kwargs and isinstance(kwargs["layer_sizes"], list):
+    if "layer_sizes" in kwargs:
         kwargs["layer_sizes"] = tuple(kwargs["layer_sizes"])
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"{context}: {exc}") from exc
+    return cls(**kwargs)
 
 
 #: JSON keys that point at input/output files rather than hyperparameters.
@@ -173,10 +189,10 @@ def load_config(path, kind: str = "run") -> LoadedConfig:
         raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
     run_payload = payload.get("run", {})
     if kind == "run":
-        config = _from_dict(RunConfig, run_payload, str(path))
+        config = config_from_dict(RunConfig, run_payload, str(path))
         validate_strict(config)
     elif kind == "lm":
-        config = _from_dict(LmConfig, run_payload, str(path))
+        config = config_from_dict(LmConfig, run_payload, str(path))
         validate_lm_config(config)
     else:
         raise ConfigError(f"unknown config kind {kind!r}")

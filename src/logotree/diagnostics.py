@@ -105,7 +105,7 @@ class ProbeTrace:
 
 
 def _decode_h(model: PronModel, h: Tensor) -> dict[str, str]:
-    probs = predict_pron(h, model.head)
+    probs = predict_pron(h, model.head).probs
     return {u: model.inventories.classes(u)[int(np.argmax(probs[u].data[0]))]
             for u in UNITS}
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, concat, dropout_mask, matmul, rows, sigmoid, softmax, tanh
+from .autodiff import Tensor, concat, dropout, matmul, rows, sigmoid, tanh
 from .errors import ContractError, ShapeError
 from .ids import BINARY_IDCS, ALL_IDCS, GlyphTree, Leaf, Op, UNK_TOKEN
 
@@ -316,11 +316,7 @@ def treelstm_batch_forward(trees, embeds: VocabEmbeddings, p: TreeLstmParams,
     c_pool: Tensor | None = None
 
     def maybe_drop(x: Tensor) -> Tensor:
-        if training and input_dropout > 0.0:
-            if rng is None:
-                raise ContractError("training dropout needs an rng")
-            return x * dropout_mask(x.data.shape, input_dropout, rng, training)
-        return x
+        return dropout(x, input_dropout, rng, training)
 
     for lvl, slots in enumerate(schedule.levels):
         x_n = maybe_drop(embeds.lookup([s.token for s in slots]))
@@ -348,26 +344,29 @@ def treelstm_batch_forward(trees, embeds: VocabEmbeddings, p: TreeLstmParams,
 
 @dataclass
 class LstmParams:
-    """Stacked unidirectional recurrent cell weights (1 or 2 layers)."""
+    """Stacked unidirectional recurrent cell weights, one size per layer."""
 
-    hidden: int
+    sizes: tuple[int, ...]
     d_in: int
-    layers: int = 1
     weights: dict[str, Tensor] = field(default_factory=dict)
 
     @classmethod
-    def init(cls, hidden: int, d_in: int, rng: np.random.Generator,
-             layers: int = 1, prefix: str = "lstm") -> "LstmParams":
-        p = cls(hidden, d_in, layers)
-        for layer in range(layers):
-            ind = d_in if layer == 0 else hidden
+    def init(cls, hidden: int | tuple[int, ...], d_in: int,
+             rng: np.random.Generator, layers: int = 1,
+             prefix: str = "lstm") -> "LstmParams":
+        """``hidden`` is one size for ``layers`` layers, or a tuple of
+        per-layer sizes (which sets the layer count)."""
+        sizes = (hidden,) * layers if isinstance(hidden, int) else tuple(hidden)
+        p = cls(sizes, d_in)
+        for layer, size in enumerate(sizes):
+            ind = d_in if layer == 0 else sizes[layer - 1]
             for g in ("i", "f", "o", "c"):
                 p.weights[f"L{layer}.Wx_{g}"] = _weight(
-                    rng, hidden, ind, f"{prefix}.L{layer}.Wx_{g}")
+                    rng, size, ind, f"{prefix}.L{layer}.Wx_{g}")
                 p.weights[f"L{layer}.Wh_{g}"] = _weight(
-                    rng, hidden, hidden, f"{prefix}.L{layer}.Wh_{g}")
+                    rng, size, size, f"{prefix}.L{layer}.Wh_{g}")
                 p.weights[f"L{layer}.b_{g}"] = Tensor(
-                    np.zeros(hidden), name=f"{prefix}.L{layer}.b_{g}")
+                    np.zeros(size), name=f"{prefix}.L{layer}.b_{g}")
         return p
 
     def params(self) -> dict[str, Tensor]:
@@ -411,20 +410,17 @@ def lstm_batch_forward(seqs: list[list[str]], embeds: VocabEmbeddings,
         ids_[k, :len(seq)] = embeds.token_ids(seq)
         mask[k, :len(seq)] = 1.0
 
-    x_all = rows(embeds.table, ids_.reshape(-1))
-    if training and input_dropout > 0.0:
-        if rng is None:
-            raise ContractError("training dropout needs an rng")
-        x_all = x_all * dropout_mask(x_all.data.shape, input_dropout, rng, training)
+    x_all = dropout(rows(embeds.table, ids_.reshape(-1)), input_dropout, rng,
+                    training)
 
     states = []
     inputs = [ad.narrow(ad.reshape(x_all, (n, max_len, embeds.d_in)), 1, t, 1)
               for t in range(max_len)]
     inputs = [ad.reshape(x, (n, embeds.d_in)) for x in inputs]
     layer_in = inputs
-    for layer in range(p.layers):
-        h = Tensor(np.zeros((n, p.hidden)))
-        c = Tensor(np.zeros((n, p.hidden)))
+    for layer, size in enumerate(p.sizes):
+        h = Tensor(np.zeros((n, size)))
+        c = Tensor(np.zeros((n, size)))
         outs = []
         for t in range(max_len):
             m = Tensor(mask[:, t])
@@ -433,7 +429,7 @@ def lstm_batch_forward(seqs: list[list[str]], embeds: VocabEmbeddings,
             h = h_new * m + h * keep
             c = c_new * m + c * keep
             outs.append(h)
-            if collect_states and layer == p.layers - 1:
+            if collect_states and layer == len(p.sizes) - 1:
                 states.append(h)
         layer_in = outs
     if collect_states:
@@ -456,10 +452,6 @@ class BiLstmParams:
              layers: int = 1, prefix: str = "bilstm") -> "BiLstmParams":
         return cls(LstmParams.init(hidden, d_in, rng, layers, f"{prefix}.fwd"),
                    LstmParams.init(hidden, d_in, rng, layers, f"{prefix}.bwd"))
-
-    @property
-    def hidden(self):
-        return self.forward.hidden
 
     def params(self) -> dict[str, Tensor]:
         return {**self.forward.params(), **self.backward.params()}
@@ -539,10 +531,7 @@ def cnn_pooled(seqs: list[list[str]], embeds: VocabEmbeddings,
     if not seqs or any(len(s) == 0 for s in seqs):
         raise ContractError("sequences must be non-empty")
     x, max_len = _pad_batch(seqs, embeds, min_len=max(p.widths))
-    if training and input_dropout > 0.0:
-        if rng is None:
-            raise ContractError("training dropout needs an rng")
-        x = x * dropout_mask(x.data.shape, input_dropout, rng, training)
+    x = dropout(x, input_dropout, rng, training)
     n = len(seqs)
     pooled = []
     for w in p.widths:

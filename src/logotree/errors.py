@@ -66,7 +66,7 @@ class ContractError(LogotreeError):
 
 
 class NumericsError(LogotreeError):
-    """Non-finite value produced while finite checks are enabled."""
+    """Non-finite loss or gradient norm in a training step."""
 
     category = "numerics"
 

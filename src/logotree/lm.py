@@ -1,6 +1,7 @@
 """Character-level language modeling with lookup or tree-composed embeddings.
 
-The recurrent core is a stacked cell with configurable per-layer sizes.
+The recurrent core is the stacked recurrent cell of the sequence encoders,
+with configurable per-layer sizes, stepped one timestep at a time.
 Input embeddings are either a standard lookup table or hierarchical
 embeddings composed by the tree encoder from each character's
 decomposition. During training only the embeddings of characters present
@@ -19,10 +20,11 @@ import numpy as np
 
 from . import autodiff as ad
 from . import encoders as enc
-from .autodiff import Adam, Tape, Tensor, concat, dropout_mask, matmul, rows, sigmoid, softmax, tanh
-from .checkpoint import load_checkpoint, save_checkpoint
-from .config import LmConfig, config_to_dict, validate_lm_config
-from .errors import ContractError, DataError, IoError, ShapeError
+from .autodiff import Adam, Tape, Tensor, concat, dropout, matmul, rows, softmax
+from .checkpoint import load_checkpoint, restore_tensors, save_checkpoint
+from .config import (LmConfig, config_from_dict, config_to_dict,
+                     validate_lm_config)
+from .errors import ContractError, DataError, IoError
 from .ids import RuleTable, decompose, Leaf, UNK_TOKEN
 
 EOS_TOKEN = "<EOS>"
@@ -32,29 +34,8 @@ EOS_TOKEN = "<EOS>"
 # stacked recurrent core with per-layer sizes
 # ---------------------------------------------------------------------------
 
-@dataclass
-class StackedLstm:
-    d_in: int
-    sizes: tuple[int, ...]
-    weights: dict[str, Tensor] = field(default_factory=dict)
-
-    @classmethod
-    def init(cls, d_in: int, sizes, rng: np.random.Generator,
-             prefix: str = "core") -> "StackedLstm":
-        p = cls(d_in, tuple(sizes))
-        for layer, size in enumerate(p.sizes):
-            ind = d_in if layer == 0 else p.sizes[layer - 1]
-            for g in ("i", "f", "o", "c"):
-                p.weights[f"L{layer}.Wx_{g}"] = enc._weight(
-                    rng, size, ind, f"{prefix}.L{layer}.Wx_{g}")
-                p.weights[f"L{layer}.Wh_{g}"] = enc._weight(
-                    rng, size, size, f"{prefix}.L{layer}.Wh_{g}")
-                p.weights[f"L{layer}.b_{g}"] = Tensor(
-                    np.zeros(size), name=f"{prefix}.L{layer}.b_{g}")
-        return p
-
-    def params(self) -> dict[str, Tensor]:
-        return {t.name: t for t in self.weights.values()}
+class StackedLstm(enc.LstmParams):
+    """Stacked cell weights stepped one timestep at a time, carrying state."""
 
     def zero_state(self, batch: int) -> list[tuple[Tensor, Tensor]]:
         return [(Tensor(np.zeros((batch, s))), Tensor(np.zeros((batch, s))))
@@ -65,26 +46,12 @@ class StackedLstm:
         """One timestep through all layers; returns (top output, new state)."""
         new_state = []
         inp = x
-        for layer, size in enumerate(self.sizes):
-            h, c = state[layer]
-            w = self.weights
-
-            def pre(g):
-                return (matmul(inp, w[f"L{layer}.Wx_{g}"].T)
-                        + matmul(h, w[f"L{layer}.Wh_{g}"].T)
-                        + w[f"L{layer}.b_{g}"])
-
-            i = sigmoid(pre("i"))
-            f = sigmoid(pre("f"))
-            o = sigmoid(pre("o"))
-            cand = tanh(pre("c"))
-            c_new = f * c + i * cand
-            h_new = o * tanh(c_new)
-            new_state.append((h_new, c_new))
-            inp = h_new
-            if training and hidden_dropout > 0.0 and layer < len(self.sizes) - 1:
-                inp = inp * dropout_mask(inp.data.shape, hidden_dropout, rng,
-                                         training)
+        for layer, (h, c) in enumerate(state):
+            h, c = enc.lstm_cell(inp, h, c, self, layer)
+            new_state.append((h, c))
+            inp = h
+            if layer < len(self.sizes) - 1:
+                inp = dropout(inp, hidden_dropout, rng, training)
         return inp, new_state
 
 
@@ -138,7 +105,7 @@ def build_lm(config: LmConfig, vocab_chars, rules: RuleTable | None = None
     vocab = sorted(set(vocab_chars) - {EOS_TOKEN, UNK_TOKEN})
     vocab = vocab + [EOS_TOKEN, UNK_TOKEN]
     e = config.embed_dim
-    core = StackedLstm.init(e, config.layer_sizes, rng)
+    core = StackedLstm.init(config.layer_sizes, e, rng, prefix="core")
     w_out = enc._weight(rng, len(vocab), config.layer_sizes[-1], "out.W")
     b_out = Tensor(np.zeros(len(vocab)), name="out.b")
     model = LmModel(config, vocab, core, w_out, b_out)
@@ -193,7 +160,7 @@ def _window_embeddings(model: LmModel, ids: np.ndarray,
             trees = [model.trees[model.vocab[v]] for v in composed]
             parts.append(enc.treelstm_batch_forward(
                 trees, model.leaf_embeds, model.tree,
-                input_dropout=model.config.dropout_input if training else 0.0,
+                input_dropout=model.config.dropout_input,
                 rng=rng, training=training))
         order.extend(composed)
     if plain:
@@ -290,32 +257,25 @@ def train_lm(config: LmConfig, train_lines: list[str],
             with tape:
                 matrix, flat, _ = _window_embeddings(model, window_ids,
                                                      rng=rng, training=True)
-                x_all = rows(matrix, flat)
-                if config.dropout_input > 0.0:
-                    x_all = x_all * dropout_mask(x_all.data.shape,
-                                                 config.dropout_input, rng, True)
+                x_all = dropout(rows(matrix, flat), config.dropout_input, rng,
+                                True)
                 x_all = ad.reshape(x_all, (B, width, config.embed_dim))
-                losses = []
+                outs = []
                 for t in range(width):
                     x_t = ad.reshape(ad.narrow(x_all, 1, t, 1),
                                      (B, config.embed_dim))
                     out, state = model.core.step(x_t, state,
                                                  config.dropout_hidden, rng, True)
-                    if config.dropout_output > 0.0:
-                        out = out * dropout_mask(out.data.shape,
-                                                 config.dropout_output, rng, True)
-                    p = softmax(_logits(model, out))
-                    onehot = np.zeros_like(p.data)
-                    onehot[np.arange(B), window_tgts[:, t]] = 1.0
-                    picked = (p * Tensor(onehot)).sum(axis=-1)
-                    losses.append(-ad.log(picked).sum())
-                loss = losses[0]
-                for extra in losses[1:]:
-                    loss = loss + extra
+                    outs.append(dropout(out, config.dropout_output, rng, True))
+                # rows are time-major, as are the flattened transposed targets
+                loss = ad.softmax_cross_entropy(_logits(model, concat(outs, axis=0)),
+                                                window_tgts.T.reshape(-1))
                 loss = loss * (1.0 / (B * width))
             ad.zero_grads(params.values())
             tape.backward(loss)
-            ad.clip_global_norm(params.values(), config.clip_norm)
+            norm = ad.clip_global_norm(params.values(), config.clip_norm)
+            ad.check_finite_step(optimizer.t, float(loss.data), norm,
+                                 params.values())
             sparse = {}
             for name in table_names:
                 g = params[name].grad
@@ -356,7 +316,7 @@ def eval_lm(model: LmModel, lines: list[str],
     ids = stream[:-1].reshape(1, -1)
     tgts = stream[1:]
     state = model.core.zero_state(1)
-    log2_total = 0.0
+    bits = 0.0
     n = ids.shape[1]
     for start in range(0, n, chunk):
         width = min(chunk, n - start)
@@ -366,9 +326,11 @@ def eval_lm(model: LmModel, lines: list[str],
         for t in range(width):
             x_t = ad.reshape(ad.narrow(x_all, 1, t, 1), (1, model.config.embed_dim))
             out, state = model.core.step(x_t, state)
-            p = softmax(_logits(model, out))
-            log2_total += math.log2(float(p.data[0, tgts[start + t]]))
-    bpc = -log2_total / n
+            nats = ad.softmax_cross_entropy(_logits(model, out),
+                                            tgts[start + t:start + t + 1])
+            # per step: a uniform model then scores exactly log2(V) bits
+            bits += float(nats.data) / math.log(2)
+    bpc = bits / n
     return bpc, 2.0 ** bpc
 
 
@@ -479,9 +441,7 @@ def load_lm(path, rules: RuleTable | None = None) -> LmModel:
     tensors, manifest = load_checkpoint(path)
     if manifest.get("kind") != "language-model":
         raise ContractError(f"{path} is not a language-model checkpoint")
-    payload = dict(manifest["config"])
-    payload["layer_sizes"] = tuple(payload["layer_sizes"])
-    config = LmConfig(**payload)
+    config = config_from_dict(LmConfig, manifest.get("config"), str(path))
     vocab_chars = [ch for ch in manifest["vocab"]
                    if ch not in (EOS_TOKEN, UNK_TOKEN)]
     if config.input_kind == "hierarchical" and rules is None:
@@ -493,10 +453,5 @@ def load_lm(path, rules: RuleTable | None = None) -> LmModel:
         if sorted(model.trees) != manifest["tree_chars"]:
             raise ContractError(f"{path}: rule table does not reproduce the "
                                 "decompositions this model was trained with")
-    for name, t in model.params().items():
-        if name not in tensors:
-            raise ContractError(f"{path}: missing tensor {name}")
-        if tensors[name].shape != t.data.shape:
-            raise ShapeError(f"{path}: {name} shape mismatch")
-        t.data[:] = tensors[name]
+    restore_tensors(path, model.params(), tensors)
     return model

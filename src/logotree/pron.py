@@ -18,10 +18,10 @@ import numpy as np
 
 from . import autodiff as ad
 from . import encoders as enc
-from .autodiff import Adam, Tape, Tensor, concat, dropout_mask, matmul, softmax
-from .checkpoint import load_checkpoint, save_checkpoint
-from .config import RunConfig, config_to_dict, validate_config
-from .errors import ContractError, DataError, ShapeError
+from .autodiff import Adam, Tape, Tensor, concat, dropout, matmul, softmax
+from .checkpoint import load_checkpoint, restore_tensors, save_checkpoint
+from .config import RunConfig, config_from_dict, config_to_dict, validate_config
+from .errors import ContractError, DataError
 from .ids import LinearOrder, RuleTable, decompose, linearize, strip_operators
 from .phono import NULL, DatasetSplit, PronEntry
 
@@ -87,38 +87,41 @@ class PronHead:
         return {t.name: t for t in self.weights.values()}
 
 
-def predict_pron(h: Tensor, head: PronHead) -> dict[str, Tensor]:
-    """Distributions for each unit, chained in the head's order.
+@dataclass
+class HeadOutput:
+    """Per-unit logits and the distributions computed from them."""
 
-    ``h`` has one row per logograph; each returned distribution row sums
-    to 1 over that unit's inventory.
+    logits: dict[str, Tensor]
+    probs: dict[str, Tensor]
+
+
+def predict_pron(h: Tensor, head: PronHead) -> HeadOutput:
+    """Logits and distributions for each unit, chained in the head's order.
+
+    ``h`` has one row per logograph; each distribution row sums to 1 over
+    that unit's inventory.
     """
     feats = h
-    probs: dict[str, Tensor] = {}
+    out = HeadOutput({}, {})
     for unit in head.order:
         logits = matmul(feats, head.weights[f"W_{unit}"].T)
         if head.use_bias:
             logits = logits + head.weights[f"b_{unit}"]
         p = softmax(logits)
-        probs[unit] = p
+        out.logits[unit] = logits
+        out.probs[unit] = p
         feats = concat([feats, p], axis=-1)
-    return probs
+    return out
 
 
-def pron_loss(probs: dict[str, Tensor], targets: list[PronEntry],
+def pron_loss(out: HeadOutput, targets: list[PronEntry],
               inventories: Inventories) -> Tensor:
     """Mean over the batch of the summed per-unit cross-entropies."""
     n = len(targets)
     total = None
     for unit in UNITS:
-        p = probs[unit]
-        if p.data.shape[0] != n:
-            raise ShapeError(f"{unit}: {p.data.shape[0]} rows for {n} targets")
-        onehot = np.zeros_like(p.data)
-        for k, e in enumerate(targets):
-            onehot[k, inventories.index(unit, getattr(e, unit))] = 1.0
-        picked = (p * Tensor(onehot)).sum(axis=-1)  # target probability per row
-        ce = -ad.log(picked).sum()
+        ids = [inventories.index(unit, getattr(e, unit)) for e in targets]
+        ce = ad.softmax_cross_entropy(out.logits[unit], ids)
         total = ce if total is None else total + ce
     return total * (1.0 / n)
 
@@ -199,24 +202,23 @@ def forward_batch(model: PronModel, inputs, rng=None,
                   training: bool = False) -> Tensor:
     """Embeddings for a batch of encoder inputs, one row each."""
     cfg = model.config
-    drop = cfg.dropout if training else 0.0
     if cfg.encoder == "treelstm":
         h = enc.treelstm_batch_forward(inputs, model.embeds, model.encoder,
-                                       input_dropout=drop, rng=rng,
+                                       input_dropout=cfg.dropout, rng=rng,
                                        training=training)
     elif cfg.encoder == "lstm":
         h = enc.lstm_batch_forward(inputs, model.embeds, model.encoder,
-                                   input_dropout=drop, rng=rng, training=training)
+                                   input_dropout=cfg.dropout, rng=rng,
+                                   training=training)
     elif cfg.encoder == "bilstm":
         h = enc.bilstm_batch_forward(inputs, model.embeds, model.encoder,
-                                     input_dropout=drop, rng=rng,
+                                     input_dropout=cfg.dropout, rng=rng,
                                      training=training)
     else:
         h = enc.cnn_batch_forward(inputs, model.embeds, model.encoder,
-                                  input_dropout=drop, rng=rng, training=training)
-    if training and cfg.dropout > 0.0:
-        h = h * dropout_mask(h.data.shape, cfg.dropout, rng, training)
-    return h
+                                  input_dropout=cfg.dropout, rng=rng,
+                                  training=training)
+    return dropout(h, cfg.dropout, rng, training)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +252,7 @@ class EvalReport:
 
 def decode_batch(model: PronModel, inputs) -> list[dict[str, str]]:
     h = forward_batch(model, inputs)
-    probs = predict_pron(h, model.head)
+    probs = predict_pron(h, model.head).probs
     out = []
     for k in range(h.data.shape[0]):
         out.append({unit: model.inventories.classes(unit)[int(np.argmax(probs[unit].data[k]))]
@@ -316,11 +318,13 @@ def train(config: RunConfig, split: DatasetSplit, rules: RuleTable
             tape = Tape()
             with tape:
                 h = forward_batch(model, batch_inputs, rng=rng, training=True)
-                probs = predict_pron(h, model.head)
-                loss = pron_loss(probs, batch_targets, inventories)
+                loss = pron_loss(predict_pron(h, model.head), batch_targets,
+                                 inventories)
             ad.zero_grads(params.values())
             tape.backward(loss)
-            ad.clip_global_norm(params.values(), config.clip_norm)
+            norm = ad.clip_global_norm(params.values(), config.clip_norm)
+            ad.check_finite_step(optimizer.t, float(loss.data), norm,
+                                 params.values())
             optimizer.step(params)
             total_loss += float(loss.data) * len(idx)
         val = evaluate(model, split.validation, rules)
@@ -464,16 +468,10 @@ def load_model(path) -> PronModel:
     tensors, manifest = load_checkpoint(path)
     if manifest.get("kind") != "pronunciation":
         raise ContractError(f"{path} is not a pronunciation checkpoint")
-    config = RunConfig(**manifest["config"])
+    config = config_from_dict(RunConfig, manifest.get("config"), str(path))
     inv = Inventories(**{u: list(manifest["inventories"][u]) for u in UNITS})
     model = build_model(config, inv, manifest["vocab"])
     # the vocabulary must keep the exact saved token order
     model.embeds = enc.VocabEmbeddings.from_tokens(manifest["vocab"], config.d_in)
-    for name, t in model.params().items():
-        if name not in tensors:
-            raise ContractError(f"{path}: missing tensor {name}")
-        if tensors[name].shape != t.data.shape:
-            raise ShapeError(f"{path}: {name} shape {tensors[name].shape} "
-                             f"vs expected {t.data.shape}")
-        t.data[:] = tensors[name]
+    restore_tensors(path, model.params(), tensors)
     return model

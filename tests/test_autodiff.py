@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 from logotree import autodiff as ad
 from logotree.autodiff import (Adam, Tape, Tensor, check_gradient, concat,
-                               dropout_mask, log, matmul, narrow, rows,
-                               sigmoid, softmax, tanh)
-from logotree.errors import ContractError, ShapeError
+                               dropout, dropout_mask, matmul, narrow, rows,
+                               sigmoid, softmax, softmax_cross_entropy, tanh)
+from logotree.errors import ContractError, NumericsError, ShapeError
 
 
 def rnd(rng, *shape):
@@ -159,7 +159,7 @@ _PRIMITIVE_CASES = {
     "sigmoid": lambda t: sigmoid(t).sum(),
     "tanh": lambda t: tanh(t).sum(),
     "softmax": lambda t: (softmax(t) * softmax(t)).sum(),
-    "log": lambda t: log(sigmoid(t)).sum(),
+    "softmax_cross_entropy": lambda t: softmax_cross_entropy(t * t, [3, 0, 0, 2]),
     "mul": lambda t: (t * t).sum(),
     "matmul": lambda t: matmul(t, t.T).sum(),
     "concat": lambda t: concat([t, tanh(t)], axis=-1).sum(),
@@ -359,6 +359,88 @@ def test_dropout_rate_one_rejected():
         dropout_mask((2,), 1.0, np.random.default_rng(0))
 
 
+def test_dropout_equals_mask_product_bitwise():
+    x = rnd(np.random.default_rng(8), 5, 7)
+    mask = dropout_mask(x.data.shape, 0.3, np.random.default_rng(4))
+    keep = np.random.default_rng(4).random(x.data.shape) >= 0.3
+    np.testing.assert_array_equal(mask.data, keep / 0.7)
+    expected = (x * mask).data
+    rng = np.random.default_rng(4)
+    tp = Tape()
+    with tp:
+        y = dropout(x, 0.3, rng, True)
+        loss = y.sum()
+    np.testing.assert_array_equal(y.data, expected)
+    tp.backward(loss)
+    np.testing.assert_array_equal(x.grad, mask.data)  # g * mask with g = 1
+    assert len(tp) == 2  # the constant mask records nothing of its own
+
+
+def test_dropout_off_returns_input_and_draws_nothing():
+    x = Tensor(np.ones((3, 3)))
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    assert dropout(x, 0.4, rng, training=False) is x
+    assert dropout(x, 0.0, rng, training=True) is x
+    assert dropout(x, 0.0, None, training=True) is x
+    assert rng.bit_generator.state == state
+
+
+def test_dropout_checks_rate_and_rng():
+    x = Tensor(np.ones((2, 2)))
+    with pytest.raises(ContractError, match="rate"):
+        dropout(x, 1.0, np.random.default_rng(0), training=False)
+    with pytest.raises(ContractError, match="rng"):
+        dropout(x, 0.2, None, training=True)
+
+
+# ---------------------------------------------------------------------------
+# softmax cross-entropy
+# ---------------------------------------------------------------------------
+
+def test_cross_entropy_confident_wrong_row_is_finite():
+    z = Tensor([[1000.0, 0.0]])
+    tp = Tape()
+    with tp:
+        loss = softmax_cross_entropy(z, [1])
+    assert float(loss.data) == 1000.0
+    tp.backward(loss)
+    np.testing.assert_array_equal(z.grad, [[1.0, -1.0]])
+
+
+def test_cross_entropy_matches_log_softmax_sum():
+    z = rnd(np.random.default_rng(6), 4, 5)
+    t = [0, 4, 4, 2]
+    p = softmax(z).data
+    expected = -sum(np.log(p[k, j]) for k, j in enumerate(t))
+    assert float(softmax_cross_entropy(z, t).data) == pytest.approx(expected, rel=1e-14)
+
+
+def test_cross_entropy_rejects_mismatched_targets():
+    with pytest.raises(ShapeError, match="softmax_cross_entropy"):
+        softmax_cross_entropy(Tensor(np.zeros((2, 3))), [0])
+
+
+# ---------------------------------------------------------------------------
+# per-step finiteness
+# ---------------------------------------------------------------------------
+
+def test_check_finite_step_names_step_and_worst_parameter():
+    a = Tensor(np.zeros(3), name="a")
+    b = Tensor(np.zeros((2, 2)), name="b")
+    a.grad = np.ones(3)
+    b.grad = np.array([[np.inf, np.nan], [1.0, 0.0]])
+    norm = ad.clip_global_norm([a, b], 1.0)
+    with pytest.raises(NumericsError,
+                       match="step 7: loss 0.5, gradient norm nan; 2 non-finite "
+                             "gradient entries in 'b'"):
+        ad.check_finite_step(7, 0.5, norm, [a, b])
+    with pytest.raises(NumericsError, match="step 1: loss nan"):
+        ad.check_finite_step(1, float("nan"), 1.0, [a])
+    a.grad, b.grad = np.ones(3), np.ones((2, 2))
+    ad.check_finite_step(0, 0.5, ad.clip_global_norm([a, b], 1.0), [a, b])
+
+
 # ---------------------------------------------------------------------------
 # misc engine behavior
 # ---------------------------------------------------------------------------
@@ -391,11 +473,3 @@ def test_no_tape_means_no_recording():
     _ = tanh(x)  # outside any tape
     assert len(tp) == 0
 
-
-def test_finite_check_flag():
-    ad.CHECK_FINITE = True
-    try:
-        with np.errstate(invalid="ignore"), pytest.raises(Exception):
-            log(Tensor([[-1.0]]))
-    finally:
-        ad.CHECK_FINITE = False

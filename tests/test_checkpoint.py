@@ -4,8 +4,10 @@ import struct
 import numpy as np
 import pytest
 
-from logotree.checkpoint import MAGIC, load_checkpoint, save_checkpoint
-from logotree.errors import CheckpointError
+from logotree.autodiff import Tensor
+from logotree.checkpoint import (MAGIC, load_checkpoint, restore_tensors,
+                                 save_checkpoint)
+from logotree.errors import CheckpointError, ContractError, ShapeError
 
 
 @pytest.fixture
@@ -56,3 +58,13 @@ def test_tensor_offset_past_payload(saved):
     path.write_bytes(MAGIC + struct.pack("<I", len(new)) + new + raw[12 + hlen:])
     with pytest.raises(CheckpointError, match="runs past"):
         load_checkpoint(path)
+
+
+def test_restore_tensors_checks_names_and_shapes():
+    params = {"a": Tensor(np.zeros((2, 3)), name="a")}
+    with pytest.raises(ContractError, match="missing tensor a"):
+        restore_tensors("m.ckpt", params, {})
+    with pytest.raises(ShapeError, match="a shape"):
+        restore_tensors("m.ckpt", params, {"a": np.zeros((3, 2))})
+    restore_tensors("m.ckpt", params, {"a": np.arange(6.0).reshape(2, 3)})
+    np.testing.assert_array_equal(params["a"].data, np.arange(6.0).reshape(2, 3))

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from logotree import lm
+from logotree.autodiff import Tensor
 from logotree.config import LmConfig
-from logotree.errors import DataError
+from logotree.errors import ContractError, DataError, NumericsError
 from logotree.lm import (EOS_TOKEN, EmbeddingCache, build_cache, build_lm,
                          eval_lm, greedy_continue, lm_step, train_lm)
 
@@ -96,6 +97,55 @@ def test_train_seed_determinism():
     assert h1 != h3
 
 
+# per-epoch train_bpc of this run, recorded before the LM's recurrent core
+# and loss were replaced by the shared cell and the fused cross-entropy:
+# drift in weight initialization order, gate arithmetic or the order of
+# dropout draws changes these values
+UNEQUAL = LmConfig(layer_sizes=(6, 4), embed_dim=5, batch_size=3, bptt=4,
+                   epochs=2, learning_rate=1e-2, dropout_input=0.1,
+                   dropout_hidden=0.2, dropout_output=0.25, seed=3)
+RECORDED_BPC = {"standard": [3.691065896222854, 3.652572988077062],
+                "hierarchical": [2.805988974289567, 2.7916887121434804]}
+
+
+@pytest.mark.parametrize("kind", sorted(RECORDED_BPC))
+def test_unequal_layer_sizes_reproduce_recorded_training(rule_table, kind):
+    if kind == "standard":
+        lines, rules = toy_lines(12), None
+    else:
+        lines, rules = ["河湖海江波", "江波海湖河", "湖河波江海"] * 2, rule_table
+    config = LmConfig(**{**UNEQUAL.__dict__, "input_kind": kind})
+    model, history = train_lm(config, lines, rules=rules)
+    np.testing.assert_allclose([h["train_bpc"] for h in history],
+                               RECORDED_BPC[kind], rtol=0, atol=1e-12)
+    core = {f"core.L{k}.{w}_{g}" for k in (0, 1) for w in ("Wx", "Wh", "b")
+            for g in "ifoc"}
+    names = set(model.params())
+    assert core <= names and {"out.W", "out.b"} <= names
+    if kind == "standard":
+        assert names == core | {"out.W", "out.b", "lookup"}
+    assert model.params()["core.L1.Wx_i"].data.shape == (4, 6)
+    assert model.params()["core.L1.Wh_i"].data.shape == (4, 4)
+
+
+def test_step_training_dropout_needs_rng():
+    model = build_lm(UNEQUAL, list("ab"))
+    state = model.core.zero_state(2)
+    with pytest.raises(ContractError, match="rng"):
+        model.core.step(Tensor(np.ones((2, 5))), state, 0.2, None, True)
+
+
+def test_train_raises_numerics_error_on_nan_parameter(monkeypatch):
+    def poisoned(*args, **kwargs):
+        model = build_lm(*args, **kwargs)
+        model.b_out.data[0] = np.nan
+        return model
+
+    monkeypatch.setattr(lm, "build_lm", poisoned)
+    with pytest.raises(NumericsError, match="step 0: loss nan.*non-finite gradient entries in"):
+        train_lm(TOY, toy_lines(10))
+
+
 def test_train_empty_corpus_rejected():
     with pytest.raises(DataError):
         train_lm(TOY, [])
@@ -147,6 +197,16 @@ def test_uniform_model_bpc_is_log2_vocab():
     bpc, ppl = eval_lm(model, ["abab", "ba"])
     assert bpc == pytest.approx(2.0, abs=1e-12)
     assert ppl == pytest.approx(4.0, abs=1e-12)
+
+
+def test_eval_finite_when_target_probability_underflows():
+    model = build_lm(TOY, list("ab"))
+    model.w_out.data[:] = 0.0
+    model.b_out.data[:] = 0.0
+    model.b_out.data[model.index["a"]] = 1000.0  # every other symbol: p = 0
+    bpc, _ = eval_lm(model, ["abab", "ba"])
+    # targets a b a b EOS b a EOS: five at 1000 nats, three at 0
+    assert bpc == pytest.approx(5000.0 / math.log(2) / 8, rel=1e-15)
 
 
 def test_ppl_exactly_two_to_bpc():

@@ -5,12 +5,12 @@ import pytest
 
 from logotree import pron
 from logotree.config import RunConfig
-from logotree.autodiff import Tensor
-from logotree.errors import DataError
+from logotree.autodiff import Tensor, softmax
+from logotree.errors import ContractError, DataError, NumericsError
 from logotree.phono import DatasetSplit, PronEntry, build_scenario
-from logotree.pron import (EvalReport, Inventories, PronHead, build_model,
-                           evaluate, grid_search, predict_pron, pron_loss,
-                           run_matrix, train)
+from logotree.pron import (EvalReport, HeadOutput, Inventories, PronHead,
+                           build_model, evaluate, forward_batch, grid_search,
+                           predict_pron, pron_loss, run_matrix, train)
 
 TOY_CONFIG = RunConfig(encoder="treelstm", hidden=24, d_in=12, batch_size=32,
                        epochs=5, learning_rate=3e-3, dropout=0.0, seed=1)
@@ -66,9 +66,11 @@ def test_predict_distributions_sum_to_one():
     rng = np.random.default_rng(0)
     head = make_head(rng)
     h = Tensor(rng.standard_normal((5, 6)))
-    probs = predict_pron(h, head)
+    out = predict_pron(h, head)
     for unit in pron.UNITS:
-        np.testing.assert_allclose(probs[unit].data.sum(axis=-1), 1.0, atol=1e-12)
+        np.testing.assert_allclose(out.probs[unit].data.sum(axis=-1), 1.0, atol=1e-12)
+        np.testing.assert_array_equal(out.probs[unit].data,
+                                      softmax(out.logits[unit]).data)
 
 
 def test_predict_zero_weights_uniform():
@@ -76,7 +78,7 @@ def test_predict_zero_weights_uniform():
     head = make_head(rng)
     for t in head.weights.values():
         t.data[:] = 0.0
-    probs = predict_pron(Tensor(np.ones((1, 6))), head)
+    probs = predict_pron(Tensor(np.ones((1, 6))), head).probs
     inv = make_inventories()
     for unit in pron.UNITS:
         n = len(inv.classes(unit))
@@ -89,7 +91,7 @@ def test_predict_matches_scalar_oracle(order):
     rng = np.random.default_rng(2)
     head = make_head(rng, order=order)
     h = rng.standard_normal((1, 6))
-    probs = predict_pron(Tensor(h), head)
+    probs = predict_pron(Tensor(h), head).probs
     weights = {u: head.weights[f"W_{u}"].data.tolist() for u in pron.UNITS}
     biases = {u: head.weights[f"b_{u}"].data.tolist() for u in pron.UNITS}
     oracle = scalar_head_oracle(h[0].tolist(), weights, biases, head.order,
@@ -104,9 +106,9 @@ def test_predict_chain_feeds_probabilities():
     head = make_head(rng)
     first = head.order[0]
     h = Tensor(rng.standard_normal((1, 6)))
-    base = predict_pron(h, head)
+    base = predict_pron(h, head).probs
     head.weights[f"b_{first}"].data[0] += 3.0  # skew the first unit only
-    shifted = predict_pron(h, head)
+    shifted = predict_pron(h, head).probs
     assert np.abs(base[head.order[1]].data - shifted[head.order[1]].data).max() > 1e-9
 
 
@@ -115,9 +117,9 @@ def test_decoding_invariant_to_positive_logit_scaling():
     head = make_head(rng, bias=False)
     h = Tensor(rng.standard_normal((8, 6)))
     first = head.order[0]
-    before = predict_pron(h, head)[first].data.argmax(axis=-1)
+    before = predict_pron(h, head).probs[first].data.argmax(axis=-1)
     head.weights[f"W_{first}"].data *= 7.5
-    after = predict_pron(h, head)[first].data.argmax(axis=-1)
+    after = predict_pron(h, head).probs[first].data.argmax(axis=-1)
     np.testing.assert_array_equal(before, after)
 
 
@@ -125,25 +127,45 @@ def test_decoding_invariant_to_positive_logit_scaling():
 # loss
 # ---------------------------------------------------------------------------
 
+def head_output(logits: dict) -> HeadOutput:
+    """A head output from plain per-unit logit arrays."""
+    ts = {u: Tensor(z) for u, z in logits.items()}
+    return HeadOutput(ts, {u: softmax(t) for u, t in ts.items()})
+
+
+def one_hot_logits(inv, entry, scale):
+    """Per-unit logits: ``scale`` at the entry's class, 0 elsewhere."""
+    out = {}
+    for unit in pron.UNITS:
+        z = np.zeros((1, len(inv.classes(unit))))
+        z[0, inv.index(unit, getattr(entry, unit))] = scale
+        out[unit] = z
+    return out
+
+
 def test_loss_perfect_prediction_zero():
     inv = make_inventories()
     target = PronEntry("X", "b", "a", "ng")
-    probs = {}
-    for unit in pron.UNITS:
-        p = np.zeros((1, len(inv.classes(unit))))
-        p[0, inv.index(unit, getattr(target, unit))] = 1.0
-        probs[unit] = Tensor(p)
-    loss = pron_loss(probs, [target], inv)
+    out = head_output(one_hot_logits(inv, target, 1000.0))
+    assert all(float(p.data.max()) == 1.0 for p in out.probs.values())
+    loss = pron_loss(out, [target], inv)
     assert float(loss.data) == 0.0
+
+
+def test_loss_confidently_wrong_is_finite():
+    inv = make_inventories()
+    wrong = PronEntry("X", "z", "o", "k")
+    out = head_output(one_hot_logits(inv, wrong, 1000.0))
+    assert all(float(p.data.min()) == 0.0 for p in out.probs.values())
+    loss = pron_loss(out, [PronEntry("X", "b", "a", "ng")], inv)
+    assert float(loss.data) == 3000.0
 
 
 def test_loss_uniform_closed_form():
     inv = make_inventories()
     a, b, c = (len(inv.classes(u)) for u in ("coda", "nucleus", "onset"))
-    probs = {u: Tensor(np.full((1, len(inv.classes(u))),
-                               1.0 / len(inv.classes(u))))
-             for u in pron.UNITS}
-    loss = pron_loss(probs, [PronEntry("X", "b", "a", "ng")], inv)
+    out = head_output({u: np.zeros((1, len(inv.classes(u)))) for u in pron.UNITS})
+    loss = pron_loss(out, [PronEntry("X", "b", "a", "ng")], inv)
     assert float(loss.data) == pytest.approx(math.log(a) + math.log(b) + math.log(c))
 
 
@@ -151,23 +173,24 @@ def test_loss_matches_direct_recomputation():
     rng = np.random.default_rng(5)
     inv = make_inventories()
     targets = [PronEntry("X", "b", "a", "ng"), PronEntry("Y", "#", "u", "#")]
-    probs = {}
+    logits = {}
     expected = 0.0
     for unit in pron.UNITS:
-        z = rng.random((2, len(inv.classes(unit)))) + 0.1
-        z /= z.sum(axis=-1, keepdims=True)
-        probs[unit] = Tensor(z)
+        z = rng.standard_normal((2, len(inv.classes(unit)))) * 3
+        logits[unit] = z
         for k, t in enumerate(targets):
-            expected -= math.log(z[k, inv.index(unit, getattr(t, unit))])
-    loss = pron_loss(probs, targets, inv)
-    assert float(loss.data) == pytest.approx(expected / 2)
+            row = z[k].tolist()
+            target = row[inv.index(unit, getattr(t, unit))]
+            expected -= target - math.log(sum(math.exp(v) for v in row))
+    loss = pron_loss(head_output(logits), targets, inv)
+    assert float(loss.data) == pytest.approx(expected / 2, rel=1e-13)
 
 
 def test_loss_rejects_out_of_inventory():
     inv = make_inventories()
-    probs = {u: Tensor(np.full((1, len(inv.classes(u))), 0.5)) for u in pron.UNITS}
+    out = head_output({u: np.zeros((1, len(inv.classes(u)))) for u in pron.UNITS})
     with pytest.raises(DataError):
-        pron_loss(probs, [PronEntry("X", "q", "a", "ng")], inv)
+        pron_loss(out, [PronEntry("X", "q", "a", "ng")], inv)
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +292,31 @@ def test_train_all_encoders_smoke(rule_table, toy_split, encoder, layers):
     assert all(np.isfinite(h.train_loss) for h in history)
     report = evaluate(model, toy_split.test, rule_table)
     assert 0 <= report.ter <= 100
+
+
+@pytest.mark.parametrize("encoder", pron.ENCODERS)
+def test_forward_batch_training_dropout_needs_rng(rule_table, toy_split,
+                                                  encoder):
+    config = RunConfig(encoder=encoder, hidden=8, d_in=6, cnn_filters=8,
+                       dropout=0.2, seed=5)
+    model = build_model(config, Inventories.from_entries(toy_split.train),
+                        sorted(rule_table.leaf_set))
+    inputs = pron.encode_inputs(model, [e.ch for e in toy_split.train[:4]],
+                                rule_table)
+    with pytest.raises(ContractError, match="rng"):
+        forward_batch(model, inputs, rng=None, training=True)
+
+
+def test_train_raises_numerics_error_on_nan_parameter(rule_table, toy_split,
+                                                      monkeypatch):
+    def poisoned(*args, **kwargs):
+        model = build_model(*args, **kwargs)
+        model.head.weights["W_onset"].data[0, 0] = np.nan
+        return model
+
+    monkeypatch.setattr(pron, "build_model", poisoned)
+    with pytest.raises(NumericsError, match="step 0: loss nan.*non-finite gradient entries in"):
+        train(TOY_CONFIG, toy_split, rule_table)
 
 
 def test_train_empty_partition_rejected(rule_table):

@@ -3,10 +3,12 @@ from pathlib import Path
 
 import pytest
 
+from logotree import lm, pron
+from logotree.checkpoint import save_checkpoint
 from logotree.cli import dispatch
-from logotree.config import (LmConfig, RunConfig, load_config, validate_config,
-                             validate_lm_config)
-from logotree.errors import ConfigError
+from logotree.config import (LmConfig, RunConfig, config_to_dict, load_config,
+                             validate_config, validate_lm_config)
+from logotree.errors import ConfigError, LogotreeError
 from logotree.manifest import config_hash
 
 DATA = Path(__file__).parent / "data"
@@ -75,6 +77,34 @@ def test_validate_config_accepts_zero_learning_rate():
 def test_validate_lm_config_rejects_bad_rate_and_clip(field, value):
     with pytest.raises(ConfigError, match=field):
         validate_lm_config(LmConfig(**{field: value}))
+
+
+@pytest.mark.parametrize("kind,key,value", [
+    ("run", "learning_rate", "fast"), ("run", "epochs", 2.0),
+    ("run", "operators", 1), ("run", "encoder", 3), ("run", "dropout", True),
+    ("run", "hidden", None), ("lm", "layer_sizes", [8, "8"]),
+    ("lm", "layer_sizes", 8), ("lm", "layer_sizes", [8, True]),
+    ("lm", "cache_embeddings", "yes")])
+def test_field_of_wrong_type_rejected(tmp_path, kind, key, value):
+    path = write_config(tmp_path, {"run": {key: value}})
+    with pytest.raises(ConfigError, match=f"{key}=.* is not "):
+        load_config(path, kind=kind)
+
+
+def test_int_accepted_for_float_field(tmp_path):
+    path = write_config(tmp_path, {"run": {"clip_norm": 2}})
+    assert load_config(path).run.clip_norm == 2
+
+
+@pytest.mark.parametrize("kind", ["pronunciation", "language-model"])
+def test_checkpoint_config_with_unknown_key_is_typed_error(tmp_path, kind):
+    config, load = {"pronunciation": (RunConfig(), pron.load_model),
+                    "language-model": (LmConfig(), lm.load_lm)}[kind]
+    path = tmp_path / "model.ckpt"
+    manifest = {"kind": kind, "config": {**config_to_dict(config), "warp": 9}}
+    save_checkpoint(path, {}, manifest)
+    with pytest.raises(LogotreeError, match="warp"):
+        load(path)
 
 
 def test_lm_config_kind(tmp_path):
