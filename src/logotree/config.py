@@ -63,7 +63,6 @@ class LmConfig:
     seed: int = 0
     tree_bias: bool = True
     clip_norm: float = 5.0
-    cache_embeddings: bool = True
 
 
 def _check_range(name: str, value: float, lo: float, hi: float) -> None:

@@ -16,10 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import encoders as enc
-from .autodiff import Tensor
 from .errors import ContractError, DataError
 from .ids import IDC_ACROSS, GlyphTree, Leaf, Op, RuleTable, decompose
-from .pron import UNITS, PronModel, encode_inputs, predict_pron
+from .pron import PronModel, decode_rows, encode_inputs
 
 log = logging.getLogger(__name__)
 
@@ -47,21 +46,8 @@ def root_forget_gates(model: PronModel, tree: GlyphTree
         raise ContractError("gate analysis needs a tree-structured model")
     if isinstance(tree, Leaf):
         raise ContractError("gate analysis needs an inner root node")
-    p = model.encoder
-    _, left_states = enc.treelstm_forward(tree.left, model.embeds, p)
-    _, right_states = enc.treelstm_forward(tree.right, model.embeds, p)
-    c_l, h_l = left_states[-1].c, left_states[-1].h
-    c_r, h_r = right_states[-1].c, right_states[-1].h
-
-    def input_embed(node):
-        return model.embeds.lookup(
-            [node.token if isinstance(node, Leaf) else node.idc])
-
-    x_n = model.embeds.lookup([tree.idc])
-    _, _, gates = enc.treelstm_node(x_n, input_embed(tree.left),
-                                    input_embed(tree.right), h_l, h_r, c_l,
-                                    c_r, p, inputs_on=p.operator_inputs,
-                                    return_gates=True)
+    _, states = enc.treelstm_forward(tree, model.embeds, model.encoder)
+    gates = states[-1].gates
     return gates["fl"].data[0], gates["fr"].data[0]
 
 
@@ -104,12 +90,6 @@ class ProbeTrace:
         return {"onset": last.onset, "nucleus": last.nucleus, "coda": last.coda}
 
 
-def _decode_h(model: PronModel, h: Tensor) -> dict[str, str]:
-    probs = predict_pron(h, model.head).probs
-    return {u: model.inventories.classes(u)[int(np.argmax(probs[u].data[0]))]
-            for u in UNITS}
-
-
 def probe(model: PronModel, ch: str, rules: RuleTable) -> ProbeTrace:
     """Per-node (or per-timestep) hidden states fed to the task head.
 
@@ -130,7 +110,7 @@ def probe(model: PronModel, ch: str, rules: RuleTable) -> ProbeTrace:
                             "sequence encoders")
     rows = []
     for node_id, (token, h) in enumerate(pairs):
-        decoded = _decode_h(model, h)
+        decoded = decode_rows(model, h)[0]
         rows.append(ProbeRow(node_id, token, np.abs(h.data[0]), **decoded))
     return ProbeTrace(ch, rows)
 
@@ -185,21 +165,14 @@ def nearest_neighbors(table: dict[str, np.ndarray], query: str,
     return scored[:k]
 
 
-def lm_embedding_table(model, restrict_to=None) -> dict[str, np.ndarray]:
-    """Character embeddings of a language model, composed where possible."""
-    from .lm import EOS_TOKEN, UNK_TOKEN, build_cache
+def lm_embedding_table(model) -> dict[str, np.ndarray]:
+    """Character embeddings of a language model, as its input layer reads
+    them: composed where a tree exists, else the lookup or auxiliary row."""
+    from .lm import EOS_TOKEN, UNK_TOKEN, build_cache, window_embeddings
     chars = [ch for ch in model.vocab if ch not in (EOS_TOKEN, UNK_TOKEN)]
-    if restrict_to is not None:
-        chars = [ch for ch in chars if ch in restrict_to]
-    table = {}
-    if model.hierarchical:
-        cache = build_cache(model)
-        for ch in chars:
-            if ch in cache.vectors:
-                table[ch] = cache.vectors[ch]
-            else:
-                table[ch] = model.aux.data[model.index[ch]].copy()
-    else:
-        for ch in chars:
-            table[ch] = model.lookup.data[model.index[ch]].copy()
-    return table
+    if not chars:
+        return {}
+    ids = np.array([[model.index[ch] for ch in chars]], dtype=np.intp)
+    cache = build_cache(model) if model.hierarchical else None
+    matrix, flat = window_embeddings(model, ids, cache=cache)
+    return dict(zip(chars, matrix.data[flat]))

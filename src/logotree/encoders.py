@@ -18,7 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, concat, dropout, matmul, rows, sigmoid, tanh
 from .errors import ContractError, ShapeError
-from .ids import BINARY_IDCS, ALL_IDCS, GlyphTree, Leaf, Op, UNK_TOKEN
+from .ids import BINARY_IDCS, ALL_IDCS, GlyphTree, Leaf, UNK_TOKEN
 
 GATES = ("i", "fl", "fr", "o", "c")
 PAD_TOKEN = "<PAD>"  # zero vector, excluded from the vocabulary
@@ -187,6 +187,7 @@ class NodeState:
     is_leaf: bool
     c: Tensor
     h: Tensor
+    gates: dict[str, Tensor]  # i, fl, fr, o of this node's cell
 
 
 def treelstm_forward(tree: GlyphTree, embeds: VocabEmbeddings,
@@ -201,23 +202,22 @@ def treelstm_forward(tree: GlyphTree, embeds: VocabEmbeddings,
     zeros_x = Tensor(np.zeros((1, p.d_in)))
     states: list[NodeState] = []
 
-    def embed_of(node) -> Tensor:
-        return embeds.lookup([node.token if isinstance(node, Leaf) else node.idc])
-
     def walk(node) -> tuple[Tensor, Tensor]:
         if isinstance(node, Leaf):
-            x_n = embeds.lookup([node.token])
-            c, h = treelstm_node(x_n, zeros_x, zeros_x, zeros_h, zeros_h,
-                                 zeros_h, zeros_h, p, inputs_on=True)
-            states.append(NodeState(node.token, True, c, h))
-            return c, h
-        c_l, h_l = walk(node.left)
-        c_r, h_r = walk(node.right)
-        x_n = embeds.lookup([node.idc])
-        c, h = treelstm_node(x_n, embed_of(node.left), embed_of(node.right),
-                             h_l, h_r, c_l, c_r, p,
-                             inputs_on=p.operator_inputs)
-        states.append(NodeState(node.idc, False, c, h))
+            c, h, gates = treelstm_node(embeds.lookup([node.token]), zeros_x,
+                                        zeros_x, zeros_h, zeros_h, zeros_h,
+                                        zeros_h, p, inputs_on=True,
+                                        return_gates=True)
+        else:
+            c_l, h_l = walk(node.left)
+            c_r, h_r = walk(node.right)
+            c, h, gates = treelstm_node(
+                embeds.lookup([node.idc]),
+                embeds.lookup([_input_token(node.left)]),
+                embeds.lookup([_input_token(node.right)]), h_l, h_r, c_l, c_r,
+                p, inputs_on=p.operator_inputs, return_gates=True)
+        states.append(NodeState(_input_token(node), isinstance(node, Leaf),
+                                c, h, gates))
         return c, h
 
     _, h_root = walk(tree)
@@ -390,6 +390,28 @@ def lstm_cell(x: Tensor, h: Tensor, c: Tensor, p: LstmParams,
     return h_new, c_new
 
 
+def _pad_ids(seqs: list[list[str]], embeds: VocabEmbeddings,
+             min_len: int) -> tuple[np.ndarray, np.ndarray]:
+    """End-padded token ids (n, max_len) and the (n, max_len, 1) mask of real
+    positions, with max_len at least ``min_len``."""
+    if not seqs or any(len(s) == 0 for s in seqs):
+        raise ContractError("sequences must be non-empty")
+    max_len = max(min_len, max(len(s) for s in seqs))
+    ids_ = np.zeros((len(seqs), max_len), dtype=np.intp)
+    mask = np.zeros((len(seqs), max_len, 1))
+    for k, seq in enumerate(seqs):
+        ids_[k, :len(seq)] = embeds.token_ids(seq)
+        mask[k, :len(seq)] = 1.0
+    return ids_, mask
+
+
+def split_steps(x: Tensor, batch: int, steps: int) -> list[Tensor]:
+    """Batch-major rows (batch*steps, d) as ``steps`` step inputs (batch, d)."""
+    d = x.data.shape[-1]
+    x = ad.reshape(x, (batch, steps, d))
+    return [ad.reshape(ad.narrow(x, 1, t, 1), (batch, d)) for t in range(steps)]
+
+
 def lstm_batch_forward(seqs: list[list[str]], embeds: VocabEmbeddings,
                        p: LstmParams, input_dropout: float = 0.0,
                        rng: np.random.Generator | None = None,
@@ -398,26 +420,14 @@ def lstm_batch_forward(seqs: list[list[str]], embeds: VocabEmbeddings,
     """Batched recurrence over end-padded sequences; returns final h (n, H).
 
     Padded steps carry states through unchanged, so the final state equals
-    each sequence's state at its true last token.
+    each sequence's state at its true last token. ``collect_states`` also
+    returns the top layer's output at every step.
     """
-    if not seqs or any(len(s) == 0 for s in seqs):
-        raise ContractError("sequences must be non-empty")
-    n = len(seqs)
-    max_len = max(len(s) for s in seqs)
-    ids_ = np.zeros((n, max_len), dtype=np.intp)
-    mask = np.zeros((n, max_len, 1))
-    for k, seq in enumerate(seqs):
-        ids_[k, :len(seq)] = embeds.token_ids(seq)
-        mask[k, :len(seq)] = 1.0
-
+    ids_, mask = _pad_ids(seqs, embeds, 1)
+    n, max_len = ids_.shape
     x_all = dropout(rows(embeds.table, ids_.reshape(-1)), input_dropout, rng,
                     training)
-
-    states = []
-    inputs = [ad.narrow(ad.reshape(x_all, (n, max_len, embeds.d_in)), 1, t, 1)
-              for t in range(max_len)]
-    inputs = [ad.reshape(x, (n, embeds.d_in)) for x in inputs]
-    layer_in = inputs
+    layer_in = split_steps(x_all, n, max_len)
     for layer, size in enumerate(p.sizes):
         h = Tensor(np.zeros((n, size)))
         c = Tensor(np.zeros((n, size)))
@@ -429,11 +439,9 @@ def lstm_batch_forward(seqs: list[list[str]], embeds: VocabEmbeddings,
             h = h_new * m + h * keep
             c = c_new * m + c * keep
             outs.append(h)
-            if collect_states and layer == len(p.sizes) - 1:
-                states.append(h)
         layer_in = outs
     if collect_states:
-        return h, states
+        return h, outs
     return h
 
 
@@ -508,31 +516,16 @@ class CnnParams:
         return {t.name: t for t in self.weights.values()}
 
 
-def _pad_batch(seqs: list[list[str]], embeds: VocabEmbeddings,
-               min_len: int) -> tuple[Tensor, int]:
-    """Stack token embeddings, zero-padding each sequence to a shared length."""
-    n = len(seqs)
-    max_len = max(min_len, max(len(s) for s in seqs))
-    ids_ = np.zeros((n, max_len), dtype=np.intp)
-    mask = np.zeros((n, max_len, 1))
-    for k, seq in enumerate(seqs):
-        ids_[k, :len(seq)] = embeds.token_ids(seq)
-        mask[k, :len(seq)] = 1.0
-    x = rows(embeds.table, ids_.reshape(-1))
-    x = ad.reshape(x, (n, max_len, embeds.d_in))
-    return x * Tensor(mask), max_len  # pad positions become zero vectors
-
-
 def cnn_pooled(seqs: list[list[str]], embeds: VocabEmbeddings,
                p: CnnParams, input_dropout: float = 0.0,
                rng: np.random.Generator | None = None,
                training: bool = False) -> Tensor:
     """Concatenated per-bank max-pooled responses, (n, n_filters * n_widths)."""
-    if not seqs or any(len(s) == 0 for s in seqs):
-        raise ContractError("sequences must be non-empty")
-    x, max_len = _pad_batch(seqs, embeds, min_len=max(p.widths))
-    x = dropout(x, input_dropout, rng, training)
-    n = len(seqs)
+    ids_, mask = _pad_ids(seqs, embeds, max(p.widths))
+    n, max_len = ids_.shape
+    x = ad.reshape(rows(embeds.table, ids_.reshape(-1)), (n, max_len, embeds.d_in))
+    # pad positions become zero vectors
+    x = dropout(x * Tensor(mask), input_dropout, rng, training)
     pooled = []
     for w in p.widths:
         kernel = p.weights[f"K{w}"]

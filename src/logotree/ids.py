@@ -277,27 +277,20 @@ def _check_acyclic(rules: dict[str, Ids]) -> None:
 # expansion
 # ---------------------------------------------------------------------------
 
-def decompose(ch: str, rules: RuleTable, max_depth: int = DEFAULT_MAX_DEPTH,
-              variant_map: dict[str, str] | None = None) -> GlyphTree:
+def decompose(ch: str, rules: RuleTable,
+              max_depth: int = DEFAULT_MAX_DEPTH) -> GlyphTree:
     """Expand a logograph until every leaf is a terminal.
 
     A character with no rule that is a known terminal stays itself; a
     character absent from the table entirely becomes the UNK leaf.
-    ``variant_map`` optionally unifies positional variant forms (applied to
-    terminal leaves).
     """
     if max_depth < 1:
         raise ExpansionError("max_depth must be positive")
 
-    def terminal(token: str) -> Leaf:
-        if variant_map:
-            token = variant_map.get(token, token)
-        return Leaf(token)
-
     def expand(token: str, depth: int):
         rule = rules.rules.get(token)
         if rule is None:
-            return terminal(token)
+            return Leaf(token)
         if depth >= max_depth:
             raise ExpansionError(
                 f"expansion of {ch!r} exceeded depth {max_depth} at {token!r}"

@@ -133,25 +133,22 @@ def build_lm(config: LmConfig, vocab_chars, rules: RuleTable | None = None
 # input embedding assembly
 # ---------------------------------------------------------------------------
 
-def _window_embeddings(model: LmModel, ids: np.ndarray,
-                       cache: "EmbeddingCache | None" = None,
-                       rng=None, training: bool = False):
+def window_embeddings(model: LmModel, ids: np.ndarray,
+                      cache: "EmbeddingCache | None" = None,
+                      rng=None, training: bool = False):
     """Embedding matrix for one (batch, time) id window plus gather indices.
 
     Hierarchical models compose tree embeddings only for the unique
-    characters present in the window; everything else reads the auxiliary
-    table. Returns (matrix (U, E), flat gather index (batch*time,), row
-    map {vocab id -> matrix row}).
+    characters present in the window (read from ``cache`` when one is given
+    outside training); everything else reads the auxiliary table. Returns
+    (matrix (U, E), flat gather index (batch*time,)).
     """
     unique = np.unique(ids)
     if not model.hierarchical:
-        flat = np.searchsorted(unique, ids.reshape(-1))
-        return rows(model.lookup, unique), flat, {int(v): k for k, v in
-                                                  enumerate(unique)}
+        return rows(model.lookup, unique), np.searchsorted(unique, ids.reshape(-1))
     composed = [int(v) for v in unique if model.vocab[int(v)] in model.trees]
     plain = [int(v) for v in unique if model.vocab[int(v)] not in model.trees]
     parts = []
-    order: list[int] = []
     if composed:
         if cache is not None and not training:
             vecs = [cache.lookup(model, model.vocab[v]) for v in composed]
@@ -162,14 +159,31 @@ def _window_embeddings(model: LmModel, ids: np.ndarray,
                 trees, model.leaf_embeds, model.tree,
                 input_dropout=model.config.dropout_input,
                 rng=rng, training=training))
-        order.extend(composed)
     if plain:
         parts.append(rows(model.aux, np.array(plain, dtype=np.intp)))
-        order.extend(plain)
     matrix = parts[0] if len(parts) == 1 else concat(parts, axis=0)
-    row_of = {v: k for k, v in enumerate(order)}
+    row_of = {v: k for k, v in enumerate(composed + plain)}
     flat = np.array([row_of[int(v)] for v in ids.reshape(-1)], dtype=np.intp)
-    return matrix, flat, row_of
+    return matrix, flat
+
+
+def _run_window(model: LmModel, ids: np.ndarray, state,
+                cache: "EmbeddingCache | None" = None, rng=None,
+                training: bool = False):
+    """Embed a (batch, time) id window and step the core through it.
+
+    Input, hidden and output dropout apply when training. Returns the
+    per-step top-layer outputs, each (batch, H), and the final state.
+    """
+    cfg = model.config
+    matrix, flat = window_embeddings(model, ids, cache, rng, training)
+    x_all = dropout(rows(matrix, flat), cfg.dropout_input, rng, training)
+    outs = []
+    for x_t in enc.split_steps(x_all, *ids.shape):
+        out, state = model.core.step(x_t, state, cfg.dropout_hidden, rng,
+                                     training)
+        outs.append(dropout(out, cfg.dropout_output, rng, training))
+    return outs, state
 
 
 def _logits(model: LmModel, h: Tensor) -> Tensor:
@@ -255,18 +269,8 @@ def train_lm(config: LmConfig, train_lines: list[str],
             window_tgts = targets[:, start:start + width]
             tape = Tape()
             with tape:
-                matrix, flat, _ = _window_embeddings(model, window_ids,
-                                                     rng=rng, training=True)
-                x_all = dropout(rows(matrix, flat), config.dropout_input, rng,
-                                True)
-                x_all = ad.reshape(x_all, (B, width, config.embed_dim))
-                outs = []
-                for t in range(width):
-                    x_t = ad.reshape(ad.narrow(x_all, 1, t, 1),
-                                     (B, config.embed_dim))
-                    out, state = model.core.step(x_t, state,
-                                                 config.dropout_hidden, rng, True)
-                    outs.append(dropout(out, config.dropout_output, rng, True))
+                outs, state = _run_window(model, window_ids, state, rng=rng,
+                                          training=True)
                 # rows are time-major, as are the flattened transposed targets
                 loss = ad.softmax_cross_entropy(_logits(model, concat(outs, axis=0)),
                                                 window_tgts.T.reshape(-1))
@@ -319,13 +323,9 @@ def eval_lm(model: LmModel, lines: list[str],
     bits = 0.0
     n = ids.shape[1]
     for start in range(0, n, chunk):
-        width = min(chunk, n - start)
-        window = ids[:, start:start + width]
-        matrix, flat, _ = _window_embeddings(model, window, cache=cache)
-        x_all = ad.reshape(rows(matrix, flat), (1, width, model.config.embed_dim))
-        for t in range(width):
-            x_t = ad.reshape(ad.narrow(x_all, 1, t, 1), (1, model.config.embed_dim))
-            out, state = model.core.step(x_t, state)
+        outs, state = _run_window(model, ids[:, start:start + chunk], state,
+                                  cache)
+        for t, out in enumerate(outs):
             nats = ad.softmax_cross_entropy(_logits(model, out),
                                             tgts[start + t:start + t + 1])
             # per step: a uniform model then scores exactly log2(V) bits
@@ -343,16 +343,16 @@ def lm_step(prev_chars, state, model: LmModel,
     """
     if state is None:
         state = model.core.zero_state(1)
-    p = None
+    outs = []
+    # one window per character: composing a prefix's trees in one batch
+    # changes their embeddings in the last bits (BLAS rounds a one-row
+    # product differently), so a prefix would not equal its steps
     for ch in prev_chars:
         window = np.array([[model.char_id(ch)]], dtype=np.intp)
-        matrix, flat, _ = _window_embeddings(model, window, cache=cache)
-        x = rows(matrix, flat)
-        out, state = model.core.step(x, state)
-        p = softmax(_logits(model, out))
-    if p is None:
+        outs, state = _run_window(model, window, state, cache)
+    if not outs:
         raise ContractError("prev_chars must be non-empty")
-    return p.data[0], state
+    return softmax(_logits(model, outs[-1])).data[0], state
 
 
 def greedy_continue(model: LmModel, prefix: str, n: int) -> str:
@@ -441,7 +441,12 @@ def load_lm(path, rules: RuleTable | None = None) -> LmModel:
     tensors, manifest = load_checkpoint(path)
     if manifest.get("kind") != "language-model":
         raise ContractError(f"{path} is not a language-model checkpoint")
-    config = config_from_dict(LmConfig, manifest.get("config"), str(path))
+    stored = manifest.get("config")
+    if isinstance(stored, dict):
+        # older checkpoints store a field LmConfig no longer has; nothing
+        # read it (``eval-lm --no-cache`` chooses whether to cache)
+        stored.pop("cache_embeddings", None)
+    config = config_from_dict(LmConfig, stored, str(path))
     vocab_chars = [ch for ch in manifest["vocab"]
                    if ch not in (EOS_TOKEN, UNK_TOKEN)]
     if config.input_kind == "hierarchical" and rules is None:

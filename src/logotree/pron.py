@@ -110,7 +110,8 @@ def predict_pron(h: Tensor, head: PronHead) -> HeadOutput:
         p = softmax(logits)
         out.logits[unit] = logits
         out.probs[unit] = p
-        feats = concat([feats, p], axis=-1)
+        if unit != head.order[-1]:  # the last distribution feeds no unit
+            feats = concat([feats, p], axis=-1)
     return out
 
 
@@ -130,9 +131,6 @@ def pron_loss(out: HeadOutput, targets: list[PronEntry],
 # model bundle
 # ---------------------------------------------------------------------------
 
-ENCODERS = ("treelstm", "lstm", "bilstm", "cnn")
-
-
 @dataclass
 class PronModel:
     config: RunConfig
@@ -144,11 +142,6 @@ class PronModel:
     def params(self) -> dict[str, Tensor]:
         return {**self.embeds.params(), **self.encoder.params(),
                 **self.head.params()}
-
-    @property
-    def embed_dim(self) -> int:
-        return 2 * self.config.hidden if self.config.encoder == "bilstm" \
-            else self.config.hidden
 
     def model_name(self) -> str:
         if self.config.encoder in ("lstm", "bilstm"):
@@ -202,22 +195,10 @@ def forward_batch(model: PronModel, inputs, rng=None,
                   training: bool = False) -> Tensor:
     """Embeddings for a batch of encoder inputs, one row each."""
     cfg = model.config
-    if cfg.encoder == "treelstm":
-        h = enc.treelstm_batch_forward(inputs, model.embeds, model.encoder,
-                                       input_dropout=cfg.dropout, rng=rng,
-                                       training=training)
-    elif cfg.encoder == "lstm":
-        h = enc.lstm_batch_forward(inputs, model.embeds, model.encoder,
-                                   input_dropout=cfg.dropout, rng=rng,
-                                   training=training)
-    elif cfg.encoder == "bilstm":
-        h = enc.bilstm_batch_forward(inputs, model.embeds, model.encoder,
-                                     input_dropout=cfg.dropout, rng=rng,
-                                     training=training)
-    else:
-        h = enc.cnn_batch_forward(inputs, model.embeds, model.encoder,
-                                  input_dropout=cfg.dropout, rng=rng,
-                                  training=training)
+    # looked up per call, so a wrapped ``encoders.<kind>_batch_forward`` is seen
+    forward = getattr(enc, f"{cfg.encoder}_batch_forward")
+    h = forward(inputs, model.embeds, model.encoder, input_dropout=cfg.dropout,
+                rng=rng, training=training)
     return dropout(h, cfg.dropout, rng, training)
 
 
@@ -250,14 +231,15 @@ class EvalReport:
                 "coda": round(self.unit_rate("coda"), 2)}
 
 
-def decode_batch(model: PronModel, inputs) -> list[dict[str, str]]:
-    h = forward_batch(model, inputs)
+def decode_rows(model: PronModel, h: Tensor) -> list[dict[str, str]]:
+    """The argmax class of every unit, for each row of embeddings ``h``."""
     probs = predict_pron(h, model.head).probs
-    out = []
-    for k in range(h.data.shape[0]):
-        out.append({unit: model.inventories.classes(unit)[int(np.argmax(probs[unit].data[k]))]
-                    for unit in UNITS})
-    return out
+    return [{u: model.inventories.classes(u)[int(np.argmax(probs[u].data[k]))]
+             for u in UNITS} for k in range(h.data.shape[0])]
+
+
+def decode_batch(model: PronModel, inputs) -> list[dict[str, str]]:
+    return decode_rows(model, forward_batch(model, inputs))
 
 
 def evaluate(model: PronModel, entries: list[PronEntry], rules: RuleTable,
@@ -298,8 +280,7 @@ def train(config: RunConfig, split: DatasetSplit, rules: RuleTable
     if not split.train or not split.validation:
         raise DataError("train and validation partitions must be non-empty")
     inventories = Inventories.from_entries(split.train)
-    leaf_tokens = _leaf_vocab(split, rules)
-    model = build_model(config, inventories, leaf_tokens)
+    model = build_model(config, inventories, sorted(rules.leaf_set))
     rng = np.random.default_rng(config.seed)
     optimizer = Adam(lr=config.learning_rate)
     params = model.params()
@@ -338,10 +319,6 @@ def train(config: RunConfig, split: DatasetSplit, rules: RuleTable
     for k, t in params.items():
         t.data[:] = best[2][k]
     return model, history
-
-
-def _leaf_vocab(split: DatasetSplit, rules: RuleTable) -> list[str]:
-    return sorted(rules.leaf_set)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from logotree import diagnostics as diag
+from logotree import encoders as enc
 from logotree.config import RunConfig
 from logotree.errors import ContractError, DataError
 from logotree.ids import Leaf, Op, decompose
@@ -51,6 +52,34 @@ def test_gate_bias_symmetric_weights_tie(rule_table):
     report = diag.gate_bias(model, [tree])
     assert report.total == 1
     assert report.prefer_right == 0  # exact tie is not a right preference
+
+
+@pytest.mark.parametrize("operators", [True, False])
+def test_root_forget_gates_equal_hand_assembled_root_step(rule_table, operators):
+    # a root step assembled by hand (each child walked on its own, the root
+    # cell called directly) equals the root's record in the full tree walk
+    inv = Inventories(onset=["#", "b"], nucleus=["a"], coda=["#"])
+    config = RunConfig(encoder="treelstm", hidden=6, d_in=4, seed=3,
+                       operators=operators)
+    model = build_model(config, inv, sorted(rule_table.leaf_set))
+    p, embeds = model.encoder, model.embeds
+
+    def x(node):
+        return embeds.lookup([node.token if isinstance(node, Leaf) else node.idc])
+
+    trees = [decompose(ch, rule_table) for ch in "河湖海江蒸曉"]
+    for tree in trees:
+        _, left = enc.treelstm_forward(tree.left, embeds, p)
+        _, right = enc.treelstm_forward(tree.right, embeds, p)
+        _, _, gates = enc.treelstm_node(
+            x(tree), x(tree.left), x(tree.right), left[-1].h, right[-1].h,
+            left[-1].c, right[-1].c, p, inputs_on=p.operator_inputs,
+            return_gates=True)
+        f_l, f_r = diag.root_forget_gates(model, tree)
+        assert np.array_equal(f_l, gates["fl"].data[0])
+        assert np.array_equal(f_r, gates["fr"].data[0])
+        _, states = enc.treelstm_forward(tree, embeds, p)
+        assert all(set(s.gates) == {"i", "fl", "fr", "o"} for s in states)
 
 
 def test_gate_bias_no_matching_trees(small_model):
@@ -183,3 +212,28 @@ def test_lm_embedding_table_sources(rule_table):
     assert set("河湖海江") <= set(table)
     out = diag.nearest_neighbors(table, "河", 2)
     assert len(out) == 2
+
+
+@pytest.mark.parametrize("kind", ["standard", "hierarchical"])
+def test_lm_embedding_table_values(rule_table, kind):
+    # the table holds exactly what the input layer reads: cached composed
+    # vectors, auxiliary rows for characters without a tree, lookup rows
+    from logotree.config import LmConfig
+    from logotree.lm import EOS_TOKEN, UNK_TOKEN, build_cache, train_lm
+    config = LmConfig(input_kind=kind, layer_sizes=(10,), embed_dim=8,
+                      batch_size=1, bptt=4, epochs=1, learning_rate=5e-3,
+                      seed=5)
+    model, _ = train_lm(config, ["河湖海龍", "江海"], rules=rule_table)
+    table = diag.lm_embedding_table(model)
+    assert set(table) == set(model.vocab) - {EOS_TOKEN, UNK_TOKEN}
+    cache = build_cache(model) if kind == "hierarchical" else None
+    for ch, vec in table.items():
+        if kind == "standard":
+            expected = model.lookup.data[model.index[ch]]
+        elif ch in model.trees:
+            expected = cache.vectors[ch]
+        else:
+            expected = model.aux.data[model.index[ch]]
+        assert np.array_equal(vec, expected), ch
+    if kind == "hierarchical":
+        assert "龍" not in model.trees and "河" in model.trees

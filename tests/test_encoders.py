@@ -11,6 +11,7 @@ from logotree.encoders import (BiLstmParams, CnnParams, LstmParams, TreeLstmPara
                                VocabEmbeddings, bilstm_forward, build_level_schedule,
                                cnn_forward, cnn_pooled, lstm_forward, treelstm_batch_forward,
                                treelstm_forward, treelstm_node)
+from logotree.errors import ContractError
 from logotree.ids import Leaf, Op
 
 
@@ -399,8 +400,35 @@ def test_lstm_rejects_empty():
     rng = np.random.default_rng(17)
     p = LstmParams.init(4, 4, rng)
     embeds = make_embeds(rng)
-    with pytest.raises(Exception):
+    with pytest.raises(ContractError, match="non-empty"):
         lstm_forward([], embeds, p)
+
+
+@pytest.mark.parametrize("seqs", [[], [list("ab"), []]],
+                         ids=["empty-batch", "empty-sequence"])
+@pytest.mark.parametrize("kind", ["lstm", "bilstm", "cnn"])
+def test_sequence_encoders_reject_empty(kind, seqs):
+    rng = np.random.default_rng(17)
+    embeds = make_embeds(rng)
+    p = {"lstm": lambda: LstmParams.init(4, 4, rng),
+         "bilstm": lambda: BiLstmParams.init(4, 4, rng),
+         "cnn": lambda: CnnParams.init(4, 4, rng, n_filters=3)}[kind]()
+    forward = getattr(enc, f"{kind}_batch_forward")
+    with pytest.raises(ContractError, match="non-empty"):
+        forward(seqs, embeds, p)
+
+
+def test_lstm_collected_states_are_prefix_final_states():
+    # the per-step top-layer outputs of a two-layer net are the final
+    # states of the sequence's prefixes
+    rng = np.random.default_rng(19)
+    p = LstmParams.init(5, 4, rng, layers=2)
+    embeds = make_embeds(rng)
+    seq = list("abcab")
+    h, states = enc.lstm_batch_forward([seq], embeds, p, collect_states=True)
+    assert len(states) == len(seq) and states[-1] is h
+    for t, state in enumerate(states):
+        assert np.array_equal(state.data, lstm_forward(seq[:t + 1], embeds, p).data)
 
 
 def test_lstm_batch_padding_matches_single():

@@ -226,14 +226,6 @@ def test_decompose_deterministic(rule_table):
     assert a == b
 
 
-def test_decompose_variant_map(rule_table):
-    plain = decompose("蒸", rule_table)
-    unified = decompose("蒸", rule_table, variant_map={"火": "灬"})
-    assert "火" in leaves(plain)
-    assert "灬" in leaves(unified)
-    assert "火" not in leaves(unified)
-
-
 def test_corpus_wide_termination(rule_table):
     # every rule head expands without cycle or depth errors
     for head in rule_table.rules:

@@ -6,7 +6,8 @@ import pytest
 
 from logotree import lm
 from logotree.autodiff import Tensor
-from logotree.config import LmConfig
+from logotree.checkpoint import save_checkpoint
+from logotree.config import LmConfig, config_to_dict
 from logotree.errors import ContractError, DataError, NumericsError
 from logotree.lm import (EOS_TOKEN, EmbeddingCache, build_cache, build_lm,
                          eval_lm, greedy_continue, lm_step, train_lm)
@@ -60,6 +61,28 @@ def test_step_unknown_char_maps_to_unk():
     d1, _ = lm_step(["z"], None, model)
     d2, _ = lm_step([lm.UNK_TOKEN], None, model)
     np.testing.assert_array_equal(d1, d2)
+
+
+@pytest.mark.parametrize("kind", ["standard", "hierarchical"])
+def test_step_prefix_equals_per_character_steps(rule_table, kind):
+    # feeding a prefix at once = feeding it one character per call, bit for
+    # bit; the hierarchical model composes its trees without a cache
+    config = LmConfig(**{**TOY.__dict__, "input_kind": kind})
+    model = build_lm(config, list("河湖海江龍"), rules=rule_table)
+    prefix = [EOS_TOKEN] + list("河湖海河龍江z")
+    dist, state = lm_step(prefix, None, model)
+    one_state = None
+    for ch in prefix:
+        one_dist, one_state = lm_step([ch], one_state, model)
+    assert np.array_equal(dist, one_dist)
+    for (h, c), (one_h, one_c) in zip(state, one_state, strict=True):
+        assert np.array_equal(h.data, one_h.data)
+        assert np.array_equal(c.data, one_c.data)
+
+
+def test_step_rejects_empty_prefix():
+    with pytest.raises(ContractError, match="non-empty"):
+        lm_step([], None, build_lm(TOY, list("ab")))
 
 
 def test_memorization_greedy_continuation():
@@ -286,3 +309,20 @@ def test_lm_save_load_roundtrip(tmp_path, rule_table):
     b1, _ = eval_lm(model, lines)
     b2, _ = eval_lm(loaded, lines)
     assert b1 == pytest.approx(b2, abs=1e-12)
+
+
+def test_load_lm_drops_stored_cache_embeddings_key(tmp_path):
+    # older checkpoints store a ``cache_embeddings`` field that LmConfig no
+    # longer has; they load, and the key is ignored
+    model, _ = train_lm(LmConfig(**{**TOY.__dict__, "epochs": 1}), toy_lines(8))
+    manifest = {"kind": "language-model",
+                "config": {**config_to_dict(model.config),
+                           "cache_embeddings": False},
+                "vocab": model.vocab, "leaf_vocab": None, "tree_chars": None}
+    path = tmp_path / "old.ckpt"
+    save_checkpoint(path, {k: t.data for k, t in model.params().items()},
+                    manifest)
+    loaded = lm.load_lm(path)
+    assert loaded.config == model.config
+    for name, t in model.params().items():
+        assert np.array_equal(loaded.params()[name].data, t.data)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from logotree import pron
-from logotree.config import RunConfig
+from logotree.config import ENCODER_KINDS, RunConfig
 from logotree.autodiff import Tensor, softmax
 from logotree.errors import ContractError, DataError, NumericsError
 from logotree.phono import DatasetSplit, PronEntry, build_scenario
@@ -294,7 +294,7 @@ def test_train_all_encoders_smoke(rule_table, toy_split, encoder, layers):
     assert 0 <= report.ter <= 100
 
 
-@pytest.mark.parametrize("encoder", pron.ENCODERS)
+@pytest.mark.parametrize("encoder", ENCODER_KINDS)
 def test_forward_batch_training_dropout_needs_rng(rule_table, toy_split,
                                                   encoder):
     config = RunConfig(encoder=encoder, hidden=8, d_in=6, cnn_filters=8,

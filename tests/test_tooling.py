@@ -84,7 +84,7 @@ def test_validate_lm_config_rejects_bad_rate_and_clip(field, value):
     ("run", "operators", 1), ("run", "encoder", 3), ("run", "dropout", True),
     ("run", "hidden", None), ("lm", "layer_sizes", [8, "8"]),
     ("lm", "layer_sizes", 8), ("lm", "layer_sizes", [8, True]),
-    ("lm", "cache_embeddings", "yes")])
+    ("lm", "tree_bias", "yes")])
 def test_field_of_wrong_type_rejected(tmp_path, kind, key, value):
     path = write_config(tmp_path, {"run": {key: value}})
     with pytest.raises(ConfigError, match=f"{key}=.* is not "):
@@ -268,3 +268,21 @@ def test_lm_cli_round(tmp_path, capsys):
     assert rc == 0
     result = json.loads((out_dir / "lm_eval.json").read_text(encoding="utf-8"))
     assert result["PPL"] == pytest.approx(2 ** result["BPC"])
+
+
+def test_perfbench_trace_targets_resolve(monkeypatch):
+    # the benchmark's tracer patches these names; a renamed or deleted
+    # function would otherwise surface only in the benchmark's own smoke run
+    import importlib
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    trace = importlib.import_module("perfbench.trace")
+    targets = {t.name for t in trace.PROBES + trace.TRACED}
+    assert {"lm.StackedLstm.step", "pron.decode_batch",
+            "encoders.lstm_batch_forward", "encoders.treelstm_forward"} <= targets
+    for name in sorted(targets):
+        module, *attrs = name.split(".")
+        obj = importlib.import_module(f"logotree.{module}")
+        for attr in attrs:
+            assert hasattr(obj, attr), name
+            obj = getattr(obj, attr)
+        assert callable(obj), name
