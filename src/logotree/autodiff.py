@@ -307,6 +307,33 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     return _record(out, (a,), backward)
 
 
+def unstack(a: Tensor, axis: int) -> list[Tensor]:
+    """The slices of ``a`` at each index of ``axis``, that axis removed.
+
+    The backward pass writes every slice's gradient into one buffer of
+    ``a``'s shape, so n slices cost one array of ``a``'s size, not n.
+    """
+    whole = Tensor(a.data)  # carries the buffer back to ``a``
+
+    def hand_back(g):
+        whole.grad = None  # handed on as a value: a later pass starts afresh
+        return (g,)
+
+    _record(whole, (a,), hand_back)
+    parts = np.ascontiguousarray(np.moveaxis(a.data, axis, 0))
+
+    def write(k):
+        def backward(g):
+            if whole.grad is None:
+                whole.grad = np.zeros_like(a.data)
+            np.moveaxis(whole.grad, axis, 0)[k] = g
+            return (None,)
+        return backward
+
+    return [_record(Tensor(parts[k]), (whole,), write(k))
+            for k in range(parts.shape[0])]
+
+
 def reshape(a: Tensor, shape) -> Tensor:
     out = Tensor(a.data.reshape(shape))
     return _record(out, (a,), lambda g: (g.reshape(a.data.shape),))

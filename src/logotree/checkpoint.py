@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_write
 from .errors import CheckpointError, ContractError, ShapeError
 
 MAGIC = b"LGTCKPT1"
@@ -36,7 +37,7 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray], manifest: dict) -> Non
         "manifest": manifest,
         "tensors": index,
     }, ensure_ascii=False, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(header)))
         fh.write(header)

@@ -19,6 +19,7 @@ import sys
 from pathlib import Path
 
 from . import diagnostics, ids, lm, phono, pron
+from .atomic import atomic_write
 from .config import LmConfig, RunConfig, config_to_dict, load_config
 from .errors import CycleError, LogotreeError
 from .manifest import finish_manifest, start_manifest
@@ -203,7 +204,7 @@ def _cmd_train_pron(args, loaded, seed, out_dir: Path) -> int:
     ckpt = out_dir / "pron.ckpt"
     pron.save_model(ckpt, model)
     hist_path = out_dir / "history.csv"
-    with open(hist_path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(hist_path, encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["epoch", "train_loss", "val_TER"])
         for h in history:
@@ -256,15 +257,14 @@ def _cmd_grid_search(args, loaded, seed, out_dir: Path, threads: int) -> int:
                                    n_jobs=threads)
     out_dir.mkdir(parents=True, exist_ok=True)
     table_path = out_dir / "grid.csv"
-    with open(table_path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(table_path, encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=["learning_rate", "dropout",
                                                 "dev_TER"])
         writer.writeheader()
         for row in table:
             writer.writerow(row)
     best_path = out_dir / "best_config.json"
-    best_path.write_text(json.dumps({"run": config_to_dict(best)}, indent=2)
-                         + "\n", encoding="utf-8")
+    _write_json(best_path, {"run": config_to_dict(best)})
     finish_manifest(manifest, out_dir, [table_path, best_path])
     print(f"best: lr={best.learning_rate} dropout={best.dropout}")
     return 0
@@ -326,7 +326,7 @@ def _cmd_train_lm(args, loaded, seed, out_dir: Path) -> int:
     ckpt = out_dir / "lm.ckpt"
     lm.save_lm(ckpt, model)
     hist_path = out_dir / "lm_history.csv"
-    with open(hist_path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(hist_path, encoding="utf-8", newline="") as fh:
         fields = ["epoch", "train_bpc"] + (["valid_bpc"] if valid_lines else [])
         writer = csv.DictWriter(fh, fieldnames=fields)
         writer.writeheader()
@@ -354,8 +354,7 @@ def _cmd_eval_lm(args, out_dir: Path) -> int:
           f"characters ({stats['n_oov_composable']} composable)")
     out_dir.mkdir(parents=True, exist_ok=True)
     out = out_dir / "lm_eval.json"
-    out.write_text(json.dumps({"BPC": bpc, "PPL": ppl, **stats}, indent=2)
-                   + "\n", encoding="utf-8")
+    _write_json(out, {"BPC": bpc, "PPL": ppl, **stats})
     finish_manifest(manifest, out_dir, [out])
     return 0
 
@@ -373,10 +372,8 @@ def _cmd_gate_bias(args, out_dir: Path) -> int:
           f"({'n/a' if pct is None else f'{pct:.1f}%'})")
     out_dir.mkdir(parents=True, exist_ok=True)
     out = out_dir / "gate_bias.json"
-    out.write_text(json.dumps({"total": report.total,
-                               "prefer_right": report.prefer_right,
-                               "percentage": pct}, indent=2) + "\n",
-                   encoding="utf-8")
+    _write_json(out, {"total": report.total,
+                      "prefer_right": report.prefer_right, "percentage": pct})
     return 0
 
 
@@ -470,6 +467,11 @@ def dispatch(argv) -> int:
     except OSError as exc:
         print(f"error[io]: {exc}", file=sys.stderr)
         return 1
+
+
+def _write_json(path: Path, payload: dict) -> None:
+    with atomic_write(path, encoding="utf-8") as fh:
+        fh.write(json.dumps(payload, indent=2) + "\n")
 
 
 def _require_config(args) -> str:

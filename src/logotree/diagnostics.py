@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import encoders as enc
+from .atomic import atomic_write
 from .errors import ContractError, DataError
 from .ids import IDC_ACROSS, GlyphTree, Leaf, Op, RuleTable, decompose
 from .pron import PronModel, decode_rows, encode_inputs
@@ -119,7 +120,7 @@ def probe_to_csv(trace: ProbeTrace, path) -> None:
     width = len(trace.rows[0].magnitudes)
     header = ["node_id", "token", "onset", "nucleus", "coda"]
     header += [f"h{k}" for k in range(width)]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path, encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in trace.rows:

@@ -249,31 +249,44 @@ class LevelSchedule:
         return sum(len(lv) for lv in self.levels)
 
 
-def build_level_schedule(trees) -> LevelSchedule:
+def build_level_schedule(trees, share: bool = False) -> LevelSchedule:
     """Group every node of every tree by height (leaves at level 0).
 
     Global slot ids number the nodes level by level, so a node's children
-    always have smaller slot ids than the node itself.
+    always have smaller slot ids than the node itself. With ``share`` each
+    distinct subtree gets one slot (hash-consing): a node is interned by
+    ``(token,)`` for a leaf and ``(idc, left, right)`` over its children's
+    slots for an inner node, so recurring components and repeated trees
+    share slots, roots included. Without it every node occurrence gets its
+    own slot.
     """
     trees = list(trees)
     if not trees:
         raise ContractError("empty batch")
     # first pass: bucket nodes per level; children referenced as (level, idx)
     buckets: list[list[tuple]] = []  # (token, lchild, rchild, xl, xr)
+    interned: dict[tuple, tuple[int, int]] = {}
 
     def place(node) -> tuple[int, int]:
         if isinstance(node, Leaf):
+            key = (node.token,)
             lvl, entry = 0, (node.token, None, None, None, None)
         else:
             lref = place(node.left)
             rref = place(node.right)
+            key = (node.idc, lref, rref)
             lvl = 1 + max(lref[0], rref[0])
             entry = (node.idc, lref, rref,
                      _input_token(node.left), _input_token(node.right))
+        if share and key in interned:
+            return interned[key]
         while len(buckets) <= lvl:
             buckets.append([])
         buckets[lvl].append(entry)
-        return lvl, len(buckets[lvl]) - 1
+        ref = (lvl, len(buckets[lvl]) - 1)
+        if share:
+            interned[key] = ref
+        return ref
 
     root_refs = [place(t) for t in trees]
 
@@ -300,7 +313,6 @@ def _input_token(node) -> str:
 
 
 def treelstm_batch_forward(trees, embeds: VocabEmbeddings, p: TreeLstmParams,
-                           schedule: LevelSchedule | None = None,
                            input_dropout: float = 0.0,
                            rng: np.random.Generator | None = None,
                            training: bool = False) -> Tensor:
@@ -310,8 +322,13 @@ def treelstm_batch_forward(trees, embeds: VocabEmbeddings, p: TreeLstmParams,
     grouped into one matrix operation per level). Leaves use
     ``treelstm_leaf``; weights read only by the terms it skips get zero
     gradients, as in the sequential evaluation.
+
+    Each distinct subtree is evaluated once, and its gradients accumulate
+    over every use, unless training draws an input-dropout mask: then every
+    node occurrence keeps its own slot and its own mask rows.
     """
-    schedule = schedule or build_level_schedule(trees)
+    share = not (training and input_dropout > 0)
+    schedule = build_level_schedule(trees, share=share)
     h_pool: Tensor | None = None
     c_pool: Tensor | None = None
 
@@ -407,9 +424,7 @@ def _pad_ids(seqs: list[list[str]], embeds: VocabEmbeddings,
 
 def split_steps(x: Tensor, batch: int, steps: int) -> list[Tensor]:
     """Batch-major rows (batch*steps, d) as ``steps`` step inputs (batch, d)."""
-    d = x.data.shape[-1]
-    x = ad.reshape(x, (batch, steps, d))
-    return [ad.reshape(ad.narrow(x, 1, t, 1), (batch, d)) for t in range(steps)]
+    return ad.unstack(ad.reshape(x, (batch, steps, x.data.shape[-1])), axis=1)
 
 
 def lstm_batch_forward(seqs: list[list[str]], embeds: VocabEmbeddings,

@@ -91,6 +91,9 @@ class RuleTable:
     skipped_lines: int = 0
     duplicate_lines: int = 0
     atomic_entries: int = 0
+    # filled by ``decompose``: token -> (binary subtree, rule-chain length)
+    expansions: dict[str, tuple[GlyphTree, int]] = field(
+        default_factory=dict, compare=False, repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -165,14 +168,18 @@ def binarize(node) -> GlyphTree:
     if isinstance(node, Op):
         return Op(node.idc, binarize(node.left), binarize(node.right))
     if isinstance(node, Nary):
-        kids = [binarize(c) for c in node.children]
-        if len(kids) == 2:
-            return Op(node.idc, kids[0], kids[1])
-        if len(kids) == 3:
-            inner = IDC_ACROSS if node.idc == IDC_ACROSS3 else IDC_DOWN
-            return Op(inner, kids[0], Op(inner, kids[1], kids[2]))
-        raise StructureError(f"node arity {len(kids)} not in {{0,2,3}}")
+        return _join(node.idc, [binarize(c) for c in node.children])
     raise StructureError(f"unsupported node type {type(node).__name__}")
+
+
+def _join(idc: str, kids: list) -> Op:
+    """The binary node of operator ``idc`` over already-binary children."""
+    if len(kids) == 2:
+        return Op(idc, kids[0], kids[1])
+    if len(kids) == 3:
+        inner = IDC_ACROSS if idc == IDC_ACROSS3 else IDC_DOWN
+        return Op(inner, kids[0], Op(inner, kids[1], kids[2]))
+    raise StructureError(f"node arity {len(kids)} not in {{0,2,3}}")
 
 
 def parse_ids(expr) -> GlyphTree:
@@ -282,31 +289,44 @@ def decompose(ch: str, rules: RuleTable,
     """Expand a logograph until every leaf is a terminal.
 
     A character with no rule that is a known terminal stays itself; a
-    character absent from the table entirely becomes the UNK leaf.
+    character absent from the table entirely becomes the UNK leaf. Each
+    rule is parsed once per table: a token's expansion is kept in
+    ``rules.expansions`` with the length of its longest rule chain, and
+    reused wherever that chain fits the remaining depth.
     """
     if max_depth < 1:
         raise ExpansionError("max_depth must be positive")
+    memo = rules.expansions
 
-    def expand(token: str, depth: int):
+    def expand(token: str, depth: int) -> tuple[GlyphTree, int]:
         rule = rules.rules.get(token)
         if rule is None:
-            return Leaf(token)
+            return Leaf(token), 0
         if depth >= max_depth:
             raise ExpansionError(
                 f"expansion of {ch!r} exceeded depth {max_depth} at {token!r}"
                 " (cyclic rules suspected)")
-        raw = _parse_raw(rule.expr)
+        hit = memo.get(token)
+        if hit is not None and depth + hit[1] <= max_depth:
+            return hit
+        # a chain too long for this depth expands afresh, so the error
+        # names the same token as a fresh expansion would
+        chain = 0
 
         def subst(node):
+            nonlocal chain
             if isinstance(node, Leaf):
-                return expand(node.token, depth + 1)
-            return Nary(node.idc, tuple(subst(c) for c in node.children))
+                tree, length = expand(node.token, depth + 1)
+                chain = max(chain, length)
+                return tree
+            return _join(node.idc, [subst(c) for c in node.children])
 
-        return subst(raw)
+        memo[token] = entry = (subst(_parse_raw(rule.expr)), chain + 1)
+        return entry
 
     if ch not in rules.rules and ch not in rules.leaf_set:
         return Leaf(UNK_TOKEN)
-    return binarize(expand(ch, 0))
+    return expand(ch, 0)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,8 @@ from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
+from .atomic import atomic_write
+
 
 @dataclass
 class Manifest:
@@ -56,6 +58,7 @@ def finish_manifest(manifest: Manifest, out_dir, outputs) -> Path:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"manifest-{manifest.command}.json"
-    path.write_text(json.dumps(asdict(manifest), indent=2, ensure_ascii=False)
-                    + "\n", encoding="utf-8")
+    with atomic_write(path, encoding="utf-8") as fh:
+        fh.write(json.dumps(asdict(manifest), indent=2, ensure_ascii=False)
+                 + "\n")
     return path

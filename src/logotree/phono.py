@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
+from .atomic import atomic_write
 from .errors import DataError, IoError, SegmentationError
 
 log = logging.getLogger(__name__)
@@ -306,7 +307,7 @@ CSV_HEADER = ["char", "onset", "nucleus", "coda", "partition"]
 
 
 def write_split_csv(split: DatasetSplit, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path, encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
         for name, entries in split.partitions():

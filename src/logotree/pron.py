@@ -18,6 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import encoders as enc
+from .atomic import atomic_write
 from .autodiff import Adam, Tape, Tensor, concat, dropout, matmul, softmax
 from .checkpoint import load_checkpoint, restore_tensors, save_checkpoint
 from .config import RunConfig, config_from_dict, config_to_dict, validate_config
@@ -420,7 +421,7 @@ MATRIX_HEADER = ["model", "scenario", "order", "ablation", "SER", "TER",
 
 
 def write_matrix_csv(rows: list[dict], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path, encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=MATRIX_HEADER)
         writer.writeheader()
         for row in rows:

@@ -164,6 +164,9 @@ _PRIMITIVE_CASES = {
     "matmul": lambda t: matmul(t, t.T).sum(),
     "concat": lambda t: concat([t, tanh(t)], axis=-1).sum(),
     "narrow": lambda t: narrow(t, 1, 1, 2).sum(),
+    "unstack": lambda t: sum((u * float(k + 1) for k, u in
+                              enumerate(ad.unstack(tanh(t), 1))),
+                             Tensor(0.0)).sum(),
     "rows": lambda t: (rows(t, [1, 1, 0]) * rows(t, [0, 2, 2])).sum(),
     "max": lambda t: t.max(axis=1).sum(),
     "reshape": lambda t: (t.reshape(1, 16) * 2.0).sum(),
@@ -176,6 +179,37 @@ def test_primitive_gradients(name):
     rng = np.random.default_rng(hash(name) % 2**32)
     x = rnd(rng, 4, 4)
     assert check_gradient(_PRIMITIVE_CASES[name], x) < 1e-4
+
+
+@pytest.mark.parametrize("shape,axis", [((4, 1, 3), 1), ((5, 7, 3), 1),
+                                        ((6, 2), 0)])
+def test_unstack_gradients_equal_narrow_slices_bitwise(shape, axis):
+    # the one-buffer backward against one zero-padded array per slice
+    rng = np.random.default_rng(21)
+    x = rnd(rng, *shape)
+    w = rnd(rng, shape[-1], 4)
+
+    def grads(slices):
+        x.grad = w.grad = None
+        tp = Tape()
+        with tp:
+            loss = None
+            for k, part in enumerate(slices(tanh(x))):
+                part = part.reshape(-1, shape[-1])
+                term = (tanh(matmul(part, w)) * float(k + 1)).sum()
+                loss = term if loss is None else loss + term
+        tp.backward(loss)
+        return loss.data, x.grad, w.grad
+
+    def by_narrow(t):
+        rest = tuple(n for a, n in enumerate(shape) if a != axis)
+        return [narrow(t, axis, k, 1).reshape(*rest)
+                for k in range(shape[axis])]
+
+    old = grads(by_narrow)
+    new = grads(lambda t: ad.unstack(t, axis))
+    for a, b in zip(old, new):
+        np.testing.assert_array_equal(a, b)
 
 
 @settings(max_examples=50, deadline=None)

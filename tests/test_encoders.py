@@ -241,6 +241,100 @@ def test_schedule_slot_totals():
     assert all(s.left == -1 for s in sched.levels[0])
 
 
+def _subtrees(tree, out: set) -> set:
+    out.add(tree)
+    if isinstance(tree, Op):
+        _subtrees(tree.left, out)
+        _subtrees(tree.right, out)
+    return out
+
+
+def test_shared_schedule_gives_duplicates_one_slot():
+    t1 = Op("⿰", Leaf("a"), Op("⿱", Leaf("b"), Leaf("a")))
+    t2 = Op("⿱", Op("⿱", Leaf("b"), Leaf("a")), Leaf("c"))
+    # an equal tree built from separate objects shares too
+    t1_copy = Op("⿰", Leaf("a"), Op("⿱", Leaf("b"), Leaf("a")))
+    sched = build_level_schedule([t1, t2, t1_copy, Leaf("a"), t1],
+                                 share=True)
+    # a, b, c | ⿱(b,a) | t1, t2
+    assert [len(lv) for lv in sched.levels] == [3, 1, 2]
+    assert sched.roots[0] == sched.roots[2] == sched.roots[4]
+    assert sched.roots[3] == 0  # the leaf "a" is the first leaf slot
+    assert len(set(sched.roots)) == 3
+
+
+def test_shared_schedule_has_one_slot_per_distinct_subtree():
+    from logotree.ids import node_count
+    rng = random.Random(8)
+    trees = [random_tree(rng, rng.randint(1, 6)) for _ in range(128)]
+    trees += trees[:16]  # repeated trees
+    sched = build_level_schedule(trees, share=True)
+    distinct = set()
+    for t in trees:
+        _subtrees(t, distinct)
+    assert sched.total_slots == len(distinct)
+    assert sched.total_slots < sum(node_count(t) for t in trees)
+    # children still sit at smaller slot ids, and every slot is a distinct
+    # (token, left, right) triple
+    offset, seen = 0, set()
+    for slots in sched.levels:
+        for s in slots:
+            assert s.left < offset and s.right < offset
+            seen.add((s.token, s.left, s.right))
+        offset += len(slots)
+    assert len(seen) == sched.total_slots
+    assert sched.roots[128:] == sched.roots[:16]
+
+
+def test_schedule_without_sharing_counts_every_occurrence():
+    from logotree.ids import node_count
+    rng = random.Random(8)
+    trees = [random_tree(rng, rng.randint(1, 6)) for _ in range(64)] * 2
+    sched = build_level_schedule(trees, share=False)
+    assert sched.total_slots == sum(node_count(t) for t in trees)
+    assert sched.roots == build_level_schedule(trees).roots
+    assert len(set(sched.roots)) == len(trees)
+
+
+def test_shared_subtree_gradients_match_summed_sequential_gradients():
+    # dropout 0 under a tape: shared slots receive the gradient of every
+    # occurrence through the row gathers
+    from logotree.ids import node_count
+    rng = np.random.default_rng(31)
+    p = TreeLstmParams.init(5, 4, rng)
+    embeds = make_embeds(rng)
+    pyrng = random.Random(32)
+    trees = [random_tree(pyrng, pyrng.randint(1, 5)) for _ in range(24)]
+    trees += trees[::3]
+    shared = build_level_schedule(trees, share=True).total_slots
+    assert shared < sum(node_count(t) for t in trees)
+    batched = _tree_grads(trees, embeds, p, batched=True)
+    sequential = _tree_grads(trees, embeds, p, batched=False)
+    for k, g in sequential.items():
+        np.testing.assert_allclose(batched[k], g, rtol=0, atol=1e-9, err_msg=k)
+
+
+def test_input_dropout_training_keeps_one_slot_per_occurrence(monkeypatch):
+    calls = []
+    real = enc.build_level_schedule
+
+    def spy(trees, share=False):
+        calls.append(share)
+        return real(trees, share=share)
+
+    monkeypatch.setattr(enc, "build_level_schedule", spy)
+    rng = np.random.default_rng(33)
+    p = TreeLstmParams.init(3, 4, rng)
+    embeds = make_embeds(rng)
+    trees = [Op("⿰", Leaf("a"), Leaf("a"))] * 2
+    treelstm_batch_forward(trees, embeds, p)
+    treelstm_batch_forward(trees, embeds, p, input_dropout=0.3)
+    treelstm_batch_forward(trees, embeds, p, input_dropout=0.0, training=True)
+    treelstm_batch_forward(trees, embeds, p, input_dropout=0.3,
+                           rng=np.random.default_rng(0), training=True)
+    assert calls == [True, True, True, False]
+
+
 def test_batch_of_one_equals_sequential():
     rng = np.random.default_rng(9)
     p = TreeLstmParams.init(5, 4, rng)

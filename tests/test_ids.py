@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -218,6 +219,77 @@ def test_decompose_depth_guard():
     table.rules["B"] = ids.Ids(66, ("⿰", "A", "一"))
     with pytest.raises(ExpansionError):
         decompose("A", table, max_depth=16)
+
+
+def _fresh_decompose(ch, table, max_depth):
+    """Independent expansion with no memo: substitute every rule token into
+    the parsed tree, then binarize once; the error names the token found at
+    depth ``max_depth``."""
+    def expand(token, depth):
+        rule = table.rules.get(token)
+        if rule is None:
+            return Leaf(token)
+        if depth >= max_depth:
+            raise ExpansionError(
+                f"expansion of {ch!r} exceeded depth {max_depth} at {token!r}"
+                " (cyclic rules suspected)")
+
+        def subst(node):
+            if isinstance(node, Leaf):
+                return expand(node.token, depth + 1)
+            return Nary(node.idc, tuple(subst(c) for c in node.children))
+
+        return subst(ids._parse_raw(rule.expr))
+
+    if ch not in table.rules and ch not in table.leaf_set:
+        return Leaf(ids.UNK_TOKEN)
+    return binarize(expand(ch, 0))
+
+
+def _outcome(f):
+    try:
+        return f()
+    except ExpansionError as exc:
+        return ("ExpansionError", str(exc))
+
+
+def _chain_length(token, table):
+    rule = table.rules.get(token)
+    if rule is None:
+        return 0
+    return 1 + max(_chain_length(t, table) for t in rule.expr)
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending"])
+def test_memoized_decompose_equals_fresh_expansion(order):
+    # one table for every call, so the memo filled at one depth bound is
+    # read under the others
+    table = load_rule_table(Path(__file__).parent / "data" / "mini_ids.txt")
+    deepest = max(_chain_length(h, table) for h in table.rules)
+    assert deepest >= 3
+    depths = range(1, deepest + 2)
+    heads = sorted(table.rules) + ["一", "蒸", "\U000f0000"]
+    raised = 0
+    for max_depth in (depths if order == "ascending" else reversed(depths)):
+        for head in heads:
+            want = _outcome(lambda: _fresh_decompose(head, table, max_depth))
+            got = _outcome(lambda: decompose(head, table, max_depth))
+            assert got == want, (head, max_depth)
+            raised += isinstance(want, tuple)
+    assert raised > 0
+    assert table.expansions  # filled, yet not part of equality or repr
+    assert table == load_rule_table(Path(__file__).parent / "data" / "mini_ids.txt")
+    assert "expansions" not in repr(table)
+
+
+def test_memoized_decompose_keeps_cycle_guard():
+    table = ids.RuleTable(rules={"A": ids.Ids(65, ("⿰", "B", "一")),
+                                 "B": ids.Ids(66, ("⿰", "A", "一"))},
+                          leaf_set={"一"})
+    for _ in range(2):
+        with pytest.raises(ExpansionError, match="at 'A'"):
+            decompose("A", table, max_depth=16)
+    assert not table.expansions  # nothing stored from a failed expansion
 
 
 def test_decompose_deterministic(rule_table):

@@ -260,6 +260,39 @@ def test_train_deterministic_history(rule_table, toy_split):
     assert h1 == h2
 
 
+# per-step losses and a digest of the final parameters of this run, recorded
+# before evaluation shared the level slots of repeated subtrees: training
+# with input dropout must keep one slot, and one mask row, per occurrence
+DROPOUT_RUN = RunConfig(encoder="treelstm", hidden=8, d_in=6, batch_size=16,
+                        epochs=2, learning_rate=1e-2, dropout=0.1, seed=4)
+DROPOUT_RUN_LOSSES = [7.603580140311129, 7.646708901717796, 7.568760699226836,
+                      7.523491159873158, 7.458165293692185, 7.469603194702772,
+                      7.451466938227296, 7.39696666166909]
+DROPOUT_RUN_DIGEST = ("49f021d7c16abad079e4036c5f8195c4"
+                      "cb1a90969dff8079a8f7783ec7515a8f")
+
+
+def test_train_with_input_dropout_reproduces_recorded_run(rule_table, toy_split,
+                                                          monkeypatch):
+    import hashlib
+    losses = []
+
+    def recording_loss(*args, **kwargs):
+        loss = real_loss(*args, **kwargs)
+        losses.append(float(loss.data))
+        return loss
+
+    real_loss = pron.pron_loss
+    monkeypatch.setattr(pron, "pron_loss", recording_loss)
+    model, _ = train(DROPOUT_RUN, toy_split, rule_table)
+    assert losses == DROPOUT_RUN_LOSSES
+    digest = hashlib.sha256()
+    for name, t in sorted(model.params().items()):
+        digest.update(name.encode())
+        digest.update(np.ascontiguousarray(t.data).tobytes())
+    assert digest.hexdigest() == DROPOUT_RUN_DIGEST
+
+
 def test_train_loss_decreases(rule_table, toy_split):
     config = RunConfig(encoder="treelstm", hidden=16, d_in=8, batch_size=32,
                        epochs=10, learning_rate=3e-3, dropout=0.0, seed=4)

@@ -286,3 +286,56 @@ def test_perfbench_trace_targets_resolve(monkeypatch):
             assert hasattr(obj, attr), name
             obj = getattr(obj, attr)
         assert callable(obj), name
+
+
+# ---------------------------------------------------------------------------
+# atomic outputs
+# ---------------------------------------------------------------------------
+
+def test_atomic_write_failure_keeps_previous_file(tmp_path):
+    from logotree.atomic import atomic_write
+    path = tmp_path / "out.json"
+    with atomic_write(path, encoding="utf-8") as fh:
+        fh.write("old\n")
+    with pytest.raises(RuntimeError):
+        with atomic_write(path, encoding="utf-8") as fh:
+            fh.write("partial")
+            raise RuntimeError("disk full")
+    assert path.read_text(encoding="utf-8") == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+
+def test_csv_write_failing_midway_keeps_previous_file(tmp_path):
+    # the third row has a field the header lacks, so the writer raises after
+    # the header and two rows have gone out
+    path = tmp_path / "matrix.csv"
+    row = {"model": "treelstm", "scenario": 1, "order": "cd_nu_on",
+           "ablation": "full", "SER": 1.0, "TER": 0.5, "onset": 0.1,
+           "nucleus": 0.2, "coda": 0.3}
+    pron.write_matrix_csv([row], path)
+    before = path.read_bytes()
+    with pytest.raises(ValueError):
+        pron.write_matrix_csv([row, row, {**row, "extra": 1}], path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["matrix.csv"]
+
+
+def test_checkpoint_save_failing_midway_keeps_previous_file(tmp_path,
+                                                          monkeypatch):
+    import numpy as np
+    from logotree import checkpoint
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, {"w": np.ones((4, 4))}, {"v": 1})
+
+    class FailingStruct:  # fails after the magic bytes are written
+        @staticmethod
+        def pack(*args):
+            raise OSError("disk full")
+
+    monkeypatch.setattr(checkpoint, "struct", FailingStruct)
+    with pytest.raises(OSError):
+        save_checkpoint(path, {"w": np.zeros(2)}, {"v": 2})
+    monkeypatch.undo()
+    tensors, manifest = checkpoint.load_checkpoint(path)
+    assert manifest == {"v": 1} and tensors["w"].tolist() == [[1.0] * 4] * 4
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
