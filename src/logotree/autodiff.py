@@ -4,7 +4,9 @@ Deliberately small: float64 numpy storage, an explicit tape of executed
 primitives, and only the operations the encoders need (matmul, add, mul,
 sigmoid, tanh, softmax, softmax cross-entropy, dropout, concat, slicing,
 gather, sum, max). When no tape is active all operations run untracked,
-which is the evaluation path.
+which is the evaluation path. ``record``, ``taping`` and ``hand_out`` let
+a module add a fused primitive with its own backward pass (the encoders'
+recurrent cells do).
 """
 
 from __future__ import annotations
@@ -128,10 +130,22 @@ class Tape:
 _TAPES: list[Tape] = []
 
 
-def _record(out: Tensor, parents, backward_fn) -> Tensor:
+def record(out: Tensor, parents, backward_fn) -> Tensor:
+    """Append one primitive to the active tape, if any, and return ``out``.
+
+    ``backward_fn(g)`` maps the gradient of ``out`` to one gradient (or
+    ``None``) per parent. A fused primitive records a whole computation as
+    one entry; see ``taping`` and ``hand_out``.
+    """
     if _TAPES:
         _TAPES[-1]._entries.append((out, parents, backward_fn))
     return out
+
+
+def taping() -> bool:
+    """Whether operations are being recorded: a fused primitive keeps the
+    intermediates of its backward pass only then."""
+    return bool(_TAPES)
 
 
 def zero_grads(params) -> None:
@@ -158,8 +172,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         out = Tensor(a.data + b.data)
     except ValueError:
         raise ShapeError(f"add: shapes {a.data.shape} and {b.data.shape}") from None
-    return _record(out, (a, b), lambda g: (_unbroadcast(g, a.data.shape),
-                                           _unbroadcast(g, b.data.shape)))
+    return record(out, (a, b), lambda g: (_unbroadcast(g, a.data.shape),
+                                          _unbroadcast(g, b.data.shape)))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -167,8 +181,8 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
         out = Tensor(a.data - b.data)
     except ValueError:
         raise ShapeError(f"sub: shapes {a.data.shape} and {b.data.shape}") from None
-    return _record(out, (a, b), lambda g: (_unbroadcast(g, a.data.shape),
-                                           _unbroadcast(-g, b.data.shape)))
+    return record(out, (a, b), lambda g: (_unbroadcast(g, a.data.shape),
+                                          _unbroadcast(-g, b.data.shape)))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -176,13 +190,13 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         out = Tensor(a.data * b.data)
     except ValueError:
         raise ShapeError(f"mul: shapes {a.data.shape} and {b.data.shape}") from None
-    return _record(out, (a, b), lambda g: (_unbroadcast(g * b.data, a.data.shape),
-                                           _unbroadcast(g * a.data, b.data.shape)))
+    return record(out, (a, b), lambda g: (_unbroadcast(g * b.data, a.data.shape),
+                                          _unbroadcast(g * a.data, b.data.shape)))
 
 
 def scale(a: Tensor, s: float) -> Tensor:
     out = Tensor(a.data * s)
-    return _record(out, (a,), lambda g: (g * s,))
+    return record(out, (a,), lambda g: (g * s,))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -200,31 +214,37 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         gb = np.matmul(np.swapaxes(ad, -1, -2), g)
         return _unbroadcast(ga, ad.shape), _unbroadcast(gb, bd.shape)
 
-    return _record(out, (a, b), backward)
+    return record(out, (a, b), backward)
 
 
 def transpose(a: Tensor) -> Tensor:
     if a.data.ndim < 2:
         raise ShapeError(f"transpose: need >=2 dims, got {a.data.shape}")
     out = Tensor(np.swapaxes(a.data, -1, -2))  # a view; BLAS reads it in place
-    return _record(out, (a,), lambda g: (np.swapaxes(g, -1, -2),))
+    return record(out, (a,), lambda g: (np.swapaxes(g, -1, -2),))
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    x = a.data
+def logistic(x: np.ndarray) -> np.ndarray:
+    """The values of ``sigmoid``, as a new array."""
     # 1/(1+e) for x >= 0 and e/(1+e) below, with e = exp(-|x|): it cannot
     # overflow, and its underflow to 0 at very negative x is expected
     with np.errstate(under="ignore"):
         e = np.exp(-np.abs(x), out=np.empty_like(x))  # an array even at 0-d
         d = 1.0 + e
-        np.copyto(e, 1.0, where=x >= 0)  # e becomes the numerator
-        out = Tensor(np.divide(e, d, out=e))
-    return _record(out, (a,), lambda g: (g * out.data * (1.0 - out.data),))
+        # e becomes the numerator: e <= 1, so max(e, x >= 0) is 1 where
+        # x >= 0 and e below, without copyto's branch per element
+        np.maximum(e, x >= 0, out=e)
+        return np.divide(e, d, out=e)
+
+
+def sigmoid(a: Tensor) -> Tensor:
+    out = Tensor(logistic(a.data))
+    return record(out, (a,), lambda g: (g * out.data * (1.0 - out.data),))
 
 
 def tanh(a: Tensor) -> Tensor:
     out = Tensor(np.tanh(a.data))
-    return _record(out, (a,), lambda g: (g * (1.0 - out.data * out.data),))
+    return record(out, (a,), lambda g: (g * (1.0 - out.data * out.data),))
 
 
 def softmax(a: Tensor) -> Tensor:
@@ -238,7 +258,7 @@ def softmax(a: Tensor) -> Tensor:
         dot = (g * p).sum(axis=-1, keepdims=True)
         return (p * (g - dot),)
 
-    return _record(out, (a,), backward)
+    return record(out, (a,), backward)
 
 
 def softmax_cross_entropy(logits: Tensor, target_ids) -> Tensor:
@@ -264,7 +284,7 @@ def softmax_cross_entropy(logits: Tensor, target_ids) -> Tensor:
         gz[r, t] -= 1.0
         return (gz * g,)
 
-    return _record(out, (logits,), backward)
+    return record(out, (logits,), backward)
 
 
 def concat(tensors, axis: int = -1) -> Tensor:
@@ -272,8 +292,8 @@ def concat(tensors, axis: int = -1) -> Tensor:
     out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
     sizes = [t.data.shape[axis] for t in tensors]
     splits = np.cumsum(sizes)[:-1]
-    return _record(out, tuple(tensors),
-                   lambda g: tuple(np.split(g, splits, axis=axis)))
+    return record(out, tuple(tensors),
+                  lambda g: tuple(np.split(g, splits, axis=axis)))
 
 
 def rows(a: Tensor, idx) -> Tensor:
@@ -286,7 +306,7 @@ def rows(a: Tensor, idx) -> Tensor:
         np.add.at(ga, idx, g)
         return (ga,)
 
-    return _record(out, (a,), backward)
+    return record(out, (a,), backward)
 
 
 def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
@@ -304,45 +324,57 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
         ga[index] = g
         return (ga,)
 
-    return _record(out, (a,), backward)
+    return record(out, (a,), backward)
+
+
+def hand_out(whole: Tensor, view) -> Tensor:
+    """``view(whole.data)``, which must be a view, as a tensor of its own.
+
+    The buffer pattern for primitives with several outputs: the primitive
+    records one entry whose output is ``whole`` and hands its outputs out
+    through this. Their backward passes add into ``view`` of one gradient
+    buffer of ``whole``'s shape, allocated by the first of them, which
+    ``whole``'s own backward pass then reads. That pass resets
+    ``whole.grad`` to ``None``, so a later reverse pass starts afresh.
+    """
+    out = Tensor(view(whole.data))
+
+    def backward(g):
+        if whole.grad is None:
+            whole.grad = np.zeros_like(whole.data)
+        part = view(whole.grad)
+        part += g
+        return (None,)
+
+    return record(out, (whole,), backward)
 
 
 def unstack(a: Tensor, axis: int) -> list[Tensor]:
     """The slices of ``a`` at each index of ``axis``, that axis removed.
 
-    The backward pass writes every slice's gradient into one buffer of
-    ``a``'s shape, so n slices cost one array of ``a``'s size, not n.
+    The backward pass writes every slice's gradient into one buffer, so n
+    slices cost one array of ``a``'s size, not n.
     """
-    whole = Tensor(a.data)  # carries the buffer back to ``a``
+    whole = Tensor(np.ascontiguousarray(np.moveaxis(a.data, axis, 0)))
 
     def hand_back(g):
-        whole.grad = None  # handed on as a value: a later pass starts afresh
-        return (g,)
+        whole.grad = None
+        return (np.moveaxis(g, 0, axis),)
 
-    _record(whole, (a,), hand_back)
-    parts = np.ascontiguousarray(np.moveaxis(a.data, axis, 0))
-
-    def write(k):
-        def backward(g):
-            if whole.grad is None:
-                whole.grad = np.zeros_like(a.data)
-            np.moveaxis(whole.grad, axis, 0)[k] = g
-            return (None,)
-        return backward
-
-    return [_record(Tensor(parts[k]), (whole,), write(k))
-            for k in range(parts.shape[0])]
+    record(whole, (a,), hand_back)
+    return [hand_out(whole, lambda d, k=k: d[k])
+            for k in range(whole.data.shape[0])]
 
 
 def reshape(a: Tensor, shape) -> Tensor:
     out = Tensor(a.data.reshape(shape))
-    return _record(out, (a,), lambda g: (g.reshape(a.data.shape),))
+    return record(out, (a,), lambda g: (g.reshape(a.data.shape),))
 
 
 def tsum(a: Tensor) -> Tensor:
     """Sum of all entries."""
     out = Tensor(a.data.sum())
-    return _record(out, (a,), lambda g: (np.broadcast_to(g, a.data.shape).copy(),))
+    return record(out, (a,), lambda g: (np.broadcast_to(g, a.data.shape).copy(),))
 
 
 def tmax(a: Tensor, axis: int) -> Tensor:
@@ -356,21 +388,7 @@ def tmax(a: Tensor, axis: int) -> Tensor:
                           np.expand_dims(g, axis), axis=axis)
         return (ga,)
 
-    return _record(out, (a,), backward)
-
-
-def pass_zero_grads(a: Tensor, params) -> Tensor:
-    """Identity on ``a`` whose backward also gives each of ``params`` a zero
-    gradient.
-
-    For parameters whose terms a graph skips because they are known to be
-    zero: they end the reverse pass with a zero array rather than ``None``,
-    exactly as if the zero terms had been computed.
-    """
-    params = tuple(params)
-    out = Tensor(a.data)
-    return _record(out, (a, *params),
-                   lambda g: (g, *(np.zeros_like(p.data) for p in params)))
+    return record(out, (a,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -394,14 +412,7 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator | None,
         raise ContractError("training dropout needs an rng")
     mask = Tensor((rng.random(x.data.shape) >= rate) / (1.0 - rate)).data
     out = Tensor(x.data * mask)
-    return _record(out, (x,), lambda g: (g * mask,))
-
-
-def dropout_mask(shape, rate: float, rng: np.random.Generator,
-                 training: bool = True) -> Tensor:
-    """The mask ``dropout`` multiplies by: all ones in evaluation mode or at
-    rate 0, so the evaluation path is scale-free."""
-    return dropout(Tensor(np.ones(shape)), rate, rng, training)
+    return record(out, (x,), lambda g: (g * mask,))
 
 
 # ---------------------------------------------------------------------------

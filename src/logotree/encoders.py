@@ -21,6 +21,7 @@ from .errors import ContractError, ShapeError
 from .ids import BINARY_IDCS, ALL_IDCS, GlyphTree, Leaf, UNK_TOKEN
 
 GATES = ("i", "fl", "fr", "o", "c")
+LSTM_GATES = ("i", "f", "o", "c")
 PAD_TOKEN = "<PAD>"  # zero vector, excluded from the vocabulary
 
 
@@ -131,7 +132,8 @@ def treelstm_node(x_n: Tensor, x_l: Tensor, x_r: Tensor, h_l: Tensor,
 
     i, fl, fr, o gate through sigmoids of five-term affine forms; the
     candidate goes through tanh; the new cell is i*cand + fl*c_l + fr*c_r
-    and the hidden state is o*tanh(cell).
+    and the hidden state is o*tanh(cell). Composed from primitives, it is
+    the oracle of the fused ``treelstm_levels``.
     """
     if x_n.data.shape[-1] != p.d_in or h_l.data.shape[-1] != p.hidden:
         raise ShapeError(f"treelstm_node: x {x_n.data.shape} h {h_l.data.shape} "
@@ -146,37 +148,6 @@ def treelstm_node(x_n: Tensor, x_l: Tensor, x_r: Tensor, h_l: Tensor,
     if return_gates:
         return c_n, h_n, {"i": i, "fl": f_l, "fr": f_r, "o": o}
     return c_n, h_n
-
-
-def treelstm_leaf(x_n: Tensor, p: TreeLstmParams) -> tuple[Tensor, Tensor]:
-    """``treelstm_node`` at a leaf, without its known-zero terms.
-
-    With zero child states and zero child inputs only V·x + b remains of
-    each gate, and the child forget gates multiply zero cells, so the cell
-    is i*cand and fl/fr are not computed. The result equals
-    ``treelstm_node(x_n, 0, 0, 0, 0, 0, 0, p)``.
-    """
-    w = p.weights
-
-    def pre(g):
-        v = matmul(x_n, w[f"V_{g}"].T)
-        return v + w[f"b_{g}"] if p.use_bias else v
-
-    i = sigmoid(pre("i"))
-    o = sigmoid(pre("o"))
-    cand = tanh(pre("c"))
-    c_n = i * cand
-    return c_n, o * tanh(c_n)
-
-
-def _leaf_skipped_weights(p: TreeLstmParams, inner_levels: bool) -> list[Tensor]:
-    """Weights a level-batched pass never reads, though ``treelstm_node``
-    would have multiplied them by zeros at the leaves."""
-    used = {f"{kind}_{g}" for kind in ("V", "b") for g in ("i", "o", "c")}
-    if inner_levels:
-        kinds = ("Ul", "Ur", "b") + (("V", "Vl", "Vr") if p.operator_inputs else ())
-        used |= {f"{kind}_{g}" for kind in kinds for g in GATES}
-    return [t for key, t in p.weights.items() if key not in used]
 
 
 @dataclass
@@ -243,6 +214,7 @@ class LevelSchedule:
 
     levels: list[list[NodeSlot]]
     roots: list[int]  # per-tree global slot id of the root
+    shared: bool = False  # built with ``share``: a slot may have several users
 
     @property
     def total_slots(self) -> int:
@@ -305,11 +277,136 @@ def build_level_schedule(trees, share: bool = False) -> LevelSchedule:
                 level_slots.append(NodeSlot(token, slot_id(lref), slot_id(rref),
                                             xl, xr))
         levels.append(level_slots)
-    return LevelSchedule(levels, [slot_id(r) for r in root_refs])
+    return LevelSchedule(levels, [slot_id(r) for r in root_refs], share)
 
 
 def _input_token(node) -> str:
     return node.token if isinstance(node, Leaf) else node.idc
+
+
+def _add_rows(dst: np.ndarray, idx: np.ndarray, src: np.ndarray,
+              repeats: bool) -> None:
+    """``dst[idx] += src`` that also adds every row whose index repeats."""
+    if repeats:
+        np.add.at(dst, idx, src)
+    else:
+        dst[idx] += src
+
+
+def _add_grad(grads: dict, key: str, g: np.ndarray) -> None:
+    if key in grads:
+        grads[key] += g
+    else:
+        grads[key] = g
+
+
+def treelstm_levels(schedule: LevelSchedule, inputs, p: TreeLstmParams) -> Tensor:
+    """Root hidden states of a whole level schedule, one row per root,
+    recorded as one tape entry.
+
+    ``inputs`` yields each level's input rows in turn: ``(x_n,)`` at level
+    0 and ``(x_n, x_l, x_r)`` above, which only ``p.operator_inputs``
+    reads; a generator lets evaluation drop each level's rows once used. The
+    arithmetic is ``treelstm_node``'s, gate by gate in the same order, into
+    (total_slots, hidden) state buffers. Level 0 is the leaf cell: with zero
+    child states and inputs only V·x + b remains of each gate and the cell
+    is i*cand, so fl and fr are not computed there.
+
+    The backward pass walks the levels in reverse into gradient buffers of
+    the same shape and writes each weight's gradient once, as a C-ordered
+    ``g.T @ x`` summed over levels; weights no level reads get zeros, as in
+    the per-node evaluation.
+    """
+    w = {key: t.data for key, t in p.weights.items()}
+    starts = np.cumsum([0] + [len(slots) for slots in schedule.levels]).tolist()
+    taped = ad.taping()
+    read: list[Tensor] = []  # under a tape: the input tensors the cell reads
+    saved = []  # under a tape: per level, what the backward pass needs
+
+    for lvl, (slots, xs) in enumerate(zip(schedule.levels, inputs)):
+        if lvl == 0:
+            h_buf = np.empty((starts[-1], p.hidden), dtype=xs[0].data.dtype)
+            c_buf = np.empty_like(h_buf)
+            kids, gates = None, ("i", "o", "c")
+            terms, used = [("V", xs[0].data)], xs[:1]
+        else:
+            kids = (np.array([s.left for s in slots], dtype=np.intp),
+                    np.array([s.right for s in slots], dtype=np.intp))
+            gates = GATES
+            terms = [("Ul", h_buf[kids[0]]), ("Ur", h_buf[kids[1]])]
+            used = xs if p.operator_inputs else ()
+            terms += [(key, x.data) for key, x in zip(("V", "Vl", "Vr"), used)]
+        if taped:
+            read.extend(used)
+        act = {}
+        for g in gates:
+            pre = None
+            for key, x in terms:
+                term = x @ w[f"{key}_{g}"].T
+                pre = term if pre is None else np.add(pre, term, out=pre)
+            if p.use_bias:
+                pre += w[f"b_{g}"]
+            act[g] = np.tanh(pre) if g == "c" else ad.logistic(pre)
+        rows_ = slice(starts[lvl], starts[lvl + 1])
+        c = np.multiply(act["i"], act["c"], out=c_buf[rows_])
+        if kids is not None:
+            c += act["fl"] * c_buf[kids[0]]
+            c += act["fr"] * c_buf[kids[1]]
+        tc = np.tanh(c)
+        np.multiply(act["o"], tc, out=h_buf[rows_])
+        if taped:
+            saved.append((rows_, kids, terms, act, tc))
+
+    roots = np.array(schedule.roots, dtype=np.intp)
+    out = Tensor(h_buf[roots])
+    if not taped:
+        return out
+    weights = tuple(p.weights.values())
+    shared = schedule.shared
+
+    def backward(g):
+        dh = np.zeros_like(h_buf)
+        dc = np.zeros_like(c_buf)
+        _add_rows(dh, roots, g, shared)
+        grads: dict[str, np.ndarray] = {}
+        x_grads = []  # per read input, from the top level down
+        for rows_, kids, terms, act, tc in reversed(saved):
+            dh_n, i, o, cand = dh[rows_], act["i"], act["o"], act["c"]
+            # the reverse of c = i*cand + fl*c_l + fr*c_r and h = o*tanh(c),
+            # product by product in the order the tape would take them
+            dcn = dc[rows_] + dh_n * o * (1.0 - tc * tc)
+            d_pre = {"i": dcn * cand * i * (1.0 - i),
+                     "o": dh_n * tc * o * (1.0 - o),
+                     "c": dcn * i * (1.0 - cand * cand)}
+            if kids is not None:
+                for gate, kid in zip(("fl", "fr"), kids):
+                    f = act[gate]
+                    d_pre[gate] = dcn * c_buf[kid] * f * (1.0 - f)
+            d_terms = [None] * len(terms)
+            for gate in reversed(GATES):  # an input's uses, last first
+                if gate not in d_pre:
+                    continue
+                dp = d_pre[gate]
+                for k, (key, x) in enumerate(terms):
+                    _add_grad(grads, f"{key}_{gate}", dp.T @ x)
+                    dx = dp @ w[f"{key}_{gate}"]
+                    d_terms[k] = dx if d_terms[k] is None else np.add(
+                        d_terms[k], dx, out=d_terms[k])
+                if p.use_bias:
+                    _add_grad(grads, f"b_{gate}", dp.sum(axis=0))
+            if kids is not None:
+                left, right = kids
+                _add_rows(dc, right, dcn * act["fr"], shared)
+                _add_rows(dc, left, dcn * act["fl"], shared)
+                _add_rows(dh, right, d_terms[1], shared)
+                _add_rows(dh, left, d_terms[0], shared)
+                d_terms = d_terms[2:]
+            x_grads.extend(reversed(d_terms))
+        return (*(grads[key] if key in grads else np.zeros_like(w[key])
+                  for key in p.weights),
+                *reversed(x_grads))
+
+    return ad.record(out, (*weights, *read), backward)
 
 
 def treelstm_batch_forward(trees, embeds: VocabEmbeddings, p: TreeLstmParams,
@@ -318,10 +415,10 @@ def treelstm_batch_forward(trees, embeds: VocabEmbeddings, p: TreeLstmParams,
                            training: bool = False) -> Tensor:
     """Level-batched evaluation; returns root hidden states, one row per tree.
 
-    Per-tree results match the sequential evaluation (same arithmetic,
-    grouped into one matrix operation per level). Leaves use
-    ``treelstm_leaf``; weights read only by the terms it skips get zero
-    gradients, as in the sequential evaluation.
+    Per-tree results match the sequential evaluation: ``treelstm_levels``
+    does the same arithmetic, grouped into one matrix operation per level.
+    The input rows are looked up (and dropped out) level by level, in that
+    order, as the cell reaches each level.
 
     Each distinct subtree is evaluated once, and its gradients accumulate
     over every use, unless training draws an input-dropout mask: then every
@@ -329,30 +426,19 @@ def treelstm_batch_forward(trees, embeds: VocabEmbeddings, p: TreeLstmParams,
     """
     share = not (training and input_dropout > 0)
     schedule = build_level_schedule(trees, share=share)
-    h_pool: Tensor | None = None
-    c_pool: Tensor | None = None
 
-    def maybe_drop(x: Tensor) -> Tensor:
-        return dropout(x, input_dropout, rng, training)
+    def look_up(tokens) -> Tensor:
+        return dropout(embeds.lookup(tokens), input_dropout, rng, training)
 
-    for lvl, slots in enumerate(schedule.levels):
-        x_n = maybe_drop(embeds.lookup([s.token for s in slots]))
-        if lvl == 0:
-            c, h = treelstm_leaf(x_n, p)
-        else:
-            left = np.array([s.left for s in slots], dtype=np.intp)
-            right = np.array([s.right for s in slots], dtype=np.intp)
-            x_l = maybe_drop(embeds.lookup([s.xl_token for s in slots]))
-            x_r = maybe_drop(embeds.lookup([s.xr_token for s in slots]))
-            c, h = treelstm_node(x_n, x_l, x_r,
-                                 rows(h_pool, left), rows(h_pool, right),
-                                 rows(c_pool, left), rows(c_pool, right),
-                                 p, inputs_on=p.operator_inputs)
-        h_pool = h if h_pool is None else concat([h_pool, h], axis=0)
-        c_pool = c if c_pool is None else concat([c_pool, c], axis=0)
-    roots = rows(h_pool, np.array(schedule.roots, dtype=np.intp))
-    skipped = _leaf_skipped_weights(p, len(schedule.levels) > 1)
-    return ad.pass_zero_grads(roots, skipped) if skipped else roots
+    def level_inputs():
+        for lvl, slots in enumerate(schedule.levels):
+            xs = [look_up([s.token for s in slots])]
+            if lvl:
+                xs += [look_up([s.xl_token for s in slots]),
+                       look_up([s.xr_token for s in slots])]
+            yield xs
+
+    return treelstm_levels(schedule, level_inputs(), p)
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +463,7 @@ class LstmParams:
         p = cls(sizes, d_in)
         for layer, size in enumerate(sizes):
             ind = d_in if layer == 0 else sizes[layer - 1]
-            for g in ("i", "f", "o", "c"):
+            for g in LSTM_GATES:
                 p.weights[f"L{layer}.Wx_{g}"] = _weight(
                     rng, size, ind, f"{prefix}.L{layer}.Wx_{g}")
                 p.weights[f"L{layer}.Wh_{g}"] = _weight(
@@ -392,6 +478,8 @@ class LstmParams:
 
 def lstm_cell(x: Tensor, h: Tensor, c: Tensor, p: LstmParams,
               layer: int = 0) -> tuple[Tensor, Tensor]:
+    """One step of layer ``layer``, composed from primitives: the oracle
+    of ``lstm_layer``, which fuses it over a window."""
     w = p.weights
 
     def pre(g):
@@ -427,6 +515,107 @@ def split_steps(x: Tensor, batch: int, steps: int) -> list[Tensor]:
     return ad.unstack(ad.reshape(x, (batch, steps, x.data.shape[-1])), axis=1)
 
 
+def lstm_layer(x: Tensor, p: LstmParams, layer: int, state=None,
+               mask: np.ndarray | None = None):
+    """One layer of the stacked cell over a (n, T, d) window, recorded as
+    one tape entry.
+
+    ``state`` is the carried ``(h, c)``, each (n, H), or None for zeros.
+    With a (n, T, 1) ``mask`` of real positions, padded steps carry the
+    state through unchanged (``h = h_new*m + h*(1-m)``, and so for c). The
+    arithmetic is ``lstm_cell``'s, step by step and in the same order.
+    Returns the outputs (n, T, H) and the final ``(h, c)``, handed out of
+    one buffer; the final h equals the outputs at step T-1.
+
+    The backward pass runs the steps in reverse and writes each weight's
+    gradient once, as a C-ordered sum over steps of ``g.T @ x``.
+    """
+    n, steps, _ = x.data.shape
+    gates = [(g, tuple(f"L{layer}.{kind}_{g}" for kind in ("Wx", "Wh", "b")))
+             for g in LSTM_GATES]
+    names = [key for _, trio in gates for key in trio]
+    w = {key: p.weights[key].data for key in names}
+    xs = np.ascontiguousarray(x.data.swapaxes(0, 1))  # (T, n, d)
+    if mask is not None:
+        mask = mask.astype(xs.dtype, copy=False)
+    if state is None:
+        h = np.zeros((n, p.sizes[layer]), dtype=xs.dtype)
+        c = np.zeros_like(h)
+    else:
+        h, c = state[0].data, state[1].data
+    buf = np.empty((steps + 1,) + h.shape, dtype=h.dtype)  # every h, final c
+    taped = ad.taping()
+    saved = []  # per step, only under a tape
+
+    for t in range(steps):
+        act = {}
+        for g, (wx, wh, b) in gates:
+            pre = xs[t] @ w[wx].T
+            pre += h @ w[wh].T
+            pre += w[b]
+            act[g] = np.tanh(pre) if g == "c" else ad.logistic(pre)
+        c_new = act["f"] * c
+        c_new += act["i"] * act["c"]
+        tc = np.tanh(c_new)
+        if taped:
+            saved.append((act, tc, h, c))
+        if mask is None:
+            h, c = np.multiply(act["o"], tc, out=buf[t]), c_new
+        else:
+            m, k = mask[:, t], 1.0 - mask[:, t]
+            h = np.add(act["o"] * tc * m, h * k, out=buf[t])
+            c = c_new * m + c * k
+    buf[steps] = c
+
+    whole = Tensor(buf)
+
+    def backward(g_buf):
+        whole.grad = None
+        grads: dict[str, np.ndarray] = {}
+        dx = np.empty_like(xs)
+        dh, dc = g_buf[steps - 1], g_buf[steps]
+        for t in reversed(range(steps)):
+            act, tc, h_prev, c_prev = saved[t]
+            i, f, o, cand = act["i"], act["f"], act["o"], act["c"]
+            if mask is not None:
+                m, k = mask[:, t], 1.0 - mask[:, t]
+                dh_new, dcn = dh * m, dc * m
+            else:
+                dh_new, dcn = dh, dc
+            # the reverse of c = f*c_prev + i*cand and h = o*tanh(c), product
+            # by product in the order the tape would take them
+            dcn = dcn + dh_new * o * (1.0 - tc * tc)
+            d_pre = {"i": dcn * cand * i * (1.0 - i),
+                     "f": dcn * c_prev * f * (1.0 - f),
+                     "o": dh_new * tc * o * (1.0 - o),
+                     "c": dcn * i * (1.0 - cand * cand)}
+            # step t-1's h: its outside uses first (already in g_buf), then
+            # the carry, then this step's gates, last first
+            acc = g_buf[t - 1] if t else None
+            if mask is not None:
+                acc = dh * k if acc is None else np.add(acc, dh * k, out=acc)
+            dx_t = None
+            for g, (wx, wh, b) in reversed(gates):
+                dp = d_pre[g]
+                _add_grad(grads, wx, dp.T @ xs[t])
+                _add_grad(grads, wh, dp.T @ h_prev)
+                _add_grad(grads, b, dp.sum(axis=0))
+                gx, gh = dp @ w[wx], dp @ w[wh]
+                dx_t = gx if dx_t is None else np.add(dx_t, gx, out=dx_t)
+                acc = gh if acc is None else np.add(acc, gh, out=acc)
+            dx[t] = dx_t
+            dh = acc
+            dc = dcn * f if mask is None else dc * k + dcn * f
+        carried = () if state is None else (dh, dc)
+        return (dx.swapaxes(0, 1), *(grads[key] for key in names), *carried)
+
+    parents = (x, *(p.weights[key] for key in names), *(state or ()))
+    ad.record(whole, parents, backward)
+    outs = ad.hand_out(whole, lambda d: d[:steps].swapaxes(0, 1))
+    return outs, (ad.hand_out(whole, lambda d: d[steps - 1]),
+                  ad.hand_out(whole, lambda d: d[steps]))
+
+
 def lstm_batch_forward(seqs: list[list[str]], embeds: VocabEmbeddings,
                        p: LstmParams, input_dropout: float = 0.0,
                        rng: np.random.Generator | None = None,
@@ -442,21 +631,12 @@ def lstm_batch_forward(seqs: list[list[str]], embeds: VocabEmbeddings,
     n, max_len = ids_.shape
     x_all = dropout(rows(embeds.table, ids_.reshape(-1)), input_dropout, rng,
                     training)
-    layer_in = split_steps(x_all, n, max_len)
-    for layer, size in enumerate(p.sizes):
-        h = Tensor(np.zeros((n, size)))
-        c = Tensor(np.zeros((n, size)))
-        outs = []
-        for t in range(max_len):
-            m = Tensor(mask[:, t])
-            keep = Tensor(1.0 - mask[:, t])
-            h_new, c_new = lstm_cell(layer_in[t], h, c, p, layer)
-            h = h_new * m + h * keep
-            c = c_new * m + c * keep
-            outs.append(h)
-        layer_in = outs
+    out = ad.reshape(x_all, (n, max_len, embeds.d_in))
+    for layer in range(len(p.sizes)):
+        out, (h, _) = lstm_layer(out, p, layer, mask=mask)
     if collect_states:
-        return h, outs
+        states = ad.unstack(out, axis=1)
+        return states[-1], states
     return h
 
 

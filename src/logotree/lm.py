@@ -43,11 +43,15 @@ class StackedLstm(enc.LstmParams):
 
     def step(self, x: Tensor, state, hidden_dropout: float = 0.0,
              rng=None, training: bool = False):
-        """One timestep through all layers; returns (top output, new state)."""
+        """One timestep through all layers; returns (top output, new state).
+
+        Each layer is one ``encoders.lstm_layer`` over a one-step window.
+        """
         new_state = []
         inp = x
-        for layer, (h, c) in enumerate(state):
-            h, c = enc.lstm_cell(inp, h, c, self, layer)
+        for layer, carried in enumerate(state):
+            window = ad.reshape(inp, (inp.data.shape[0], 1, inp.data.shape[1]))
+            _, (h, c) = enc.lstm_layer(window, self, layer, carried)
             new_state.append((h, c))
             inp = h
             if layer < len(self.sizes) - 1:

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from logotree import autodiff as ad
 from logotree.autodiff import (Adam, Tape, Tensor, check_gradient, concat,
-                               dropout, dropout_mask, matmul, narrow, rows,
+                               dropout, matmul, narrow, rows,
                                sigmoid, softmax, softmax_cross_entropy, tanh)
 from logotree.errors import ContractError, NumericsError, ShapeError
 
@@ -356,46 +356,33 @@ def test_clip_global_norm_below_bound_keeps_arrays():
     assert a.grad is before
 
 
-def test_pass_zero_grads_is_identity_with_zero_gradients():
-    x = Tensor(np.array([[1.0, -2.0]]))
-    w = Tensor(np.ones((3, 2)), name="w")
-    tp = Tape()
-    with tp:
-        y = ad.pass_zero_grads(x, [w])
-        loss = (y * y).sum()
-    np.testing.assert_array_equal(y.data, x.data)
-    tp.backward(loss)
-    np.testing.assert_array_equal(x.grad, [[2.0, -4.0]])
-    np.testing.assert_array_equal(w.grad, np.zeros((3, 2)))
-
-
 # ---------------------------------------------------------------------------
 # dropout
 # ---------------------------------------------------------------------------
 
 def test_dropout_rate_zero_all_ones():
-    m = dropout_mask((4, 4), 0.0, np.random.default_rng(0))
+    m = dropout(Tensor(np.ones((4, 4))), 0.0, np.random.default_rng(0), True)
     np.testing.assert_array_equal(m.data, np.ones((4, 4)))
 
 
 def test_dropout_eval_all_ones():
-    m = dropout_mask((4, 4), 0.4, np.random.default_rng(0), training=False)
+    m = dropout(Tensor(np.ones((4, 4))), 0.4, np.random.default_rng(0), False)
     np.testing.assert_array_equal(m.data, np.ones((4, 4)))
 
 
 def test_dropout_inverted_mean_near_one():
-    m = dropout_mask((100000,), 0.5, np.random.default_rng(7))
+    m = dropout(Tensor(np.ones(100000)), 0.5, np.random.default_rng(7), True)
     assert 0.98 <= float(m.data.mean()) <= 1.02
 
 
 def test_dropout_rate_one_rejected():
     with pytest.raises(ContractError):
-        dropout_mask((2,), 1.0, np.random.default_rng(0))
+        dropout(Tensor(np.ones(2)), 1.0, np.random.default_rng(0), True)
 
 
 def test_dropout_equals_mask_product_bitwise():
     x = rnd(np.random.default_rng(8), 5, 7)
-    mask = dropout_mask(x.data.shape, 0.3, np.random.default_rng(4))
+    mask = dropout(Tensor(np.ones(x.data.shape)), 0.3, np.random.default_rng(4), True)
     keep = np.random.default_rng(4).random(x.data.shape) >= 0.3
     np.testing.assert_array_equal(mask.data, keep / 0.7)
     expected = (x * mask).data

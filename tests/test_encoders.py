@@ -110,10 +110,24 @@ def test_leaf_cell_equals_node_with_zero_children(use_bias):
             w.data[:] = rng.standard_normal(5)
     x = Tensor(rng.standard_normal((4, 3)))
     zx, zh = Tensor(np.zeros((4, 3))), Tensor(np.zeros((4, 5)))
-    c_leaf, h_leaf = enc.treelstm_leaf(x, p)
-    c_node, h_node = treelstm_node(x, zx, zx, zh, zh, zh, zh, p)
-    np.testing.assert_array_equal(c_leaf.data, c_node.data)
-    np.testing.assert_array_equal(h_leaf.data, h_node.data)
+    # level 0 of the fused primitive is the leaf cell; with every slot a
+    # root its output is that level's h
+    leaves = enc.LevelSchedule([[enc.NodeSlot(t) for t in "abcd"]], [0, 1, 2, 3])
+    results = []
+    for fused in (True, False):
+        tp = Tape()
+        with tp:
+            if fused:
+                h = enc.treelstm_levels(leaves, [[x]], p)
+            else:
+                h = treelstm_node(x, zx, zx, zh, zh, zh, zh, p)[1]
+            loss = (h * h).sum()
+        x.grad = None
+        tp.backward(loss)
+        results.append((h.data, x.grad))
+    (h_leaf, g_leaf), (h_node, g_node) = results
+    np.testing.assert_array_equal(h_leaf, h_node)
+    np.testing.assert_array_equal(g_leaf, g_node)
 
 
 @pytest.mark.parametrize("inputs_on", [True, False])

@@ -1,0 +1,359 @@
+"""The fused recurrent primitives against finite differences and against the
+composed cells they replace.
+
+``treelstm_levels`` evaluates a whole level schedule and ``lstm_layer`` one
+layer over a whole window, each as one tape entry with a hand-written
+backward pass. The composed oracles below rebuild the same computation from
+``treelstm_node`` / ``lstm_cell`` and single-op primitives; where the
+slots of a schedule are not shared, the fused primitives must equal them
+bit for bit, forward values and gradients alike.
+"""
+
+import random
+
+import numpy as np
+import pytest
+
+from logotree import autodiff as ad
+from logotree import encoders as enc
+from logotree import lm
+from logotree.autodiff import Tape, Tensor, check_gradient
+from logotree.config import LmConfig
+from logotree.ids import Leaf, Op
+
+
+def random_tree(rng: random.Random, depth: int):
+    if depth == 0 or rng.random() < 0.3:
+        return Leaf(rng.choice("abcdef"))
+    return Op(rng.choice("⿰⿱"), random_tree(rng, depth - 1),
+              random_tree(rng, depth - 1))
+
+
+def level_inputs(schedule, embeds):
+    """Input rows per level, looked up as ``treelstm_batch_forward`` does."""
+    inputs = []
+    for lvl, slots in enumerate(schedule.levels):
+        xs = [embeds.lookup([s.token for s in slots])]
+        if lvl:
+            xs += [embeds.lookup([s.xl_token for s in slots]),
+                   embeds.lookup([s.xr_token for s in slots])]
+        inputs.append(xs)
+    return inputs
+
+
+def composed_levels(schedule, inputs, p):
+    """The level loop the fused primitive replaced: ``treelstm_node`` per
+    level over row gathers of concatenated state pools, leaves included
+    (with zero child states and inputs)."""
+    h_pool = c_pool = None
+    for lvl, (slots, xs) in enumerate(zip(schedule.levels, inputs)):
+        if lvl == 0:
+            zx = Tensor(np.zeros_like(xs[0].data))
+            zh = Tensor(np.zeros((len(slots), p.hidden)))
+            c, h = enc.treelstm_node(xs[0], zx, zx, zh, zh, zh, zh, p)
+        else:
+            left = [s.left for s in slots]
+            right = [s.right for s in slots]
+            c, h = enc.treelstm_node(*xs, ad.rows(h_pool, left),
+                                     ad.rows(h_pool, right),
+                                     ad.rows(c_pool, left),
+                                     ad.rows(c_pool, right), p,
+                                     inputs_on=p.operator_inputs)
+        h_pool = h if h_pool is None else ad.concat([h_pool, h], axis=0)
+        c_pool = c if c_pool is None else ad.concat([c_pool, c], axis=0)
+    return ad.rows(h_pool, schedule.roots)
+
+
+def composed_layer(x, p, layer, state, mask):
+    """``lstm_layer`` as an ``lstm_cell`` loop with the padding mask applied
+    per step; returns (per-step outputs, final h, final c)."""
+    n, steps, _ = x.data.shape
+    h, c = state
+    outs = []
+    for t, x_t in enumerate(ad.unstack(x, axis=1)):
+        m, keep = Tensor(mask[:, t]), Tensor(1.0 - mask[:, t])
+        h_new, c_new = enc.lstm_cell(x_t, h, c, p, layer)
+        h = h_new * m + h * keep
+        c = c_new * m + c * keep
+        outs.append(h)
+    return outs, h, c
+
+
+def run_and_grad(build, tensors):
+    """Forward values of ``build()`` (a list of tensors, the first summed
+    with weights into the loss) and the gradients of ``tensors``."""
+    tp = Tape()
+    with tp:
+        outs = build()
+        rng = np.random.default_rng(99)
+        loss = None
+        for o in outs:
+            term = (o * Tensor(rng.standard_normal(o.data.shape))).sum()
+            loss = term if loss is None else loss + term
+    for t in tensors:
+        t.grad = None
+    tp.backward(loss)
+    return [o.data.copy() for o in outs], [t.grad for t in tensors]
+
+
+def tree_setup(seed, use_bias=True, operator_inputs=True, hidden=3, d_in=2):
+    rng = np.random.default_rng(seed)
+    p = enc.TreeLstmParams.init(hidden, d_in, rng, use_bias=use_bias,
+                                operator_inputs=operator_inputs)
+    for key, w in p.weights.items():
+        if key.startswith("b_"):
+            w.data[:] = rng.standard_normal(hidden)
+    embeds = enc.VocabEmbeddings("abcdef", d_in, rng)
+    return p, embeds
+
+
+SHARED_TREES = [Op("⿰", Leaf("a"), Leaf("a")),
+                Op("⿱", Op("⿰", Leaf("a"), Leaf("a")), Leaf("b")),
+                Op("⿰", Leaf("a"), Leaf("a")), Leaf("b"),
+                Op("⿰", Op("⿱", Leaf("c"), Leaf("a")),
+                   Op("⿱", Op("⿰", Leaf("a"), Leaf("a")), Leaf("b")))]
+ALL_LEAVES = [Leaf("a"), Leaf("c"), Leaf("a"), Leaf("f")]
+CELLS = [(True, True), (False, True), (True, False), (False, False)]
+
+
+# ---------------------------------------------------------------------------
+# treelstm_levels
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("use_bias,operator_inputs", CELLS)
+@pytest.mark.parametrize("trees", [SHARED_TREES, ALL_LEAVES],
+                         ids=["shared-subtrees", "all-leaves"])
+@pytest.mark.parametrize("share", [True, False])
+def test_tree_levels_gradients_match_finite_differences(trees, share, use_bias,
+                                                       operator_inputs):
+    p, embeds = tree_setup(61, use_bias, operator_inputs)
+    schedule = enc.build_level_schedule(trees, share=share)
+    if share and trees is SHARED_TREES:
+        assert len(set(schedule.roots)) < len(trees)
+    weights = Tensor(np.random.default_rng(62).standard_normal((len(trees), 3)))
+
+    def loss():
+        h = enc.treelstm_levels(schedule, level_inputs(schedule, embeds), p)
+        return (h * weights).sum() + (h * h).sum()
+
+    for name, t in {**p.params(), **embeds.params()}.items():
+        assert check_gradient(lambda _t: loss(), t) < 1e-6, name
+
+
+@pytest.mark.parametrize("use_bias,operator_inputs", CELLS)
+def test_tree_levels_equal_composed_levels_bitwise(use_bias, operator_inputs):
+    p, embeds = tree_setup(63, use_bias, operator_inputs, hidden=6, d_in=4)
+    pyrng = random.Random(64)
+    trees = [random_tree(pyrng, pyrng.randint(0, 5)) for _ in range(30)]
+    schedule = enc.build_level_schedule(trees, share=False)
+    tensors = [*p.weights.values(), embeds.table]
+    fused = run_and_grad(
+        lambda: [enc.treelstm_levels(schedule, level_inputs(schedule, embeds), p)],
+        tensors)
+    composed = run_and_grad(
+        lambda: [composed_levels(schedule, level_inputs(schedule, embeds), p)],
+        tensors)
+    np.testing.assert_array_equal(fused[0][0], composed[0][0])
+    for t, g_fused, g_composed in zip(tensors, fused[1], composed[1]):
+        np.testing.assert_array_equal(g_fused, g_composed, err_msg=t.name)
+
+
+# ---------------------------------------------------------------------------
+# lstm_layer
+# ---------------------------------------------------------------------------
+
+def lstm_setup(seed, n=3, steps=4, d_in=2, hidden=3):
+    rng = np.random.default_rng(seed)
+    p = enc.LstmParams.init(hidden, d_in, rng)
+    x = Tensor(rng.standard_normal((n, steps, d_in)))
+    state = (Tensor(rng.standard_normal((n, hidden))),
+             Tensor(rng.standard_normal((n, hidden))))
+    mask = np.ones((n, steps, 1))
+    mask[1, 2:] = 0.0  # end padding
+    mask[2, 1:] = 0.0
+    return p, x, state, mask
+
+
+def test_lstm_layer_gradients_match_finite_differences():
+    p, x, state, mask = lstm_setup(71)
+
+    def outputs():
+        outs, (h, c) = enc.lstm_layer(x, p, 0, state, mask)
+        return outs, h, c
+
+    coefs = [Tensor(np.random.default_rng(72 + k).standard_normal(o.data.shape))
+             for k, o in enumerate(outputs())]
+
+    def loss():
+        terms = [(o * w).sum() for o, w in zip(outputs(), coefs)]
+        return terms[0] + terms[1] + terms[2] + (terms[2] * terms[1])
+
+    for t in [x, *state, *p.weights.values()]:
+        assert check_gradient(lambda _t: loss(), t) < 1e-6, t.name
+
+
+@pytest.mark.parametrize("carried", [True, False])
+def test_lstm_layer_equals_cell_loop_bitwise(carried):
+    p, x, state, mask = lstm_setup(73, n=4, steps=5, d_in=3, hidden=4)
+    zeros = (Tensor(np.zeros((4, 4))), Tensor(np.zeros((4, 4))))
+    tensors = [x, *p.weights.values()] + (list(state) if carried else [])
+
+    def fused():
+        outs, (h, c) = enc.lstm_layer(x, p, 0, state if carried else None, mask)
+        return [outs, h, c]
+
+    def composed():
+        outs, h, c = composed_layer(x, p, 0, state if carried else zeros, mask)
+        return [ad.concat([ad.reshape(o, (4, 1, 4)) for o in outs], axis=1), h, c]
+
+    (f_vals, f_grads), (c_vals, c_grads) = (run_and_grad(fused, tensors),
+                                            run_and_grad(composed, tensors))
+    for a, b in zip(f_vals, c_vals):
+        np.testing.assert_array_equal(a, b)
+    for t, a, b in zip(tensors, f_grads, c_grads):
+        np.testing.assert_array_equal(a, b, err_msg=t.name)
+
+
+def test_stacked_batch_forward_equals_cell_loop_bitwise():
+    # two layers and dropout: the layer-1 input is layer 0's handed-out
+    # outputs, and the mask rows are drawn as before
+    rng = np.random.default_rng(74)
+    p = enc.LstmParams.init((5, 4), 3, rng)
+    embeds = enc.VocabEmbeddings("abcdef", 3, rng)
+    seqs = [list("abcde"), list("b"), list("fca")]
+    tensors = [*p.weights.values(), embeds.table]
+
+    def composed():
+        ids_, mask = enc._pad_ids(seqs, embeds, 1)
+        n, steps = ids_.shape
+        x = ad.dropout(ad.rows(embeds.table, ids_.reshape(-1)), 0.2,
+                       np.random.default_rng(5), True)
+        x = ad.reshape(x, (n, steps, 3))
+        for layer, size in enumerate(p.sizes):
+            zeros = (Tensor(np.zeros((n, size))), Tensor(np.zeros((n, size))))
+            outs, h, _ = composed_layer(x, p, layer, zeros, mask)
+            x = ad.concat([ad.reshape(o, (n, 1, size)) for o in outs], axis=1)
+        return [h]
+
+    fused = run_and_grad(lambda: [enc.lstm_batch_forward(
+        seqs, embeds, p, 0.2, np.random.default_rng(5), True)], tensors)
+    oracle = run_and_grad(composed, tensors)
+    np.testing.assert_array_equal(fused[0][0], oracle[0][0])
+    for t, a, b in zip(tensors, fused[1], oracle[1]):
+        np.testing.assert_array_equal(a, b, err_msg=t.name)
+
+
+def test_lm_step_equals_cell_steps_bitwise():
+    # as in an LM window, each step's output is used (dropped out) before
+    # the next step reads the carried state
+    model = lm.build_lm(LmConfig(layer_sizes=(4, 3), embed_dim=3, seed=5),
+                        list("abc"))
+    core = model.core
+    xs = [Tensor(np.random.default_rng(80 + t).standard_normal((2, 3)))
+          for t in range(3)]
+    tensors = list(core.params().values())
+
+    def stepped():
+        state = core.zero_state(2)
+        outs = []
+        for x in xs:
+            out, state = core.step(x, state, 0.3, np.random.default_rng(1), True)
+            outs.append(ad.dropout(out, 0.25, np.random.default_rng(2), True))
+        return outs
+
+    def cells():
+        state = core.zero_state(2)
+        outs = []
+        for x in xs:
+            inp, new, drop_rng = x, [], np.random.default_rng(1)
+            for layer, (h, c) in enumerate(state):
+                h, c = enc.lstm_cell(inp, h, c, core, layer)
+                new.append((h, c))
+                inp = h if layer == 1 else ad.dropout(h, 0.3, drop_rng, True)
+            state = new
+            outs.append(ad.dropout(inp, 0.25, np.random.default_rng(2), True))
+        return outs
+
+    (a_vals, a_grads), (b_vals, b_grads) = (run_and_grad(stepped, tensors),
+                                            run_and_grad(cells, tensors))
+    for a, b in zip(a_vals, b_vals):
+        np.testing.assert_array_equal(a, b)
+    for t, a, b in zip(tensors, a_grads, b_grads):
+        np.testing.assert_array_equal(a, b, err_msg=t.name)
+
+
+# ---------------------------------------------------------------------------
+# tape entries and gradient layout
+# ---------------------------------------------------------------------------
+
+def test_tree_batch_records_its_lookups_and_one_cell_entry():
+    # each level records its input lookups (one at the leaves, three
+    # above) and the whole cell is one entry, however many levels there are
+    p, embeds = tree_setup(81)
+    for depth in (2, 4):
+        tree = Leaf("a")
+        for _ in range(depth):
+            tree = Op("⿰", tree, Leaf("b"))
+        trees = [tree, Op("⿱", Leaf("c"), Leaf("d"))]
+        tp = Tape()
+        with tp:
+            enc.treelstm_batch_forward(trees, embeds, p)
+        levels = depth + 1
+        assert len(enc.build_level_schedule(trees).levels) == levels
+        assert len(tp) == 1 + 3 * (levels - 1) + 1
+    assert levels == 5
+
+
+@pytest.mark.parametrize("length", [2, 9])
+def test_lstm_batch_records_a_fixed_number_of_entries(length):
+    # the embedding gather and its reshape, then per layer the fused entry
+    # and its three handed-out outputs, for any sequence length
+    rng = np.random.default_rng(82)
+    p = enc.LstmParams.init(4, 3, rng, layers=2)
+    embeds = enc.VocabEmbeddings("abcdef", 3, rng)
+    tp = Tape()
+    with tp:
+        enc.lstm_batch_forward([list("abcdefabc"[:length]), list("ab")], embeds, p)
+    assert len(tp) == 2 + 2 * 4
+
+
+def test_tree_and_lstm_weight_gradients_are_c_ordered():
+    # Adam updates C-ordered gradients faster than the transposed views a
+    # composed ``x @ W.T`` hands back
+    rng = np.random.default_rng(83)
+    embeds = enc.VocabEmbeddings("abcdef", 3, rng)
+    tree = enc.TreeLstmParams.init(4, 3, rng)
+    seq = enc.BiLstmParams.init(4, 3, rng, layers=2)
+    trees = [random_tree(random.Random(84), 4) for _ in range(6)]
+    seqs = [list("abc"), list("fedcb")]
+    drop = np.random.default_rng(85)
+    tp = Tape()
+    with tp:
+        h_tree = enc.treelstm_batch_forward(trees, embeds, tree, 0.1, drop, True)
+        h_seq = enc.bilstm_batch_forward(seqs, embeds, seq, 0.1, drop, True)
+        loss = (h_tree * h_tree).sum() + (h_seq * h_seq).sum()
+    params = {**tree.params(), **seq.params()}
+    ad.zero_grads(params.values())
+    tp.backward(loss)
+    for name, t in params.items():
+        assert t.grad.flags.c_contiguous, name
+
+
+def test_fused_primitives_keep_float32():
+    ad.set_default_dtype(np.float32)
+    try:
+        rng = np.random.default_rng(86)
+        embeds = enc.VocabEmbeddings("abcdef", 3, rng)
+        tree = enc.TreeLstmParams.init(4, 3, rng)
+        seq = enc.LstmParams.init(4, 3, rng, layers=2)
+        tp = Tape()
+        with tp:
+            h_tree = enc.treelstm_batch_forward(SHARED_TREES, embeds, tree)
+            h_seq = enc.lstm_batch_forward([list("abc"), list("d")], embeds, seq)
+            loss = (h_tree * h_tree).sum() + (h_seq * h_seq).sum()
+        tp.backward(loss)
+        assert h_tree.data.dtype == h_seq.data.dtype == np.float32
+        for t in [*tree.params().values(), *seq.params().values()]:
+            assert t.grad.dtype == np.float32, t.name
+    finally:
+        ad.set_default_dtype(np.float64)
