@@ -309,6 +309,26 @@ def rows(a: Tensor, idx) -> Tensor:
     return record(out, (a,), backward)
 
 
+def permute(a: Tensor, order) -> Tensor:
+    """Rows ``a[order]`` for a permutation ``order`` of axis 0.
+
+    As ``rows``, but every row is used once, so the backward pass puts the
+    gradient back with one assignment instead of ``np.add.at``.
+    """
+    order = np.asarray(order, dtype=np.intp)
+    if not np.array_equal(np.sort(order), np.arange(a.data.shape[0])):
+        raise ContractError(f"permute: {order.tolist()} is not a permutation "
+                            f"of {a.data.shape[0]} rows")
+    out = Tensor(a.data[order])
+
+    def backward(g):
+        ga = np.empty_like(a.data)
+        ga[order] = g
+        return (ga,)
+
+    return record(out, (a,), backward)
+
+
 def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     """Contiguous slice ``[start, start+length)`` along one axis."""
     if start < 0 or start + length > a.data.shape[axis]:

@@ -497,17 +497,15 @@ def lstm_cell(x: Tensor, h: Tensor, c: Tensor, p: LstmParams,
 
 def _pad_ids(seqs: list[list[str]], embeds: VocabEmbeddings,
              min_len: int) -> tuple[np.ndarray, np.ndarray]:
-    """End-padded token ids (n, max_len) and the (n, max_len, 1) mask of real
-    positions, with max_len at least ``min_len``."""
+    """End-padded token ids (n, max_len) and each sequence's length (n,),
+    with max_len at least ``min_len``."""
     if not seqs or any(len(s) == 0 for s in seqs):
         raise ContractError("sequences must be non-empty")
-    max_len = max(min_len, max(len(s) for s in seqs))
-    ids_ = np.zeros((len(seqs), max_len), dtype=np.intp)
-    mask = np.zeros((len(seqs), max_len, 1))
+    lengths = np.array([len(s) for s in seqs], dtype=np.intp)
+    ids_ = np.zeros((len(seqs), max(min_len, lengths.max())), dtype=np.intp)
     for k, seq in enumerate(seqs):
         ids_[k, :len(seq)] = embeds.token_ids(seq)
-        mask[k, :len(seq)] = 1.0
-    return ids_, mask
+    return ids_, lengths
 
 
 def split_steps(x: Tensor, batch: int, steps: int) -> list[Tensor]:
@@ -515,57 +513,74 @@ def split_steps(x: Tensor, batch: int, steps: int) -> list[Tensor]:
     return ad.unstack(ad.reshape(x, (batch, steps, x.data.shape[-1])), axis=1)
 
 
+def _running_rows(lengths, n: int, steps: int) -> list[int]:
+    """n_t = #(lengths > t) for each step t: the rows that still run."""
+    if lengths is None:
+        return [n] * steps
+    lengths = np.asarray(lengths)
+    if (lengths.shape != (n,) or np.any(lengths[1:] > lengths[:-1])
+            or np.any(lengths < 0) or np.any(lengths > steps)):
+        raise ContractError(f"lengths must be {n} non-increasing values in "
+                            f"[0, {steps}], got {lengths.tolist()}")
+    return np.count_nonzero(lengths[:, None] > np.arange(steps), axis=0).tolist()
+
+
 def lstm_layer(x: Tensor, p: LstmParams, layer: int, state=None,
-               mask: np.ndarray | None = None):
+               lengths: np.ndarray | None = None):
     """One layer of the stacked cell over a (n, T, d) window, recorded as
     one tape entry.
 
     ``state`` is the carried ``(h, c)``, each (n, H), or None for zeros.
-    With a (n, T, 1) ``mask`` of real positions, padded steps carry the
-    state through unchanged (``h = h_new*m + h*(1-m)``, and so for c). The
-    arithmetic is ``lstm_cell``'s, step by step and in the same order.
-    Returns the outputs (n, T, H) and the final ``(h, c)``, handed out of
-    one buffer; the final h equals the outputs at step T-1.
+    ``lengths`` are the rows' numbers of real steps in non-increasing order,
+    or None when every row runs all T steps. Step t runs the cell on the
+    first n_t = #(lengths > t) rows only; the rows whose sequence has ended
+    carry h and c through unchanged. The arithmetic is ``lstm_cell``'s over
+    those rows, step by step and in the same order. Returns the outputs
+    (n, T, H) and the final ``(h, c)``, handed out of one buffer; the final
+    h equals the outputs at step T-1.
 
-    The backward pass runs the steps in reverse and writes each weight's
-    gradient once, as a C-ordered sum over steps of ``g.T @ x``.
+    The backward pass runs the steps in reverse over the same row prefixes
+    and writes each weight's gradient once, as a C-ordered sum over steps of
+    ``g.T @ x``.
     """
     n, steps, _ = x.data.shape
+    running = _running_rows(lengths, n, steps)
     gates = [(g, tuple(f"L{layer}.{kind}_{g}" for kind in ("Wx", "Wh", "b")))
              for g in LSTM_GATES]
     names = [key for _, trio in gates for key in trio]
     w = {key: p.weights[key].data for key in names}
     xs = np.ascontiguousarray(x.data.swapaxes(0, 1))  # (T, n, d)
-    if mask is not None:
-        mask = mask.astype(xs.dtype, copy=False)
     if state is None:
         h = np.zeros((n, p.sizes[layer]), dtype=xs.dtype)
         c = np.zeros_like(h)
     else:
         h, c = state[0].data, state[1].data
     buf = np.empty((steps + 1,) + h.shape, dtype=h.dtype)  # every h, final c
+    if running[0] < n:  # rows of length 0 keep the carried c
+        buf[steps, running[0]:] = c[running[0]:]
     taped = ad.taping()
     saved = []  # per step, only under a tape
 
-    for t in range(steps):
+    for t, k in enumerate(running):
+        x_t, h_t, c_t = xs[t, :k], h[:k], c[:k]
         act = {}
         for g, (wx, wh, b) in gates:
-            pre = xs[t] @ w[wx].T
-            pre += h @ w[wh].T
+            pre = x_t @ w[wx].T
+            pre += h_t @ w[wh].T
             pre += w[b]
             act[g] = np.tanh(pre) if g == "c" else ad.logistic(pre)
-        c_new = act["f"] * c
-        c_new += act["i"] * act["c"]
-        tc = np.tanh(c_new)
+        c = act["f"] * c_t
+        c += act["i"] * act["c"]
+        tc = np.tanh(c)
         if taped:
-            saved.append((act, tc, h, c))
-        if mask is None:
-            h, c = np.multiply(act["o"], tc, out=buf[t]), c_new
-        else:
-            m, k = mask[:, t], 1.0 - mask[:, t]
-            h = np.add(act["o"] * tc * m, h * k, out=buf[t])
-            c = c_new * m + c * k
-    buf[steps] = c
+            saved.append((act, tc, h_t, c_t))
+        np.multiply(act["o"], tc, out=buf[t, :k])
+        if k < n:
+            buf[t, k:] = h[k:]
+        h = buf[t]
+        ending = running[t + 1] if t + 1 < steps else 0
+        if ending < k:  # the rows whose sequence ends at step t
+            buf[steps, ending:k] = c[ending:]
 
     whole = Tensor(buf)
 
@@ -575,37 +590,44 @@ def lstm_layer(x: Tensor, p: LstmParams, layer: int, state=None,
         dx = np.empty_like(xs)
         dh, dc = g_buf[steps - 1], g_buf[steps]
         for t in reversed(range(steps)):
+            k = running[t]
             act, tc, h_prev, c_prev = saved[t]
             i, f, o, cand = act["i"], act["f"], act["o"], act["c"]
-            if mask is not None:
-                m, k = mask[:, t], 1.0 - mask[:, t]
-                dh_new, dcn = dh * m, dc * m
-            else:
-                dh_new, dcn = dh, dc
+            dh_new = dh[:k]
             # the reverse of c = f*c_prev + i*cand and h = o*tanh(c), product
             # by product in the order the tape would take them
-            dcn = dcn + dh_new * o * (1.0 - tc * tc)
+            dcn = dc[:k] + dh_new * o * (1.0 - tc * tc)
             d_pre = {"i": dcn * cand * i * (1.0 - i),
                      "f": dcn * c_prev * f * (1.0 - f),
                      "o": dh_new * tc * o * (1.0 - o),
                      "c": dcn * i * (1.0 - cand * cand)}
-            # step t-1's h: its outside uses first (already in g_buf), then
-            # the carry, then this step's gates, last first
-            acc = g_buf[t - 1] if t else None
-            if mask is not None:
-                acc = dh * k if acc is None else np.add(acc, dh * k, out=acc)
-            dx_t = None
-            for g, (wx, wh, b) in reversed(gates):
+            dx_t = dh_t = None
+            for g, (wx, wh, b) in reversed(gates):  # h_prev's uses, last first
                 dp = d_pre[g]
-                _add_grad(grads, wx, dp.T @ xs[t])
+                _add_grad(grads, wx, dp.T @ xs[t, :k])
                 _add_grad(grads, wh, dp.T @ h_prev)
                 _add_grad(grads, b, dp.sum(axis=0))
                 gx, gh = dp @ w[wx], dp @ w[wh]
                 dx_t = gx if dx_t is None else np.add(dx_t, gx, out=dx_t)
-                acc = gh if acc is None else np.add(acc, gh, out=acc)
-            dx[t] = dx_t
-            dh = acc
-            dc = dcn * f if mask is None else dc * k + dcn * f
+                dh_t = gh if dh_t is None else np.add(dh_t, gh, out=dh_t)
+            dx[t, :k] = dx_t
+            if k < n:  # the ended rows get no input gradient and keep their dc
+                dx[t, k:] = 0.0
+                np.multiply(dcn, f, out=dc[:k])
+            else:  # a fresh dc: a view of g_buf would keep all of it alive
+                dc = dcn * f
+            # step t-1's h: its outside uses (already in g_buf) plus this
+            # step's gates in the running rows and the carry in the others
+            if t:
+                prev = g_buf[t - 1]
+                prev[:k] += dh_t
+                if k < n:
+                    prev[k:] += dh[k:]
+                dh = prev
+            elif k < n:
+                dh[:k] = dh_t
+            else:
+                dh = dh_t
         carried = () if state is None else (dh, dc)
         return (dx.swapaxes(0, 1), *(grads[key] for key in names), *carried)
 
@@ -621,23 +643,31 @@ def lstm_batch_forward(seqs: list[list[str]], embeds: VocabEmbeddings,
                        rng: np.random.Generator | None = None,
                        training: bool = False,
                        collect_states: bool = False):
-    """Batched recurrence over end-padded sequences; returns final h (n, H).
+    """Batched recurrence over variable-length sequences; returns final h
+    (n, H), each row at its sequence's true last token.
 
-    Padded steps carry states through unchanged, so the final state equals
-    each sequence's state at its true last token. ``collect_states`` also
-    returns the top layer's output at every step.
+    The rows run packed: sorted by length (stable, longest first), so step
+    t of every layer computes only the sequences that have not ended. The
+    input-dropout mask is drawn over the end-padded batch in the caller's
+    order, before the sort moves its rows along with the inputs, so the
+    random draws do not depend on the packing. ``collect_states`` also
+    returns the top layer's output at every step, where an ended sequence
+    repeats its final state. Results come back in the caller's row order.
     """
-    ids_, mask = _pad_ids(seqs, embeds, 1)
+    ids_, lengths = _pad_ids(seqs, embeds, 1)
     n, max_len = ids_.shape
+    order = np.argsort(-lengths, kind="stable")
     x_all = dropout(rows(embeds.table, ids_.reshape(-1)), input_dropout, rng,
                     training)
-    out = ad.reshape(x_all, (n, max_len, embeds.d_in))
+    out = ad.permute(ad.reshape(x_all, (n, max_len, embeds.d_in)), order)
+    lengths = lengths[order]
     for layer in range(len(p.sizes)):
-        out, (h, _) = lstm_layer(out, p, layer, mask=mask)
+        out, (h, _) = lstm_layer(out, p, layer, lengths=lengths)
+    restore = np.argsort(order)
     if collect_states:
-        states = ad.unstack(out, axis=1)
+        states = ad.unstack(ad.permute(out, restore), axis=1)
         return states[-1], states
-    return h
+    return ad.permute(h, restore)
 
 
 def lstm_forward(seq: list[str], embeds: VocabEmbeddings, p: LstmParams) -> Tensor:
@@ -715,12 +745,20 @@ def cnn_pooled(seqs: list[list[str]], embeds: VocabEmbeddings,
                p: CnnParams, input_dropout: float = 0.0,
                rng: np.random.Generator | None = None,
                training: bool = False) -> Tensor:
-    """Concatenated per-bank max-pooled responses, (n, n_filters * n_widths)."""
-    ids_, mask = _pad_ids(seqs, embeds, max(p.widths))
+    """Concatenated per-bank max-pooled responses, (n, n_filters * n_widths).
+
+    Each row pools over the windows it would have alone, padded to the
+    widest kernel: windows that start past max(len, max width) - w lie in
+    the batch's padding only and are left out of the max.
+    """
+    widest = max(p.widths)
+    ids_, lengths = _pad_ids(seqs, embeds, widest)
     n, max_len = ids_.shape
+    mask = np.arange(max_len) < lengths[:, None]
     x = ad.reshape(rows(embeds.table, ids_.reshape(-1)), (n, max_len, embeds.d_in))
     # pad positions become zero vectors
-    x = dropout(x * Tensor(mask), input_dropout, rng, training)
+    x = dropout(x * Tensor(mask[:, :, None]), input_dropout, rng, training)
+    reach = np.maximum(lengths, widest)
     pooled = []
     for w in p.widths:
         kernel = p.weights[f"K{w}"]
@@ -734,6 +772,9 @@ def cnn_pooled(seqs: list[list[str]], embeds: VocabEmbeddings,
             resp = term if resp is None else resp + term
         resp = resp + p.weights[f"kb{w}"]
         resp = tanh(ad.reshape(resp, (n, positions, p.n_filters)))
+        beyond = np.arange(positions) > (reach - w)[:, None]
+        if beyond.any():
+            resp = resp + Tensor(np.where(beyond, -np.inf, 0.0)[:, :, None])
         pooled.append(resp.max(axis=1))
     return concat(pooled, axis=-1)
 

@@ -235,8 +235,9 @@ class EvalReport:
 def decode_rows(model: PronModel, h: Tensor) -> list[dict[str, str]]:
     """The argmax class of every unit, for each row of embeddings ``h``."""
     probs = predict_pron(h, model.head).probs
-    return [{u: model.inventories.classes(u)[int(np.argmax(probs[u].data[k]))]
-             for u in UNITS} for k in range(h.data.shape[0])]
+    picks = [[model.inventories.classes(u)[k] for k in probs[u].data.argmax(axis=1)]
+             for u in UNITS]
+    return [dict(zip(UNITS, row)) for row in zip(*picks)]
 
 
 def decode_batch(model: PronModel, inputs) -> list[dict[str, str]]:

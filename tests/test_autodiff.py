@@ -168,6 +168,7 @@ _PRIMITIVE_CASES = {
                               enumerate(ad.unstack(tanh(t), 1))),
                              Tensor(0.0)).sum(),
     "rows": lambda t: (rows(t, [1, 1, 0]) * rows(t, [0, 2, 2])).sum(),
+    "permute": lambda t: (ad.permute(t, [2, 0, 3, 1]) * t).sum(),
     "max": lambda t: t.max(axis=1).sum(),
     "reshape": lambda t: (t.reshape(1, 16) * 2.0).sum(),
     "sub": lambda t: (t - tanh(t)).sum(),
@@ -179,6 +180,12 @@ def test_primitive_gradients(name):
     rng = np.random.default_rng(hash(name) % 2**32)
     x = rnd(rng, 4, 4)
     assert check_gradient(_PRIMITIVE_CASES[name], x) < 1e-4
+
+
+@pytest.mark.parametrize("order", [[0, 1, 1], [0, 1], [0, 1, 3], [-1, 0, 1]])
+def test_permute_rejects_what_is_not_a_permutation(order):
+    with pytest.raises(ContractError, match="not a permutation"):
+        ad.permute(Tensor(np.zeros((3, 2))), order)
 
 
 @pytest.mark.parametrize("shape,axis", [((4, 1, 3), 1), ((5, 7, 3), 1),

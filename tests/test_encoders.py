@@ -550,6 +550,42 @@ def test_lstm_batch_padding_matches_single():
         np.testing.assert_allclose(h_batch.data[k], h_one.data[0], atol=1e-12)
 
 
+UNSORTED = [list("ab"), list("cdeab"), list("e"), list("bcdhg"), list("fa"),
+            list("g"), list("hgfedcb")]  # lengths unsorted, with ties and 1
+
+
+@pytest.mark.parametrize("kind,layers", [("lstm", 1), ("lstm", 2), ("bilstm", 1)])
+def test_packed_batch_rows_equal_single_forward(kind, layers):
+    rng = np.random.default_rng(26)
+    embeds = make_embeds(rng)
+    params = LstmParams if kind == "lstm" else BiLstmParams
+    p = params.init(4, 4, rng, layers=layers)
+    h_batch = getattr(enc, f"{kind}_batch_forward")(UNSORTED, embeds, p)
+    for k, seq in enumerate(UNSORTED):
+        h_one = getattr(enc, f"{kind}_forward")(seq, embeds, p)
+        np.testing.assert_allclose(h_batch.data[k], h_one.data[0], rtol=0,
+                                   atol=1e-12)
+
+
+def test_lstm_input_dropout_rows_keep_their_sequence_and_position():
+    # the reference draws the mask over the end-padded batch in the caller's
+    # order and runs each sequence alone on its own rows of it
+    rng = np.random.default_rng(27)
+    p = LstmParams.init(4, 4, rng, layers=2)
+    embeds = make_embeds(rng)
+    rate, n, steps = 0.3, len(UNSORTED), max(len(s) for s in UNSORTED)
+    h_batch = enc.lstm_batch_forward(UNSORTED, embeds, p, rate,
+                                     np.random.default_rng(6), True)
+    draw = np.random.default_rng(6).random((n * steps, 4))
+    mask = ((draw >= rate) / (1.0 - rate)).reshape(n, steps, 4)
+    for k, seq in enumerate(UNSORTED):
+        out = Tensor((embeds.lookup(seq).data * mask[k, :len(seq)])[None])
+        for layer in range(2):
+            out, (h_one, _) = enc.lstm_layer(out, p, layer)
+        np.testing.assert_allclose(h_batch.data[k], h_one.data[0], rtol=0,
+                                   atol=1e-12)
+
+
 def test_bilstm_palindrome_tied_weights():
     rng = np.random.default_rng(19)
     fwd = LstmParams.init(4, 4, rng)
@@ -610,6 +646,22 @@ def test_cnn_matches_sliding_window_oracle():
     out = cnn_forward(seq, embeds, p)
     expected = p.weights["W_fc"].data @ pooled.data[0] + p.weights["b_fc"].data
     np.testing.assert_allclose(out.data[0], expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("bias", [0.0, 0.7])
+def test_cnn_batch_rows_equal_sliding_window_oracle(bias):
+    # a short row must not pool over windows that lie wholly in the padding
+    # its longer neighbours bring into the batch
+    rng = np.random.default_rng(28)
+    p = CnnParams.init(3, 5, rng, n_filters=4)
+    for w in p.widths:
+        p.weights[f"kb{w}"].data[:] = bias
+    embeds = make_embeds(rng, d_in=3)
+    seqs = UNSORTED + [list("abcdefghabcdefgh")]
+    pooled = cnn_pooled(seqs, embeds, p)
+    for k, seq in enumerate(seqs):
+        np.testing.assert_allclose(pooled.data[k], naive_cnn_pooled(seq, embeds, p),
+                                   rtol=0, atol=1e-12)
 
 
 def test_cnn_constant_sequence_single_window_response():

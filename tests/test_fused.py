@@ -19,6 +19,7 @@ from logotree import encoders as enc
 from logotree import lm
 from logotree.autodiff import Tape, Tensor, check_gradient
 from logotree.config import LmConfig
+from logotree.errors import ContractError
 from logotree.ids import Leaf, Op
 
 
@@ -65,8 +66,9 @@ def composed_levels(schedule, inputs, p):
 
 
 def composed_layer(x, p, layer, state, mask):
-    """``lstm_layer`` as an ``lstm_cell`` loop with the padding mask applied
-    per step; returns (per-step outputs, final h, final c)."""
+    """The padded program: an ``lstm_cell`` loop over every row at every
+    step, with the padding mask applied per step; returns (per-step outputs,
+    final h, final c)."""
     n, steps, _ = x.data.shape
     h, c = state
     outs = []
@@ -75,6 +77,26 @@ def composed_layer(x, p, layer, state, mask):
         h_new, c_new = enc.lstm_cell(x_t, h, c, p, layer)
         h = h_new * m + h * keep
         c = c_new * m + c * keep
+        outs.append(h)
+    return outs, h, c
+
+
+def packed_layer(x, p, layer, state, lengths):
+    """``lstm_layer`` as an ``lstm_cell`` loop over the rows that still run
+    at each step, a prefix since ``lengths`` do not increase, with the
+    others carried; returns (per-step outputs, final h, final c)."""
+    n = x.data.shape[0]
+    h, c = state
+    outs = []
+    for t, x_t in enumerate(ad.unstack(x, axis=1)):
+        k = int(np.count_nonzero(lengths > t))
+        h_new, c_new = enc.lstm_cell(ad.narrow(x_t, 0, 0, k),
+                                     ad.narrow(h, 0, 0, k),
+                                     ad.narrow(c, 0, 0, k), p, layer)
+        if k < n:
+            h_new = ad.concat([h_new, ad.narrow(h, 0, k, n - k)], axis=0)
+            c_new = ad.concat([c_new, ad.narrow(c, 0, k, n - k)], axis=0)
+        h, c = h_new, c_new
         outs.append(h)
     return outs, h, c
 
@@ -162,24 +184,34 @@ def test_tree_levels_equal_composed_levels_bitwise(use_bias, operator_inputs):
 # lstm_layer
 # ---------------------------------------------------------------------------
 
-def lstm_setup(seed, n=3, steps=4, d_in=2, hidden=3):
+def lstm_setup(seed, lengths, d_in=2, hidden=3):
     rng = np.random.default_rng(seed)
     p = enc.LstmParams.init(hidden, d_in, rng)
+    n, steps = len(lengths), max(lengths)
     x = Tensor(rng.standard_normal((n, steps, d_in)))
     state = (Tensor(rng.standard_normal((n, hidden))),
              Tensor(rng.standard_normal((n, hidden))))
-    mask = np.ones((n, steps, 1))
-    mask[1, 2:] = 0.0  # end padding
-    mask[2, 1:] = 0.0
-    return p, x, state, mask
+    return p, x, state, np.array(lengths)
+
+
+def padding_mask(lengths, steps):
+    """The (n, T, 1) mask of the real positions of end-padded rows."""
+    return (np.arange(steps) < np.asarray(lengths)[:, None])[:, :, None] * 1.0
 
 
 def test_lstm_layer_gradients_match_finite_differences():
-    p, x, state, mask = lstm_setup(71)
+    # unsorted lengths with ties and length 1, sorted and restored around
+    # the layer as ``lstm_batch_forward`` does, with a carried state
+    p, x, state, lengths = lstm_setup(71, [2, 4, 1, 4, 1])
+    order = np.argsort(-lengths, kind="stable")
+    restore = np.argsort(order)
 
     def outputs():
-        outs, (h, c) = enc.lstm_layer(x, p, 0, state, mask)
-        return outs, h, c
+        outs, (h, c) = enc.lstm_layer(
+            ad.permute(x, order), p, 0,
+            (ad.permute(state[0], order), ad.permute(state[1], order)),
+            lengths[order])
+        return [ad.permute(o, restore) for o in (outs, h, c)]
 
     coefs = [Tensor(np.random.default_rng(72 + k).standard_normal(o.data.shape))
              for k, o in enumerate(outputs())]
@@ -192,48 +224,80 @@ def test_lstm_layer_gradients_match_finite_differences():
         assert check_gradient(lambda _t: loss(), t) < 1e-6, t.name
 
 
-@pytest.mark.parametrize("carried", [True, False])
-def test_lstm_layer_equals_cell_loop_bitwise(carried):
-    p, x, state, mask = lstm_setup(73, n=4, steps=5, d_in=3, hidden=4)
-    zeros = (Tensor(np.zeros((4, 4))), Tensor(np.zeros((4, 4))))
+def run_layer_and_oracle(oracle, carried, lengths):
+    p, x, state, lengths = lstm_setup(73, lengths, d_in=3, hidden=4)
+    n, steps, _ = x.data.shape
+    zeros = (Tensor(np.zeros((n, 4))), Tensor(np.zeros((n, 4))))
     tensors = [x, *p.weights.values()] + (list(state) if carried else [])
 
     def fused():
-        outs, (h, c) = enc.lstm_layer(x, p, 0, state if carried else None, mask)
+        outs, (h, c) = enc.lstm_layer(x, p, 0, state if carried else None,
+                                      lengths)
         return [outs, h, c]
 
     def composed():
-        outs, h, c = composed_layer(x, p, 0, state if carried else zeros, mask)
-        return [ad.concat([ad.reshape(o, (4, 1, 4)) for o in outs], axis=1), h, c]
+        outs, h, c = oracle(x, p, 0, state if carried else zeros, lengths)
+        return [ad.concat([ad.reshape(o, (n, 1, 4)) for o in outs], axis=1), h, c]
 
-    (f_vals, f_grads), (c_vals, c_grads) = (run_and_grad(fused, tensors),
-                                            run_and_grad(composed, tensors))
+    return run_and_grad(fused, tensors), run_and_grad(composed, tensors), tensors
+
+
+@pytest.mark.parametrize("carried", [True, False])
+def test_lstm_layer_equals_cell_loop_bitwise(carried):
+    # ties, length 1 and steps at which every row still runs
+    (f_vals, f_grads), (c_vals, c_grads), tensors = run_layer_and_oracle(
+        packed_layer, carried, [5, 5, 3, 3, 2, 1, 1])
     for a, b in zip(f_vals, c_vals):
         np.testing.assert_array_equal(a, b)
     for t, a, b in zip(tensors, f_grads, c_grads):
         np.testing.assert_array_equal(a, b, err_msg=t.name)
 
 
+@pytest.mark.parametrize("carried", [True, False])
+def test_lstm_layer_equals_padded_mask_loop(carried):
+    # the padded program runs every row at every step; products over fewer
+    # rows may round differently, so values agree to rounding only
+    (f_vals, f_grads), (c_vals, c_grads), tensors = run_layer_and_oracle(
+        lambda x, p, layer, state, lengths: composed_layer(
+            x, p, layer, state, padding_mask(lengths, x.data.shape[1])),
+        carried, [5, 5, 3, 3, 2, 1, 1])
+    for a, b in zip(f_vals, c_vals):
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+    for t, a, b in zip(tensors, f_grads, c_grads):
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12, err_msg=t.name)
+
+
+@pytest.mark.parametrize("lengths", [[1, 2, 2], [3, 1, 0], [2, 2, 2, 2], [2, 1, -1]],
+                         ids=["increasing", "past-the-window", "wrong-count",
+                              "negative"])
+def test_lstm_layer_rejects_unsorted_or_invalid_lengths(lengths):
+    p, x, _, _ = lstm_setup(75, [2, 2, 2])
+    with pytest.raises(ContractError, match="non-increasing"):
+        enc.lstm_layer(x, p, 0, lengths=np.array(lengths))
+
+
 def test_stacked_batch_forward_equals_cell_loop_bitwise():
-    # two layers and dropout: the layer-1 input is layer 0's handed-out
-    # outputs, and the mask rows are drawn as before
+    # two layers, dropout and unsorted lengths: the mask is drawn over the
+    # padded batch in the caller's order, the rows then run sorted by length,
+    # and the layer-1 input is layer 0's handed-out outputs
     rng = np.random.default_rng(74)
     p = enc.LstmParams.init((5, 4), 3, rng)
     embeds = enc.VocabEmbeddings("abcdef", 3, rng)
-    seqs = [list("abcde"), list("b"), list("fca")]
+    seqs = [list("abc"), list("b"), list("fcaed"), list("dab"), list("e")]
     tensors = [*p.weights.values(), embeds.table]
 
     def composed():
-        ids_, mask = enc._pad_ids(seqs, embeds, 1)
+        ids_, lengths = enc._pad_ids(seqs, embeds, 1)
         n, steps = ids_.shape
+        order = np.argsort(-lengths, kind="stable")
         x = ad.dropout(ad.rows(embeds.table, ids_.reshape(-1)), 0.2,
                        np.random.default_rng(5), True)
-        x = ad.reshape(x, (n, steps, 3))
+        x = ad.rows(ad.reshape(x, (n, steps, 3)), order)
         for layer, size in enumerate(p.sizes):
             zeros = (Tensor(np.zeros((n, size))), Tensor(np.zeros((n, size))))
-            outs, h, _ = composed_layer(x, p, layer, zeros, mask)
+            outs, h, _ = packed_layer(x, p, layer, zeros, lengths[order])
             x = ad.concat([ad.reshape(o, (n, 1, size)) for o in outs], axis=1)
-        return [h]
+        return [ad.rows(h, np.argsort(order))]
 
     fused = run_and_grad(lambda: [enc.lstm_batch_forward(
         seqs, embeds, p, 0.2, np.random.default_rng(5), True)], tensors)
@@ -306,15 +370,16 @@ def test_tree_batch_records_its_lookups_and_one_cell_entry():
 
 @pytest.mark.parametrize("length", [2, 9])
 def test_lstm_batch_records_a_fixed_number_of_entries(length):
-    # the embedding gather and its reshape, then per layer the fused entry
-    # and its three handed-out outputs, for any sequence length
+    # the embedding gather, its reshape and the sort by length, then per
+    # layer the fused entry and its three handed-out outputs, then the final
+    # h put back in the caller's order, for any sequence length
     rng = np.random.default_rng(82)
     p = enc.LstmParams.init(4, 3, rng, layers=2)
     embeds = enc.VocabEmbeddings("abcdef", 3, rng)
     tp = Tape()
     with tp:
         enc.lstm_batch_forward([list("abcdefabc"[:length]), list("ab")], embeds, p)
-    assert len(tp) == 2 + 2 * 4
+    assert len(tp) == 3 + 2 * 4 + 1
 
 
 def test_tree_and_lstm_weight_gradients_are_c_ordered():

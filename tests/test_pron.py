@@ -223,6 +223,23 @@ def test_evaluate_counts(rule_table, toy_split):
     assert report.ser >= report.ter / 3 - 1e-9
 
 
+def test_decode_rows_equals_row_by_row_argmax_ties_included(rule_table, toy_split):
+    inv = Inventories.from_entries(toy_split.train)
+    model = build_model(TOY_CONFIG, inv, sorted(rule_table.leaf_set))
+    head = model.head
+    tied = head.order[1]
+    head.weights[f"W_{tied}"].data[:] = 0.0  # a uniform unit: every class ties
+    head.weights[f"b_{tied}"].data[:] = 0.0
+    width = head.weights[f"W_{head.order[0]}"].data.shape[1]
+    h = Tensor(np.random.default_rng(8).standard_normal((10, width)))
+    probs = predict_pron(h, head).probs
+    row_by_row = [{u: inv.classes(u)[int(np.argmax(probs[u].data[k]))]
+                   for u in pron.UNITS} for k in range(10)]
+    assert pron.decode_rows(model, h) == row_by_row
+    assert {row[tied] for row in row_by_row} == {inv.classes(tied)[0]}
+    assert len({row[head.order[0]] for row in row_by_row}) > 1
+
+
 def test_evaluate_rejects_empty(rule_table, toy_split):
     inv = Inventories.from_entries(toy_split.train)
     model = build_model(TOY_CONFIG, inv, sorted(rule_table.leaf_set))

@@ -288,6 +288,26 @@ def test_perfbench_trace_targets_resolve(monkeypatch):
         assert callable(obj), name
 
 
+BENCHMARK = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json")
+                       .read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("workload", [w["name"] for w in BENCHMARK["workloads"]])
+def test_perfbench_reference_job_reproduces_reference_json(monkeypatch, tmp_path,
+                                                           workload):
+    # the tiny job each benchmark run checks first (rtol 1e-9), run here so
+    # that drift from perfbench/reference.json fails the tests, not only a
+    # benchmark run
+    import importlib
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    measure = importlib.import_module("perfbench.measure")
+    checks = measure.Checks()
+    measure.reference_check(measure.WORKLOADS[workload], measure.Recorder(),
+                            checks, tmp_path)
+    assert checks.attempted > 0
+    assert checks.failed == 0, checks.notes
+
+
 # ---------------------------------------------------------------------------
 # atomic outputs
 # ---------------------------------------------------------------------------
