@@ -601,15 +601,19 @@ def lstm_layer(x: Tensor, p: LstmParams, layer: int, state=None,
                      "f": dcn * c_prev * f * (1.0 - f),
                      "o": dh_new * tc * o * (1.0 - o),
                      "c": dcn * i * (1.0 - cand * cand)}
+            # the h that step 0 reads is a parent only when it was carried in
+            want_dh = t or state is not None
             dx_t = dh_t = None
             for g, (wx, wh, b) in reversed(gates):  # h_prev's uses, last first
                 dp = d_pre[g]
                 _add_grad(grads, wx, dp.T @ xs[t, :k])
                 _add_grad(grads, wh, dp.T @ h_prev)
                 _add_grad(grads, b, dp.sum(axis=0))
-                gx, gh = dp @ w[wx], dp @ w[wh]
+                gx = dp @ w[wx]
                 dx_t = gx if dx_t is None else np.add(dx_t, gx, out=dx_t)
-                dh_t = gh if dh_t is None else np.add(dh_t, gh, out=dh_t)
+                if want_dh:
+                    gh = dp @ w[wh]
+                    dh_t = gh if dh_t is None else np.add(dh_t, gh, out=dh_t)
             dx[t, :k] = dx_t
             if k < n:  # the ended rows get no input gradient and keep their dc
                 dx[t, k:] = 0.0
@@ -624,10 +628,11 @@ def lstm_layer(x: Tensor, p: LstmParams, layer: int, state=None,
                 if k < n:
                     prev[k:] += dh[k:]
                 dh = prev
-            elif k < n:
-                dh[:k] = dh_t
-            else:
-                dh = dh_t
+            elif state is not None:
+                if k < n:
+                    dh[:k] = dh_t
+                else:
+                    dh = dh_t
         carried = () if state is None else (dh, dc)
         return (dx.swapaxes(0, 1), *(grads[key] for key in names), *carried)
 

@@ -5,11 +5,16 @@ CHISE text layout: one ``U+XXXX<TAB>char<TAB>expression`` line per
 logograph, the expression in prefix notation over the description operators
 U+2FF0..U+2FFB. Ternary operators are rewritten into nested binary ones, so
 every tree handed to the encoders is strictly binary.
+
+Each ``RuleTable`` expands into one ``Forest``: every distinct expanded
+subtree is one node id, built once and shared by every tree that holds it.
 """
 
 from __future__ import annotations
 
 import logging
+import threading
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
@@ -27,6 +32,13 @@ IDC_ACROSS3 = "⿲"
 IDC_DOWN3 = "⿳"
 TERNARY_IDCS = frozenset((IDC_ACROSS3, IDC_DOWN3))
 ALL_IDCS = BINARY_IDCS | TERNARY_IDCS
+#: Operand count of every description operator.
+_ARITY = dict.fromkeys(BINARY_IDCS, 2) | dict.fromkeys(TERNARY_IDCS, 3)
+#: A 4-bit code per binary operator, for the forest's node keys.
+_IDC_CODE = {idc: k for k, idc in enumerate(sorted(BINARY_IDCS))}
+#: Serializes node creation, so threads expanding one table never give two
+#: nodes one id or one subtree two ids.
+_INTERN_LOCK = threading.Lock()
 
 IDC_ACROSS = "⿰"  # ⿰
 IDC_DOWN = "⿱"    # ⿱
@@ -37,7 +49,7 @@ UNK_TOKEN = "<UNK>"
 DEFAULT_MAX_DEPTH = 64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Leaf:
     token: str
 
@@ -45,7 +57,7 @@ class Leaf:
         return f"Leaf({self.token})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Op:
     """Strictly binary inner node labeled with a description operator."""
 
@@ -74,12 +86,79 @@ class LinearOrder(Enum):
     IN = "in"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ids:
     """One decomposition rule: a logograph and its prefix expression."""
 
     codepoint: int | None
     expr: tuple[str, ...]
+
+
+class Forest:
+    """Interned binary nodes, one id per distinct subtree.
+
+    Node ids index parallel arrays: ``label`` (a leaf's token or an inner
+    node's operator), ``left`` and ``right`` (child ids, -1 for a leaf),
+    ``height`` (0 for a leaf) and ``node`` (the node's one ``Leaf``/``Op``,
+    built when the id is). A leaf is interned by its token and an inner node
+    by ``(idc, left, right)``, packed into one int, so children always have
+    smaller ids than their parent and equal subtrees are one object.
+    """
+
+    __slots__ = ("label", "left", "right", "height", "node", "_ids")
+
+    def __init__(self):
+        self.label: list[str] = []
+        self.left = array("i")
+        self.right = array("i")
+        self.height = array("i")
+        self.node: list[GlyphTree] = []
+        self._ids: dict[str | int, int] = {}
+
+    def __len__(self) -> int:
+        return len(self.node)
+
+    def leaf(self, token: str) -> int:
+        nid = self._ids.get(token)
+        if nid is None:
+            with _INTERN_LOCK:
+                nid = self._ids.get(token)
+                if nid is None:
+                    nid = self._add(token, token, -1, -1, 0, Leaf(token))
+        return nid
+
+    def join(self, idc: str, kids: list[int]) -> int:
+        """The binary node of operator ``idc`` over two or three child ids;
+        ⿲ a b c becomes ⿰(a, ⿰(b, c)) and ⿳ a b c becomes ⿱(a, ⿱(b, c))."""
+        if len(kids) == 2:
+            return self._op(idc, kids[0], kids[1])
+        inner = IDC_ACROSS if idc == IDC_ACROSS3 else IDC_DOWN
+        return self._op(inner, kids[0], self._op(inner, kids[1], kids[2]))
+
+    def _op(self, idc: str, left: int, right: int) -> int:
+        # an int key, unlike a tuple, is neither a container for the cyclic
+        # garbage collector nor twice the memory
+        key = (left << 32 | right) << 4 | _IDC_CODE[idc]
+        nid = self._ids.get(key)
+        if nid is None:
+            with _INTERN_LOCK:
+                nid = self._ids.get(key)
+                if nid is None:
+                    height, node = self.height, self.node
+                    nid = self._add(key, idc, left, right,
+                                    1 + max(height[left], height[right]),
+                                    Op(idc, node[left], node[right]))
+        return nid
+
+    def _add(self, key, label, left, right, height, node) -> int:
+        nid = len(self.node)
+        self.label.append(label)
+        self.left.append(left)
+        self.right.append(right)
+        self.height.append(height)
+        self.node.append(node)
+        self._ids[key] = nid  # published once every array holds the node
+        return nid
 
 
 @dataclass
@@ -91,8 +170,10 @@ class RuleTable:
     skipped_lines: int = 0
     duplicate_lines: int = 0
     atomic_entries: int = 0
-    # filled by ``decompose``: token -> (binary subtree, rule-chain length)
-    expansions: dict[str, tuple[GlyphTree, int]] = field(
+    # filled by ``decompose``: every expanded node, and for each expanded
+    # token its node id and the length of its longest rule chain
+    forest: Forest = field(default_factory=Forest, compare=False, repr=False)
+    expansions: dict[str, tuple[int, int]] = field(
         default_factory=dict, compare=False, repr=False)
 
 
@@ -107,6 +188,8 @@ def tokenize_ids(text: str) -> list[str]:
     stripped. ``&name;`` entity references (components with no codepoint)
     are kept as single tokens.
     """
+    if "[" not in text and "&" not in text:  # every non-space char is a token
+        return list("".join(text.split()))
     tokens: list[str] = []
     i = 0
     n = len(text)
@@ -154,6 +237,21 @@ def _parse_raw(expr) -> Leaf | Nary:
     if pos != len(tokens):
         raise ParseError(f"trailing tokens from index {pos}: {tokens[pos:]}")
     return tree
+
+
+def _check_syntax(tokens) -> None:
+    """Raise the ``ParseError`` that ``_parse_raw`` raises on ``tokens``,
+    building nothing: a prefix expression is whole when its count of missing
+    operands first reaches zero at its last token."""
+    if not tokens:
+        raise ParseError("empty expression")
+    missing = 1
+    for pos, tok in enumerate(tokens):
+        if not missing:
+            raise ParseError(f"trailing tokens from index {pos}: {list(tokens[pos:])}")
+        missing += _ARITY.get(tok, 0) - 1
+    if missing:
+        raise ParseError(f"dangling operator: operand missing at token {len(tokens)}")
 
 
 def binarize(node) -> GlyphTree:
@@ -207,6 +305,9 @@ def load_rule_table(path) -> RuleTable:
         raise IoError(f"cannot read rule file {path}: {exc}") from exc
 
     explicit_terminals: set[str] = set()
+    # one str per distinct token: a component named in thousands of rules is
+    # stored, and hashed, once
+    shared: dict[str, str] = {}
     for lineno, line in enumerate(lines, 1):
         line = line.strip()
         if not line or line[0] in ";#":
@@ -227,7 +328,7 @@ def load_rule_table(path) -> RuleTable:
             codepoint = ord(head) if len(head) == 1 else None
         try:
             tokens = tokenize_ids(ids_text)
-            _parse_raw(tokens)
+            _check_syntax(tokens)
         except ParseError as exc:
             table.skipped_lines += 1
             log.warning("%s:%d: unparseable expression: %s", path, lineno, exc)
@@ -241,7 +342,8 @@ def load_rule_table(path) -> RuleTable:
             explicit_terminals.add(head)
             table.atomic_entries += 1
             continue
-        table.rules[head] = Ids(codepoint, tuple(tokens))
+        expr = tuple([shared.setdefault(t, t) for t in tokens])
+        table.rules[shared.setdefault(head, head)] = Ids(codepoint, expr)
 
     _check_acyclic(table.rules)
 
@@ -254,29 +356,27 @@ def load_rule_table(path) -> RuleTable:
 
 
 def _check_acyclic(rules: dict[str, Ids]) -> None:
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = dict.fromkeys(rules, WHITE)
+    """Depth-first search over rule references; a reference back into the
+    current path is a cycle, raised with that path."""
+    done: set[str] = set()
     for start in rules:
-        if color[start] != WHITE:
+        if start in done:
             continue
-        stack = [(start, iter(t for t in rules[start].expr if t in rules))]
-        color[start] = GRAY
-        path = [start]
+        path, on_path = [start], {start}
+        stack = [iter(rules[start].expr)]
         while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if color[nxt] == GRAY:
-                    raise CycleError(path[path.index(nxt):] + [nxt])
-                if color[nxt] == WHITE:
-                    color[nxt] = GRAY
-                    path.append(nxt)
-                    stack.append((nxt, iter(t for t in rules[nxt].expr if t in rules)))
-                    advanced = True
+            for tok in stack[-1]:
+                if tok in rules and tok not in done:
+                    if tok in on_path:
+                        raise CycleError(path[path.index(tok):] + [tok])
+                    path.append(tok)
+                    on_path.add(tok)
+                    stack.append(iter(rules[tok].expr))
                     break
-            if not advanced:
-                color[node] = BLACK
-                path.pop()
+            else:  # every reference of the path's end is done
+                tok = path.pop()
+                on_path.remove(tok)
+                done.add(tok)
                 stack.pop()
 
 
@@ -289,19 +389,34 @@ def decompose(ch: str, rules: RuleTable,
     """Expand a logograph until every leaf is a terminal.
 
     A character with no rule that is a known terminal stays itself; a
-    character absent from the table entirely becomes the UNK leaf. Each
-    rule is parsed once per table: a token's expansion is kept in
-    ``rules.expansions`` with the length of its longest rule chain, and
-    reused wherever that chain fits the remaining depth.
+    character absent from the table entirely becomes the UNK leaf. The
+    result is the shared node of ``rules.forest``, so equal subtrees of
+    any two results are one object.
+    """
+    return rules.forest.node[_expand(ch, rules, max_depth)]
+
+
+def _expand(ch: str, rules: RuleTable, max_depth: int) -> int:
+    """Forest id of ``ch``'s expansion.
+
+    Each rule is parsed once per table, on its token's first expansion,
+    straight into node ids: a component is substituted by its id, and no
+    subtree is copied. The token's id is kept in ``rules.expansions`` with
+    the length of its longest rule chain and reused wherever that chain fits
+    the remaining depth. A chain too long for the depth expands afresh, so
+    the error names the token a fresh expansion would reach at ``max_depth``.
     """
     if max_depth < 1:
         raise ExpansionError("max_depth must be positive")
-    memo = rules.expansions
+    forest = rules.forest
+    if ch not in rules.rules and ch not in rules.leaf_set:
+        return forest.leaf(UNK_TOKEN)
+    table, memo = rules.rules, rules.expansions
 
-    def expand(token: str, depth: int) -> tuple[GlyphTree, int]:
-        rule = rules.rules.get(token)
+    def expand(token: str, depth: int) -> tuple[int, int]:
+        rule = table.get(token)
         if rule is None:
-            return Leaf(token), 0
+            return forest.leaf(token), 0
         if depth >= max_depth:
             raise ExpansionError(
                 f"expansion of {ch!r} exceeded depth {max_depth} at {token!r}"
@@ -309,23 +424,30 @@ def decompose(ch: str, rules: RuleTable,
         hit = memo.get(token)
         if hit is not None and depth + hit[1] <= max_depth:
             return hit
-        # a chain too long for this depth expands afresh, so the error
-        # names the same token as a fresh expansion would
+        expr = rule.expr
         chain = 0
-
-        def subst(node):
-            nonlocal chain
-            if isinstance(node, Leaf):
-                tree, length = expand(node.token, depth + 1)
-                chain = max(chain, length)
-                return tree
-            return _join(node.idc, [subst(c) for c in node.children])
-
-        memo[token] = entry = (subst(_parse_raw(rule.expr)), chain + 1)
+        open_ops: list[tuple[str, int, list[int]]] = []  # (idc, arity, kids)
+        for pos, tok in enumerate(expr):
+            if pos and not open_ops:  # trailing tokens: raise the parse error
+                _check_syntax(expr)
+            arity = _ARITY.get(tok)
+            if arity:
+                open_ops.append((tok, arity, []))
+                continue
+            nid, length = expand(tok, depth + 1)
+            chain = max(chain, length)
+            while open_ops:
+                idc, arity, kids = open_ops[-1]
+                kids.append(nid)
+                if len(kids) < arity:
+                    break
+                open_ops.pop()
+                nid = forest.join(idc, kids)
+        if open_ops or not expr:
+            _check_syntax(expr)
+        memo[token] = entry = (nid, chain + 1)
         return entry
 
-    if ch not in rules.rules and ch not in rules.leaf_set:
-        return Leaf(UNK_TOKEN)
     return expand(ch, 0)[0]
 
 
@@ -397,12 +519,6 @@ def node_count(tree: GlyphTree) -> int:
     return 1 + node_count(tree.left) + node_count(tree.right)
 
 
-def tree_depth(tree: GlyphTree) -> int:
-    if isinstance(tree, Leaf):
-        return 0
-    return 1 + max(tree_depth(tree.left), tree_depth(tree.right))
-
-
 def to_bracketed(tree: GlyphTree) -> str:
     if isinstance(tree, Leaf):
         return tree.token
@@ -420,8 +536,6 @@ def format_tree(tree: GlyphTree, indent: str = "") -> str:
 
 
 def depth_histogram(rules: RuleTable, max_depth: int = DEFAULT_MAX_DEPTH) -> Counter:
-    """Depth of the full expansion of every rule head."""
-    hist: Counter = Counter()
-    for head in rules.rules:
-        hist[tree_depth(decompose(head, rules, max_depth))] += 1
-    return hist
+    """Depth of the full expansion of every rule head, read from the forest."""
+    height = rules.forest.height
+    return Counter(height[_expand(head, rules, max_depth)] for head in rules.rules)

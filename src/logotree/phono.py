@@ -10,6 +10,7 @@ pronunciation pipeline consumes.
 from __future__ import annotations
 
 import csv
+import functools
 import logging
 import random
 from dataclasses import dataclass, field
@@ -156,6 +157,7 @@ def pick_reading(readings: list[str], rng: random.Random) -> str:
     return readings[rng.randrange(len(readings))]
 
 
+@functools.lru_cache(maxsize=4096)
 def segment_jyutping(s: str) -> tuple[str, str, str]:
     """Split a jyutping syllable into (onset, nucleus, coda).
 
@@ -163,6 +165,9 @@ def segment_jyutping(s: str) -> tuple[str, str, str]:
     leading match from the initial inventory, the coda the longest trailing
     consonantal final; what remains must be a vowel nucleus. Syllabic
     nasals (``m``, ``ng`` standing alone) become the nucleus.
+
+    Results are memoized per syllable (a corpus repeats a few hundred
+    syllables); a syllable that does not segment raises on every call.
     """
     base = s.rstrip("0123456789")
     if not base or not base.isascii() or not base.isalpha() or not base.islower():

@@ -109,6 +109,56 @@ def test_backward_accumulates_over_reuse():
     np.testing.assert_allclose(x.grad, [[8.0]])
 
 
+def _rows_backward(table, idx, g):
+    """The gradient ``rows`` hands its table for the output gradient ``g``."""
+    tp = Tape()
+    with tp:
+        rows(table, idx)
+    (backward,) = [fn for _, _, fn in tp._entries]
+    return backward(g)[0]
+
+
+@pytest.mark.parametrize("shape", [(1920, 64, 300), (2000, 8, 5), (182, 64, 182),
+                                   (24, 64, 182), (0, 3, 4)])
+def test_rows_backward_equals_add_at_bitwise(shape):
+    n_idx, width, n_rows = shape
+    rng = np.random.default_rng(5)
+    idx = rng.integers(0, n_rows, n_idx)  # indices repeat
+    g = rng.standard_normal((n_idx, width))
+    g[::3] = -0.0  # rows that only ever get -0.0 must still read +0.0
+    g[1::4, 0] = 0.0
+    want = np.zeros((n_rows, width))
+    np.add.at(want, idx, g)
+    got = _rows_backward(rnd(rng, n_rows, width), idx, g)
+    assert got.flags.c_contiguous
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_rows_backward_flattens_indices_and_wraps_negative_ones():
+    rng = np.random.default_rng(6)
+    table = rnd(rng, 5, 2, 3)
+    idx = np.array([[0, -1, 4], [4, 2, -5]])
+    g = rng.standard_normal((2, 3, 2, 3))
+    want = np.zeros((5, 2, 3))
+    np.add.at(want, idx, g)
+    np.testing.assert_array_equal(_rows_backward(table, idx, g), want)
+
+
+def test_rows_backward_keeps_float32():
+    ad.set_default_dtype(np.float32)
+    try:
+        rng = np.random.default_rng(7)
+        g = rng.standard_normal((6, 4)).astype(np.float32)
+        got = _rows_backward(rnd(rng, 3, 4), [0, 2, 2, 1, 0, 2], g)
+    finally:
+        ad.set_default_dtype(np.float64)
+    want = np.zeros((3, 4), dtype=np.float32)
+    np.add.at(want, [0, 2, 2, 1, 0, 2], g)
+    assert got.dtype == np.float32
+    np.testing.assert_allclose(got, want, rtol=1e-6)
+
+
 # ---------------------------------------------------------------------------
 # check_gradient oracle
 # ---------------------------------------------------------------------------

@@ -1,4 +1,8 @@
 import random
+import sys
+import tempfile
+import threading
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -6,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logotree import ids
-from logotree.errors import CycleError, ExpansionError, ParseError, StructureError
+from logotree.errors import (CycleError, ExpansionError, LogotreeError,
+                             ParseError, StructureError)
 from logotree.ids import (Leaf, LinearOrder, Nary, Op, binarize, decompose,
                           leaves, linearize, load_rule_table, node_count,
                           parse_ids, reconstruct_preorder, strip_operators)
@@ -292,6 +297,154 @@ def test_memoized_decompose_keeps_cycle_guard():
     assert not table.expansions  # nothing stored from a failed expansion
 
 
+def _depth(tree):
+    if isinstance(tree, Leaf):
+        return 0
+    return 1 + max(_depth(tree.left), _depth(tree.right))
+
+
+_HEADS = "ABCDE"
+_TERMINALS = "xy一"
+
+
+@st.composite
+def _prefix_exprs(draw, operands, budget=2):
+    """A prefix expression over binary and ternary operators."""
+    if budget == 0 or draw(st.integers(0, 2)) == 0:
+        return [draw(st.sampled_from(operands))]
+    idc = draw(st.sampled_from(["⿰", "⿱", "⿻", "⿲", "⿳"]))
+    out = [idc]
+    for _ in range(ids._ARITY[idc]):
+        out += draw(_prefix_exprs(operands, budget - 1))
+    return out
+
+
+@st.composite
+def _rule_tables(draw):
+    """Small hand-built tables: a head may use terminals and earlier heads
+    (shared components, rule chains up to five long); with ``cyclic`` any
+    head, itself included."""
+    n = draw(st.integers(1, len(_HEADS)))
+    cyclic = draw(st.integers(0, 2)) == 0
+    rules = {}
+    for i, head in enumerate(_HEADS[:n]):
+        # the previous head weighs three, so long chains are common
+        operands = (list(_TERMINALS) + list(_HEADS[:n] if cyclic else _HEADS[:i])
+                    + list(_HEADS[i - 1:i] * 2))
+        rules[head] = ids.Ids(None, tuple(draw(_prefix_exprs(operands))))
+    used = {t for rule in rules.values() for t in rule.expr}
+    return ids.RuleTable(rules=rules, leaf_set=used - ids.ALL_IDCS - set(rules))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_rule_tables(),
+       st.lists(st.sampled_from([1, 2, 3, 4, 5, 7, 64]), min_size=1, max_size=4))
+def test_forest_decompose_and_histogram_equal_fresh_expansion(table, depths):
+    """One table for every bound, so forest nodes and memo entries made under
+    one bound are read under the next."""
+    for max_depth in depths:
+        for head in list(_HEADS) + list(_TERMINALS) + ["?"]:
+            want = _outcome(lambda: _fresh_decompose(head, table, max_depth))
+            got = _outcome(lambda: decompose(head, table, max_depth))
+            assert got == want, (head, max_depth)
+        want = _outcome(lambda: Counter(
+            _depth(_fresh_decompose(h, table, max_depth)) for h in table.rules))
+        assert _outcome(lambda: ids.depth_histogram(table, max_depth)) == want
+    forest = table.forest
+    assert len({(forest.label[i], forest.left[i], forest.right[i])
+                for i in range(len(forest))}) == len(forest)  # interned once
+    for nid, node in enumerate(forest.node):
+        assert forest.height[nid] == _depth(node)
+        assert max(forest.left[nid], forest.right[nid]) < nid
+    for token, (nid, chain) in table.expansions.items():
+        # only finished expansions are stored, with their true chain length
+        assert chain == _chain_length(token, table)
+        assert forest.node[nid] == _fresh_decompose(token, table, chain)
+
+
+def test_forest_shares_equal_subtrees():
+    table = load_rule_table(Path(__file__).parent / "data" / "mini_ids.txt")
+    trees = [decompose(head, table) for head in table.rules]
+    seen = {}
+
+    def walk(node):
+        assert seen.setdefault(ids.to_bracketed(node), node) is node
+        if isinstance(node, Op):
+            walk(node.left)
+            walk(node.right)
+
+    for tree in trees:
+        walk(tree)
+    assert len(seen) == len(table.forest)  # the forest holds nothing else
+
+
+def test_forest_path_builds_no_parse_tree(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a parse tree was built")
+
+    monkeypatch.setattr(ids, "_parse_raw", forbidden)
+    monkeypatch.setattr(ids, "Nary", forbidden)
+    table = load_rule_table(Path(__file__).parent / "data" / "mini_ids.txt")
+    assert any(t in ids.TERNARY_IDCS for r in table.rules.values() for t in r.expr)
+    hist = ids.depth_histogram(table)
+    assert sum(hist.values()) == len(table.rules)
+    for head in table.rules:
+        decompose(head, table)
+
+
+def test_forest_threads_expanding_one_table():
+    """Four threads expand one table at once: every subtree still gets one
+    id, and every tree equals a single-threaded expansion."""
+    rng = random.Random(3)
+    heads = [chr(0x20000 + i) for i in range(3000)]
+    rules = {}
+    for i, head in enumerate(heads):
+        # six layers of 500 heads, each over the layer below: shared
+        # components, and trees of at most 2**6 leaves
+        below = heads[max(0, i // 500 - 1) * 500:i // 500 * 500]
+        pool = below + ["一", "丨", "口"]
+        rules[head] = ids.Ids(None, (rng.choice("⿰⿱⿻"), rng.choice(pool),
+                                     rng.choice(pool)))
+    table = ids.RuleTable(rules=rules, leaf_set={"一", "丨", "口"})
+    want = ids.RuleTable(rules=rules, leaf_set=table.leaf_set)
+    errors = []
+
+    def work(k):
+        try:
+            for head in heads[k::2] + heads[::-1]:
+                decompose(head, table)
+        except Exception as exc:  # reported below, with the other threads'
+            errors.append(repr(exc))
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work, args=(k % 2,)) for k in range(4)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(w.is_alive() for w in workers)
+    assert errors == []
+    forest = table.forest
+    assert len({(forest.label[i], forest.left[i], forest.right[i])
+                for i in range(len(forest))}) == len(forest)
+    for head in heads[::7]:
+        assert decompose(head, table) == decompose(head, want)
+
+
+def test_malformed_hand_built_rule_raises_parse_error():
+    for expr, message in [((), "empty expression"),
+                          (("⿰", "x"), "dangling operator"),
+                          (("x", "y"), "trailing tokens from index 1")]:
+        table = ids.RuleTable(rules={"A": ids.Ids(None, expr)}, leaf_set={"x", "y"})
+        with pytest.raises(ParseError, match=message):
+            decompose("A", table)
+        assert not table.expansions
+
+
 def test_decompose_deterministic(rule_table):
     a = decompose("曉", rule_table)
     b = decompose("曉", rule_table)
@@ -388,6 +541,66 @@ def test_parse_fuzz_total(tokens):
         return
     assert node_count(tree) == len(tokens) + sum(
         1 for t in tokens if t in ids.TERNARY_IDCS)
+
+
+def _parse_raw_view(text):
+    """The skipped line count, and the first valid expression of each head,
+    judged by the tree-building parser."""
+    skipped, exprs = 0, {}
+    for line in text.splitlines():
+        line = line.strip()
+        if not line or line[0] in ";#":
+            continue
+        parts = line.split("\t")
+        if len(parts) < 3 or not parts[1]:
+            skipped += 1
+            continue
+        try:
+            tokens = ids.tokenize_ids(parts[2])
+            ids._parse_raw(tokens)
+        except ParseError:
+            skipped += 1
+            continue
+        exprs.setdefault(parts[1], tokens)
+    return skipped, exprs
+
+
+_FIELD = st.text(alphabet="⿰⿱⿲⿳[]&;AB人一 U+4E0", max_size=7)
+_EXPR = st.lists(st.sampled_from(["⿰", "⿱", "⿲", "⿳", "A", "B", "C", "人", "一",
+                                  "[G]", "&CDP-1;", " "]), max_size=7).map("".join)
+_LINES = st.lists(st.one_of(
+    st.lists(_FIELD, min_size=1, max_size=4).map("\t".join),
+    st.tuples(st.sampled_from(["U+4E00", "U+", "zz", ""]),
+              st.sampled_from(["A", "B", "C", "人", "一", ""]), st.one_of(_EXPR, _FIELD))
+    .map("\t".join),
+    st.sampled_from(["", "; note", "#", "\t\t", "U+0041\tA\tA"]),
+    # rules over A, B and C: chains, and cycles when all three meet
+    st.sampled_from(["U+0041\tA\t⿰B一", "U+0042\tB\t⿱C人", "U+0043\tC\t⿰A一",
+                     "U+0043\tC\t⿲人一人", "U+0042\tB\t⿳A[G]&CDP-1;一"])),
+    max_size=8)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_LINES)
+def test_load_rule_table_fuzz(lines):
+    """Arbitrary lines give a table or a typed error; the syntax check
+    skips exactly the lines the parser rejects."""
+    text = "\n".join(lines) + "\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ids.txt"
+        path.write_text(text, encoding="utf-8")
+        try:
+            table = load_rule_table(path)
+        except CycleError as exc:
+            cycle, exprs = exc.cycle, _parse_raw_view(text)[1]
+            assert cycle[0] == cycle[-1]  # each head's rule names the next
+            assert all(b in exprs[a] for a, b in zip(cycle, cycle[1:]))
+            return
+        except LogotreeError:
+            return
+    assert table.skipped_lines == _parse_raw_view(text)[0]
+    for head in table.rules:
+        assert decompose(head, table) == _fresh_decompose(head, table, 64)
 
 
 @given(st.text(alphabet="⿰⿱⿲⿳[]&;azA 人一", max_size=16))

@@ -97,6 +97,24 @@ def test_segment_rejects_garbage(bad):
         segment_jyutping(bad)
 
 
+def test_segment_memo_raises_on_every_call():
+    before = segment_jyutping.cache_info()
+    for _ in range(3):
+        with pytest.raises(SegmentationError):
+            segment_jyutping("bcd1")
+    after = segment_jyutping.cache_info()
+    assert after.misses - before.misses == 3  # a failure is never stored
+    assert after.currsize == before.currsize
+
+
+def test_segment_memo_gives_the_unmemoized_corpus(readings, monkeypatch):
+    memoized = phono.build_corpus(readings, seed=3)
+    for r in ("zing1", "zing1", "m4", "ng5"):
+        assert segment_jyutping(r) == segment_jyutping.__wrapped__(r)
+    monkeypatch.setattr(phono, "segment_jyutping", segment_jyutping.__wrapped__)
+    assert phono.build_corpus(readings, seed=3) == memoized
+
+
 def test_segment_totality_over_corpus(readings):
     for ch, rs in readings.items():
         for r in rs:
