@@ -68,23 +68,47 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     if header.get("format_version") != FORMAT_VERSION:
         raise CheckpointError(f"{path}: unsupported format version "
                               f"{header.get('format_version')}")
+    manifest, index = header.get("manifest"), header.get("tensors")
+    if not isinstance(manifest, dict):
+        raise CheckpointError(f"{path}: manifest is not a JSON object")
+    if not (isinstance(index, list) and all(map(_index_entry_ok, index))):
+        raise CheckpointError(f"{path}: malformed tensor index")
     payload = raw[12 + hlen:]
-    try:
-        index = [(e["name"], tuple(int(d) for d in e["shape"]), int(e["offset"]))
-                 for e in header["tensors"]]
-        manifest = header["manifest"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointError(f"{path}: malformed tensor index: {exc!r}") from exc
     tensors = {}
-    for name, shape, start in index:
+    for entry in index:
+        name, shape, start = entry["name"], entry["shape"], entry["offset"]
         n = math.prod(shape)
-        if min(shape, default=0) < 0 or start < 0 or start + 8 * n > len(payload):
-            raise CheckpointError(f"{path}: tensor {name!r} (shape {list(shape)}, "
+        if start + 8 * n > len(payload):
+            raise CheckpointError(f"{path}: tensor {name!r} (shape {shape}, "
                                   f"offset {start}) runs past the "
                                   f"{len(payload)}-byte payload")
         arr = np.frombuffer(payload, dtype="<f8", count=n, offset=start)
-        tensors[name] = arr.astype(np.float64).reshape(shape)
+        try:
+            tensors[name] = arr.astype(np.float64).reshape(shape)
+        except ValueError as exc:  # more dimensions than numpy supports
+            raise CheckpointError(f"{path}: tensor {name!r}: {exc}") from exc
     return tensors, manifest
+
+
+def _index_entry_ok(entry) -> bool:
+    """A str name, a list of non-negative int dimensions and a non-negative
+    int offset."""
+    return (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+            and isinstance(entry.get("shape"), list)
+            and all(type(d) is int and d >= 0 for d in entry["shape"])
+            and type(entry.get("offset")) is int and entry["offset"] >= 0)
+
+
+def manifest_strings(path, manifest: dict, *keys) -> list[str]:
+    """The list of str at ``manifest[keys[0]][keys[1]]...``; a field that is
+    missing or holds anything else is a ``CheckpointError``."""
+    value = manifest
+    for key in keys:
+        value = value.get(key) if isinstance(value, dict) else None
+    if isinstance(value, list) and all(isinstance(v, str) for v in value):
+        return value
+    raise CheckpointError(f"{path}: manifest field {'.'.join(keys)} is not a "
+                          "list of strings")
 
 
 def restore_tensors(path, params: dict, tensors: dict[str, np.ndarray]) -> None:

@@ -18,7 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, concat, dropout, matmul, rows, sigmoid, tanh
 from .errors import ContractError, ShapeError
-from .ids import BINARY_IDCS, ALL_IDCS, GlyphTree, Leaf, UNK_TOKEN
+from .ids import BINARY_IDCS, ALL_IDCS, GlyphTree, Leaf, Op, UNK_TOKEN
 
 GATES = ("i", "fl", "fr", "o", "c")
 LSTM_GATES = ("i", "f", "o", "c")
@@ -200,84 +200,70 @@ def treelstm_forward(tree: GlyphTree, embeds: VocabEmbeddings,
 # ---------------------------------------------------------------------------
 
 @dataclass
-class NodeSlot:
-    token: str          # own input token (leaf character or operator)
-    left: int = -1      # global slot ids of children; -1 for leaves
-    right: int = -1
-    xl_token: str | None = None
-    xr_token: str | None = None
-
-
-@dataclass
 class LevelSchedule:
-    """Nodes grouped by height; children always sit in earlier levels."""
+    """Slots grouped by height; children always sit in earlier levels.
 
-    levels: list[list[NodeSlot]]
-    roots: list[int]  # per-tree global slot id of the root
+    Per slot: its own input token (leaf character or operator) and its
+    children's slot ids, -1 at leaves. Each level is a range of slots.
+    """
+
+    label: list[str]
+    left: np.ndarray
+    right: np.ndarray
+    levels: list[range]
+    roots: list[int]  # per-tree slot id of the root
     shared: bool = False  # built with ``share``: a slot may have several users
 
     @property
     def total_slots(self) -> int:
-        return sum(len(lv) for lv in self.levels)
+        return len(self.label)
 
 
 def build_level_schedule(trees, share: bool = False) -> LevelSchedule:
     """Group every node of every tree by height (leaves at level 0).
 
-    Global slot ids number the nodes level by level, so a node's children
-    always have smaller slot ids than the node itself. With ``share`` each
-    distinct subtree gets one slot (hash-consing): a node is interned by
-    ``(token,)`` for a leaf and ``(idc, left, right)`` over its children's
-    slots for an inner node, so recurring components and repeated trees
+    Slot ids number the nodes level by level, each level in the post-order
+    of the nodes' first occurrences, so a node's children always have
+    smaller slot ids than the node itself. With ``share`` each distinct
+    subtree gets one slot (hash-consing): a node is interned by its token
+    and its children's ids, so recurring components and repeated trees
     share slots, roots included. Without it every node occurrence gets its
     own slot.
     """
     trees = list(trees)
     if not trees:
         raise ContractError("empty batch")
-    # first pass: bucket nodes per level; children referenced as (level, idx)
-    buckets: list[list[tuple]] = []  # (token, lchild, rchild, xl, xr)
-    interned: dict[tuple, tuple[int, int]] = {}
-
-    def place(node) -> tuple[int, int]:
-        if isinstance(node, Leaf):
-            key = (node.token,)
-            lvl, entry = 0, (node.token, None, None, None, None)
-        else:
-            lref = place(node.left)
-            rref = place(node.right)
-            key = (node.idc, lref, rref)
-            lvl = 1 + max(lref[0], rref[0])
-            entry = (node.idc, lref, rref,
-                     _input_token(node.left), _input_token(node.right))
-        if share and key in interned:
-            return interned[key]
-        while len(buckets) <= lvl:
-            buckets.append([])
-        buckets[lvl].append(entry)
-        ref = (lvl, len(buckets[lvl]) - 1)
-        if share:
-            interned[key] = ref
-        return ref
-
-    root_refs = [place(t) for t in trees]
-
-    offsets = np.cumsum([0] + [len(b) for b in buckets[:-1]]).tolist()
-
-    def slot_id(ref: tuple[int, int]) -> int:
-        return offsets[ref[0]] + ref[1]
-
-    levels = []
-    for entries in buckets:
-        level_slots = []
-        for token, lref, rref, xl, xr in entries:
-            if lref is None:
-                level_slots.append(NodeSlot(token))
-            else:
-                level_slots.append(NodeSlot(token, slot_id(lref), slot_id(rref),
-                                            xl, xr))
-        levels.append(level_slots)
-    return LevelSchedule(levels, [slot_id(r) for r in root_refs], share)
+    nodes = []  # (label, left, right) per walk id, in post-order
+    height: list[int] = []
+    interned: dict[tuple, int] = {}
+    done: list[int] = []  # walk ids of finished subtrees; ends with the roots
+    for tree in trees:
+        stack = [(tree, False)]
+        while stack:
+            node, children_done = stack.pop()
+            if type(node) is Op and not children_done:
+                stack += ((node, True), (node.right, False), (node.left, False))
+                continue
+            if type(node) is Leaf:
+                key, h = (node.token, -1, -1), 0
+            else:  # the children's walk ids end ``done``
+                rid, lid = done.pop(), done.pop()
+                key, h = (node.idc, lid, rid), 1 + max(height[lid], height[rid])
+            wid = interned.setdefault(key, len(nodes)) if share else len(nodes)
+            if wid == len(nodes):
+                nodes.append(key)
+                height.append(h)
+            done.append(wid)
+    # a stable sort by height keeps the post-order within each level; its
+    # inverse maps walk ids to slot ids, and the appended -1 maps -1 to -1
+    label, left, right = zip(*nodes)
+    order = np.argsort(height, kind="stable")
+    slot = np.append(np.argsort(order), -1)
+    ends = np.cumsum(np.bincount(height)).tolist()
+    return LevelSchedule([label[k] for k in order.tolist()],
+                         slot[np.array(left)[order]], slot[np.array(right)[order]],
+                         [range(a, b) for a, b in zip([0] + ends[:-1], ends)],
+                         slot[done].tolist(), share)
 
 
 def _input_token(node) -> str:
@@ -318,20 +304,20 @@ def treelstm_levels(schedule: LevelSchedule, inputs, p: TreeLstmParams) -> Tenso
     the per-node evaluation.
     """
     w = {key: t.data for key, t in p.weights.items()}
-    starts = np.cumsum([0] + [len(slots) for slots in schedule.levels]).tolist()
     taped = ad.taping()
     read: list[Tensor] = []  # under a tape: the input tensors the cell reads
     saved = []  # under a tape: per level, what the backward pass needs
 
-    for lvl, (slots, xs) in enumerate(zip(schedule.levels, inputs)):
+    for lvl, (span, xs) in enumerate(zip(schedule.levels, inputs)):
+        rows_ = slice(span.start, span.stop)
         if lvl == 0:
-            h_buf = np.empty((starts[-1], p.hidden), dtype=xs[0].data.dtype)
+            h_buf = np.empty((schedule.total_slots, p.hidden),
+                             dtype=xs[0].data.dtype)
             c_buf = np.empty_like(h_buf)
             kids, gates = None, ("i", "o", "c")
             terms, used = [("V", xs[0].data)], xs[:1]
         else:
-            kids = (np.array([s.left for s in slots], dtype=np.intp),
-                    np.array([s.right for s in slots], dtype=np.intp))
+            kids = (schedule.left[rows_], schedule.right[rows_])
             gates = GATES
             terms = [("Ul", h_buf[kids[0]]), ("Ur", h_buf[kids[1]])]
             used = xs if p.operator_inputs else ()
@@ -347,7 +333,6 @@ def treelstm_levels(schedule: LevelSchedule, inputs, p: TreeLstmParams) -> Tenso
             if p.use_bias:
                 pre += w[f"b_{g}"]
             act[g] = np.tanh(pre) if g == "c" else ad.logistic(pre)
-        rows_ = slice(starts[lvl], starts[lvl + 1])
         c = np.multiply(act["i"], act["c"], out=c_buf[rows_])
         if kids is not None:
             c += act["fl"] * c_buf[kids[0]]
@@ -426,16 +411,18 @@ def treelstm_batch_forward(trees, embeds: VocabEmbeddings, p: TreeLstmParams,
     """
     share = not (training and input_dropout > 0)
     schedule = build_level_schedule(trees, share=share)
+    tok = embeds.token_ids(schedule.label)
 
-    def look_up(tokens) -> Tensor:
-        return dropout(embeds.lookup(tokens), input_dropout, rng, training)
+    def look_up(ids_) -> Tensor:
+        return dropout(rows(embeds.table, ids_), input_dropout, rng, training)
 
     def level_inputs():
-        for lvl, slots in enumerate(schedule.levels):
-            xs = [look_up([s.token for s in slots])]
+        for lvl, span in enumerate(schedule.levels):
+            rows_ = slice(span.start, span.stop)
+            xs = [look_up(tok[rows_])]
             if lvl:
-                xs += [look_up([s.xl_token for s in slots]),
-                       look_up([s.xr_token for s in slots])]
+                xs += [look_up(tok[schedule.left[rows_]]),
+                       look_up(tok[schedule.right[rows_]])]
             yield xs
 
     return treelstm_levels(schedule, level_inputs(), p)

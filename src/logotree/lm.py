@@ -21,7 +21,8 @@ import numpy as np
 from . import autodiff as ad
 from . import encoders as enc
 from .autodiff import Adam, Tape, Tensor, concat, dropout, matmul, rows, softmax
-from .checkpoint import load_checkpoint, restore_tensors, save_checkpoint
+from .checkpoint import (load_checkpoint, manifest_strings, restore_tensors,
+                         save_checkpoint)
 from .config import (LmConfig, config_from_dict, config_to_dict,
                      validate_lm_config)
 from .errors import ContractError, DataError, IoError
@@ -166,9 +167,9 @@ def window_embeddings(model: LmModel, ids: np.ndarray,
     if plain:
         parts.append(rows(model.aux, np.array(plain, dtype=np.intp)))
     matrix = parts[0] if len(parts) == 1 else concat(parts, axis=0)
-    row_of = {v: k for k, v in enumerate(composed + plain)}
-    flat = np.array([row_of[int(v)] for v in ids.reshape(-1)], dtype=np.intp)
-    return matrix, flat
+    row_of = np.empty(len(model.vocab), dtype=np.intp)
+    row_of[composed + plain] = np.arange(len(unique))
+    return matrix, row_of[ids.reshape(-1)]
 
 
 def _run_window(model: LmModel, ids: np.ndarray, state,
@@ -451,15 +452,16 @@ def load_lm(path, rules: RuleTable | None = None) -> LmModel:
         # read it (``eval-lm --no-cache`` chooses whether to cache)
         stored.pop("cache_embeddings", None)
     config = config_from_dict(LmConfig, stored, str(path))
-    vocab_chars = [ch for ch in manifest["vocab"]
+    vocab_chars = [ch for ch in manifest_strings(path, manifest, "vocab")
                    if ch not in (EOS_TOKEN, UNK_TOKEN)]
     if config.input_kind == "hierarchical" and rules is None:
         raise ContractError("loading a hierarchical model needs the rule table")
     model = build_lm(config, vocab_chars, rules)
     if model.hierarchical:
         model.leaf_embeds = enc.VocabEmbeddings.from_tokens(
-            manifest["leaf_vocab"], config.embed_dim, name="leaf_embeddings")
-        if sorted(model.trees) != manifest["tree_chars"]:
+            manifest_strings(path, manifest, "leaf_vocab"), config.embed_dim,
+            name="leaf_embeddings")
+        if sorted(model.trees) != manifest_strings(path, manifest, "tree_chars"):
             raise ContractError(f"{path}: rule table does not reproduce the "
                                 "decompositions this model was trained with")
     restore_tensors(path, model.params(), tensors)

@@ -20,7 +20,8 @@ from . import autodiff as ad
 from . import encoders as enc
 from .atomic import atomic_write
 from .autodiff import Adam, Tape, Tensor, concat, dropout, matmul, softmax
-from .checkpoint import load_checkpoint, restore_tensors, save_checkpoint
+from .checkpoint import (load_checkpoint, manifest_strings, restore_tensors,
+                         save_checkpoint)
 from .config import RunConfig, config_from_dict, config_to_dict, validate_config
 from .errors import ContractError, DataError
 from .ids import LinearOrder, RuleTable, decompose, linearize, strip_operators
@@ -448,9 +449,11 @@ def load_model(path) -> PronModel:
     if manifest.get("kind") != "pronunciation":
         raise ContractError(f"{path} is not a pronunciation checkpoint")
     config = config_from_dict(RunConfig, manifest.get("config"), str(path))
-    inv = Inventories(**{u: list(manifest["inventories"][u]) for u in UNITS})
-    model = build_model(config, inv, manifest["vocab"])
+    inv = Inventories(**{u: manifest_strings(path, manifest, "inventories", u)
+                         for u in UNITS})
+    vocab = manifest_strings(path, manifest, "vocab")
+    model = build_model(config, inv, vocab)
     # the vocabulary must keep the exact saved token order
-    model.embeds = enc.VocabEmbeddings.from_tokens(manifest["vocab"], config.d_in)
+    model.embeds = enc.VocabEmbeddings.from_tokens(vocab, config.d_in)
     restore_tensors(path, model.params(), tensors)
     return model

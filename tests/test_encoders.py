@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logotree import autodiff as ad
 from logotree import encoders as enc
@@ -112,7 +114,7 @@ def test_leaf_cell_equals_node_with_zero_children(use_bias):
     zx, zh = Tensor(np.zeros((4, 3))), Tensor(np.zeros((4, 5)))
     # level 0 of the fused primitive is the leaf cell; with every slot a
     # root its output is that level's h
-    leaves = enc.LevelSchedule([[enc.NodeSlot(t) for t in "abcd"]], [0, 1, 2, 3])
+    leaves = build_level_schedule([Leaf(t) for t in "abcd"])
     results = []
     for fused in (True, False):
         tp = Tape()
@@ -243,16 +245,13 @@ def test_schedule_slot_totals():
     sched = build_level_schedule(trees)
     assert sched.total_slots == sum(node_count(t) for t in trees)
     # every inner node's children live at strictly lower levels, hence at
-    # strictly smaller global slot ids
-    offset = 0
-    for slots in sched.levels:
-        for s in slots:
-            if s.left >= 0:
-                assert s.left < offset
-                assert s.right < offset
-        offset += len(slots)
+    # strictly smaller slot ids
+    for span in sched.levels[1:]:
+        for kids in (sched.left[span], sched.right[span]):
+            assert np.all((kids >= 0) & (kids < span.start))
     assert len(sched.levels[0]) >= 1
-    assert all(s.left == -1 for s in sched.levels[0])
+    assert np.all(sched.left[sched.levels[0]] == -1)
+    assert np.all(sched.right[sched.levels[0]] == -1)
 
 
 def _subtrees(tree, out: set) -> set:
@@ -290,12 +289,10 @@ def test_shared_schedule_has_one_slot_per_distinct_subtree():
     assert sched.total_slots < sum(node_count(t) for t in trees)
     # children still sit at smaller slot ids, and every slot is a distinct
     # (token, left, right) triple
-    offset, seen = 0, set()
-    for slots in sched.levels:
-        for s in slots:
-            assert s.left < offset and s.right < offset
-            seen.add((s.token, s.left, s.right))
-        offset += len(slots)
+    for span in sched.levels:
+        assert np.all(sched.left[span] < span.start)
+        assert np.all(sched.right[span] < span.start)
+    seen = set(zip(sched.label, sched.left.tolist(), sched.right.tolist()))
     assert len(seen) == sched.total_slots
     assert sched.roots[128:] == sched.roots[:16]
 
@@ -308,6 +305,66 @@ def test_schedule_without_sharing_counts_every_occurrence():
     assert sched.total_slots == sum(node_count(t) for t in trees)
     assert sched.roots == build_level_schedule(trees).roots
     assert len(set(sched.roots)) == len(trees)
+
+
+def _oracle_schedule(trees, share):
+    """Per level, the nodes in post-order of their first occurrence: a node
+    is its structural value with ``share`` (equal subtrees are one node)
+    and its (tree, path) position without. Returns labels, children and
+    roots in slot ids, and the level sizes."""
+    nodes = {}  # node -> (label, height, left node, right node), first seen first
+
+    def visit(tree, pos):
+        if isinstance(tree, Leaf):
+            entry = (tree.token, 0, None, None)
+        else:
+            left, right = visit(tree.left, pos + "l"), visit(tree.right, pos + "r")
+            entry = (tree.idc, 1 + max(nodes[left][1], nodes[right][1]),
+                     left, right)
+        node = tree if share else pos
+        nodes.setdefault(node, entry)
+        return node
+
+    roots = [visit(t, f"{k}:") for k, t in enumerate(trees)]
+    top = max(e[1] for e in nodes.values())
+    levels = [[n for n, e in nodes.items() if e[1] == h] for h in range(top + 1)]
+    slot = {n: k for k, n in enumerate(n for lv in levels for n in lv)}
+    slots = [nodes[n] for lv in levels for n in lv]
+    return ([e[0] for e in slots],
+            [slot.get(e[2], -1) for e in slots],
+            [slot.get(e[3], -1) for e in slots],
+            [slot[n] for n in roots], [len(lv) for lv in levels])
+
+
+def _rebuild(tree):
+    if isinstance(tree, Leaf):
+        return Leaf(tree.token)
+    return Op(tree.idc, _rebuild(tree.left), _rebuild(tree.right))
+
+
+_glyph_trees = st.recursive(
+    st.builds(Leaf, st.sampled_from("abc")),
+    lambda kids: st.builds(Op, st.sampled_from("⿰⿱"), kids, kids),
+    max_leaves=10)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(_glyph_trees, min_size=1, max_size=8),
+       st.lists(st.integers(0, 7), max_size=4))
+def test_schedule_matches_recursive_oracle(trees, repeats):
+    # repeated trees are the same objects; rebuilt ones are equal trees made
+    # of separate objects, which must share slots too
+    batch = trees + [trees[k % len(trees)] for k in repeats]
+    batch += [_rebuild(t) for t in trees[::2]]
+    for share in (False, True):
+        sched = build_level_schedule(batch, share=share)
+        label, left, right, roots, sizes = _oracle_schedule(batch, share)
+        assert sched.label == label
+        assert sched.left.tolist() == left
+        assert sched.right.tolist() == right
+        assert sched.roots == roots
+        assert [len(lv) for lv in sched.levels] == sizes
+        assert sched.total_slots == sum(sizes) and sched.shared == share
 
 
 def test_shared_subtree_gradients_match_summed_sequential_gradients():

@@ -32,12 +32,13 @@ def random_tree(rng: random.Random, depth: int):
 
 def level_inputs(schedule, embeds):
     """Input rows per level, looked up as ``treelstm_batch_forward`` does."""
+    label = schedule.label
     inputs = []
-    for lvl, slots in enumerate(schedule.levels):
-        xs = [embeds.lookup([s.token for s in slots])]
+    for lvl, span in enumerate(schedule.levels):
+        xs = [embeds.lookup([label[k] for k in span])]
         if lvl:
-            xs += [embeds.lookup([s.xl_token for s in slots]),
-                   embeds.lookup([s.xr_token for s in slots])]
+            xs += [embeds.lookup([label[k] for k in schedule.left[span]]),
+                   embeds.lookup([label[k] for k in schedule.right[span]])]
         inputs.append(xs)
     return inputs
 
@@ -47,14 +48,14 @@ def composed_levels(schedule, inputs, p):
     level over row gathers of concatenated state pools, leaves included
     (with zero child states and inputs)."""
     h_pool = c_pool = None
-    for lvl, (slots, xs) in enumerate(zip(schedule.levels, inputs)):
+    for lvl, (span, xs) in enumerate(zip(schedule.levels, inputs)):
         if lvl == 0:
             zx = Tensor(np.zeros_like(xs[0].data))
-            zh = Tensor(np.zeros((len(slots), p.hidden)))
+            zh = Tensor(np.zeros((len(span), p.hidden)))
             c, h = enc.treelstm_node(xs[0], zx, zx, zh, zh, zh, zh, p)
         else:
-            left = [s.left for s in slots]
-            right = [s.right for s in slots]
+            left = schedule.left[span]
+            right = schedule.right[span]
             c, h = enc.treelstm_node(*xs, ad.rows(h_pool, left),
                                      ad.rows(h_pool, right),
                                      ad.rows(c_pool, left),

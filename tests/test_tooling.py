@@ -288,6 +288,37 @@ def test_perfbench_trace_targets_resolve(monkeypatch):
         assert callable(obj), name
 
 
+def test_perfbench_schedule_counts_match_the_schedule(monkeypatch):
+    # the traced counts behind encoders.slots_per_call, levels_per_call and
+    # leaf_slot_share read the schedule's slot total and level ranges
+    import importlib
+
+    import numpy as np
+
+    from logotree import encoders as enc
+    from logotree.ids import Leaf, Op
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    trace = importlib.import_module("perfbench.trace")
+    rng = np.random.default_rng(5)
+    embeds = enc.VocabEmbeddings(list("abc"), 3, rng)
+    p = enc.TreeLstmParams.init(4, 3, rng)
+    twin = Op("⿱", Leaf("a"), Leaf("b"))
+    trees = [Op("⿰", twin, Leaf("c")), twin, Leaf("a"),
+             Op("⿰", Op("⿱", Leaf("a"), Leaf("b")), twin)]
+    schedule = enc.build_level_schedule(trees, share=True)
+    rec = trace.Recorder()
+    rec.install(trace.TRACED)
+    try:
+        enc.treelstm_batch_forward(trees, embeds, p)
+    finally:
+        rec.uninstall()
+    spans, counts, _ = rec.take()
+    assert [s[0] for s in spans].count("encoders.build_level_schedule") == 1
+    assert counts["encoders.slots"] == schedule.total_slots == 6
+    assert counts["encoders.levels"] == len(schedule.levels) == 3
+    assert counts["encoders.leaf_slots"] == len(schedule.levels[0]) == 3
+
+
 BENCHMARK = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json")
                        .read_text(encoding="utf-8"))
 
