@@ -10,12 +10,12 @@ the pipeline on the shipped mini fixtures in about a minute.
 """
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
 
 from logotree import ids, phono, pron
+from logotree.atomic import write_csv
 from logotree.cli import dispatch
 from logotree.config import RunConfig
 
@@ -109,12 +109,7 @@ def main() -> int:
         rows = pron.linearization_study(base, split1, table,
                                         n_jobs=args.threads)
     study_path = out_dir / "linearization_study.csv"
-    with open(study_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["model", "linearization",
-                                                "dev_TER"])
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+    write_csv(study_path, ["model", "linearization", "dev_TER"], rows)
     print(f"linearization study written to {study_path}")
     return 0
 

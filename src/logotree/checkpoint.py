@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .atomic import atomic_write
+from .atomic import atomic_write, parse_json
 from .errors import CheckpointError, ContractError, ShapeError
 
 MAGIC = b"LGTCKPT1"
@@ -60,9 +60,10 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         raise CheckpointError(f"{path}: header length {hlen} runs past the end "
                               f"of the {len(raw)}-byte file")
     try:
-        header = json.loads(raw[12:12 + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        text = raw[12:12 + hlen].decode("utf-8")
+    except UnicodeDecodeError as exc:
         raise CheckpointError(f"{path}: corrupt header: {exc}") from exc
+    header = parse_json(text, f"{path}: corrupt header", CheckpointError)
     if not isinstance(header, dict):
         raise CheckpointError(f"{path}: header is not a JSON object")
     if header.get("format_version") != FORMAT_VERSION:

@@ -11,15 +11,13 @@ evaluation run writes a manifest beside its outputs.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import json
 import logging
 import sys
 from pathlib import Path
 
 from . import diagnostics, ids, lm, phono, pron
-from .atomic import atomic_write
+from .atomic import write_csv, write_json
 from .config import LmConfig, RunConfig, config_to_dict, load_config
 from .errors import CycleError, LogotreeError
 from .manifest import finish_manifest, start_manifest
@@ -51,6 +49,15 @@ def _add_globals(parser, suppress: bool) -> None:
                         help="parallel workers for independent grid cells")
 
 
+def _sizes(text: str) -> tuple[int, int, int]:
+    """``--sizes``: three non-negative ints, train,validation,test."""
+    parts = text.split(",")
+    if len(parts) != 3 or not all(p.strip().isdecimal() for p in parts):
+        raise argparse.ArgumentTypeError(
+            f"expected three non-negative integers a,b,c, got {text!r}")
+    return tuple(int(p) for p in parts)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="logotree",
@@ -72,7 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--readings", required=True)
     p.add_argument("--variants")
     p.add_argument("--scenario", type=int, default=1)
-    p.add_argument("--sizes", help="train,validation,test counts")
+    p.add_argument("--sizes", type=_sizes, help="train,validation,test counts")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("train-pron", help="train a pronunciation model")
@@ -166,17 +173,14 @@ def _cmd_prepare_data(args, seed: int, out_dir: Path) -> int:
     corpus, dropped = phono.build_corpus(readings, seed=seed)
     print(f"characters: {len(corpus)} (dropped {dropped} unsegmentable)")
     variants = phono.parse_unihan_variants(args.variants) if args.variants else None
-    sizes = tuple(int(x) for x in args.sizes.split(",")) if args.sizes else None
     manifest = start_manifest("prepare-data", {"scenario": args.scenario,
-                                               "sizes": sizes},
+                                               "sizes": args.sizes},
                               {"readings": args.readings}, seed)
-    split = phono.build_scenario(corpus, args.scenario, seed=seed, sizes=sizes,
-                                 variants=variants)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    phono.write_split_csv(split, out)
-    finish_manifest(manifest, out_dir, [out])
-    print(f"split written to {out} "
+    split = phono.build_scenario(corpus, args.scenario, seed=seed,
+                                 sizes=args.sizes, variants=variants)
+    phono.write_split_csv(split, args.out)
+    finish_manifest(manifest, out_dir, [args.out])
+    print(f"split written to {args.out} "
           f"({len(split.train)}/{len(split.validation)}/{len(split.test)})")
     return 0
 
@@ -189,26 +193,21 @@ def _load_run_inputs(args, loaded):
     return split_path, rules_path
 
 
-def _cmd_train_pron(args, loaded, seed, out_dir: Path) -> int:
+def _cmd_train_pron(args, loaded, out_dir: Path) -> int:
     split_path, rules_path = _load_run_inputs(args, loaded)
     config: RunConfig = loaded.run
-    if seed is not None:
-        config = dataclasses.replace(config, seed=seed)
     split = phono.read_split_csv(split_path)
     rules = ids.load_rule_table(rules_path)
     manifest = start_manifest("train-pron", config_to_dict(config),
                               {"split": split_path, "rules": rules_path},
                               config.seed)
     model, history = pron.train(config, split, rules)
-    out_dir.mkdir(parents=True, exist_ok=True)
     ckpt = out_dir / "pron.ckpt"
     pron.save_model(ckpt, model)
     hist_path = out_dir / "history.csv"
-    with atomic_write(hist_path, encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "train_loss", "val_TER"])
-        for h in history:
-            writer.writerow([h.epoch, f"{h.train_loss:.6f}", f"{h.val_ter:.4f}"])
+    write_csv(hist_path, ["epoch", "train_loss", "val_TER"],
+              ([h.epoch, f"{h.train_loss:.6f}", f"{h.val_ter:.4f}"]
+               for h in history))
     report = pron.evaluate(model, split.test, rules) if split.test else None
     if report:
         print(f"test SER {report.ser:.2f} TER {report.ter:.2f}")
@@ -229,7 +228,6 @@ def _cmd_eval_pron(args, out_dir: Path) -> int:
     row = report.row()
     print(f"n={report.n} SER {row['SER']} TER {row['TER']} "
           f"onset {row['onset']} nucleus {row['nucleus']} coda {row['coda']}")
-    out_dir.mkdir(parents=True, exist_ok=True)
     out = out_dir / "eval.csv"
     pron.write_matrix_csv([{"model": model.model_name(),
                             "scenario": model.config.scenario,
@@ -240,11 +238,9 @@ def _cmd_eval_pron(args, out_dir: Path) -> int:
     return 0
 
 
-def _cmd_grid_search(args, loaded, seed, out_dir: Path, threads: int) -> int:
+def _cmd_grid_search(args, loaded, out_dir: Path) -> int:
     split_path, rules_path = _load_run_inputs(args, loaded)
     config: RunConfig = loaded.run
-    if seed is not None:
-        config = dataclasses.replace(config, seed=seed)
     split = phono.read_split_csv(split_path)
     rules = ids.load_rule_table(rules_path)
     grid = loaded.data.get("grid", {})
@@ -254,39 +250,30 @@ def _cmd_grid_search(args, loaded, seed, out_dir: Path, threads: int) -> int:
                               {"split": split_path, "rules": rules_path},
                               config.seed)
     best, table = pron.grid_search(config, split, rules, lrs, drops,
-                                   n_jobs=threads)
-    out_dir.mkdir(parents=True, exist_ok=True)
+                                   n_jobs=args.threads)
     table_path = out_dir / "grid.csv"
-    with atomic_write(table_path, encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["learning_rate", "dropout",
-                                                "dev_TER"])
-        writer.writeheader()
-        for row in table:
-            writer.writerow(row)
+    write_csv(table_path, ["learning_rate", "dropout", "dev_TER"], table)
     best_path = out_dir / "best_config.json"
-    _write_json(best_path, {"run": config_to_dict(best)})
+    write_json(best_path, {"run": config_to_dict(best)})
     finish_manifest(manifest, out_dir, [table_path, best_path])
     print(f"best: lr={best.learning_rate} dropout={best.dropout}")
     return 0
 
 
-def _cmd_run_matrix(args, loaded, seed, out_dir: Path) -> int:
+def _cmd_run_matrix(args, loaded, out_dir: Path) -> int:
     rules_path = loaded.data.get("rules")
     splits_map = loaded.data.get("splits")
     if not rules_path or not splits_map:
         raise LogotreeError("run-matrix config needs 'rules' and 'splits'")
     config: RunConfig = loaded.run
-    if seed is not None:
-        config = dataclasses.replace(config, seed=seed)
     rules = ids.load_rule_table(rules_path)
     splits = {int(k): phono.read_split_csv(v) for k, v in splits_map.items()}
     matrix = loaded.data.get("matrix", {})
-    encoders = tuple((e[0], int(e[1])) if isinstance(e, (list, tuple))
-                     else (e, 1) for e in matrix.get("encoders",
-                                                     [["treelstm", 1]]))
+    encoders = tuple(tuple(e) if isinstance(e, list) else (e, 1)
+                     for e in matrix.get("encoders", [["treelstm", 1]]))
     scenarios = tuple(matrix.get("scenarios", [1]))
     orders = tuple(matrix.get("orders", ["cd_nu_on"]))
-    ablations = tuple(bool(a) for a in matrix.get("ablations", [False]))
+    ablations = tuple(matrix.get("ablations", [False]))
     manifest = start_manifest("run-matrix", config_to_dict(config),
                               {"rules": rules_path,
                                **{f"split{k}": v for k, v in splits_map.items()}},
@@ -294,7 +281,6 @@ def _cmd_run_matrix(args, loaded, seed, out_dir: Path) -> int:
     rows = pron.run_matrix(config, splits, rules, encoders=encoders,
                            scenarios=scenarios, orders=orders,
                            ablations=ablations)
-    out_dir.mkdir(parents=True, exist_ok=True)
     out = out_dir / "matrix.csv"
     pron.write_matrix_csv(rows, out)
     finish_manifest(manifest, out_dir, [out])
@@ -302,10 +288,8 @@ def _cmd_run_matrix(args, loaded, seed, out_dir: Path) -> int:
     return 0
 
 
-def _cmd_train_lm(args, loaded, seed, out_dir: Path) -> int:
+def _cmd_train_lm(args, loaded, out_dir: Path) -> int:
     config: LmConfig = loaded.run
-    if seed is not None:
-        config = dataclasses.replace(config, seed=seed)
     corpus_path = args.corpus or loaded.data.get("corpus_train")
     if not corpus_path:
         raise LogotreeError("need --corpus (or config corpus_train)")
@@ -314,25 +298,19 @@ def _cmd_train_lm(args, loaded, seed, out_dir: Path) -> int:
     rules = ids.load_rule_table(rules_path) if rules_path else None
     train_lines = lm.read_corpus(corpus_path)
     valid_lines = lm.read_corpus(valid_path) if valid_path else None
-    data_paths = {"corpus_train": corpus_path}
-    if valid_path:
-        data_paths["corpus_valid"] = valid_path
-    if rules_path:
-        data_paths["rules"] = rules_path
+    data_paths = {k: v for k, v in (("corpus_train", corpus_path),
+                                    ("corpus_valid", valid_path),
+                                    ("rules", rules_path)) if v}
     manifest = start_manifest("train-lm", config_to_dict(config), data_paths,
                               config.seed)
     model, history = lm.train_lm(config, train_lines, valid_lines, rules)
-    out_dir.mkdir(parents=True, exist_ok=True)
     ckpt = out_dir / "lm.ckpt"
     lm.save_lm(ckpt, model)
     hist_path = out_dir / "lm_history.csv"
-    with atomic_write(hist_path, encoding="utf-8", newline="") as fh:
-        fields = ["epoch", "train_bpc"] + (["valid_bpc"] if valid_lines else [])
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        for h in history:
-            writer.writerow({k: (f"{v:.6f}" if isinstance(v, float) else v)
-                             for k, v in h.items()})
+    write_csv(hist_path,
+              ["epoch", "train_bpc"] + (["valid_bpc"] if valid_lines else []),
+              ({k: (f"{v:.6f}" if isinstance(v, float) else v)
+                for k, v in h.items()} for h in history))
     finish_manifest(manifest, out_dir, [ckpt, hist_path])
     print(f"final train BPC {history[-1]['train_bpc']:.4f}; checkpoint: {ckpt}")
     return 0
@@ -352,9 +330,8 @@ def _cmd_eval_lm(args, out_dir: Path) -> int:
     stats = lm.oov_stats(model, lines, rules)
     print(f"out-of-vocabulary: {stats['n_oov']} of {stats['n_chars']} "
           f"characters ({stats['n_oov_composable']} composable)")
-    out_dir.mkdir(parents=True, exist_ok=True)
     out = out_dir / "lm_eval.json"
-    _write_json(out, {"BPC": bpc, "PPL": ppl, **stats})
+    write_json(out, {"BPC": bpc, "PPL": ppl, **stats})
     finish_manifest(manifest, out_dir, [out])
     return 0
 
@@ -370,10 +347,9 @@ def _cmd_gate_bias(args, out_dir: Path) -> int:
     print(f"left-right roots: {report.total}")
     print(f"prefer right: {report.prefer_right} "
           f"({'n/a' if pct is None else f'{pct:.1f}%'})")
-    out_dir.mkdir(parents=True, exist_ok=True)
     out = out_dir / "gate_bias.json"
-    _write_json(out, {"total": report.total,
-                      "prefer_right": report.prefer_right, "percentage": pct})
+    write_json(out, {"total": report.total,
+                     "prefer_right": report.prefer_right, "percentage": pct})
     return 0
 
 
@@ -384,7 +360,6 @@ def _cmd_probe(args, out_dir: Path) -> int:
     for row in trace.rows:
         print(f"{row.node_id:3d} {row.token}  ->  {row.onset} {row.nucleus} "
               f"{row.coda}")
-    out_dir.mkdir(parents=True, exist_ok=True)
     out = out_dir / f"probe_{ord(args.char[0]):05X}.csv"
     diagnostics.probe_to_csv(trace, out)
     print(f"trace written to {out}")
@@ -422,6 +397,11 @@ def _cmd_neighbors(args) -> int:
 # dispatch
 # ---------------------------------------------------------------------------
 
+#: Subcommands that read ``--config``, and the kind of config each reads.
+_CONFIG_KINDS = {"train-pron": "run", "grid-search": "run",
+                 "run-matrix": "run", "train-lm": "lm"}
+
+
 def dispatch(argv) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -430,6 +410,12 @@ def dispatch(argv) -> int:
         return 2
     out_dir = Path(args.out_dir)
     try:
+        if args.command in _CONFIG_KINDS:
+            if not args.config:
+                raise LogotreeError(f"{args.command} needs --config")
+            loaded = load_config(args.config, _CONFIG_KINDS[args.command])
+            if args.seed is not None:
+                loaded.run = dataclasses.replace(loaded.run, seed=args.seed)
         if args.command == "decompose":
             return _cmd_decompose(args)
         if args.command == "validate-rules":
@@ -437,20 +423,15 @@ def dispatch(argv) -> int:
         if args.command == "prepare-data":
             return _cmd_prepare_data(args, args.seed or 0, out_dir)
         if args.command == "train-pron":
-            loaded = load_config(_require_config(args), kind="run")
-            return _cmd_train_pron(args, loaded, args.seed, out_dir)
+            return _cmd_train_pron(args, loaded, out_dir)
         if args.command == "eval-pron":
             return _cmd_eval_pron(args, out_dir)
         if args.command == "grid-search":
-            loaded = load_config(_require_config(args), kind="run")
-            return _cmd_grid_search(args, loaded, args.seed, out_dir,
-                                    args.threads)
+            return _cmd_grid_search(args, loaded, out_dir)
         if args.command == "run-matrix":
-            loaded = load_config(_require_config(args), kind="run")
-            return _cmd_run_matrix(args, loaded, args.seed, out_dir)
+            return _cmd_run_matrix(args, loaded, out_dir)
         if args.command == "train-lm":
-            loaded = load_config(_require_config(args), kind="lm")
-            return _cmd_train_lm(args, loaded, args.seed, out_dir)
+            return _cmd_train_lm(args, loaded, out_dir)
         if args.command == "eval-lm":
             return _cmd_eval_lm(args, out_dir)
         if args.command == "gate-bias":
@@ -467,17 +448,6 @@ def dispatch(argv) -> int:
     except OSError as exc:
         print(f"error[io]: {exc}", file=sys.stderr)
         return 1
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    with atomic_write(path, encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, indent=2) + "\n")
-
-
-def _require_config(args) -> str:
-    if not args.config:
-        raise LogotreeError(f"{args.command} needs --config")
-    return args.config
 
 
 def main() -> None:

@@ -8,11 +8,10 @@ default. ``load_config`` fills defaults and rejects unknown keys.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
+from .atomic import parse_json, read_text
 from .errors import ConfigError
 
 ENCODER_KINDS = ("treelstm", "lstm", "bilstm", "cnn")
@@ -132,6 +131,10 @@ def _has_type(value, kind: str) -> bool:
     if kind == "tuple[int, ...]":
         return (isinstance(value, (list, tuple))
                 and all(_has_type(v, "int") for v in value))
+    if kind == "encoder":  # an encoder kind, or a [kind, layers] pair
+        return _has_type(value, "str") or (
+            isinstance(value, list) and len(value) == 2
+            and _has_type(value[0], "str") and _has_type(value[1], "int"))
     allowed = {"bool": bool, "int": int, "float": (int, float), "str": str}[kind]
     return (isinstance(value, allowed)
             and (kind == "bool" or not isinstance(value, bool)))
@@ -156,10 +159,35 @@ def config_from_dict(cls, payload: dict, context: str):
     return cls(**kwargs)
 
 
-#: JSON keys that point at input/output files rather than hyperparameters.
-DATA_KEYS = ("split", "splits", "rules", "readings", "variants",
-             "corpus_train", "corpus_valid", "corpus_test", "out_dir",
-             "matrix", "grid")
+#: JSON keys that name an input or output file.
+PATH_KEYS = ("split", "rules", "readings", "variants", "corpus_train",
+             "corpus_valid", "corpus_test", "out_dir")
+#: Item type of each list under the ``grid`` and ``matrix`` keys.
+LIST_KEYS = {"grid": {"learning_rates": "float", "dropouts": "float"},
+             "matrix": {"encoders": "encoder", "scenarios": "int",
+                        "orders": "str", "ablations": "bool"}}
+#: JSON keys beside ``"run"``: input/output files and experiment settings.
+DATA_KEYS = PATH_KEYS + ("splits", *LIST_KEYS)
+
+
+def _check_data(data: dict, context: str) -> None:
+    """Path keys hold str, ``splits`` maps scenario numbers to str, and
+    ``grid``/``matrix`` map their documented keys to typed lists."""
+    for key, value in data.items():
+        if key in LIST_KEYS:
+            shape = f"an object of lists {LIST_KEYS[key]}"
+            ok = isinstance(value, dict) and all(
+                k in LIST_KEYS[key] and isinstance(v, list)
+                and all(_has_type(x, LIST_KEYS[key][k]) for x in v)
+                for k, v in value.items())
+        elif key == "splits":
+            shape = "an object of scenario numbers to str"
+            ok = isinstance(value, dict) and all(
+                k.isdecimal() and isinstance(v, str) for k, v in value.items())
+        else:
+            shape, ok = "str", isinstance(value, str)
+        if not ok:
+            raise ConfigError(f"{context}: {key}={value!r} is not {shape}")
 
 
 @dataclass
@@ -174,13 +202,8 @@ def load_config(path, kind: str = "run") -> LoadedConfig:
     Hyperparameters live under ``"run"``; file paths and experiment-matrix
     settings live beside it under the documented data keys.
     """
-    path = Path(path)
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+    payload = parse_json(read_text(path, "config", ConfigError),
+                         f"{path} is not valid JSON", ConfigError)
     if not isinstance(payload, dict):
         raise ConfigError(f"{path}: top level must be an object")
     unknown = set(payload) - set(DATA_KEYS) - {"run"}
@@ -196,4 +219,5 @@ def load_config(path, kind: str = "run") -> LoadedConfig:
     else:
         raise ConfigError(f"unknown config kind {kind!r}")
     data = {k: payload[k] for k in DATA_KEYS if k in payload}
+    _check_data(data, str(path))
     return LoadedConfig(config, data)

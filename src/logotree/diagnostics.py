@@ -9,14 +9,13 @@ space.
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import encoders as enc
-from .atomic import atomic_write
+from .atomic import write_csv
 from .errors import ContractError, DataError
 from .ids import IDC_ACROSS, GlyphTree, Leaf, Op, RuleTable, decompose
 from .pron import PronModel, decode_rows, encode_inputs
@@ -120,12 +119,9 @@ def probe_to_csv(trace: ProbeTrace, path) -> None:
     width = len(trace.rows[0].magnitudes)
     header = ["node_id", "token", "onset", "nucleus", "coda"]
     header += [f"h{k}" for k in range(width)]
-    with atomic_write(path, encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in trace.rows:
-            writer.writerow([row.node_id, row.token, row.onset, row.nucleus,
-                             row.coda] + [f"{v:.6g}" for v in row.magnitudes])
+    write_csv(path, header, ([row.node_id, row.token, row.onset, row.nucleus,
+                              row.coda] + [f"{v:.6g}" for v in row.magnitudes]
+                             for row in trace.rows))
 
 
 # ---------------------------------------------------------------------------

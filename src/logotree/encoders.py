@@ -22,7 +22,6 @@ from .ids import BINARY_IDCS, ALL_IDCS, GlyphTree, Leaf, Op, UNK_TOKEN
 
 GATES = ("i", "fl", "fr", "o", "c")
 LSTM_GATES = ("i", "f", "o", "c")
-PAD_TOKEN = "<PAD>"  # zero vector, excluded from the vocabulary
 
 
 def _uniform(rng: np.random.Generator, shape, bound: float) -> np.ndarray:

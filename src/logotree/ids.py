@@ -18,10 +18,9 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from pathlib import Path
 
-from .errors import (CycleError, ExpansionError, IoError, ParseError,
-                     StructureError)
+from .atomic import read_text
+from .errors import CycleError, ExpansionError, ParseError, StructureError
 
 log = logging.getLogger(__name__)
 
@@ -297,12 +296,8 @@ def load_rule_table(path) -> RuleTable:
     mapping a character to itself marks it atomic (a terminal). Cyclic rule
     sets are rejected.
     """
-    path = Path(path)
     table = RuleTable()
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise IoError(f"cannot read rule file {path}: {exc}") from exc
+    lines = read_text(path, "rule file").splitlines()
 
     explicit_terminals: set[str] = set()
     # one str per distinct token: a component named in thousands of rules is

@@ -14,18 +14,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
 from . import encoders as enc
+from .atomic import read_text
 from .autodiff import Adam, Tape, Tensor, concat, dropout, matmul, rows, softmax
 from .checkpoint import (load_checkpoint, manifest_strings, restore_tensors,
                          save_checkpoint)
 from .config import (LmConfig, config_from_dict, config_to_dict,
                      validate_lm_config)
-from .errors import ContractError, DataError, IoError
+from .errors import ContractError, DataError
 from .ids import RuleTable, decompose, Leaf, UNK_TOKEN
 
 EOS_TOKEN = "<EOS>"
@@ -200,11 +200,7 @@ def _logits(model: LmModel, h: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def read_corpus(path) -> list[str]:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise IoError(f"cannot read corpus {path}: {exc}") from exc
-    lines = [line for line in text.splitlines() if line]
+    lines = [line for line in read_text(path, "corpus").splitlines() if line]
     if not lines:
         raise DataError(f"corpus {path} is empty")
     return lines

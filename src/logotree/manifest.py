@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .atomic import atomic_write
+from .atomic import write_json
 
 
 @dataclass
@@ -55,10 +55,6 @@ def start_manifest(command: str, config_dict: dict, data_paths: dict,
 def finish_manifest(manifest: Manifest, out_dir, outputs) -> Path:
     manifest.finished_at = _now()
     manifest.outputs = [str(p) for p in outputs]
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"manifest-{manifest.command}.json"
-    with atomic_write(path, encoding="utf-8") as fh:
-        fh.write(json.dumps(asdict(manifest), indent=2, ensure_ascii=False)
-                 + "\n")
+    path = Path(out_dir) / f"manifest-{manifest.command}.json"
+    write_json(path, asdict(manifest))
     return path

@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import csv
 import functools
+import io
 import logging
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from pathlib import Path
 
-from .atomic import atomic_write
-from .errors import DataError, IoError, SegmentationError
+from .atomic import read_text, write_csv
+from .errors import DataError, SegmentationError
 
 log = logging.getLogger(__name__)
 
@@ -40,9 +40,6 @@ class PronEntry:
     onset: str
     nucleus: str
     coda: str
-
-    def toneless(self) -> str:
-        return "".join(u for u in (self.onset, self.nucleus, self.coda) if u != NULL)
 
 
 class ScriptClass(Enum):
@@ -83,12 +80,7 @@ class DatasetSplit:
 # ---------------------------------------------------------------------------
 
 def _parse_unihan_lines(path, wanted_fields: set[str]):
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-    for lineno, line in enumerate(text.splitlines(), 1):
+    for lineno, line in enumerate(read_text(path, "UniHan file").splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -312,36 +304,25 @@ CSV_HEADER = ["char", "onset", "nucleus", "coda", "partition"]
 
 
 def write_split_csv(split: DatasetSplit, path) -> None:
-    with atomic_write(path, encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for name, entries in split.partitions():
-            for e in entries:
-                writer.writerow([e.ch, e.onset, e.nucleus, e.coda, name])
+    write_csv(path, CSV_HEADER, ([e.ch, e.onset, e.nucleus, e.coda, name]
+                                 for name, entries in split.partitions()
+                                 for e in entries))
 
 
 def read_split_csv(path) -> DatasetSplit:
     split = DatasetSplit([], [], [])
+    parts = dict(split.partitions())
+    reader = csv.reader(io.StringIO(read_text(path, "split"), newline=""))
     try:
-        fh = open(path, encoding="utf-8", newline="")
-    except OSError as exc:
-        raise IoError(f"cannot read split {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
         header = next(reader, None)
         if header != CSV_HEADER:
             raise DataError(f"{path}: expected header {CSV_HEADER}, got {header}")
         for row in reader:
             if len(row) != 5:
                 raise DataError(f"{path}: malformed row {row}")
-            ch, onset, nucleus, coda, part = row
-            entry = PronEntry(ch, onset, nucleus, coda)
-            if part == "train":
-                split.train.append(entry)
-            elif part == "validation":
-                split.validation.append(entry)
-            elif part == "test":
-                split.test.append(entry)
-            else:
-                raise DataError(f"{path}: unknown partition {part!r}")
+            if row[4] not in parts:
+                raise DataError(f"{path}: unknown partition {row[4]!r}")
+            parts[row[4]].append(PronEntry(*row[:4]))
+    except csv.Error as exc:
+        raise DataError(f"{path}: {exc}") from exc
     return split

@@ -9,7 +9,6 @@ the chain during both training and evaluation.
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass, field, replace
 from itertools import product
@@ -18,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import encoders as enc
-from .atomic import atomic_write
+from .atomic import write_csv
 from .autodiff import Adam, Tape, Tensor, concat, dropout, matmul, softmax
 from .checkpoint import (load_checkpoint, manifest_strings, restore_tensors,
                          save_checkpoint)
@@ -423,11 +422,7 @@ MATRIX_HEADER = ["model", "scenario", "order", "ablation", "SER", "TER",
 
 
 def write_matrix_csv(rows: list[dict], path) -> None:
-    with atomic_write(path, encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=MATRIX_HEADER)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+    write_csv(path, MATRIX_HEADER, rows)
 
 
 # ---------------------------------------------------------------------------
