@@ -10,12 +10,11 @@ the pipeline on the shipped mini fixtures in about a minute.
 """
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from logotree import ids, phono, pron
-from logotree.atomic import write_csv
+from logotree.atomic import write_csv, write_json
 from logotree.cli import dispatch
 from logotree.config import RunConfig
 
@@ -84,7 +83,7 @@ def main() -> int:
         },
     }
     config_path = out_dir / "experiment.json"
-    config_path.write_text(json.dumps(config, indent=2), encoding="utf-8")
+    write_json(config_path, config)
 
     rc = dispatch(["--config", str(config_path), "--out-dir", str(out_dir),
                    "--threads", str(args.threads), "grid-search"])

@@ -342,6 +342,10 @@ def _cmd_gate_bias(args, out_dir: Path) -> int:
     rules = ids.load_rule_table(args.rules)
     entries = dict(split.partitions())[args.partition]
     trees = [ids.decompose(e.ch, rules) for e in entries]
+    manifest = start_manifest("gate-bias", config_to_dict(model.config),
+                              {"checkpoint": args.checkpoint,
+                               "split": args.split, "rules": args.rules},
+                              model.config.seed)
     report = diagnostics.gate_bias(model, trees)
     pct = report.percentage
     print(f"left-right roots: {report.total}")
@@ -350,18 +354,23 @@ def _cmd_gate_bias(args, out_dir: Path) -> int:
     out = out_dir / "gate_bias.json"
     write_json(out, {"total": report.total,
                      "prefer_right": report.prefer_right, "percentage": pct})
+    finish_manifest(manifest, out_dir, [out])
     return 0
 
 
 def _cmd_probe(args, out_dir: Path) -> int:
     model = pron.load_model(args.checkpoint)
     rules = ids.load_rule_table(args.rules)
+    manifest = start_manifest("probe", config_to_dict(model.config),
+                              {"checkpoint": args.checkpoint,
+                               "rules": args.rules}, model.config.seed)
     trace = diagnostics.probe(model, args.char, rules)
     for row in trace.rows:
         print(f"{row.node_id:3d} {row.token}  ->  {row.onset} {row.nucleus} "
               f"{row.coda}")
     out = out_dir / f"probe_{ord(args.char[0]):05X}.csv"
     diagnostics.probe_to_csv(trace, out)
+    finish_manifest(manifest, out_dir, [out])
     print(f"trace written to {out}")
     return 0
 

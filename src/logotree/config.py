@@ -160,8 +160,7 @@ def config_from_dict(cls, payload: dict, context: str):
 
 
 #: JSON keys that name an input or output file.
-PATH_KEYS = ("split", "rules", "readings", "variants", "corpus_train",
-             "corpus_valid", "corpus_test", "out_dir")
+PATH_KEYS = ("split", "rules", "corpus_train", "corpus_valid")
 #: Item type of each list under the ``grid`` and ``matrix`` keys.
 LIST_KEYS = {"grid": {"learning_rates": "float", "dropouts": "float"},
              "matrix": {"encoders": "encoder", "scenarios": "int",

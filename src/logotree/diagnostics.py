@@ -4,7 +4,7 @@ Three read-only analyses: forget-gate asymmetry at the root of
 horizontally-arranged logographs (does the model prefer the right child,
 the usual phonetic side), per-node prediction probing (feeding intermediate
 hidden states to the task head), and cosine nearest neighbors in embedding
-space.
+space. The first two run on the batched encoders of training and evaluation.
 """
 
 from __future__ import annotations
@@ -16,9 +16,10 @@ import numpy as np
 
 from . import encoders as enc
 from .atomic import write_csv
+from .autodiff import Tensor, sigmoid
 from .errors import ContractError, DataError
 from .ids import IDC_ACROSS, GlyphTree, Leaf, Op, RuleTable, decompose
-from .pron import PronModel, decode_rows, encode_inputs
+from .pron import PronModel, decode_rows, encode_inputs, forward_batch
 
 log = logging.getLogger(__name__)
 
@@ -39,31 +40,40 @@ class GateBiasReport:
         return 100.0 * self.prefer_right / self.total
 
 
-def root_forget_gates(model: PronModel, tree: GlyphTree
+def root_forget_gates(model: PronModel, trees
                       ) -> tuple[np.ndarray, np.ndarray]:
-    """Left and right forget-gate activations at the root of one tree."""
+    """Left and right forget-gate activations at the roots of inner-rooted
+    trees, each (n, hidden): one batched pass over all children, then the
+    two gates of the root cell over all roots."""
     if model.config.encoder != "treelstm":
         raise ContractError("gate analysis needs a tree-structured model")
-    if isinstance(tree, Leaf):
+    trees = list(trees)
+    if any(isinstance(tree, Leaf) for tree in trees):
         raise ContractError("gate analysis needs an inner root node")
-    _, states = enc.treelstm_forward(tree, model.embeds, model.encoder)
-    gates = states[-1].gates
-    return gates["fl"].data[0], gates["fr"].data[0]
+    p, embeds = model.encoder, model.embeds
+    kids = [t.left for t in trees] + [t.right for t in trees]
+    h = np.split(enc.treelstm_batch_forward(kids, embeds, p).data, 2)
+    x = np.split(embeds.lookup([enc._input_token(t) for t in trees + kids]).data, 3)
+    args = [Tensor(part) for part in x + h]  # x_n, x_l, x_r, h_l, h_r
+    f_l, f_r = (sigmoid(enc._gate_preact(p, g, *args, p.operator_inputs)).data
+                for g in ("fl", "fr"))
+    return f_l, f_r
 
 
 def gate_bias(model: PronModel, trees) -> GateBiasReport:
     """Count left-right-rooted trees whose right forget gate has the larger
-    L2 norm. An exact tie does not count as preferring the right child."""
-    total = 0
+    L2 norm. An exact tie does not count as preferring the right child, and
+    a gap within rounding of one (under 1e-9) is logged."""
+    across = [t for t in trees if isinstance(t, Op) and t.idc == IDC_ACROSS]
     prefer_right = 0
-    for tree in trees:
-        if not (isinstance(tree, Op) and tree.idc == IDC_ACROSS):
-            continue
-        total += 1
-        f_l, f_r = root_forget_gates(model, tree)
-        if np.linalg.norm(f_r) > np.linalg.norm(f_l):
-            prefer_right += 1
-    return GateBiasReport(total, prefer_right)
+    for start in range(0, len(across), 256):  # pron.evaluate's batch
+        f_l, f_r = root_forget_gates(model, across[start:start + 256])
+        gap = np.linalg.norm(f_r, axis=1) - np.linalg.norm(f_l, axis=1)
+        prefer_right += int(np.count_nonzero(gap > 0))
+        for k in np.flatnonzero(np.abs(gap) < 1e-9).tolist():
+            log.warning("left-right root %d: forget-gate norms differ by %.3g",
+                        start + k, gap[k])
+    return GateBiasReport(len(across), prefer_right)
 
 
 # ---------------------------------------------------------------------------
@@ -91,28 +101,28 @@ class ProbeTrace:
 
 
 def probe(model: PronModel, ch: str, rules: RuleTable) -> ProbeTrace:
-    """Per-node (or per-timestep) hidden states fed to the task head.
-
-    The trace follows evaluation order, so the last row is the model's own
-    prediction for the logograph.
-    """
-    tree = decompose(ch, rules)
+    """Per-node (or per-timestep) hidden states fed to the task head: every
+    node occurrence of the tree in post-order, or every prefix of the
+    linearization, encoded as one batch. The last row is the model's own
+    prediction for the logograph."""
     if model.config.encoder == "treelstm":
-        _, states = enc.treelstm_forward(tree, model.embeds, model.encoder)
-        pairs = [(s.token, s.h) for s in states]
+        parts = _post_order(decompose(ch, rules))
+        tokens = [enc._input_token(node) for node in parts]
     elif model.config.encoder == "lstm":
-        seq = encode_inputs(model, [ch], rules)[0]
-        _, hs = enc.lstm_batch_forward([seq], model.embeds, model.encoder,
-                                       collect_states=True)
-        pairs = list(zip(seq, hs))
+        tokens = encode_inputs(model, [ch], rules)[0]
+        parts = [tokens[:t + 1] for t in range(len(tokens))]
     else:
         raise ContractError("probing supports the tree and unidirectional "
                             "sequence encoders")
-    rows = []
-    for node_id, (token, h) in enumerate(pairs):
-        decoded = decode_rows(model, h)[0]
-        rows.append(ProbeRow(node_id, token, np.abs(h.data[0]), **decoded))
-    return ProbeTrace(ch, rows)
+    h = forward_batch(model, parts)
+    return ProbeTrace(ch, [ProbeRow(node_id, token, np.abs(row), **decoded)
+                           for node_id, (token, row, decoded) in enumerate(
+                               zip(tokens, h.data, decode_rows(model, h)))])
+
+
+def _post_order(tree: GlyphTree) -> list[GlyphTree]:
+    kids = [] if isinstance(tree, Leaf) else [tree.left, tree.right]
+    return [node for kid in kids for node in _post_order(kid)] + [tree]
 
 
 def probe_to_csv(trace: ProbeTrace, path) -> None:

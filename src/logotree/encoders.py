@@ -157,7 +157,6 @@ class NodeState:
     is_leaf: bool
     c: Tensor
     h: Tensor
-    gates: dict[str, Tensor]  # i, fl, fr, o of this node's cell
 
 
 def treelstm_forward(tree: GlyphTree, embeds: VocabEmbeddings,
@@ -174,20 +173,17 @@ def treelstm_forward(tree: GlyphTree, embeds: VocabEmbeddings,
 
     def walk(node) -> tuple[Tensor, Tensor]:
         if isinstance(node, Leaf):
-            c, h, gates = treelstm_node(embeds.lookup([node.token]), zeros_x,
-                                        zeros_x, zeros_h, zeros_h, zeros_h,
-                                        zeros_h, p, inputs_on=True,
-                                        return_gates=True)
+            c, h = treelstm_node(embeds.lookup([node.token]), zeros_x, zeros_x,
+                                 zeros_h, zeros_h, zeros_h, zeros_h, p)
         else:
             c_l, h_l = walk(node.left)
             c_r, h_r = walk(node.right)
-            c, h, gates = treelstm_node(
+            c, h = treelstm_node(
                 embeds.lookup([node.idc]),
                 embeds.lookup([_input_token(node.left)]),
                 embeds.lookup([_input_token(node.right)]), h_l, h_r, c_l, c_r,
-                p, inputs_on=p.operator_inputs, return_gates=True)
-        states.append(NodeState(_input_token(node), isinstance(node, Leaf),
-                                c, h, gates))
+                p, inputs_on=p.operator_inputs)
+        states.append(NodeState(_input_token(node), isinstance(node, Leaf), c, h))
         return c, h
 
     _, h_root = walk(tree)
@@ -632,8 +628,7 @@ def lstm_layer(x: Tensor, p: LstmParams, layer: int, state=None,
 def lstm_batch_forward(seqs: list[list[str]], embeds: VocabEmbeddings,
                        p: LstmParams, input_dropout: float = 0.0,
                        rng: np.random.Generator | None = None,
-                       training: bool = False,
-                       collect_states: bool = False):
+                       training: bool = False) -> Tensor:
     """Batched recurrence over variable-length sequences; returns final h
     (n, H), each row at its sequence's true last token.
 
@@ -641,9 +636,8 @@ def lstm_batch_forward(seqs: list[list[str]], embeds: VocabEmbeddings,
     t of every layer computes only the sequences that have not ended. The
     input-dropout mask is drawn over the end-padded batch in the caller's
     order, before the sort moves its rows along with the inputs, so the
-    random draws do not depend on the packing. ``collect_states`` also
-    returns the top layer's output at every step, where an ended sequence
-    repeats its final state. Results come back in the caller's row order.
+    random draws do not depend on the packing. Results come back in the
+    caller's row order.
     """
     ids_, lengths = _pad_ids(seqs, embeds, 1)
     n, max_len = ids_.shape
@@ -654,11 +648,7 @@ def lstm_batch_forward(seqs: list[list[str]], embeds: VocabEmbeddings,
     lengths = lengths[order]
     for layer in range(len(p.sizes)):
         out, (h, _) = lstm_layer(out, p, layer, lengths=lengths)
-    restore = np.argsort(order)
-    if collect_states:
-        states = ad.unstack(ad.permute(out, restore), axis=1)
-        return states[-1], states
-    return ad.permute(h, restore)
+    return ad.permute(h, np.argsort(order))
 
 
 def lstm_forward(seq: list[str], embeds: VocabEmbeddings, p: LstmParams) -> Tensor:

@@ -148,8 +148,8 @@ def test_checkpoint_header_is_strict_utf8(tmp_path):
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("data", [
-    {"split": 5}, {"rules": None}, {"readings": ["a.txt"]},
-    {"corpus_train": 1.5}, {"out_dir": {"a": 1}},
+    {"split": 5}, {"rules": None}, {"corpus_valid": ["a.txt"]},
+    {"corpus_train": 1.5}, {"rules": {"a": 1}},
     {"splits": {"x": "a.csv"}}, {"splits": {"1": 5}}, {"splits": ["a.csv"]},
     {"splits": {"": "a.csv"}}, {"grid": [0.1]},
     {"grid": {"learning_rates": ["a"]}}, {"grid": {"dropouts": [True]}},
@@ -162,6 +162,15 @@ def test_checkpoint_header_is_strict_utf8(tmp_path):
 def test_wrongly_typed_data_key_is_config_error(tmp_path, data):
     path = write(tmp_path / "c.json", json.dumps({**data, "run": {}}))
     with pytest.raises(ConfigError, match=f"{next(iter(data))}="):
+        load_config(path)
+
+
+@pytest.mark.parametrize("data", [
+    {"readings": ["a.txt"]}, {"out_dir": {"a": 1}}, {"out_dir": "runs"},
+    {"variants": "v.txt"}, {"corpus_test": "t.txt"}])
+def test_data_keys_no_command_reads_are_unknown(tmp_path, data):
+    path = write(tmp_path / "c.json", json.dumps({**data, "run": {}}))
+    with pytest.raises(ConfigError, match=f"unknown keys .*{next(iter(data))}"):
         load_config(path)
 
 

@@ -1,13 +1,18 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from logotree import diagnostics as diag
 from logotree import encoders as enc
+from logotree import ids
+from logotree.autodiff import Tensor
 from logotree.config import RunConfig
 from logotree.errors import ContractError, DataError
 from logotree.ids import Leaf, Op, decompose
 from logotree.phono import build_scenario
-from logotree.pron import Inventories, build_model, decode_batch, encode_inputs, train
+from logotree.pron import (Inventories, build_model, decode_batch, decode_rows,
+                           encode_inputs, train)
 
 
 @pytest.fixture(scope="module")
@@ -21,7 +26,6 @@ def small_model(rule_table, corpus_entries):
 
 @pytest.fixture(scope="module")
 def corpus_entries():
-    from pathlib import Path
     from logotree import phono
     readings = phono.parse_unihan_readings(
         Path(__file__).parent / "data" / "mini_readings.txt")
@@ -29,11 +33,41 @@ def corpus_entries():
     return entries
 
 
+@pytest.fixture(scope="module")
+def synthetic_table(tmp_path_factory):
+    # the benchmark's seeded generator: 600 characters composed from the
+    # fixtures' components, with shared subtrees and ternary operators
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+        from perfbench.data import DataSpec, generate
+        dataset = generate(DataSpec(n_chars=600), 4711,
+                           tmp_path_factory.mktemp("synthetic"))
+    rules = ids.load_rule_table(dataset.rules_path)
+    return rules, [decompose(ch, rules) for ch in dataset.chars]
+
+
+def oracle_root_gates(model, tree):
+    """Root forget gates assembled by hand: each child walked on its own
+    by ``treelstm_forward``, the root cell called directly."""
+    p, embeds = model.encoder, model.embeds
+
+    def x(node):
+        return embeds.lookup([node.token if isinstance(node, Leaf) else node.idc])
+
+    _, left = enc.treelstm_forward(tree.left, embeds, p)
+    _, right = enc.treelstm_forward(tree.right, embeds, p)
+    _, _, gates = enc.treelstm_node(
+        x(tree), x(tree.left), x(tree.right), left[-1].h, right[-1].h,
+        left[-1].c, right[-1].c, p, inputs_on=p.operator_inputs,
+        return_gates=True)
+    return gates["fl"].data[0], gates["fr"].data[0]
+
+
 # ---------------------------------------------------------------------------
 # gate bias
 # ---------------------------------------------------------------------------
 
-def test_gate_bias_symmetric_weights_tie(rule_table):
+def test_gate_bias_symmetric_weights_tie(rule_table, caplog):
     rng = np.random.default_rng(0)
     inv = Inventories(onset=["#", "b"], nucleus=["a"], coda=["#"])
     config = RunConfig(encoder="treelstm", hidden=6, d_in=4, seed=0)
@@ -47,39 +81,41 @@ def test_gate_bias_symmetric_weights_tie(rule_table):
     for part in ("Ul", "Ur", "V", "Vl", "Vr", "b"):
         p.weights[f"{part}_fr"].data[:] = p.weights[f"{part}_fl"].data
     tree = Op("⿰", Leaf("人"), Leaf("人"))
-    f_l, f_r = diag.root_forget_gates(model, tree)
+    f_l, f_r = diag.root_forget_gates(model, [tree])
     np.testing.assert_allclose(f_l, f_r, atol=1e-15)
-    report = diag.gate_bias(model, [tree])
+    with caplog.at_level("WARNING", logger="logotree.diagnostics"):
+        report = diag.gate_bias(model, [Op("⿱", tree, tree), tree])
     assert report.total == 1
     assert report.prefer_right == 0  # exact tie is not a right preference
+    assert [r.getMessage() for r in caplog.records] == [
+        "left-right root 0: forget-gate norms differ by 0"]
 
 
 @pytest.mark.parametrize("operators", [True, False])
-def test_root_forget_gates_equal_hand_assembled_root_step(rule_table, operators):
-    # a root step assembled by hand (each child walked on its own, the root
-    # cell called directly) equals the root's record in the full tree walk
-    inv = Inventories(onset=["#", "b"], nucleus=["a"], coda=["#"])
-    config = RunConfig(encoder="treelstm", hidden=6, d_in=4, seed=3,
-                       operators=operators)
-    model = build_model(config, inv, sorted(rule_table.leaf_set))
-    p, embeds = model.encoder, model.embeds
-
-    def x(node):
-        return embeds.lookup([node.token if isinstance(node, Leaf) else node.idc])
-
-    trees = [decompose(ch, rule_table) for ch in "河湖海江蒸曉"]
-    for tree in trees:
-        _, left = enc.treelstm_forward(tree.left, embeds, p)
-        _, right = enc.treelstm_forward(tree.right, embeds, p)
-        _, _, gates = enc.treelstm_node(
-            x(tree), x(tree.left), x(tree.right), left[-1].h, right[-1].h,
-            left[-1].c, right[-1].c, p, inputs_on=p.operator_inputs,
-            return_gates=True)
-        f_l, f_r = diag.root_forget_gates(model, tree)
-        assert np.array_equal(f_l, gates["fl"].data[0])
-        assert np.array_equal(f_r, gates["fr"].data[0])
-        _, states = enc.treelstm_forward(tree, embeds, p)
-        assert all(set(s.gates) == {"i", "fl", "fr", "o"} for s in states)
+def test_root_forget_gates_equal_hand_assembled_root_step(
+        rule_table, synthetic_table, caplog, operators):
+    # the batched gates and counts equal a root step assembled by hand per
+    # tree, on the fixtures and on a synthetic table with more left-right
+    # roots than one batch
+    fixtures = [decompose(ch, rule_table) for ch in sorted(rule_table.rules)]
+    for rules, trees in ((rule_table, fixtures), synthetic_table):
+        inner = [t for t in trees if isinstance(t, Op)]
+        inv = Inventories(onset=["#", "b"], nucleus=["a"], coda=["#"])
+        config = RunConfig(encoder="treelstm", hidden=6, d_in=4, seed=3,
+                           operators=operators)
+        model = build_model(config, inv, sorted(rules.leaf_set))
+        with caplog.at_level("WARNING", logger="logotree.diagnostics"):
+            f_l, f_r = diag.root_forget_gates(model, inner)
+            report = diag.gate_bias(model, trees)
+        assert not caplog.records  # random weights: no gap within 1e-9
+        assert f_l.shape == f_r.shape == (len(inner), 6)
+        oracle = [oracle_root_gates(model, tree) for tree in inner]
+        np.testing.assert_allclose(f_l, [o[0] for o in oracle], rtol=0, atol=1e-9)
+        np.testing.assert_allclose(f_r, [o[1] for o in oracle], rtol=0, atol=1e-9)
+        across = [o for t, o in zip(inner, oracle) if t.idc == "⿰"]
+        expected = sum(np.linalg.norm(fr) > np.linalg.norm(fl) for fl, fr in across)
+        assert report == diag.GateBiasReport(len(across), expected)
+    assert len(across) > 256  # the synthetic table's roots span two batches
 
 
 def test_gate_bias_no_matching_trees(small_model):
@@ -107,6 +143,24 @@ def test_gate_bias_rejects_sequence_model(rule_table, corpus_entries):
     model, _ = train(config, split, rule_table)
     with pytest.raises(ContractError):
         diag.gate_bias(model, [Op("⿰", Leaf("人"), Leaf("一"))])
+
+
+def test_diagnostics_never_walk_single_trees(small_model, rule_table,
+                                             monkeypatch):
+    # both analyses run on the batched encoders; the per-tree walk is the
+    # tests' oracle only
+    model, split = small_model
+    lstm = build_model(RunConfig(encoder="lstm", hidden=8, d_in=6, seed=3),
+                       model.inventories, sorted(rule_table.leaf_set))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("treelstm_forward called")
+
+    monkeypatch.setattr(enc, "treelstm_forward", forbidden)
+    trees = [decompose(e.ch, rule_table) for e in split.test]
+    assert diag.gate_bias(model, trees).total > 0
+    for m in (model, lstm):
+        assert len(diag.probe(m, "賄", rule_table).rows) > 1
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +200,58 @@ def test_probe_lstm_per_timestep(rule_table, corpus_entries):
     assert len(trace.rows) == len(seq)
     decoded = decode_batch(model, encode_inputs(model, ["賄"], rule_table))[0]
     assert trace.final_decoding() == decoded
+
+
+def test_probe_rows_equal_per_tree_oracle(small_model, rule_table):
+    # one batch of every node occurrence equals the per-tree walk, node by
+    # node in post-order
+    model, _ = small_model
+    for ch in ["一"] + sorted(rule_table.rules)[:40]:
+        trace = diag.probe(model, ch, rule_table)
+        _, states = enc.treelstm_forward(decompose(ch, rule_table),
+                                         model.embeds, model.encoder)
+        assert [row.token for row in trace.rows] == [s.token for s in states]
+        for k, (row, state) in enumerate(zip(trace.rows, states)):
+            assert row.node_id == k
+            np.testing.assert_allclose(row.magnitudes, np.abs(state.h.data[0]),
+                                       rtol=0, atol=1e-9)
+            assert {"onset": row.onset, "nucleus": row.nucleus,
+                    "coda": row.coda} == decode_rows(model, state.h)[0]
+
+
+def lstm_prefix_oracle(model, seq):
+    """Top-layer hidden state after each step, one ``lstm_cell`` at a time."""
+    p = model.encoder
+    h = [Tensor(np.zeros((1, size))) for size in p.sizes]
+    c = [Tensor(np.zeros((1, size))) for size in p.sizes]
+    out = []
+    for token in seq:
+        x = model.embeds.lookup([token])
+        for layer in range(len(p.sizes)):
+            h[layer], c[layer] = enc.lstm_cell(x, h[layer], c[layer], p, layer)
+            x = h[layer]
+        out.append(x)
+    return out
+
+
+def test_probe_lstm_rows_are_prefix_final_states(rule_table):
+    # each row of a two-layer LSTM's trace is the final state of the
+    # linearization's prefix up to that token
+    inv = Inventories(onset=["#", "b"], nucleus=["a", "o"], coda=["#"])
+    for operators in (True, False):
+        config = RunConfig(encoder="lstm", layers=2, hidden=5, d_in=4, seed=19,
+                           operators=operators)
+        model = build_model(config, inv, sorted(rule_table.leaf_set))
+        for ch in ["一", "賄"] + sorted(rule_table.rules)[:20]:
+            trace = diag.probe(model, ch, rule_table)
+            seq = encode_inputs(model, [ch], rule_table)[0]
+            assert [row.token for row in trace.rows] == seq
+            for row, h in zip(trace.rows, lstm_prefix_oracle(model, seq),
+                              strict=True):
+                np.testing.assert_allclose(row.magnitudes, np.abs(h.data[0]),
+                                           rtol=0, atol=1e-9)
+                assert {"onset": row.onset, "nucleus": row.nucleus,
+                        "coda": row.coda} == decode_rows(model, h)[0]
 
 
 def test_probe_csv_export(small_model, rule_table, tmp_path):

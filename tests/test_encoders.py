@@ -583,19 +583,6 @@ def test_sequence_encoders_reject_empty(kind, seqs):
         forward(seqs, embeds, p)
 
 
-def test_lstm_collected_states_are_prefix_final_states():
-    # the per-step top-layer outputs of a two-layer net are the final
-    # states of the sequence's prefixes
-    rng = np.random.default_rng(19)
-    p = LstmParams.init(5, 4, rng, layers=2)
-    embeds = make_embeds(rng)
-    seq = list("abcab")
-    h, states = enc.lstm_batch_forward([seq], embeds, p, collect_states=True)
-    assert len(states) == len(seq) and states[-1] is h
-    for t, state in enumerate(states):
-        assert np.array_equal(state.data, lstm_forward(seq[:t + 1], embeds, p).data)
-
-
 def test_lstm_batch_padding_matches_single():
     rng = np.random.default_rng(18)
     p = LstmParams.init(4, 4, rng, layers=2)

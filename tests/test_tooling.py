@@ -240,6 +240,17 @@ def test_diagnostics_cli_round(tmp_path, capsys):
                    "--rules", rules])
     assert rc == 0
 
+    # each diagnostic writes a manifest that hashes its inputs and lists
+    # its output
+    for command, inputs, output in (
+            ("gate-bias", {"checkpoint", "split", "rules"}, "gate_bias.json"),
+            ("probe", {"checkpoint", "rules"}, f"probe_{ord('賄'):05X}.csv")):
+        manifest = json.loads((run / f"manifest-{command}.json").read_text(
+            encoding="utf-8"))
+        assert manifest["command"] == command
+        assert set(manifest["data_hashes"]) == inputs
+        assert manifest["outputs"] == [str(run / output)]
+
     rc = dispatch(["neighbors", "河", "-k", "3", "--checkpoint", ckpt,
                    "--rules", rules, "--split", split])
     assert rc == 0
