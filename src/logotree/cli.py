@@ -108,7 +108,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--rules")
-    p.add_argument("--no-cache", action="store_true")
 
     p = sub.add_parser("gate-bias", help="root forget-gate asymmetry")
     p.add_argument("--checkpoint", required=True)
@@ -320,9 +319,7 @@ def _cmd_eval_lm(args, out_dir: Path) -> int:
     rules = ids.load_rule_table(args.rules) if args.rules else None
     model = lm.load_lm(args.checkpoint, rules=rules)
     lines = lm.read_corpus(args.corpus)
-    cache = None
-    if model.hierarchical and not args.no_cache:
-        cache = lm.build_cache(model)
+    cache = lm.build_cache(model) if model.hierarchical else None
     manifest = start_manifest("eval-lm", config_to_dict(model.config),
                               {"corpus": args.corpus}, model.config.seed)
     bpc, ppl = lm.eval_lm(model, lines, cache=cache)
@@ -370,7 +367,7 @@ def _cmd_probe(args, out_dir: Path) -> int:
               f"{row.coda}")
     out = out_dir / f"probe_{ord(args.char[0]):05X}.csv"
     diagnostics.probe_to_csv(trace, out)
-    finish_manifest(manifest, out_dir, [out])
+    finish_manifest(manifest, out_dir, [out], name=out.stem)
     print(f"trace written to {out}")
     return 0
 

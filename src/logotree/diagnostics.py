@@ -16,7 +16,6 @@ import numpy as np
 
 from . import encoders as enc
 from .atomic import write_csv
-from .autodiff import Tensor, sigmoid
 from .errors import ContractError, DataError
 from .ids import IDC_ACROSS, GlyphTree, Leaf, Op, RuleTable, decompose
 from .pron import PronModel, decode_rows, encode_inputs, forward_batch
@@ -40,30 +39,35 @@ class GateBiasReport:
         return 100.0 * self.prefer_right / self.total
 
 
+def _check_tree_model(model: PronModel) -> None:
+    if model.config.encoder != "treelstm":
+        raise ContractError("gate analysis needs a tree-structured model")
+
+
 def root_forget_gates(model: PronModel, trees
                       ) -> tuple[np.ndarray, np.ndarray]:
     """Left and right forget-gate activations at the roots of inner-rooted
     trees, each (n, hidden): one batched pass over all children, then the
-    two gates of the root cell over all roots."""
-    if model.config.encoder != "treelstm":
-        raise ContractError("gate analysis needs a tree-structured model")
+    cell kernel's two forget gates over all roots."""
+    _check_tree_model(model)
     trees = list(trees)
     if any(isinstance(tree, Leaf) for tree in trees):
         raise ContractError("gate analysis needs an inner root node")
     p, embeds = model.encoder, model.embeds
     kids = [t.left for t in trees] + [t.right for t in trees]
-    h = np.split(enc.treelstm_batch_forward(kids, embeds, p).data, 2)
+    h_l, h_r = np.split(enc.treelstm_batch_forward(kids, embeds, p).data, 2)
     x = np.split(embeds.lookup([enc._input_token(t) for t in trees + kids]).data, 3)
-    args = [Tensor(part) for part in x + h]  # x_n, x_l, x_r, h_l, h_r
-    f_l, f_r = (sigmoid(enc._gate_preact(p, g, *args, p.operator_inputs)).data
-                for g in ("fl", "fr"))
-    return f_l, f_r
+    act = enc._cell_gates({key: t.data for key, t in p.weights.items()},
+                          ("fl", "fr"), enc._tree_terms(p, h_l, h_r, x),
+                          "b" if p.use_bias else None)
+    return act["fl"], act["fr"]
 
 
 def gate_bias(model: PronModel, trees) -> GateBiasReport:
     """Count left-right-rooted trees whose right forget gate has the larger
     L2 norm. An exact tie does not count as preferring the right child, and
     a gap within rounding of one (under 1e-9) is logged."""
+    _check_tree_model(model)
     across = [t for t in trees if isinstance(t, Op) and t.idc == IDC_ACROSS]
     prefer_right = 0
     for start in range(0, len(across), 256):  # pron.evaluate's batch

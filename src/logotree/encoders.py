@@ -281,27 +281,96 @@ def _add_grad(grads: dict, key: str, g: np.ndarray) -> None:
         grads[key] = g
 
 
+# ---------------------------------------------------------------------------
+# gated cell kernel
+# ---------------------------------------------------------------------------
+
+def _cell_gates(w: dict, gates, terms, bias: str | None) -> dict:
+    """Each gate g of ``gates``, in order: the sum of ``x @ w[f"{key}_{g}"].T``
+    over the ordered ``(key, x)`` terms, plus ``w[f"{bias}_{g}"]`` unless
+    ``bias`` is None, through tanh for the candidate ``c`` and through the
+    logistic for the others."""
+    act = {}
+    for g in gates:
+        pre = None
+        for key, x in terms:
+            term = x @ w[f"{key}_{g}"].T
+            pre = term if pre is None else np.add(pre, term, out=pre)
+        if bias is not None:
+            pre += w[f"{bias}_{g}"]
+        act[g] = np.tanh(pre) if g == "c" else ad.logistic(pre)
+    return act
+
+
+def _cell_state(act: dict, forget, h, c=None):
+    """c = i*cand + f*c_prev over the ``(forget gate, c_prev)`` pairs in order,
+    into ``c`` if given, and h = o*tanh(c) into ``h``; returns c, tanh(c)."""
+    c = np.multiply(act["i"], act["c"], out=c)
+    for gate, c_prev in forget:
+        c += act[gate] * c_prev
+    tc = np.tanh(c)
+    np.multiply(act["o"], tc, out=h)
+    return c, tc
+
+
+def _cell_backward(w: dict, terms, bias: str | None, act: dict, tc, forget,
+                   dh, dc, grads: dict, want=None):
+    """The reverse of ``_cell_gates`` and ``_cell_state``, given h's gradient
+    ``dh`` and c's gradient from its other uses ``dc``: adds each weight's
+    C-ordered ``dp.T @ x`` and each bias's row sum into ``grads``, gate by
+    gate in reverse, and returns c's whole gradient and, per term, its input
+    gradient if its index is in ``want`` (default all), else None."""
+    i, o, cand = act["i"], act["o"], act["c"]
+    # product by product in the order the tape would take them
+    dcn = dc + dh * o * (1.0 - tc * tc)
+    d_pre = {"i": dcn * cand * i * (1.0 - i),
+             "o": dh * tc * o * (1.0 - o),
+             "c": dcn * i * (1.0 - cand * cand)}
+    # a comprehension, so that no gathered c_prev outlives its use
+    d_pre.update({gate: dcn * c_prev * act[gate] * (1.0 - act[gate])
+                  for gate, c_prev in forget})
+    d_terms = [None] * len(terms)
+    for gate in reversed(act):  # gates in forward order; an input's uses, last first
+        dp = d_pre[gate]
+        for k, (key, x) in enumerate(terms):
+            _add_grad(grads, f"{key}_{gate}", dp.T @ x)
+            if want is None or k in want:
+                dx = dp @ w[f"{key}_{gate}"]
+                d_terms[k] = dx if d_terms[k] is None else np.add(
+                    d_terms[k], dx, out=d_terms[k])
+        if bias is not None:
+            _add_grad(grads, f"{bias}_{gate}", dp.sum(axis=0))
+    return dcn, d_terms
+
+
+def _tree_terms(p: TreeLstmParams, h_l, h_r, xs) -> list:
+    """Inner nodes' ordered terms: child states, then inputs if read."""
+    terms = [("Ul", h_l), ("Ur", h_r)]
+    if p.operator_inputs:
+        terms += zip(("V", "Vl", "Vr"), xs)
+    return terms
+
+
 def treelstm_levels(schedule: LevelSchedule, inputs, p: TreeLstmParams) -> Tensor:
     """Root hidden states of a whole level schedule, one row per root,
     recorded as one tape entry.
 
     ``inputs`` yields each level's input rows in turn: ``(x_n,)`` at level
     0 and ``(x_n, x_l, x_r)`` above, which only ``p.operator_inputs``
-    reads; a generator lets evaluation drop each level's rows once used. The
-    arithmetic is ``treelstm_node``'s, gate by gate in the same order, into
-    (total_slots, hidden) state buffers. Level 0 is the leaf cell: with zero
-    child states and inputs only V·x + b remains of each gate and the cell
-    is i*cand, so fl and fr are not computed there.
-
-    The backward pass walks the levels in reverse into gradient buffers of
-    the same shape and writes each weight's gradient once, as a C-ordered
-    ``g.T @ x`` summed over levels; weights no level reads get zeros, as in
-    the per-node evaluation.
+    reads; a generator lets evaluation drop each level's rows once used.
+    Each level is one cell-kernel evaluation with ``treelstm_node``'s
+    arithmetic into (total_slots, hidden) state buffers; level 0 is the leaf
+    cell, gates i, o and c of V·x + b and the cell i*cand. The backward pass
+    walks the levels in reverse; weights no level reads get zeros.
     """
     w = {key: t.data for key, t in p.weights.items()}
+    bias = "b" if p.use_bias else None
     taped = ad.taping()
     read: list[Tensor] = []  # under a tape: the input tensors the cell reads
     saved = []  # under a tape: per level, what the backward pass needs
+
+    def forget(kids):  # each child's forget gate and cell, gathered anew
+        return zip(("fl", "fr"), (c_buf[kid] for kid in kids))
 
     for lvl, (span, xs) in enumerate(zip(schedule.levels, inputs)):
         rows_ = slice(span.start, span.stop)
@@ -309,33 +378,20 @@ def treelstm_levels(schedule: LevelSchedule, inputs, p: TreeLstmParams) -> Tenso
             h_buf = np.empty((schedule.total_slots, p.hidden),
                              dtype=xs[0].data.dtype)
             c_buf = np.empty_like(h_buf)
-            kids, gates = None, ("i", "o", "c")
+            kids, gates = (), ("i", "o", "c")
             terms, used = [("V", xs[0].data)], xs[:1]
         else:
             kids = (schedule.left[rows_], schedule.right[rows_])
-            gates = GATES
-            terms = [("Ul", h_buf[kids[0]]), ("Ur", h_buf[kids[1]])]
-            used = xs if p.operator_inputs else ()
-            terms += [(key, x.data) for key, x in zip(("V", "Vl", "Vr"), used)]
+            gates, used = GATES, (xs if p.operator_inputs else ())
+            terms = _tree_terms(p, h_buf[kids[0]], h_buf[kids[1]],
+                                [x.data for x in xs])
         if taped:
             read.extend(used)
-        act = {}
-        for g in gates:
-            pre = None
-            for key, x in terms:
-                term = x @ w[f"{key}_{g}"].T
-                pre = term if pre is None else np.add(pre, term, out=pre)
-            if p.use_bias:
-                pre += w[f"b_{g}"]
-            act[g] = np.tanh(pre) if g == "c" else ad.logistic(pre)
-        c = np.multiply(act["i"], act["c"], out=c_buf[rows_])
-        if kids is not None:
-            c += act["fl"] * c_buf[kids[0]]
-            c += act["fr"] * c_buf[kids[1]]
-        tc = np.tanh(c)
-        np.multiply(act["o"], tc, out=h_buf[rows_])
+        act = _cell_gates(w, gates, terms, bias)
+        _, tc = _cell_state(act, forget(kids), h_buf[rows_], c_buf[rows_])
         if taped:
             saved.append((rows_, kids, terms, act, tc))
+        del act  # untaped, the next level's gates need not wait for these
 
     roots = np.array(schedule.roots, dtype=np.intp)
     out = Tensor(h_buf[roots])
@@ -351,30 +407,10 @@ def treelstm_levels(schedule: LevelSchedule, inputs, p: TreeLstmParams) -> Tenso
         grads: dict[str, np.ndarray] = {}
         x_grads = []  # per read input, from the top level down
         for rows_, kids, terms, act, tc in reversed(saved):
-            dh_n, i, o, cand = dh[rows_], act["i"], act["o"], act["c"]
-            # the reverse of c = i*cand + fl*c_l + fr*c_r and h = o*tanh(c),
-            # product by product in the order the tape would take them
-            dcn = dc[rows_] + dh_n * o * (1.0 - tc * tc)
-            d_pre = {"i": dcn * cand * i * (1.0 - i),
-                     "o": dh_n * tc * o * (1.0 - o),
-                     "c": dcn * i * (1.0 - cand * cand)}
-            if kids is not None:
-                for gate, kid in zip(("fl", "fr"), kids):
-                    f = act[gate]
-                    d_pre[gate] = dcn * c_buf[kid] * f * (1.0 - f)
-            d_terms = [None] * len(terms)
-            for gate in reversed(GATES):  # an input's uses, last first
-                if gate not in d_pre:
-                    continue
-                dp = d_pre[gate]
-                for k, (key, x) in enumerate(terms):
-                    _add_grad(grads, f"{key}_{gate}", dp.T @ x)
-                    dx = dp @ w[f"{key}_{gate}"]
-                    d_terms[k] = dx if d_terms[k] is None else np.add(
-                        d_terms[k], dx, out=d_terms[k])
-                if p.use_bias:
-                    _add_grad(grads, f"b_{gate}", dp.sum(axis=0))
-            if kids is not None:
+            dcn, d_terms = _cell_backward(w, terms, bias, act, tc,
+                                          forget(kids), dh[rows_], dc[rows_],
+                                          grads)
+            if kids:
                 left, right = kids
                 _add_rows(dc, right, dcn * act["fr"], shared)
                 _add_rows(dc, left, dcn * act["fl"], shared)
@@ -514,22 +550,18 @@ def lstm_layer(x: Tensor, p: LstmParams, layer: int, state=None,
 
     ``state`` is the carried ``(h, c)``, each (n, H), or None for zeros.
     ``lengths`` are the rows' numbers of real steps in non-increasing order,
-    or None when every row runs all T steps. Step t runs the cell on the
-    first n_t = #(lengths > t) rows only; the rows whose sequence has ended
-    carry h and c through unchanged. The arithmetic is ``lstm_cell``'s over
-    those rows, step by step and in the same order. Returns the outputs
-    (n, T, H) and the final ``(h, c)``, handed out of one buffer; the final
-    h equals the outputs at step T-1.
-
-    The backward pass runs the steps in reverse over the same row prefixes
-    and writes each weight's gradient once, as a C-ordered sum over steps of
-    ``g.T @ x``.
+    or None when every row runs all T steps. Step t is one cell-kernel
+    evaluation with ``lstm_cell``'s arithmetic on the first n_t =
+    #(lengths > t) rows only; the rows whose sequence has ended carry h and
+    c through unchanged. Returns the outputs (n, T, H) and the final
+    ``(h, c)``, handed out of one buffer; the final h equals the outputs at
+    step T-1. The backward pass runs the steps in reverse over the same row
+    prefixes.
     """
     n, steps, _ = x.data.shape
     running = _running_rows(lengths, n, steps)
-    gates = [(g, tuple(f"L{layer}.{kind}_{g}" for kind in ("Wx", "Wh", "b")))
-             for g in LSTM_GATES]
-    names = [key for _, trio in gates for key in trio]
+    wx, wh, bias = (f"L{layer}.{kind}" for kind in ("Wx", "Wh", "b"))
+    names = [f"{key}_{g}" for g in LSTM_GATES for key in (wx, wh, bias)]
     w = {key: p.weights[key].data for key in names}
     xs = np.ascontiguousarray(x.data.swapaxes(0, 1))  # (T, n, d)
     if state is None:
@@ -544,19 +576,12 @@ def lstm_layer(x: Tensor, p: LstmParams, layer: int, state=None,
     saved = []  # per step, only under a tape
 
     for t, k in enumerate(running):
-        x_t, h_t, c_t = xs[t, :k], h[:k], c[:k]
-        act = {}
-        for g, (wx, wh, b) in gates:
-            pre = x_t @ w[wx].T
-            pre += h_t @ w[wh].T
-            pre += w[b]
-            act[g] = np.tanh(pre) if g == "c" else ad.logistic(pre)
-        c = act["f"] * c_t
-        c += act["i"] * act["c"]
-        tc = np.tanh(c)
+        terms, c_t = [(wx, xs[t, :k]), (wh, h[:k])], c[:k]
+        act = _cell_gates(w, LSTM_GATES, terms, bias)
+        c, tc = _cell_state(act, [("f", c_t)], buf[t, :k])
         if taped:
-            saved.append((act, tc, h_t, c_t))
-        np.multiply(act["o"], tc, out=buf[t, :k])
+            saved.append((terms, act, tc, c_t))
+        del act  # untaped, the next step's gates need not wait for these
         if k < n:
             buf[t, k:] = h[k:]
         h = buf[t]
@@ -573,35 +598,18 @@ def lstm_layer(x: Tensor, p: LstmParams, layer: int, state=None,
         dh, dc = g_buf[steps - 1], g_buf[steps]
         for t in reversed(range(steps)):
             k = running[t]
-            act, tc, h_prev, c_prev = saved[t]
-            i, f, o, cand = act["i"], act["f"], act["o"], act["c"]
-            dh_new = dh[:k]
-            # the reverse of c = f*c_prev + i*cand and h = o*tanh(c), product
-            # by product in the order the tape would take them
-            dcn = dc[:k] + dh_new * o * (1.0 - tc * tc)
-            d_pre = {"i": dcn * cand * i * (1.0 - i),
-                     "f": dcn * c_prev * f * (1.0 - f),
-                     "o": dh_new * tc * o * (1.0 - o),
-                     "c": dcn * i * (1.0 - cand * cand)}
+            terms, act, tc, c_prev = saved[t]
             # the h that step 0 reads is a parent only when it was carried in
-            want_dh = t or state is not None
-            dx_t = dh_t = None
-            for g, (wx, wh, b) in reversed(gates):  # h_prev's uses, last first
-                dp = d_pre[g]
-                _add_grad(grads, wx, dp.T @ xs[t, :k])
-                _add_grad(grads, wh, dp.T @ h_prev)
-                _add_grad(grads, b, dp.sum(axis=0))
-                gx = dp @ w[wx]
-                dx_t = gx if dx_t is None else np.add(dx_t, gx, out=dx_t)
-                if want_dh:
-                    gh = dp @ w[wh]
-                    dh_t = gh if dh_t is None else np.add(dh_t, gh, out=dh_t)
+            want = (0, 1) if t or state is not None else (0,)
+            dcn, (dx_t, dh_t) = _cell_backward(
+                w, terms, bias, act, tc, [("f", c_prev)], dh[:k], dc[:k],
+                grads, want)
             dx[t, :k] = dx_t
             if k < n:  # the ended rows get no input gradient and keep their dc
                 dx[t, k:] = 0.0
-                np.multiply(dcn, f, out=dc[:k])
+                np.multiply(dcn, act["f"], out=dc[:k])
             else:  # a fresh dc: a view of g_buf would keep all of it alive
-                dc = dcn * f
+                dc = dcn * act["f"]
             # step t-1's h: its outside uses (already in g_buf) plus this
             # step's gates in the running rows and the carry in the others
             if t:
@@ -651,11 +659,6 @@ def lstm_batch_forward(seqs: list[list[str]], embeds: VocabEmbeddings,
     return ad.permute(h, np.argsort(order))
 
 
-def lstm_forward(seq: list[str], embeds: VocabEmbeddings, p: LstmParams) -> Tensor:
-    """Final hidden state of one sequence, shape (1, hidden)."""
-    return lstm_batch_forward([list(seq)], embeds, p)
-
-
 @dataclass
 class BiLstmParams:
     forward: LstmParams
@@ -680,11 +683,6 @@ def bilstm_batch_forward(seqs: list[list[str]], embeds: VocabEmbeddings,
     rev = [list(reversed(s)) for s in seqs]
     h_b = lstm_batch_forward(rev, embeds, p.backward, input_dropout, rng, training)
     return concat([h_f, h_b], axis=-1)
-
-
-def bilstm_forward(seq: list[str], embeds: VocabEmbeddings,
-                   p: BiLstmParams) -> Tensor:
-    return bilstm_batch_forward([list(seq)], embeds, p)
 
 
 # ---------------------------------------------------------------------------
@@ -764,7 +762,3 @@ def cnn_batch_forward(seqs, embeds, p: CnnParams, input_dropout: float = 0.0,
                       rng=None, training: bool = False) -> Tensor:
     pooled = cnn_pooled(seqs, embeds, p, input_dropout, rng, training)
     return matmul(pooled, p.weights["W_fc"].T) + p.weights["b_fc"]
-
-
-def cnn_forward(seq: list[str], embeds: VocabEmbeddings, p: CnnParams) -> Tensor:
-    return cnn_batch_forward([list(seq)], embeds, p)

@@ -445,7 +445,7 @@ def load_lm(path, rules: RuleTable | None = None) -> LmModel:
     stored = manifest.get("config")
     if isinstance(stored, dict):
         # older checkpoints store a field LmConfig no longer has; nothing
-        # read it (``eval-lm --no-cache`` chooses whether to cache)
+        # read it (``eval-lm`` always caches a hierarchical model)
         stored.pop("cache_embeddings", None)
     config = config_from_dict(LmConfig, stored, str(path))
     vocab_chars = [ch for ch in manifest_strings(path, manifest, "vocab")

@@ -52,9 +52,11 @@ def start_manifest(command: str, config_dict: dict, data_paths: dict,
                     seed=seed, started_at=_now())
 
 
-def finish_manifest(manifest: Manifest, out_dir, outputs) -> Path:
+def finish_manifest(manifest: Manifest, out_dir, outputs,
+                    name: str | None = None) -> Path:
+    """Write ``manifest-<name>.json``, named after the command by default."""
     manifest.finished_at = _now()
     manifest.outputs = [str(p) for p in outputs]
-    path = Path(out_dir) / f"manifest-{manifest.command}.json"
+    path = Path(out_dir) / f"manifest-{name or manifest.command}.json"
     write_json(path, asdict(manifest))
     return path

@@ -78,7 +78,7 @@ def test_criterion_1_gradient_fidelity():
         be = enc.VocabEmbeddings("abc", 2, rng)
 
         def bilstm_loss():
-            out = enc.bilstm_forward(["a", "b", "c"], be, bp)
+            out = enc.bilstm_batch_forward([["a", "b", "c"]], be, bp)
             return (out * out).sum()
 
         err = _max_err_over(bilstm_loss,

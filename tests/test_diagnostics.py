@@ -1,3 +1,4 @@
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -141,8 +142,45 @@ def test_gate_bias_rejects_sequence_model(rule_table, corpus_entries):
     config = RunConfig(encoder="lstm", hidden=8, d_in=6, batch_size=16,
                        epochs=1, learning_rate=3e-3, dropout=0.0, seed=2)
     model, _ = train(config, split, rule_table)
-    with pytest.raises(ContractError):
-        diag.gate_bias(model, [Op("⿰", Leaf("人"), Leaf("一"))])
+    # the encoder is checked before any root is filtered out
+    for trees in ([Op("⿰", Leaf("人"), Leaf("一"))],
+                  [Op("⿱", Leaf("人"), Leaf("一"))], []):
+        with pytest.raises(ContractError, match="tree-structured"):
+            diag.gate_bias(model, trees)
+
+
+def test_gates_reached_only_through_the_cell_kernel(small_model, rule_table,
+                                                    monkeypatch):
+    # the fused tree levels, the fused LSTM layer and the gate diagnostics
+    # compute gates in one kernel; the per-gate composition serves only the
+    # per-node oracle
+    model, split = small_model
+    calls = {"kernel": 0, "preact": []}
+    kernel, preact = enc._cell_gates, enc._gate_preact
+
+    def counted_kernel(*args, **kwargs):
+        calls["kernel"] += 1
+        return kernel(*args, **kwargs)
+
+    def counted_preact(*args, **kwargs):
+        calls["preact"].append(sys._getframe(1).f_code.co_name)
+        return preact(*args, **kwargs)
+
+    monkeypatch.setattr(enc, "_cell_gates", counted_kernel)
+    monkeypatch.setattr(enc, "_gate_preact", counted_preact)
+    trees = [decompose(e.ch, rule_table) for e in split.test]
+    lstm = enc.LstmParams.init(8, model.embeds.d_in, np.random.default_rng(3))
+    for run in (lambda: enc.treelstm_batch_forward(trees, model.embeds,
+                                                   model.encoder),
+                lambda: enc.lstm_batch_forward([list("人一"), list("人")],
+                                               model.embeds, lstm),
+                lambda: diag.gate_bias(model, trees)):
+        before = calls["kernel"]
+        run()
+        assert calls["kernel"] > before
+    assert calls["preact"] == []
+    enc.treelstm_forward(trees[0], model.embeds, model.encoder)
+    assert calls["preact"] and set(calls["preact"]) == {"treelstm_node"}
 
 
 def test_diagnostics_never_walk_single_trees(small_model, rule_table,

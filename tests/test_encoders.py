@@ -10,9 +10,9 @@ from logotree import autodiff as ad
 from logotree import encoders as enc
 from logotree.autodiff import Tape, Tensor, check_gradient
 from logotree.encoders import (BiLstmParams, CnnParams, LstmParams, TreeLstmParams,
-                               VocabEmbeddings, bilstm_forward, build_level_schedule,
-                               cnn_forward, cnn_pooled, lstm_forward, treelstm_batch_forward,
-                               treelstm_forward, treelstm_node)
+                               VocabEmbeddings, bilstm_batch_forward, build_level_schedule,
+                               cnn_batch_forward, cnn_pooled, lstm_batch_forward,
+                               treelstm_batch_forward, treelstm_forward, treelstm_node)
 from logotree.errors import ContractError
 from logotree.ids import Leaf, Op
 
@@ -542,7 +542,7 @@ def test_lstm_length_one_is_single_cell():
     rng = np.random.default_rng(15)
     p = LstmParams.init(4, 4, rng)
     embeds = make_embeds(rng)
-    h = lstm_forward(["a"], embeds, p)
+    h = lstm_batch_forward([["a"]], embeds, p)
     h_cell, _ = enc.lstm_cell(embeds.lookup(["a"]), Tensor(np.zeros((1, 4))),
                               Tensor(np.zeros((1, 4))), p)
     np.testing.assert_allclose(h.data, h_cell.data, atol=1e-12)
@@ -554,7 +554,7 @@ def test_lstm_matches_scalar_oracle():
     p = LstmParams.init(H, D, rng)
     embeds = make_embeds(rng, d_in=D)
     seq = ["a", "c", "b", "e", "d"]
-    h = lstm_forward(seq, embeds, p)
+    h = lstm_batch_forward([seq], embeds, p)
     w = {k.split(".", 1)[1]: t.data.tolist() for k, t in p.weights.items()}
     vectors = [embeds.table.data[embeds.index[t]].tolist() for t in seq]
     oracle = scalar_lstm(vectors, w, H)
@@ -566,7 +566,7 @@ def test_lstm_rejects_empty():
     p = LstmParams.init(4, 4, rng)
     embeds = make_embeds(rng)
     with pytest.raises(ContractError, match="non-empty"):
-        lstm_forward([], embeds, p)
+        lstm_batch_forward([[]], embeds, p)
 
 
 @pytest.mark.parametrize("seqs", [[], [list("ab"), []]],
@@ -590,7 +590,7 @@ def test_lstm_batch_padding_matches_single():
     seqs = [["a", "b", "c", "d", "e"], ["b"], ["c", "a"]]
     h_batch = enc.lstm_batch_forward(seqs, embeds, p)
     for k, seq in enumerate(seqs):
-        h_one = lstm_forward(seq, embeds, p)
+        h_one = lstm_batch_forward([seq], embeds, p)
         np.testing.assert_allclose(h_batch.data[k], h_one.data[0], atol=1e-12)
 
 
@@ -604,9 +604,10 @@ def test_packed_batch_rows_equal_single_forward(kind, layers):
     embeds = make_embeds(rng)
     params = LstmParams if kind == "lstm" else BiLstmParams
     p = params.init(4, 4, rng, layers=layers)
-    h_batch = getattr(enc, f"{kind}_batch_forward")(UNSORTED, embeds, p)
+    forward = getattr(enc, f"{kind}_batch_forward")
+    h_batch = forward(UNSORTED, embeds, p)
     for k, seq in enumerate(UNSORTED):
-        h_one = getattr(enc, f"{kind}_forward")(seq, embeds, p)
+        h_one = forward([seq], embeds, p)
         np.testing.assert_allclose(h_batch.data[k], h_one.data[0], rtol=0,
                                    atol=1e-12)
 
@@ -635,7 +636,7 @@ def test_bilstm_palindrome_tied_weights():
     fwd = LstmParams.init(4, 4, rng)
     p = BiLstmParams(fwd, fwd)  # tied directions
     embeds = make_embeds(rng)
-    h = bilstm_forward(["a", "b", "a"], embeds, p)
+    h = bilstm_batch_forward([["a", "b", "a"]], embeds, p)
     assert h.data.shape == (1, 8)
     np.testing.assert_array_equal(h.data[0, :4], h.data[0, 4:])
 
@@ -644,8 +645,8 @@ def test_bilstm_reversed_sequence_differs():
     rng = np.random.default_rng(20)
     p = BiLstmParams.init(4, 4, rng)
     embeds = make_embeds(rng)
-    h1 = bilstm_forward(["a", "b", "c"], embeds, p)
-    h2 = bilstm_forward(["c", "b", "a"], embeds, p)
+    h1 = bilstm_batch_forward([["a", "b", "c"]], embeds, p)
+    h2 = bilstm_batch_forward([["c", "b", "a"]], embeds, p)
     assert np.abs(h1.data - h2.data).max() > 1e-8
 
 
@@ -653,8 +654,8 @@ def test_lstm_reversed_sequence_differs():
     rng = np.random.default_rng(30)
     p = LstmParams.init(4, 4, rng)
     embeds = make_embeds(rng)
-    h1 = lstm_forward(["a", "b", "c"], embeds, p)
-    h2 = lstm_forward(["c", "b", "a"], embeds, p)
+    h1 = lstm_batch_forward([["a", "b", "c"]], embeds, p)
+    h2 = lstm_batch_forward([["c", "b", "a"]], embeds, p)
     assert np.abs(h1.data - h2.data).max() > 1e-8
 
 
@@ -687,7 +688,7 @@ def test_cnn_matches_sliding_window_oracle():
     pooled = cnn_pooled([seq], embeds, p)
     np.testing.assert_allclose(pooled.data[0], naive_cnn_pooled(seq, embeds, p),
                                atol=1e-12)
-    out = cnn_forward(seq, embeds, p)
+    out = cnn_batch_forward([seq], embeds, p)
     expected = p.weights["W_fc"].data @ pooled.data[0] + p.weights["b_fc"].data
     np.testing.assert_allclose(out.data[0], expected, atol=1e-12)
 
@@ -740,7 +741,7 @@ def test_cnn_pads_short_sequences():
     rng = np.random.default_rng(24)
     p = CnnParams.init(3, 5, rng, n_filters=4)
     embeds = make_embeds(rng, d_in=3)
-    out = cnn_forward(["a"], embeds, p)  # shorter than the widest kernel
+    out = cnn_batch_forward([["a"]], embeds, p)  # shorter than the widest kernel
     assert out.data.shape == (1, 5)
 
 
@@ -779,7 +780,7 @@ def test_lstm_end_to_end_gradients():
     p = LstmParams.init(3, 3, rng)
     embeds = VocabEmbeddings("abcd", 3, rng)
     params = {**p.params(), **embeds.params()}
-    _check_params(lambda: lstm_forward(["a", "b", "c"], embeds, p).sum(), params)
+    _check_params(lambda: lstm_batch_forward([["a", "b", "c"]], embeds, p).sum(), params)
 
 
 def test_bilstm_end_to_end_gradients():
@@ -787,7 +788,7 @@ def test_bilstm_end_to_end_gradients():
     p = BiLstmParams.init(3, 3, rng)
     embeds = VocabEmbeddings("abcd", 3, rng)
     params = {**p.params(), **embeds.params()}
-    _check_params(lambda: bilstm_forward(["a", "b"], embeds, p).sum(), params)
+    _check_params(lambda: bilstm_batch_forward([["a", "b"]], embeds, p).sum(), params)
 
 
 def test_cnn_end_to_end_gradients():
@@ -795,5 +796,5 @@ def test_cnn_end_to_end_gradients():
     p = CnnParams.init(2, 3, rng, n_filters=2)
     embeds = VocabEmbeddings("abcd", 2, rng)
     params = {**p.params(), **embeds.params()}
-    _check_params(lambda: cnn_forward(["a", "b", "c", "d"], embeds, p).sum(),
+    _check_params(lambda: cnn_batch_forward([["a", "b", "c", "d"]], embeds, p).sum(),
                   params)

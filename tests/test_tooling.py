@@ -242,10 +242,12 @@ def test_diagnostics_cli_round(tmp_path, capsys):
 
     # each diagnostic writes a manifest that hashes its inputs and lists
     # its output
-    for command, inputs, output in (
-            ("gate-bias", {"checkpoint", "split", "rules"}, "gate_bias.json"),
-            ("probe", {"checkpoint", "rules"}, f"probe_{ord('賄'):05X}.csv")):
-        manifest = json.loads((run / f"manifest-{command}.json").read_text(
+    for name, command, inputs, output in (
+            ("gate-bias", "gate-bias", {"checkpoint", "split", "rules"},
+             "gate_bias.json"),
+            (f"probe_{ord('賄'):05X}", "probe", {"checkpoint", "rules"},
+             f"probe_{ord('賄'):05X}.csv")):
+        manifest = json.loads((run / f"manifest-{name}.json").read_text(
             encoding="utf-8"))
         assert manifest["command"] == command
         assert set(manifest["data_hashes"]) == inputs
@@ -256,6 +258,23 @@ def test_diagnostics_cli_round(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert len([l for l in out.splitlines() if "\t" in l]) == 3
+
+
+def test_probes_keep_one_manifest_each(tmp_path):
+    run = _train_once(tmp_path, "probes")
+    ckpt = str(run / "pron.ckpt")
+    rules = str(DATA / "mini_ids.txt")
+    for ch in "賄河":
+        rc = dispatch(["--out-dir", str(run), "probe", ch,
+                       "--checkpoint", ckpt, "--rules", rules])
+        assert rc == 0
+    assert sorted(p.name for p in run.glob("manifest-probe*.json")) == sorted(
+        f"manifest-probe_{ord(ch):05X}.json" for ch in "賄河")
+    for ch in "賄河":
+        manifest = json.loads((run / f"manifest-probe_{ord(ch):05X}.json")
+                              .read_text(encoding="utf-8"))
+        assert manifest["command"] == "probe"
+        assert manifest["outputs"] == [str(run / f"probe_{ord(ch):05X}.csv")]
 
 
 def test_lm_cli_round(tmp_path, capsys):
