@@ -16,7 +16,8 @@ from pathlib import Path
 from logotree import ids, phono, pron
 from logotree.atomic import write_csv, write_json
 from logotree.cli import dispatch
-from logotree.config import RunConfig
+from logotree.config import RunConfig, config_to_dict
+from logotree.manifest import now, write_manifest
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -95,20 +96,21 @@ def main() -> int:
         return rc
 
     # linearization study: tuned best dev TER per sequence encoder and
-    # pre/post/in-order input, on the scenario-1 development set
-    split1 = phono.read_split_csv(splits["1"])
-    table = ids.load_rule_table(rules)
+    # pre/post/in-order input, on the scenario-1 development set; a toy run
+    # studies two encoders over the toy grid
+    started_at = now()
+    inputs = {"split": splits["1"], "rules": str(rules)}
+    split1 = phono.read_split_csv(inputs["split"])
+    table = ids.load_rule_table(inputs["rules"])
     base = RunConfig(**config["run"])
-    if args.toy:
-        rows = pron.linearization_study(
-            base, split1, table, encoders=(("lstm", 1), ("cnn", 1)),
-            learning_rates=tuple(grid["learning_rates"]),
-            dropouts=tuple(grid["dropouts"]), n_jobs=args.threads)
-    else:
-        rows = pron.linearization_study(base, split1, table,
-                                        n_jobs=args.threads)
+    study = {"encoders": [["lstm", 1], ["cnn", 1]], **grid} if args.toy else {}
+    rows = pron.linearization_study(base, split1, table, n_jobs=args.threads,
+                                    **study)
     study_path = out_dir / "linearization_study.csv"
     write_csv(study_path, ["model", "linearization", "dev_TER"], rows)
+    write_manifest(out_dir, "linearization-study",
+                   {"run": config_to_dict(base), **study}, inputs, args.seed,
+                   started_at, [study_path])
     print(f"linearization study written to {study_path}")
     return 0
 

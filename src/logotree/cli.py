@@ -4,8 +4,9 @@ Subcommands cover the whole workflow: rule-table inspection (``decompose``,
 ``validate-rules``), dataset preparation (``prepare-data``), pronunciation
 training and evaluation (``train-pron``, ``eval-pron``, ``grid-search``,
 ``run-matrix``), language modeling (``train-lm``, ``eval-lm``), and
-diagnostics (``gate-bias``, ``probe``, ``neighbors``). Every training or
-evaluation run writes a manifest beside its outputs.
+diagnostics (``gate-bias``, ``probe``, ``neighbors``). Every command that
+writes files writes a manifest beside them: ``dispatch`` hashes into it
+every input file the command was given.
 """
 
 from __future__ import annotations
@@ -15,14 +16,27 @@ import dataclasses
 import logging
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 from . import diagnostics, ids, lm, phono, pron
 from .atomic import write_csv, write_json
-from .config import LmConfig, RunConfig, config_to_dict, load_config
+from .config import config_to_dict, load_config
 from .errors import CycleError, LogotreeError
-from .manifest import finish_manifest, start_manifest
+from .manifest import now, write_manifest
 
-log = logging.getLogger(__name__)
+#: Argument names that name an input file. On a command that reads a
+#: config, each overrides the config data key of the same name.
+_FILE_ARGS = ("checkpoint", "readings", "variants", "split", "rules",
+              "corpus", "corpus_train", "corpus_valid")
+
+
+class Wrote(NamedTuple):
+    """What a command that wrote files hands ``dispatch`` for its manifest."""
+
+    config: dict
+    seed: int
+    outputs: list
+    name: str | None = None  # manifest-<name>.json; the command by default
 
 
 class _SubParser(argparse.ArgumentParser):
@@ -64,64 +78,77 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Hierarchical logograph embeddings: decomposition "
                     "parsing, pronunciation prediction, language modeling.")
     _add_globals(parser, suppress=False)
-    sub = parser.add_subparsers(dest="command",
-                                parser_class=_SubParser)
+    sub = parser.add_subparsers(dest="command", parser_class=_SubParser)
 
-    p = sub.add_parser("decompose", help="print a logograph's tree")
+    def command(name, handler, help, config_kind=None, data_keys=()):
+        # config_kind: the kind of --config the command reads; data_keys:
+        # the config keys that name its input files
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler, config_kind=config_kind,
+                       data_keys=data_keys)
+        return p
+
+    p = command("decompose", _cmd_decompose, "print a logograph's tree")
     p.add_argument("char")
     p.add_argument("--rules", required=True)
     p.add_argument("--max-depth", type=int, default=ids.DEFAULT_MAX_DEPTH)
 
-    p = sub.add_parser("validate-rules", help="check a rule table")
+    p = command("validate-rules", _cmd_validate_rules, "check a rule table")
     p.add_argument("path")
 
-    p = sub.add_parser("prepare-data", help="build a scenario split CSV")
+    p = command("prepare-data", _cmd_prepare_data, "build a scenario split CSV")
     p.add_argument("--readings", required=True)
     p.add_argument("--variants")
     p.add_argument("--scenario", type=int, default=1)
     p.add_argument("--sizes", type=_sizes, help="train,validation,test counts")
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("train-pron", help="train a pronunciation model")
+    p = command("train-pron", _cmd_train_pron, "train a pronunciation model",
+                "run", ("split", "rules"))
     p.add_argument("--split", help="split CSV (overrides config)")
     p.add_argument("--rules", help="rule table (overrides config)")
 
-    p = sub.add_parser("eval-pron", help="evaluate a pronunciation model")
+    p = command("eval-pron", _cmd_eval_pron, "evaluate a pronunciation model")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--split", required=True)
     p.add_argument("--rules", required=True)
     p.add_argument("--partition", default="test",
                    choices=["train", "validation", "test"])
 
-    p = sub.add_parser("grid-search", help="hyperparameter grid search")
+    p = command("grid-search", _cmd_grid_search, "hyperparameter grid search",
+                "run", ("split", "rules"))
     p.add_argument("--split")
     p.add_argument("--rules")
 
-    p = sub.add_parser("run-matrix", help="experiment matrix to CSV")
+    command("run-matrix", _cmd_run_matrix, "experiment matrix to CSV",
+            "run", ("rules", "splits"))
 
-    p = sub.add_parser("train-lm", help="train a character language model")
-    p.add_argument("--corpus", help="training corpus (overrides config)")
-    p.add_argument("--valid", help="validation corpus")
+    p = command("train-lm", _cmd_train_lm, "train a character language model",
+                "lm", ("corpus_train", "corpus_valid", "rules"))
+    p.add_argument("--corpus", dest="corpus_train", metavar="CORPUS",
+                   help="training corpus (overrides config)")
+    p.add_argument("--valid", dest="corpus_valid", metavar="VALID",
+                   help="validation corpus")
     p.add_argument("--rules")
 
-    p = sub.add_parser("eval-lm", help="BPC/PPL of a language model")
+    p = command("eval-lm", _cmd_eval_lm, "BPC/PPL of a language model")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--rules")
 
-    p = sub.add_parser("gate-bias", help="root forget-gate asymmetry")
+    p = command("gate-bias", _cmd_gate_bias, "root forget-gate asymmetry")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--split", required=True)
     p.add_argument("--rules", required=True)
     p.add_argument("--partition", default="test",
                    choices=["train", "validation", "test"])
 
-    p = sub.add_parser("probe", help="per-node prediction trace")
+    p = command("probe", _cmd_probe, "per-node prediction trace")
     p.add_argument("char")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--rules", required=True)
 
-    p = sub.add_parser("neighbors", help="cosine nearest neighbors")
+    p = command("neighbors", _cmd_neighbors, "cosine nearest neighbors")
     p.add_argument("char")
     p.add_argument("-k", type=int, default=5)
     p.add_argument("--checkpoint", required=True)
@@ -131,10 +158,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 # ---------------------------------------------------------------------------
-# subcommand implementations
+# subcommand implementations: each takes the parsed arguments, the loaded
+# config (None for a command without one) and its input paths by manifest
+# key, and returns an exit code or, having written files, a ``Wrote``
 # ---------------------------------------------------------------------------
 
-def _cmd_decompose(args) -> int:
+def _cmd_decompose(args, loaded, paths) -> int:
     table = ids.load_rule_table(args.rules)
     tree = ids.decompose(args.char, table, max_depth=args.max_depth)
     print(ids.format_tree(tree))
@@ -148,7 +177,7 @@ def _cmd_decompose(args) -> int:
     return 0
 
 
-def _cmd_validate_rules(args) -> int:
+def _cmd_validate_rules(args, loaded, paths) -> int:
     try:
         table = ids.load_rule_table(args.path)
     except CycleError as exc:
@@ -167,105 +196,89 @@ def _cmd_validate_rules(args) -> int:
     return 0
 
 
-def _cmd_prepare_data(args, seed: int, out_dir: Path) -> int:
+def _cmd_prepare_data(args, loaded, paths) -> Wrote:
+    seed = args.seed or 0
     readings = phono.parse_unihan_readings(args.readings)
     corpus, dropped = phono.build_corpus(readings, seed=seed)
     print(f"characters: {len(corpus)} (dropped {dropped} unsegmentable)")
     variants = phono.parse_unihan_variants(args.variants) if args.variants else None
-    manifest = start_manifest("prepare-data", {"scenario": args.scenario,
-                                               "sizes": args.sizes},
-                              {"readings": args.readings}, seed)
     split = phono.build_scenario(corpus, args.scenario, seed=seed,
                                  sizes=args.sizes, variants=variants)
     phono.write_split_csv(split, args.out)
-    finish_manifest(manifest, out_dir, [args.out])
     print(f"split written to {args.out} "
           f"({len(split.train)}/{len(split.validation)}/{len(split.test)})")
-    return 0
+    return Wrote({"scenario": args.scenario, "sizes": args.sizes}, seed,
+                 [args.out])
 
 
-def _load_run_inputs(args, loaded):
-    split_path = args.split or loaded.data.get("split")
-    rules_path = args.rules or loaded.data.get("rules")
-    if not split_path or not rules_path:
-        raise LogotreeError("need --split and --rules (or config data keys)")
-    return split_path, rules_path
+def _need(paths, *keys) -> list[str]:
+    if missing := [k for k in keys if k not in paths]:
+        raise LogotreeError(f"no path for {', '.join(missing)}: give the "
+                            "flag or the config data key")
+    return [paths[k] for k in keys]
 
 
-def _cmd_train_pron(args, loaded, out_dir: Path) -> int:
-    split_path, rules_path = _load_run_inputs(args, loaded)
-    config: RunConfig = loaded.run
+def _cmd_train_pron(args, loaded, paths) -> Wrote:
+    split_path, rules_path = _need(paths, "split", "rules")
+    config = loaded.run
     split = phono.read_split_csv(split_path)
     rules = ids.load_rule_table(rules_path)
-    manifest = start_manifest("train-pron", config_to_dict(config),
-                              {"split": split_path, "rules": rules_path},
-                              config.seed)
     model, history = pron.train(config, split, rules)
-    ckpt = out_dir / "pron.ckpt"
+    ckpt = args.out_dir / "pron.ckpt"
     pron.save_model(ckpt, model)
-    hist_path = out_dir / "history.csv"
+    hist_path = args.out_dir / "history.csv"
     write_csv(hist_path, ["epoch", "train_loss", "val_TER"],
               ([h.epoch, f"{h.train_loss:.6f}", f"{h.val_ter:.4f}"]
                for h in history))
     report = pron.evaluate(model, split.test, rules) if split.test else None
     if report:
         print(f"test SER {report.ser:.2f} TER {report.ter:.2f}")
-    finish_manifest(manifest, out_dir, [ckpt, hist_path])
     print(f"checkpoint: {ckpt}")
-    return 0
+    return Wrote(config_to_dict(config), config.seed, [ckpt, hist_path])
 
 
-def _cmd_eval_pron(args, out_dir: Path) -> int:
+def _cmd_eval_pron(args, loaded, paths) -> Wrote:
     model = pron.load_model(args.checkpoint)
     split = phono.read_split_csv(args.split)
     rules = ids.load_rule_table(args.rules)
     entries = dict(split.partitions())[args.partition]
-    manifest = start_manifest("eval-pron", config_to_dict(model.config),
-                              {"split": args.split, "rules": args.rules},
-                              model.config.seed)
     report = pron.evaluate(model, entries, rules)
     row = report.row()
     print(f"n={report.n} SER {row['SER']} TER {row['TER']} "
           f"onset {row['onset']} nucleus {row['nucleus']} coda {row['coda']}")
-    out = out_dir / "eval.csv"
+    out = args.out_dir / "eval.csv"
     pron.write_matrix_csv([{"model": model.model_name(),
                             "scenario": model.config.scenario,
                             "order": model.config.output_order,
                             "ablation": "full" if model.config.operators
                                         else "no-operators", **row}], out)
-    finish_manifest(manifest, out_dir, [out])
-    return 0
+    return Wrote(config_to_dict(model.config), model.config.seed, [out])
 
 
-def _cmd_grid_search(args, loaded, out_dir: Path) -> int:
-    split_path, rules_path = _load_run_inputs(args, loaded)
-    config: RunConfig = loaded.run
+def _cmd_grid_search(args, loaded, paths) -> Wrote:
+    split_path, rules_path = _need(paths, "split", "rules")
+    config = loaded.run
     split = phono.read_split_csv(split_path)
     rules = ids.load_rule_table(rules_path)
     grid = loaded.data.get("grid", {})
     lrs = tuple(grid.get("learning_rates", pron.DEFAULT_LR_GRID))
     drops = tuple(grid.get("dropouts", pron.DEFAULT_DROPOUT_GRID))
-    manifest = start_manifest("grid-search", config_to_dict(config),
-                              {"split": split_path, "rules": rules_path},
-                              config.seed)
     best, table = pron.grid_search(config, split, rules, lrs, drops,
                                    n_jobs=args.threads)
-    table_path = out_dir / "grid.csv"
+    table_path = args.out_dir / "grid.csv"
     write_csv(table_path, ["learning_rate", "dropout", "dev_TER"], table)
-    best_path = out_dir / "best_config.json"
+    best_path = args.out_dir / "best_config.json"
     write_json(best_path, {"run": config_to_dict(best)})
-    finish_manifest(manifest, out_dir, [table_path, best_path])
     print(f"best: lr={best.learning_rate} dropout={best.dropout}")
-    return 0
+    return Wrote(config_to_dict(config), config.seed, [table_path, best_path])
 
 
-def _cmd_run_matrix(args, loaded, out_dir: Path) -> int:
-    rules_path = loaded.data.get("rules")
+def _cmd_run_matrix(args, loaded, paths) -> Wrote:
     splits_map = loaded.data.get("splits")
-    if not rules_path or not splits_map:
+    if "rules" not in paths or not splits_map:
         raise LogotreeError("run-matrix config needs 'rules' and 'splits'")
-    config: RunConfig = loaded.run
-    rules = ids.load_rule_table(rules_path)
+    config = loaded.run
+    rules = ids.load_rule_table(paths["rules"])
     splits = {int(k): phono.read_split_csv(v) for k, v in splits_map.items()}
     matrix = loaded.data.get("matrix", {})
     encoders = tuple(tuple(e) if isinstance(e, list) else (e, 1)
@@ -273,106 +286,81 @@ def _cmd_run_matrix(args, loaded, out_dir: Path) -> int:
     scenarios = tuple(matrix.get("scenarios", [1]))
     orders = tuple(matrix.get("orders", ["cd_nu_on"]))
     ablations = tuple(matrix.get("ablations", [False]))
-    manifest = start_manifest("run-matrix", config_to_dict(config),
-                              {"rules": rules_path,
-                               **{f"split{k}": v for k, v in splits_map.items()}},
-                              config.seed)
     rows = pron.run_matrix(config, splits, rules, encoders=encoders,
                            scenarios=scenarios, orders=orders,
                            ablations=ablations)
-    out = out_dir / "matrix.csv"
+    out = args.out_dir / "matrix.csv"
     pron.write_matrix_csv(rows, out)
-    finish_manifest(manifest, out_dir, [out])
     print(f"{len(rows)} rows written to {out}")
-    return 0
+    return Wrote(config_to_dict(config), config.seed, [out])
 
 
-def _cmd_train_lm(args, loaded, out_dir: Path) -> int:
-    config: LmConfig = loaded.run
-    corpus_path = args.corpus or loaded.data.get("corpus_train")
-    if not corpus_path:
-        raise LogotreeError("need --corpus (or config corpus_train)")
-    valid_path = args.valid or loaded.data.get("corpus_valid")
-    rules_path = args.rules or loaded.data.get("rules")
-    rules = ids.load_rule_table(rules_path) if rules_path else None
+def _cmd_train_lm(args, loaded, paths) -> Wrote:
+    corpus_path, = _need(paths, "corpus_train")
+    config = loaded.run
+    rules = ids.load_rule_table(paths["rules"]) if "rules" in paths else None
     train_lines = lm.read_corpus(corpus_path)
-    valid_lines = lm.read_corpus(valid_path) if valid_path else None
-    data_paths = {k: v for k, v in (("corpus_train", corpus_path),
-                                    ("corpus_valid", valid_path),
-                                    ("rules", rules_path)) if v}
-    manifest = start_manifest("train-lm", config_to_dict(config), data_paths,
-                              config.seed)
+    valid_lines = (lm.read_corpus(paths["corpus_valid"])
+                   if "corpus_valid" in paths else None)
     model, history = lm.train_lm(config, train_lines, valid_lines, rules)
-    ckpt = out_dir / "lm.ckpt"
+    ckpt = args.out_dir / "lm.ckpt"
     lm.save_lm(ckpt, model)
-    hist_path = out_dir / "lm_history.csv"
+    hist_path = args.out_dir / "lm_history.csv"
     write_csv(hist_path,
               ["epoch", "train_bpc"] + (["valid_bpc"] if valid_lines else []),
               ({k: (f"{v:.6f}" if isinstance(v, float) else v)
                 for k, v in h.items()} for h in history))
-    finish_manifest(manifest, out_dir, [ckpt, hist_path])
     print(f"final train BPC {history[-1]['train_bpc']:.4f}; checkpoint: {ckpt}")
-    return 0
+    return Wrote(config_to_dict(config), config.seed, [ckpt, hist_path])
 
 
-def _cmd_eval_lm(args, out_dir: Path) -> int:
+def _cmd_eval_lm(args, loaded, paths) -> Wrote:
     rules = ids.load_rule_table(args.rules) if args.rules else None
     model = lm.load_lm(args.checkpoint, rules=rules)
     lines = lm.read_corpus(args.corpus)
     cache = lm.build_cache(model) if model.hierarchical else None
-    manifest = start_manifest("eval-lm", config_to_dict(model.config),
-                              {"corpus": args.corpus}, model.config.seed)
     bpc, ppl = lm.eval_lm(model, lines, cache=cache)
     print(f"BPC {bpc:.4f} PPL {ppl:.4f}")
     stats = lm.oov_stats(model, lines, rules)
     print(f"out-of-vocabulary: {stats['n_oov']} of {stats['n_chars']} "
           f"characters ({stats['n_oov_composable']} composable)")
-    out = out_dir / "lm_eval.json"
+    out = args.out_dir / "lm_eval.json"
     write_json(out, {"BPC": bpc, "PPL": ppl, **stats})
-    finish_manifest(manifest, out_dir, [out])
-    return 0
+    return Wrote(config_to_dict(model.config), model.config.seed, [out])
 
 
-def _cmd_gate_bias(args, out_dir: Path) -> int:
+def _cmd_gate_bias(args, loaded, paths) -> Wrote:
     model = pron.load_model(args.checkpoint)
     split = phono.read_split_csv(args.split)
     rules = ids.load_rule_table(args.rules)
     entries = dict(split.partitions())[args.partition]
     trees = [ids.decompose(e.ch, rules) for e in entries]
-    manifest = start_manifest("gate-bias", config_to_dict(model.config),
-                              {"checkpoint": args.checkpoint,
-                               "split": args.split, "rules": args.rules},
-                              model.config.seed)
     report = diagnostics.gate_bias(model, trees)
     pct = report.percentage
     print(f"left-right roots: {report.total}")
     print(f"prefer right: {report.prefer_right} "
           f"({'n/a' if pct is None else f'{pct:.1f}%'})")
-    out = out_dir / "gate_bias.json"
+    out = args.out_dir / "gate_bias.json"
     write_json(out, {"total": report.total,
                      "prefer_right": report.prefer_right, "percentage": pct})
-    finish_manifest(manifest, out_dir, [out])
-    return 0
+    return Wrote(config_to_dict(model.config), model.config.seed, [out])
 
 
-def _cmd_probe(args, out_dir: Path) -> int:
+def _cmd_probe(args, loaded, paths) -> Wrote:
     model = pron.load_model(args.checkpoint)
     rules = ids.load_rule_table(args.rules)
-    manifest = start_manifest("probe", config_to_dict(model.config),
-                              {"checkpoint": args.checkpoint,
-                               "rules": args.rules}, model.config.seed)
     trace = diagnostics.probe(model, args.char, rules)
     for row in trace.rows:
         print(f"{row.node_id:3d} {row.token}  ->  {row.onset} {row.nucleus} "
               f"{row.coda}")
-    out = out_dir / f"probe_{ord(args.char[0]):05X}.csv"
+    out = args.out_dir / f"probe_{ord(args.char[0]):05X}.csv"
     diagnostics.probe_to_csv(trace, out)
-    finish_manifest(manifest, out_dir, [out], name=out.stem)
     print(f"trace written to {out}")
-    return 0
+    return Wrote(config_to_dict(model.config), model.config.seed, [out],
+                 name=out.stem)
 
 
-def _cmd_neighbors(args) -> int:
+def _cmd_neighbors(args, loaded, paths) -> int:
     from .checkpoint import load_checkpoint
     _, manifest = load_checkpoint(args.checkpoint)
     kind = manifest.get("kind")
@@ -403,9 +391,17 @@ def _cmd_neighbors(args) -> int:
 # dispatch
 # ---------------------------------------------------------------------------
 
-#: Subcommands that read ``--config``, and the kind of config each reads.
-_CONFIG_KINDS = {"train-pron": "run", "grid-search": "run",
-                 "run-matrix": "run", "train-lm": "lm"}
+def _input_paths(args, data: dict) -> dict[str, str]:
+    """Every input file the command was given, by manifest key: the config
+    paths it reads by data key (``splits`` as ``split<k>``), then each file
+    argument by its name, over the data key of the same name."""
+    paths = {k: data[k] for k in args.data_keys
+             if k != "splits" and data.get(k)}
+    if "splits" in args.data_keys:
+        paths.update({f"split{k}": v for k, v in data.get("splits", {}).items()})
+    paths.update({k: getattr(args, k) for k in _FILE_ARGS
+                  if getattr(args, k, None)})
+    return paths
 
 
 def dispatch(argv) -> int:
@@ -414,40 +410,25 @@ def dispatch(argv) -> int:
     if args.command is None:
         parser.print_usage(sys.stderr)
         return 2
-    out_dir = Path(args.out_dir)
+    args.out_dir = Path(args.out_dir)
     try:
-        if args.command in _CONFIG_KINDS:
+        loaded = None
+        if args.config_kind:
             if not args.config:
                 raise LogotreeError(f"{args.command} needs --config")
-            loaded = load_config(args.config, _CONFIG_KINDS[args.command])
+            loaded = load_config(args.config, args.config_kind)
             if args.seed is not None:
                 loaded.run = dataclasses.replace(loaded.run, seed=args.seed)
-        if args.command == "decompose":
-            return _cmd_decompose(args)
-        if args.command == "validate-rules":
-            return _cmd_validate_rules(args)
-        if args.command == "prepare-data":
-            return _cmd_prepare_data(args, args.seed or 0, out_dir)
-        if args.command == "train-pron":
-            return _cmd_train_pron(args, loaded, out_dir)
-        if args.command == "eval-pron":
-            return _cmd_eval_pron(args, out_dir)
-        if args.command == "grid-search":
-            return _cmd_grid_search(args, loaded, out_dir)
-        if args.command == "run-matrix":
-            return _cmd_run_matrix(args, loaded, out_dir)
-        if args.command == "train-lm":
-            return _cmd_train_lm(args, loaded, out_dir)
-        if args.command == "eval-lm":
-            return _cmd_eval_lm(args, out_dir)
-        if args.command == "gate-bias":
-            return _cmd_gate_bias(args, out_dir)
-        if args.command == "probe":
-            return _cmd_probe(args, out_dir)
-        if args.command == "neighbors":
-            return _cmd_neighbors(args)
-        parser.print_usage(sys.stderr)
-        return 2
+        paths = _input_paths(args, loaded.data if loaded else {})
+        started_at = now()
+        result = args.handler(args, loaded, paths)
+        if not isinstance(result, Wrote):
+            return result
+        # hashed only now, so that a missing or malformed input has already
+        # ended in its loader's typed error
+        write_manifest(args.out_dir, args.command, result.config, paths,
+                       result.seed, started_at, result.outputs, result.name)
+        return 0
     except LogotreeError as exc:
         print(f"error[{exc.category}]: {exc}", file=sys.stderr)
         return 1

@@ -18,7 +18,8 @@ from . import encoders as enc
 from .atomic import write_csv
 from .errors import ContractError, DataError
 from .ids import IDC_ACROSS, GlyphTree, Leaf, Op, RuleTable, decompose
-from .pron import PronModel, decode_rows, encode_inputs, forward_batch
+from .pron import (EVAL_BATCH, PronModel, decode_rows, encode_inputs,
+                   forward_batch)
 
 log = logging.getLogger(__name__)
 
@@ -70,8 +71,8 @@ def gate_bias(model: PronModel, trees) -> GateBiasReport:
     _check_tree_model(model)
     across = [t for t in trees if isinstance(t, Op) and t.idc == IDC_ACROSS]
     prefer_right = 0
-    for start in range(0, len(across), 256):  # pron.evaluate's batch
-        f_l, f_r = root_forget_gates(model, across[start:start + 256])
+    for start in range(0, len(across), EVAL_BATCH):
+        f_l, f_r = root_forget_gates(model, across[start:start + EVAL_BATCH])
         gap = np.linalg.norm(f_r, axis=1) - np.linalg.norm(f_l, axis=1)
         prefer_right += int(np.count_nonzero(gap > 0))
         for k in np.flatnonzero(np.abs(gap) < 1e-9).tolist():

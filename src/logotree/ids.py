@@ -480,26 +480,9 @@ def strip_operators(seq) -> list[str]:
 
 
 def reconstruct_preorder(seq) -> GlyphTree:
-    """Rebuild a tree from its pre-order walk (operators are arity 2)."""
-    tokens = list(seq)
-    pos = 0
-
-    def build():
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ParseError(f"dangling operator at token {pos}")
-        tok = tokens[pos]
-        pos += 1
-        if tok in ALL_IDCS:
-            left = build()
-            right = build()
-            return Op(tok, left, right)
-        return Leaf(tok)
-
-    tree = build()
-    if pos != len(tokens):
-        raise ParseError(f"trailing tokens from index {pos}")
-    return tree
+    """Rebuild a tree from its pre-order walk: ``parse_ids``, which reads a
+    ternary operator with its three operands."""
+    return parse_ids(seq)
 
 
 def leaves(tree: GlyphTree) -> list[str]:

@@ -9,22 +9,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
 from .atomic import write_json
-
-
-@dataclass
-class Manifest:
-    command: str
-    config_hash: str
-    data_hashes: dict[str, str]
-    seed: int
-    started_at: str
-    finished_at: str = ""
-    outputs: list[str] = field(default_factory=list)
 
 
 def config_hash(config_dict: dict) -> str:
@@ -40,23 +28,23 @@ def file_hash(path) -> str:
     return digest.hexdigest()
 
 
-def _now() -> str:
+def now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def start_manifest(command: str, config_dict: dict, data_paths: dict,
-                   seed: int) -> Manifest:
-    return Manifest(command=command, config_hash=config_hash(config_dict),
-                    data_hashes={name: file_hash(p) for name, p in
-                                 sorted(data_paths.items())},
-                    seed=seed, started_at=_now())
+def write_manifest(out_dir, command: str, config_dict: dict, inputs: dict,
+                   seed: int, started_at: str, outputs,
+                   name: str | None = None) -> Path:
+    """Write ``manifest-<name>.json``, named after the command by default.
 
-
-def finish_manifest(manifest: Manifest, out_dir, outputs,
-                    name: str | None = None) -> Path:
-    """Write ``manifest-<name>.json``, named after the command by default."""
-    manifest.finished_at = _now()
-    manifest.outputs = [str(p) for p in outputs]
-    path = Path(out_dir) / f"manifest-{name or manifest.command}.json"
-    write_json(path, asdict(manifest))
+    ``inputs`` maps a key to each input file, hashed here; a run calls this
+    after reading its inputs, so a missing or malformed file has already
+    ended in its loader's typed error.
+    """
+    path = Path(out_dir) / f"manifest-{name or command}.json"
+    write_json(path, {
+        "command": command, "config_hash": config_hash(config_dict),
+        "data_hashes": {k: file_hash(p) for k, p in sorted(inputs.items())},
+        "seed": seed, "started_at": started_at, "finished_at": now(),
+        "outputs": [str(p) for p in outputs]})
     return path

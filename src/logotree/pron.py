@@ -145,9 +145,15 @@ class PronModel:
                 **self.head.params()}
 
     def model_name(self) -> str:
-        if self.config.encoder in ("lstm", "bilstm"):
-            return f"{self.config.encoder}-{self.config.layers}"
-        return self.config.encoder
+        return model_name(self.config)
+
+
+def model_name(config: RunConfig) -> str:
+    """The report name of an encoder: its kind, and the layer count of an
+    LSTM or biLSTM."""
+    if config.encoder in ("lstm", "bilstm"):
+        return f"{config.encoder}-{config.layers}"
+    return config.encoder
 
 
 def build_model(config: RunConfig, inventories: Inventories,
@@ -244,8 +250,12 @@ def decode_batch(model: PronModel, inputs) -> list[dict[str, str]]:
     return decode_rows(model, forward_batch(model, inputs))
 
 
+#: Rows per evaluation batch.
+EVAL_BATCH = 256
+
+
 def evaluate(model: PronModel, entries: list[PronEntry], rules: RuleTable,
-             batch_size: int = 256) -> EvalReport:
+             batch_size: int = EVAL_BATCH) -> EvalReport:
     """Argmax decoding of each unit; token and string error rates."""
     if not entries:
         raise DataError("cannot evaluate an empty partition")
@@ -410,8 +420,7 @@ def linearization_study(base: RunConfig, split: DatasetSplit, rules: RuleTable,
         config = replace(base, encoder=kind, layers=layers, linearization=lin)
         _, table = grid_search(config, split, rules, learning_rates, dropouts,
                                n_jobs=n_jobs)
-        name = f"{kind}-{layers}" if kind in ("lstm", "bilstm") else kind
-        rows.append({"model": name, "linearization": lin,
+        rows.append({"model": model_name(config), "linearization": lin,
                      "dev_TER": min(r["dev_TER"] for r in table)})
         log.info("linearization study: %s", rows[-1])
     return rows

@@ -525,6 +525,15 @@ def test_node_count_identity(tree):
     assert node_count(tree) - len(leaves(tree)) == len(leaves(tree)) - 1
 
 
+def test_reconstruct_preorder_reads_ternary_operators_as_parse_ids_does():
+    # a ternary operator takes three operands, so it never labels a
+    # two-child Op
+    with pytest.raises(ParseError):
+        reconstruct_preorder(["⿲", "a", "b"])
+    tokens = ["⿲", "a", "b", "c"]
+    assert reconstruct_preorder(tokens) == parse_ids(tokens)
+
+
 def test_roundtrip_corpus(rule_table):
     for head in rule_table.rules:
         tree = decompose(head, rule_table)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -298,6 +299,115 @@ def test_lm_cli_round(tmp_path, capsys):
     assert rc == 0
     result = json.loads((out_dir / "lm_eval.json").read_text(encoding="utf-8"))
     assert result["PPL"] == pytest.approx(2 ** result["BPC"])
+
+
+# ---------------------------------------------------------------------------
+# manifests
+# ---------------------------------------------------------------------------
+
+RULES = str(DATA / "mini_ids.txt")
+READINGS = str(DATA / "mini_readings.txt")
+VARIANTS = str(DATA / "mini_variants.txt")
+TINY_PRON = {"epochs": 1, "hidden": 4, "d_in": 4, "batch_size": 8, "seed": 1}
+TINY_LM = {"input_kind": "hierarchical", "layer_sizes": [4], "embed_dim": 4,
+           "epochs": 1, "batch_size": 2, "bptt": 4, "seed": 1}
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    """A split, a corpus and one trained checkpoint of each kind."""
+    d = tmp_path_factory.mktemp("cli")
+    assert dispatch(["--out-dir", str(d), "--seed", "3", "prepare-data",
+                     "--readings", READINGS, "--sizes", "24,6,6",
+                     "--out", str(d / "split.csv")]) == 0
+    (d / "corpus.txt").write_text("河湖海江\n" * 6, encoding="utf-8")
+    pron_cfg = write_config(d, {"run": TINY_PRON, "split": str(d / "split.csv"),
+                                "rules": RULES}, "pron.json")
+    lm_cfg = write_config(d, {"run": TINY_LM, "rules": RULES,
+                              "corpus_train": str(d / "corpus.txt")}, "lm.json")
+    assert dispatch(["--config", str(pron_cfg), "--out-dir", str(d / "pron"),
+                     "train-pron"]) == 0
+    assert dispatch(["--config", str(lm_cfg), "--out-dir", str(d / "lm"),
+                     "train-lm"]) == 0
+    return d
+
+
+def _manifest_case(case, d, tmp_path):
+    """argv, manifest name and the input files by data-hash key of one run;
+    a config path that a flag overrides names no file, so reading it fails."""
+    split, corpus = str(d / "split.csv"), str(d / "corpus.txt")
+    pron_ckpt, lm_ckpt = str(d / "pron" / "pron.ckpt"), str(d / "lm" / "lm.ckpt")
+    missing = str(tmp_path / "missing")
+
+    def config(name, run, **data):
+        path = write_config(tmp_path, {"run": run, **data}, f"{name}.json")
+        return ["--config", str(path)]
+
+    return {
+        "prepare-data": (
+            ["prepare-data", "--readings", READINGS, "--variants", VARIANTS,
+             "--scenario", "2", "--sizes", "20,5,5",
+             "--out", str(tmp_path / "split2.csv")],
+            "prepare-data", {"readings": READINGS, "variants": VARIANTS}),
+        "train-pron": (
+            config("pron", TINY_PRON, split=split, rules=RULES) + ["train-pron"],
+            "train-pron", {"split": split, "rules": RULES}),
+        "train-pron-flags": (
+            config("flags", TINY_PRON, split=missing, rules=missing)
+            + ["train-pron", "--split", split, "--rules", RULES],
+            "train-pron", {"split": split, "rules": RULES}),
+        "eval-pron": (
+            ["eval-pron", "--checkpoint", pron_ckpt, "--split", split,
+             "--rules", RULES],
+            "eval-pron", {"checkpoint": pron_ckpt, "split": split,
+                          "rules": RULES}),
+        "grid-search": (
+            config("grid", TINY_PRON, split=missing, rules=RULES,
+                   grid={"learning_rates": [1e-3], "dropouts": [0.0]})
+            + ["grid-search", "--split", split],
+            "grid-search", {"split": split, "rules": RULES}),
+        "run-matrix": (
+            config("matrix", TINY_PRON, split=missing, rules=RULES,
+                   splits={"1": split})
+            + ["run-matrix"],
+            "run-matrix", {"rules": RULES, "split1": split}),
+        "train-lm": (
+            config("lm", TINY_LM, corpus_train=missing,
+                   corpus_valid=missing, rules=RULES)
+            + ["train-lm", "--corpus", corpus, "--valid", corpus],
+            "train-lm", {"corpus_train": corpus, "corpus_valid": corpus,
+                         "rules": RULES}),
+        "eval-lm": (
+            ["eval-lm", "--checkpoint", lm_ckpt, "--corpus", corpus,
+             "--rules", RULES],
+            "eval-lm", {"checkpoint": lm_ckpt, "corpus": corpus,
+                        "rules": RULES}),
+        "gate-bias": (
+            ["gate-bias", "--checkpoint", pron_ckpt, "--split", split,
+             "--rules", RULES],
+            "gate-bias", {"checkpoint": pron_ckpt, "split": split,
+                          "rules": RULES}),
+        "probe": (
+            ["probe", "賄", "--checkpoint", pron_ckpt, "--rules", RULES],
+            f"probe_{ord('賄'):05X}", {"checkpoint": pron_ckpt,
+                                       "rules": RULES}),
+    }[case]
+
+
+@pytest.mark.parametrize("case", [
+    "prepare-data", "train-pron", "train-pron-flags", "eval-pron",
+    "grid-search", "run-matrix", "train-lm", "eval-lm", "gate-bias", "probe"])
+def test_manifest_hashes_every_input_file_the_command_was_given(
+        cli_inputs, tmp_path, case):
+    argv, name, inputs = _manifest_case(case, cli_inputs, tmp_path)
+    out = tmp_path / "out"
+    assert dispatch(["--out-dir", str(out)] + argv) == 0
+    manifest = json.loads((out / f"manifest-{name}.json").read_text(
+        encoding="utf-8"))
+    assert manifest["command"] == case.removesuffix("-flags")
+    assert manifest["data_hashes"] == {
+        key: hashlib.sha256(Path(path).read_bytes()).hexdigest()
+        for key, path in inputs.items()}
 
 
 def test_perfbench_trace_targets_resolve(monkeypatch):
