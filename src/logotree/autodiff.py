@@ -221,7 +221,10 @@ def transpose(a: Tensor) -> Tensor:
     if a.data.ndim < 2:
         raise ShapeError(f"transpose: need >=2 dims, got {a.data.shape}")
     out = Tensor(np.swapaxes(a.data, -1, -2))  # a view; BLAS reads it in place
-    return record(out, (a,), lambda g: (np.swapaxes(g, -1, -2),))
+    # a C-ordered gradient: a weight read as ``W.T`` reaches the optimizer
+    # contiguous, not as a strided view of the product's result
+    return record(out, (a,),
+                  lambda g: (np.ascontiguousarray(np.swapaxes(g, -1, -2)),))
 
 
 def logistic(x: np.ndarray) -> np.ndarray:
@@ -261,14 +264,14 @@ def softmax(a: Tensor) -> Tensor:
     return record(out, (a,), backward)
 
 
-def softmax_cross_entropy(logits: Tensor, target_ids) -> Tensor:
-    """Sum over rows of ``-log softmax(logits)[row, target_ids[row]]``.
+def cross_entropy_rows(z: np.ndarray, target_ids):
+    """Per-row ``-log softmax(z)[row, target_ids[row]]`` of a (n, V) array.
 
     Each row's loss is computed as logsumexp(row) - row[target], so a target
     whose probability underflows gets a large finite loss rather than inf.
-    The backward pass is (softmax - onehot) * g; no one-hot is built.
+    Returns the (n,) losses and the row softmax's numerators
+    ``exp(z - max)`` (n, V) and denominators (n, 1).
     """
-    z = logits.data
     t = np.asarray(target_ids, dtype=np.intp)
     if z.ndim != 2 or t.shape != z.shape[:1]:
         raise ShapeError(f"softmax_cross_entropy: logits {z.shape} and "
@@ -277,11 +280,21 @@ def softmax_cross_entropy(logits: Tensor, target_ids) -> Tensor:
     m = z.max(axis=-1, keepdims=True)
     e = np.exp(z - m)
     s = e.sum(axis=-1, keepdims=True)
-    out = Tensor((np.log(s[:, 0]) + (m[:, 0] - z[r, t])).sum())
+    return np.log(s[:, 0]) + (m[:, 0] - z[r, t]), e, s
+
+
+def softmax_cross_entropy(logits: Tensor, target_ids) -> Tensor:
+    """Sum over rows of ``cross_entropy_rows``.
+
+    The backward pass is (softmax - onehot) * g; no one-hot is built.
+    """
+    t = np.asarray(target_ids, dtype=np.intp)
+    losses, e, s = cross_entropy_rows(logits.data, t)
+    out = Tensor(losses.sum())
 
     def backward(g):
         gz = e / s
-        gz[r, t] -= 1.0
+        gz[np.arange(t.size), t] -= 1.0
         return (gz * g,)
 
     return record(out, (logits,), backward)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import logging
+import os
 import sys
 from pathlib import Path
 from typing import NamedTuple
@@ -412,29 +413,55 @@ def dispatch(argv) -> int:
         return 2
     args.out_dir = Path(args.out_dir)
     try:
-        loaded = None
-        if args.config_kind:
-            if not args.config:
-                raise LogotreeError(f"{args.command} needs --config")
-            loaded = load_config(args.config, args.config_kind)
-            if args.seed is not None:
-                loaded.run = dataclasses.replace(loaded.run, seed=args.seed)
-        paths = _input_paths(args, loaded.data if loaded else {})
-        started_at = now()
-        result = args.handler(args, loaded, paths)
-        if not isinstance(result, Wrote):
-            return result
-        # hashed only now, so that a missing or malformed input has already
-        # ended in its loader's typed error
-        write_manifest(args.out_dir, args.command, result.config, paths,
-                       result.seed, started_at, result.outputs, result.name)
-        return 0
+        try:
+            return _run(args)
+        finally:
+            # a reader that stopped early shows here, not at interpreter exit
+            sys.stdout.flush()
+    except BrokenPipeError:
+        return _reader_stopped()
     except LogotreeError as exc:
         print(f"error[{exc.category}]: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"error[io]: {exc}", file=sys.stderr)
         return 1
+
+
+def _run(args) -> int:
+    loaded = None
+    if args.config_kind:
+        if not args.config:
+            raise LogotreeError(f"{args.command} needs --config")
+        loaded = load_config(args.config, args.config_kind)
+        if args.seed is not None:
+            loaded.run = dataclasses.replace(loaded.run, seed=args.seed)
+    paths = _input_paths(args, loaded.data if loaded else {})
+    started_at = now()
+    result = args.handler(args, loaded, paths)
+    if not isinstance(result, Wrote):
+        return result
+    # hashed only now, so that a missing or malformed input has already ended
+    # in its loader's typed error
+    write_manifest(args.out_dir, args.command, result.config, paths,
+                   result.seed, started_at, result.outputs, result.name)
+    return 0
+
+
+def _reader_stopped() -> int:
+    """Exit status 141 (a writer ended by SIGPIPE) for a closed stdout.
+
+    Stdout then points at the null device, so the output still buffered
+    is dropped there at interpreter exit instead of failing again.
+    """
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, sys.stdout.fileno())
+    except (AttributeError, OSError, ValueError):  # not backed by a descriptor
+        sys.stdout = open(os.devnull, "w")
+    finally:
+        os.close(devnull)
+    return 141
 
 
 def main() -> None:

@@ -1,7 +1,9 @@
 """Character-level language modeling with lookup or tree-composed embeddings.
 
 The recurrent core is the stacked recurrent cell of the sequence encoders,
-with configurable per-layer sizes, stepped one timestep at a time.
+with configurable per-layer sizes. Training and ``lm_step`` step it one
+timestep at a time through all layers; evaluation runs it layer by layer
+over chunks of the stream and scores each chunk with one output product.
 Input embeddings are either a standard lookup table or hierarchical
 embeddings composed by the tree encoder from each character's
 decomposition. During training only the embeddings of characters present
@@ -314,7 +316,16 @@ def train_lm(config: LmConfig, train_lines: list[str],
 def eval_lm(model: LmModel, lines: list[str],
             cache: "EmbeddingCache | None" = None,
             chunk: int = 256) -> tuple[float, float]:
-    """Bits per character over the whole corpus and its perplexity 2**BPC."""
+    """Bits per character over the whole corpus and its perplexity 2**BPC.
+
+    The stream runs at batch 1 in windows of ``chunk`` characters, layer by
+    layer: each window is embedded once, each layer is one
+    ``encoders.lstm_layer`` over all of its steps (evaluation has no
+    dropout, so the layers need not interleave), and the window is scored by
+    one output product. The (h, c) state carries from window to window.
+    """
+    if chunk < 1:
+        raise ContractError(f"chunk must be at least 1, got {chunk}")
     if not lines:
         raise DataError("empty evaluation corpus")
     stream = stream_ids(model, lines)
@@ -324,13 +335,19 @@ def eval_lm(model: LmModel, lines: list[str],
     bits = 0.0
     n = ids.shape[1]
     for start in range(0, n, chunk):
-        outs, state = _run_window(model, ids[:, start:start + chunk], state,
-                                  cache)
-        for t, out in enumerate(outs):
-            nats = ad.softmax_cross_entropy(_logits(model, out),
-                                            tgts[start + t:start + t + 1])
-            # per step: a uniform model then scores exactly log2(V) bits
-            bits += float(nats.data) / math.log(2)
+        window = ids[:, start:start + chunk]
+        width = window.shape[1]
+        matrix, flat = window_embeddings(model, window, cache)
+        x = ad.reshape(rows(matrix, flat), (1, width, -1))
+        for layer, carried in enumerate(state):
+            x, state[layer] = enc.lstm_layer(x, model.core, layer, carried)
+        h = ad.reshape(x, (width, -1))
+        nats, _, _ = ad.cross_entropy_rows(_logits(model, h).data,
+                                           tgts[start:start + chunk])
+        # row by row in stream order: a uniform model then scores exactly
+        # log2(V) bits
+        for value in (nats / math.log(2)).tolist():
+            bits += value
     bpc = bits / n
     return bpc, 2.0 ** bpc
 

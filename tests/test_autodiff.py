@@ -413,6 +413,37 @@ def test_clip_global_norm_below_bound_keeps_arrays():
     assert a.grad is before
 
 
+def test_every_gradient_reaches_adam_c_ordered(monkeypatch, rule_table, corpus):
+    # a weight read as ``W.T`` (the LM output layer, the pron head, the CNN's
+    # projection) gets its gradient through ``transpose``; Adam and the norm
+    # clip should still see contiguous C-ordered arrays
+    from logotree import lm, pron
+    from logotree.config import LmConfig, RunConfig
+    from logotree.phono import build_scenario
+
+    seen = []
+    step = Adam.step
+
+    def recording_step(self, params, sparse_rows=None):
+        seen.append({name: p.grad.flags.c_contiguous
+                     for name, p in params.items() if p.grad is not None})
+        step(self, params, sparse_rows)
+
+    monkeypatch.setattr(Adam, "step", recording_step)
+    lm.train_lm(LmConfig(layer_sizes=(8, 6), embed_dim=4, batch_size=2,
+                         bptt=64, epochs=1, seed=1), ["abcab", "bca"])
+    split = build_scenario(corpus, 1, seed=5, sizes=(16, 4, 4))
+    for encoder in ("treelstm", "cnn"):
+        pron.train(RunConfig(encoder=encoder, hidden=8, d_in=6, cnn_filters=4,
+                             batch_size=16, epochs=1, seed=5), split,
+                   rule_table)
+    assert len(seen) == 3  # one LM window, one step of each pron model
+    assert {"out.W", "cnn.W_fc"} <= set().union(*seen)
+    assert any(name.startswith("head.W_") for name in seen[1])
+    assert [sorted(name for name, c in grads.items() if not c)
+            for grads in seen] == [[], [], []]
+
+
 # ---------------------------------------------------------------------------
 # dropout
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from logotree import lm
-from logotree.autodiff import Tensor
+from logotree.autodiff import Tensor, rows, softmax_cross_entropy
 from logotree.checkpoint import save_checkpoint
 from logotree.config import LmConfig, config_to_dict
 from logotree.errors import ContractError, DataError, NumericsError
@@ -236,6 +236,66 @@ def test_ppl_exactly_two_to_bpc():
     model = build_lm(TOY, list("abc"))
     bpc, ppl = eval_lm(model, ["abc", "cab"])
     assert ppl == 2.0 ** bpc
+
+
+def stepwise_bpc(model, lines, cache=None):
+    """BPC from one ``StackedLstm.step`` and one cross-entropy per character:
+    the time-major reference for ``eval_lm``."""
+    stream = lm.stream_ids(model, lines)
+    state = model.core.zero_state(1)
+    bits = 0.0
+    for t in range(len(stream) - 1):
+        matrix, flat = lm.window_embeddings(model, stream[t:t + 1].reshape(1, 1),
+                                            cache)
+        out, state = model.core.step(rows(matrix, flat), state)
+        nats = softmax_cross_entropy(lm._logits(model, out), stream[t + 1:t + 2])
+        bits += float(nats.data) / math.log(2)
+    return bits / (len(stream) - 1)
+
+
+# 19 predicted characters: chunks of 1, 3 and 7 end in a partial chunk
+EVAL_LINES = ["河湖海江波", "江波海湖河龍", "湖河波江海"]
+
+
+@pytest.mark.parametrize("kind", ["standard", "hierarchical"])
+@pytest.mark.parametrize("chunk", [1, 3, 7, 19])
+def test_eval_chunks_equal_step_by_step_reference(rule_table, kind, chunk):
+    config = LmConfig(**{**UNEQUAL.__dict__, "input_kind": kind})
+    model = build_lm(config, list("河湖海江波"), rules=rule_table)
+    cache = build_cache(model) if model.hierarchical else None
+    assert len(lm.stream_ids(model, EVAL_LINES)) - 1 == 19
+    bpc, ppl = eval_lm(model, EVAL_LINES, cache=cache, chunk=chunk)
+    assert bpc == pytest.approx(stepwise_bpc(model, EVAL_LINES, cache),
+                                rel=1e-12, abs=0)
+    assert ppl == 2.0 ** bpc
+
+
+@pytest.mark.parametrize("chunk", [1, 4, 256])
+def test_eval_runs_one_lstm_layer_per_layer_and_chunk(monkeypatch, chunk):
+    calls = []
+    layer = lm.enc.lstm_layer
+
+    def counting(x, p, k, state=None, lengths=None):
+        calls.append((x.data.shape, k))
+        return layer(x, p, k, state, lengths)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("eval_lm stepped the core one timestep at a time")
+
+    monkeypatch.setattr(lm.enc, "lstm_layer", counting)
+    monkeypatch.setattr(lm.StackedLstm, "step", forbidden)
+    model = build_lm(UNEQUAL, list("河湖海江波"))
+    eval_lm(model, EVAL_LINES, chunk=chunk)
+    chunks = -(-19 // chunk)
+    assert len(calls) == len(UNEQUAL.layer_sizes) * chunks
+    assert [k for _, k in calls] == [0, 1] * chunks
+    assert calls[-1][0] == (1, 19 - (chunks - 1) * chunk, 6)
+
+
+@pytest.mark.parametrize("chunk", [0, -3])
+def test_eval_rejects_chunk_below_one(chunk):
+    with pytest.raises(ContractError, match="chunk"):
+        eval_lm(build_lm(TOY, list("ab")), ["ab"], chunk=chunk)
 
 
 def test_eval_empty_rejected():

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -154,6 +156,39 @@ def test_missing_data_file_is_io_error(capsys):
     rc = dispatch(["decompose", "仕", "--rules", "/nonexistent/ids.txt"])
     assert rc == 1
     assert "error[" in capsys.readouterr().err
+
+
+class ClosedPipe:
+    """A stdout whose reader has gone: every write fails as on a closed pipe."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+def test_closed_stdout_exits_141_quietly(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    rc = dispatch(["validate-rules", str(DATA / "mini_ids.txt")])
+    assert rc == 141
+    assert capsys.readouterr().err == ""
+    # later output, such as the interpreter's flush at exit, goes nowhere
+    assert sys.stdout.name == os.devnull
+    print("dropped")
+    sys.stdout.close()
+
+
+def test_closed_pipe_descriptor_is_pointed_at_devnull(monkeypatch, capsys):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w") as stream:
+        monkeypatch.setattr(sys, "stdout", stream)
+        rc = dispatch(["validate-rules", str(DATA / "mini_ids.txt")])
+        assert rc == 141
+        assert capsys.readouterr().err == ""
+        # the output still buffered flushes into the null device on close
+        assert os.path.samestat(os.fstat(write_end), os.stat(os.devnull))
 
 
 def test_unknown_subcommand_usage():
