@@ -539,6 +539,26 @@ def check_finite_step(step: int, loss: float, norm: float, params) -> None:
                         f"in {worst!r}")
 
 
+def train_step(tape: Tape, loss: Tensor, params: dict[str, Tensor],
+               optimizer: Adam, clip_norm: float, lazy=()) -> float:
+    """One optimizer step on the loss ``tape`` recorded; returns the loss.
+
+    Gradients are zeroed, filled by the reverse pass, clipped to global
+    norm ``clip_norm`` and checked finite before ``optimizer`` steps. Each
+    table named in ``lazy`` has only its rows with a nonzero gradient
+    updated (the lazy Adam of large embedding tables).
+    """
+    zero_grads(params.values())
+    tape.backward(loss)
+    norm = clip_global_norm(params.values(), clip_norm)
+    value = float(loss.data)
+    check_finite_step(optimizer.t, value, norm, params.values())
+    sparse = {name: np.flatnonzero(np.abs(params[name].grad).sum(axis=1))
+              for name in lazy if params[name].grad is not None}
+    optimizer.step(params, sparse_rows=sparse)
+    return value
+
+
 # ---------------------------------------------------------------------------
 # gradient checking
 # ---------------------------------------------------------------------------

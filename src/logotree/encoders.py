@@ -726,9 +726,12 @@ def cnn_pooled(seqs: list[list[str]], embeds: VocabEmbeddings,
                training: bool = False) -> Tensor:
     """Concatenated per-bank max-pooled responses, (n, n_filters * n_widths).
 
-    Each row pools over the windows it would have alone, padded to the
-    widest kernel: windows that start past max(len, max width) - w lie in
-    the batch's padding only and are left out of the max.
+    Each width gathers its windows with one ``rows`` call, window (r, t)
+    holding positions t..t+w-1 of row r one after another, and multiplies
+    them by the whole kernel in one product. Each row pools over the
+    windows it would have alone, padded to the widest kernel: windows that
+    start past max(len, max width) - w lie in the batch's padding only and
+    are left out of the max.
     """
     widest = max(p.widths)
     ids_, lengths = _pad_ids(seqs, embeds, widest)
@@ -737,19 +740,15 @@ def cnn_pooled(seqs: list[list[str]], embeds: VocabEmbeddings,
     x = ad.reshape(rows(embeds.table, ids_.reshape(-1)), (n, max_len, embeds.d_in))
     # pad positions become zero vectors
     x = dropout(x * Tensor(mask[:, :, None]), input_dropout, rng, training)
+    flat = ad.reshape(x, (n * max_len, embeds.d_in))
     reach = np.maximum(lengths, widest)
     pooled = []
     for w in p.widths:
-        kernel = p.weights[f"K{w}"]
         positions = max_len - w + 1
-        resp = None
-        for j in range(w):
-            xj = ad.narrow(x, 1, j, positions)
-            xj = ad.reshape(xj, (n * positions, embeds.d_in))
-            kj = ad.narrow(kernel, 0, j * p.d_in, p.d_in)
-            term = matmul(xj, kj)
-            resp = term if resp is None else resp + term
-        resp = resp + p.weights[f"kb{w}"]
+        starts = (np.arange(n)[:, None] * max_len + np.arange(positions)).reshape(-1)
+        windows = rows(flat, starts[:, None] + np.arange(w))
+        windows = ad.reshape(windows, (n * positions, w * embeds.d_in))
+        resp = matmul(windows, p.weights[f"K{w}"]) + p.weights[f"kb{w}"]
         resp = tanh(ad.reshape(resp, (n, positions, p.n_filters)))
         beyond = np.arange(positions) > (reach - w)[:, None]
         if beyond.any():

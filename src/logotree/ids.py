@@ -127,12 +127,9 @@ class Forest:
         return nid
 
     def join(self, idc: str, kids: list[int]) -> int:
-        """The binary node of operator ``idc`` over two or three child ids;
-        ⿲ a b c becomes ⿰(a, ⿰(b, c)) and ⿳ a b c becomes ⿱(a, ⿱(b, c))."""
-        if len(kids) == 2:
-            return self._op(idc, kids[0], kids[1])
-        inner = IDC_ACROSS if idc == IDC_ACROSS3 else IDC_DOWN
-        return self._op(inner, kids[0], self._op(inner, kids[1], kids[2]))
+        """The binary node of operator ``idc`` over two or three child ids,
+        rewritten as ``_join`` rewrites tree nodes."""
+        return _join(idc, kids, self._op)
 
     def _op(self, idc: str, left: int, right: int) -> int:
         # an int key, unlike a tuple, is neither a container for the cyclic
@@ -269,13 +266,15 @@ def binarize(node) -> GlyphTree:
     raise StructureError(f"unsupported node type {type(node).__name__}")
 
 
-def _join(idc: str, kids: list) -> Op:
-    """The binary node of operator ``idc`` over already-binary children."""
+def _join(idc: str, kids: list, make=Op):
+    """The binary node of operator ``idc`` over already-binary children,
+    built by ``make(idc, left, right)``: ⿲ a b c becomes ⿰(a, ⿰(b, c))
+    and ⿳ a b c becomes ⿱(a, ⿱(b, c))."""
     if len(kids) == 2:
-        return Op(idc, kids[0], kids[1])
+        return make(idc, kids[0], kids[1])
     if len(kids) == 3:
         inner = IDC_ACROSS if idc == IDC_ACROSS3 else IDC_DOWN
-        return Op(inner, kids[0], Op(inner, kids[1], kids[2]))
+        return make(inner, kids[0], make(inner, kids[1], kids[2]))
     raise StructureError(f"node arity {len(kids)} not in {{0,2,3}}")
 
 

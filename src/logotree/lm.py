@@ -250,7 +250,7 @@ def train_lm(config: LmConfig, train_lines: list[str],
     rng = np.random.default_rng(config.seed)
     optimizer = Adam(lr=config.learning_rate)
     params = model.params()
-    table_names = set(_embedding_table_names(model))
+    tables = _embedding_table_names(model)
 
     stream = stream_ids(model, train_lines)
     B = min(config.batch_size, max(1, (len(stream) - 1) // max(1, config.bptt)))
@@ -278,21 +278,11 @@ def train_lm(config: LmConfig, train_lines: list[str],
                 loss = ad.softmax_cross_entropy(_logits(model, concat(outs, axis=0)),
                                                 window_tgts.T.reshape(-1))
                 loss = loss * (1.0 / (B * width))
-            ad.zero_grads(params.values())
-            tape.backward(loss)
-            norm = ad.clip_global_norm(params.values(), config.clip_norm)
-            ad.check_finite_step(optimizer.t, float(loss.data), norm,
-                                 params.values())
-            sparse = {}
-            for name in table_names:
-                g = params[name].grad
-                if g is not None:
-                    touched = np.flatnonzero(np.abs(g).sum(axis=1))
-                    sparse[name] = touched
-            optimizer.step(params, sparse_rows=sparse)
+            value = ad.train_step(tape, loss, params, optimizer,
+                                  config.clip_norm, lazy=tables)
             model.version += 1
             state = _detach_state(state)
-            nats += float(loss.data) * B * width
+            nats += value * B * width
             count += B * width
         train_bpc = nats / count / math.log(2)
         entry = {"epoch": epoch, "train_bpc": train_bpc}

@@ -123,18 +123,14 @@ def parse_unihan_variants(path) -> VariantMap:
         chars = _variant_chars(value)
         if not chars:
             continue
-        if fieldname == "kSimplifiedVariant":
-            vmap.simplified_of.setdefault(ch, ())
-            vmap.simplified_of[ch] = vmap.simplified_of[ch] + chars
-            for s in chars:
-                if s != ch and ch not in vmap.traditional_of.get(s, ()):
-                    vmap.traditional_of[s] = vmap.traditional_of.get(s, ()) + (ch,)
-        else:
-            vmap.traditional_of.setdefault(ch, ())
-            vmap.traditional_of[ch] = vmap.traditional_of[ch] + chars
-            for t in chars:
-                if t != ch and ch not in vmap.simplified_of.get(t, ()):
-                    vmap.simplified_of[t] = vmap.simplified_of.get(t, ()) + (ch,)
+        # a field's own map takes its links, the other map the back-links
+        own, back = ((vmap.simplified_of, vmap.traditional_of)
+                     if fieldname == "kSimplifiedVariant"
+                     else (vmap.traditional_of, vmap.simplified_of))
+        own[ch] = own.get(ch, ()) + chars
+        for other in chars:
+            if other != ch and ch not in back.get(other, ()):
+                back[other] = back.get(other, ()) + (ch,)
     return vmap
 
 

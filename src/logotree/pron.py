@@ -299,7 +299,7 @@ def train(config: RunConfig, split: DatasetSplit, rules: RuleTable
 
     train_inputs = encode_inputs(model, [e.ch for e in split.train], rules)
     history: list[EpochStats] = []
-    best = None  # (ter, epoch, param snapshot)
+    best = None  # (ter, param snapshot)
     n = len(split.train)
     for epoch in range(config.epochs):
         perm = rng.permutation(n)
@@ -313,23 +313,17 @@ def train(config: RunConfig, split: DatasetSplit, rules: RuleTable
                 h = forward_batch(model, batch_inputs, rng=rng, training=True)
                 loss = pron_loss(predict_pron(h, model.head), batch_targets,
                                  inventories)
-            ad.zero_grads(params.values())
-            tape.backward(loss)
-            norm = ad.clip_global_norm(params.values(), config.clip_norm)
-            ad.check_finite_step(optimizer.t, float(loss.data), norm,
-                                 params.values())
-            optimizer.step(params)
-            total_loss += float(loss.data) * len(idx)
+            total_loss += ad.train_step(tape, loss, params, optimizer,
+                                        config.clip_norm) * len(idx)
         val = evaluate(model, split.validation, rules)
         stats = EpochStats(epoch, total_loss / n, val.ter)
         history.append(stats)
         if best is None or stats.val_ter < best[0]:
-            best = (stats.val_ter, epoch,
-                    {k: t.data.copy() for k, t in params.items()})
+            best = (stats.val_ter, {k: t.data.copy() for k, t in params.items()})
         log.debug("epoch %d loss %.4f val TER %.2f", epoch, stats.train_loss,
                   stats.val_ter)
     for k, t in params.items():
-        t.data[:] = best[2][k]
+        t.data[:] = best[1][k]
     return model, history
 
 

@@ -709,6 +709,19 @@ def test_cnn_batch_rows_equal_sliding_window_oracle(bias):
                                    rtol=0, atol=1e-12)
 
 
+def test_cnn_records_a_window_gather_and_one_product_per_width():
+    # each width records one gather, one product and a fixed set of
+    # elementwise entries, however wide its kernel
+    rng = np.random.default_rng(31)
+    p = CnnParams.init(3, 5, rng, n_filters=4)
+    embeds = make_embeds(rng, d_in=3)
+    tape = Tape()
+    with tape:
+        cnn_batch_forward(UNSORTED + [list("abcdefghabcdefgh")], embeds, p, 0.3,
+                          np.random.default_rng(7), True)
+    assert len(tape) <= 10 * len(p.widths)
+
+
 def test_cnn_constant_sequence_single_window_response():
     rng = np.random.default_rng(22)
     p = CnnParams.init(3, 5, rng, n_filters=4)
@@ -796,5 +809,8 @@ def test_cnn_end_to_end_gradients():
     p = CnnParams.init(2, 3, rng, n_filters=2)
     embeds = VocabEmbeddings("abcd", 2, rng)
     params = {**p.params(), **embeds.params()}
-    _check_params(lambda: cnn_batch_forward([["a", "b", "c", "d"]], embeds, p).sum(),
-                  params)
+    # one row longer and one shorter than the widest kernel: the windows
+    # overlap, reach into padding and are masked out of the max, so the
+    # gather's backward sums over all three
+    for seqs in ([list("abcd")], [list("abcdabcda"), list("cb")]):
+        _check_params(lambda: cnn_batch_forward(seqs, embeds, p).sum(), params)

@@ -120,6 +120,18 @@ def test_train_seed_determinism():
     assert h1 != h3
 
 
+def test_train_updates_only_the_embedding_rows_the_windows_touch():
+    # no training character maps to <UNK>, so its lookup row never gets a
+    # gradient and the lazy Adam update leaves it at its initial value
+    lines = toy_lines(10)
+    model, _ = train_lm(TOY, lines)
+    fresh = build_lm(TOY, sorted({ch for line in lines for ch in line}))
+    unk = model.index[lm.UNK_TOKEN]
+    np.testing.assert_array_equal(model.lookup.data[unk], fresh.lookup.data[unk])
+    moved = np.abs(model.lookup.data - fresh.lookup.data).max(axis=1) > 0
+    assert moved.sum() == len(model.vocab) - 1 and not moved[unk]
+
+
 # per-epoch train_bpc of this run, recorded before the LM's recurrent core
 # and loss were replaced by the shared cell and the fused cross-entropy:
 # drift in weight initialization order, gate arithmetic or the order of

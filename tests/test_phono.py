@@ -173,6 +173,28 @@ def test_variant_annotations_stripped(tmp_path):
     assert vmap.simplified_counterparts("賄") == ("贿",)
 
 
+def test_traditional_variant_links_mirror_simplified_ones(tmp_path):
+    links = [("U+8A9E", "U+8BED"), ("U+8CC4", "U+8D3F U+4E00"), ("U+4E00", "U+4E00")]
+
+    def parse(lines):
+        path = tmp_path / "v.txt"
+        path.write_text("".join(f"{a}\t{field}\t{b}\n" for a, field, b in lines),
+                        encoding="utf-8")
+        return parse_unihan_variants(path)
+
+    simp = parse([(a, "kSimplifiedVariant", b) for a, b in links])
+    trad = parse([(a, "kTraditionalVariant", b) for a, b in links])
+    assert simp.simplified_of == {"語": ("语",), "賄": ("贿", "一"), "一": ("一",)}
+    assert simp.traditional_of == {"语": ("語",), "贿": ("賄",), "一": ("賄",)}
+    for mirror, own in ((trad.traditional_of, simp.simplified_of),
+                        (trad.simplified_of, simp.traditional_of)):
+        assert list(mirror.items()) == list(own.items())  # order included
+    # a link stated from both sides records its back-link once
+    both = parse([("U+8A9E", "kSimplifiedVariant", "U+8BED"),
+                  ("U+8BED", "kTraditionalVariant", "U+8A9E")])
+    assert both.simplified_of == {"語": ("语",)}
+
+
 # ---------------------------------------------------------------------------
 # scenarios
 # ---------------------------------------------------------------------------
