@@ -1,9 +1,9 @@
 """Character-level language modeling with lookup or tree-composed embeddings.
 
 The recurrent core is the stacked recurrent cell of the sequence encoders,
-with configurable per-layer sizes. Training and ``lm_step`` step it one
-timestep at a time through all layers; evaluation runs it layer by layer
-over chunks of the stream and scores each chunk with one output product.
+with configurable per-layer sizes. Training alone steps it one timestep
+at a time through all layers; ``eval_lm``, ``lm_step`` and
+``greedy_continue`` run it layer by layer, one window at a time.
 Input embeddings are either a standard lookup table or hierarchical
 embeddings composed by the tree encoder from each character's
 decomposition. During training only the embeddings of characters present
@@ -174,23 +174,34 @@ def window_embeddings(model: LmModel, ids: np.ndarray,
     return matrix, row_of[ids.reshape(-1)]
 
 
-def _run_window(model: LmModel, ids: np.ndarray, state,
-                cache: "EmbeddingCache | None" = None, rng=None,
-                training: bool = False):
-    """Embed a (batch, time) id window and step the core through it.
-
-    Input, hidden and output dropout apply when training. Returns the
-    per-step top-layer outputs, each (batch, H), and the final state.
-    """
+def _run_window(model: LmModel, ids: np.ndarray, state, rng):
+    """The training window: embed a (batch, time) id window and step the
+    core through it with input, hidden and output dropout. Returns the
+    per-step top-layer outputs, each (batch, H), and the final state."""
     cfg = model.config
-    matrix, flat = window_embeddings(model, ids, cache, rng, training)
-    x_all = dropout(rows(matrix, flat), cfg.dropout_input, rng, training)
+    matrix, flat = window_embeddings(model, ids, rng=rng, training=True)
+    x_all = dropout(rows(matrix, flat), cfg.dropout_input, rng, True)
     outs = []
     for x_t in enc.split_steps(x_all, *ids.shape):
-        out, state = model.core.step(x_t, state, cfg.dropout_hidden, rng,
-                                     training)
-        outs.append(dropout(out, cfg.dropout_output, rng, training))
+        out, state = model.core.step(x_t, state, cfg.dropout_hidden, rng, True)
+        outs.append(dropout(out, cfg.dropout_output, rng, True))
     return outs, state
+
+
+def _forward(model: LmModel, ids: np.ndarray, state,
+             cache: "EmbeddingCache | None" = None):
+    """Embed a (1, T) id window and run the core over it layer by layer, as
+    inference has no dropout to interleave the layers: one
+    ``encoders.lstm_layer`` per layer over all T steps from its carried (h, c),
+    zeros for a None ``state``. Returns the top-layer (T, H) outputs and the
+    new state."""
+    matrix, flat = window_embeddings(model, ids, cache)
+    x = ad.reshape(rows(matrix, flat), (*ids.shape, -1))
+    new_state = []
+    for layer, carried in enumerate(state or [None] * len(model.core.sizes)):
+        x, carried = enc.lstm_layer(x, model.core, layer, carried)
+        new_state.append(carried)
+    return ad.reshape(x, (ids.shape[1], -1)), new_state
 
 
 def _logits(model: LmModel, h: Tensor) -> Tensor:
@@ -272,8 +283,7 @@ def train_lm(config: LmConfig, train_lines: list[str],
             window_tgts = targets[:, start:start + width]
             tape = Tape()
             with tape:
-                outs, state = _run_window(model, window_ids, state, rng=rng,
-                                          training=True)
+                outs, state = _run_window(model, window_ids, state, rng)
                 # rows are time-major, as are the flattened transposed targets
                 loss = ad.softmax_cross_entropy(_logits(model, concat(outs, axis=0)),
                                                 window_tgts.T.reshape(-1))
@@ -308,11 +318,10 @@ def eval_lm(model: LmModel, lines: list[str],
             chunk: int = 256) -> tuple[float, float]:
     """Bits per character over the whole corpus and its perplexity 2**BPC.
 
-    The stream runs at batch 1 in windows of ``chunk`` characters, layer by
-    layer: each window is embedded once, each layer is one
-    ``encoders.lstm_layer`` over all of its steps (evaluation has no
-    dropout, so the layers need not interleave), and the window is scored by
-    one output product. The (h, c) state carries from window to window.
+    The stream runs at batch 1 in windows of ``chunk`` characters through
+    ``_forward``: each window is embedded once, run layer by layer and
+    scored by one output product. The (h, c) state carries from window to
+    window.
     """
     if chunk < 1:
         raise ContractError(f"chunk must be at least 1, got {chunk}")
@@ -321,17 +330,11 @@ def eval_lm(model: LmModel, lines: list[str],
     stream = stream_ids(model, lines)
     ids = stream[:-1].reshape(1, -1)
     tgts = stream[1:]
-    state = model.core.zero_state(1)
+    state = None
     bits = 0.0
     n = ids.shape[1]
     for start in range(0, n, chunk):
-        window = ids[:, start:start + chunk]
-        width = window.shape[1]
-        matrix, flat = window_embeddings(model, window, cache)
-        x = ad.reshape(rows(matrix, flat), (1, width, -1))
-        for layer, carried in enumerate(state):
-            x, state[layer] = enc.lstm_layer(x, model.core, layer, carried)
-        h = ad.reshape(x, (width, -1))
+        h, state = _forward(model, ids[:, start:start + chunk], state, cache)
         nats, _, _ = ad.cross_entropy_rows(_logits(model, h).data,
                                            tgts[start:start + chunk])
         # row by row in stream order: a uniform model then scores exactly
@@ -349,18 +352,15 @@ def lm_step(prev_chars, state, model: LmModel,
     ``state`` of None starts from the zero state. The distribution is over
     the model vocabulary and sums to 1.
     """
-    if state is None:
-        state = model.core.zero_state(1)
-    outs = []
+    ids = [model.char_id(ch) for ch in prev_chars]
+    if not ids:
+        raise ContractError("prev_chars must be non-empty")
     # one window per character: composing a prefix's trees in one batch
     # changes their embeddings in the last bits (BLAS rounds a one-row
     # product differently), so a prefix would not equal its steps
-    for ch in prev_chars:
-        window = np.array([[model.char_id(ch)]], dtype=np.intp)
-        outs, state = _run_window(model, window, state, cache)
-    if not outs:
-        raise ContractError("prev_chars must be non-empty")
-    return softmax(_logits(model, outs[-1])).data[0], state
+    for i in ids:
+        h, state = _forward(model, np.array([[i]], dtype=np.intp), state, cache)
+    return softmax(_logits(model, h)).data[0], state
 
 
 def greedy_continue(model: LmModel, prefix: str, n: int) -> str:

@@ -123,14 +123,14 @@ def parse_unihan_variants(path) -> VariantMap:
         chars = _variant_chars(value)
         if not chars:
             continue
-        # a field's own map takes its links, the other map the back-links
+        # a field's own map takes its links, the other map the back-links, each once
         own, back = ((vmap.simplified_of, vmap.traditional_of)
                      if fieldname == "kSimplifiedVariant"
                      else (vmap.traditional_of, vmap.simplified_of))
-        own[ch] = own.get(ch, ()) + chars
+        own[ch] = tuple(dict.fromkeys(own.get(ch, ()) + chars))
         for other in chars:
-            if other != ch and ch not in back.get(other, ()):
-                back[other] = back.get(other, ()) + (ch,)
+            if other != ch:
+                back[other] = tuple(dict.fromkeys(back.get(other, ()) + (ch,)))
     return vmap
 
 
@@ -318,6 +318,10 @@ def read_split_csv(path) -> DatasetSplit:
                 raise DataError(f"{path}: malformed row {row}")
             if row[4] not in parts:
                 raise DataError(f"{path}: unknown partition {row[4]!r}")
+            if len(row[0]) != 1:
+                raise DataError(f"{path}: row {row}: char must be one character")
+            if not all(row[1:4]):
+                raise DataError(f"{path}: row {row}: empty unit ('#' marks none)")
             parts[row[4]].append(PronEntry(*row[:4]))
     except csv.Error as exc:
         raise DataError(f"{path}: {exc}") from exc

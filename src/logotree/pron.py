@@ -48,15 +48,16 @@ class Inventories:
         return cls(inv(lambda e: e.onset), inv(lambda e: e.nucleus),
                    inv(lambda e: e.coda))
 
+    def __post_init__(self):
+        self._ids = {u: {c: i for i, c in enumerate(self.classes(u))} for u in UNITS}
+
     def classes(self, unit: str) -> list[str]:
         return getattr(self, unit)
 
     def index(self, unit: str, value: str) -> int:
-        classes = self.classes(unit)
-        try:
-            return classes.index(value)
-        except ValueError:
-            raise DataError(f"{unit} class {value!r} not in inventory") from None
+        if value not in self._ids[unit]:
+            raise DataError(f"{unit} class {value!r} not in inventory")
+        return self._ids[unit][value]
 
 
 @dataclass

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from logotree import lm
-from logotree.autodiff import Tensor, rows, softmax_cross_entropy
+from logotree.autodiff import Tensor, rows, softmax, softmax_cross_entropy
 from logotree.checkpoint import save_checkpoint
 from logotree.config import LmConfig, config_to_dict
 from logotree.errors import ContractError, DataError, NumericsError
@@ -83,6 +83,68 @@ def test_step_prefix_equals_per_character_steps(rule_table, kind):
 def test_step_rejects_empty_prefix():
     with pytest.raises(ContractError, match="non-empty"):
         lm_step([], None, build_lm(TOY, list("ab")))
+
+
+def stepwise_lm_step(model, chars, state, cache=None):
+    """One ``StackedLstm.step`` per character: the time-major reference for
+    ``lm_step``."""
+    if state is None:
+        state = model.core.zero_state(1)
+    for ch in chars:
+        ids = np.array([[model.char_id(ch)]], dtype=np.intp)
+        matrix, flat = lm.window_embeddings(model, ids, cache)
+        out, state = model.core.step(rows(matrix, flat), state)
+    return softmax(lm._logits(model, out)).data[0], state
+
+
+@pytest.mark.parametrize("kind, cached", [("standard", False),
+                                          ("hierarchical", False),
+                                          ("hierarchical", True)])
+def test_step_equals_time_major_reference(rule_table, kind, cached):
+    config = LmConfig(**{**TOY.__dict__, "input_kind": kind,
+                         "layer_sizes": (10, 6)})
+    model = build_lm(config, list("河湖海江龍"), rules=rule_table)
+    cache = build_cache(model) if cached else None
+    state = ref_state = None
+    for chars in ([EOS_TOKEN] + list("河湖海龍z"), list("江"), list("波河")):
+        kept = [(h.data.copy(), c.data.copy()) for h, c in state or []]
+        dist, new_state = lm_step(chars, state, model, cache)
+        ref_dist, ref_state = stepwise_lm_step(model, chars, ref_state, cache)
+        assert np.array_equal(dist, ref_dist)
+        assert len(new_state) == len(ref_state) == 2
+        for (h, c), (ref_h, ref_c) in zip(new_state, ref_state):
+            assert np.array_equal(h.data, ref_h.data)
+            assert np.array_equal(c.data, ref_c.data)
+        # the state handed in is left as it was
+        for (h, c), (h0, c0) in zip(state or [], kept, strict=True):
+            assert np.array_equal(h.data, h0) and np.array_equal(c.data, c0)
+        state = new_state
+
+
+def test_step_and_greedy_run_one_lstm_layer_per_layer_and_character(monkeypatch):
+    calls = []
+    layer = lm.enc.lstm_layer
+
+    def counting(x, p, k, state=None, lengths=None):
+        calls.append((x.data.shape, k))
+        return layer(x, p, k, state, lengths)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("inference stepped the core one timestep at a time")
+
+    monkeypatch.setattr(lm.enc, "lstm_layer", counting)
+    monkeypatch.setattr(lm.StackedLstm, "step", forbidden)
+    config = LmConfig(**{**TOY.__dict__, "layer_sizes": (10, 6)})
+    model = build_lm(config, list("河湖海"))
+    dist, _ = lm_step([EOS_TOKEN, "河", "湖"], None, model)
+    assert dist.sum() == pytest.approx(1.0, abs=1e-12)
+    assert calls == [((1, 1, 12), 0), ((1, 1, 10), 1)] * 3
+    calls.clear()
+    model.w_out.data[:] = 0.0
+    model.b_out.data[model.index["湖"]] = 1.0
+    assert greedy_continue(model, "河", 4) == "湖湖湖湖"
+    # the prefix with its EOS opener, then one window per emitted character
+    assert len(calls) == 2 * (2 + 4)
 
 
 def test_memorization_greedy_continuation():

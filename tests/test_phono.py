@@ -195,6 +195,17 @@ def test_traditional_variant_links_mirror_simplified_ones(tmp_path):
     assert both.simplified_of == {"語": ("语",)}
 
 
+def test_variant_links_recorded_once(variants):
+    # the fixture states every link from both sides: the own link and the
+    # other side's back-link name the same counterpart
+    for vmap in (variants.simplified_of, variants.traditional_of):
+        assert vmap
+        for ch, links in vmap.items():
+            assert len(set(links)) == len(links), (ch, links)
+    assert variants.traditional_of["语"] == ("語",)
+    assert variants.simplified_of["語"] == ("语",)
+
+
 # ---------------------------------------------------------------------------
 # scenarios
 # ---------------------------------------------------------------------------
@@ -263,6 +274,21 @@ def test_read_split_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n", encoding="utf-8")
     with pytest.raises(DataError):
+        read_split_csv(path)
+
+
+@pytest.mark.parametrize("row, problem", [
+    (",b,a,#,train", "one character"),
+    ("河湖,h,o,#,test", "one character"),
+    ("河,,o,#,train", "empty unit"),
+    ("河,h,,#,validation", "empty unit"),
+    ("河,h,o,,train", "empty unit"),
+])
+def test_read_split_rejects_empty_or_multi_character_fields(tmp_path, row, problem):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"char,onset,nucleus,coda,partition\n湖,w,u,#,train\n{row}\n",
+                    encoding="utf-8")
+    with pytest.raises(DataError, match=rf"bad\.csv: row .*{problem}"):
         read_split_csv(path)
 
 

@@ -189,7 +189,7 @@ def test_loss_matches_direct_recomputation():
 def test_loss_rejects_out_of_inventory():
     inv = make_inventories()
     out = head_output({u: np.zeros((1, len(inv.classes(u)))) for u in pron.UNITS})
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match=r"^onset class 'q' not in inventory$"):
         pron_loss(out, [PronEntry("X", "q", "a", "ng")], inv)
 
 
