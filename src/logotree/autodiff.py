@@ -2,11 +2,11 @@
 
 Deliberately small: float64 numpy storage, an explicit tape of executed
 primitives, and only the operations the encoders need (matmul, add, mul,
-sigmoid, tanh, softmax, softmax cross-entropy, dropout, concat, slicing,
-gather, sum, max). When no tape is active all operations run untracked,
-which is the evaluation path. ``record``, ``taping`` and ``hand_out`` let
-a module add a fused primitive with its own backward pass (the encoders'
-recurrent cells do).
+sigmoid, tanh, softmax, softmax cross-entropy and its fused affine head,
+dropout, concat, slicing, gather, sum, max). When no tape is active all
+operations run untracked, which is the evaluation path. ``record``,
+``taping`` and ``hand_out`` let a module add a fused primitive with its
+own backward pass (the encoders' recurrent cells do).
 """
 
 from __future__ import annotations
@@ -264,40 +264,91 @@ def softmax(a: Tensor) -> Tensor:
     return record(out, (a,), backward)
 
 
-def cross_entropy_rows(z: np.ndarray, target_ids):
+def _target_ids(op: str, z_shape: tuple, target_ids) -> np.ndarray:
+    """``target_ids`` as indices, one per row of (n, V) logits of ``z_shape``."""
+    t = np.asarray(target_ids, dtype=np.intp)
+    if len(z_shape) != 2 or t.shape != z_shape[:1]:
+        raise ShapeError(f"{op}: logits {z_shape} and targets {t.shape}")
+    return t
+
+
+def cross_entropy_rows(z: np.ndarray, target_ids, out: np.ndarray | None = None):
     """Per-row ``-log softmax(z)[row, target_ids[row]]`` of a (n, V) array.
 
     Each row's loss is computed as logsumexp(row) - row[target], so a target
     whose probability underflows gets a large finite loss rather than inf.
     Returns the (n,) losses and the row softmax's numerators
-    ``exp(z - max)`` (n, V) and denominators (n, 1).
+    ``exp(z - max)`` (n, V), written into ``out`` when given (it may be
+    ``z`` itself), and denominators (n, 1).
     """
-    t = np.asarray(target_ids, dtype=np.intp)
-    if z.ndim != 2 or t.shape != z.shape[:1]:
-        raise ShapeError(f"softmax_cross_entropy: logits {z.shape} and "
-                         f"targets {t.shape}")
-    r = np.arange(t.size)
+    t = _target_ids("cross_entropy_rows", z.shape, target_ids)
     m = z.max(axis=-1, keepdims=True)
-    e = np.exp(z - m)
+    picked = z[np.arange(t.size), t]  # read before ``out`` overwrites z
+    e = np.subtract(z, m, out=out)
+    np.exp(e, out=e)
     s = e.sum(axis=-1, keepdims=True)
-    return np.log(s[:, 0]) + (m[:, 0] - z[r, t]), e, s
+    return np.log(s[:, 0]) + (m[:, 0] - picked), e, s
+
+
+def _logit_grad(op: str, e: np.ndarray, s: np.ndarray, t: np.ndarray):
+    """The gradient of ``cross_entropy_rows`` for its numerators ``e`` and
+    denominators ``s``: a function of the upstream gradient ``g`` that turns
+    ``e`` into (softmax - onehot) * g in place, so it runs once."""
+    held = [e]
+
+    def grad(g):
+        if not held:
+            raise ContractError(f"{op}: a second reverse pass over one "
+                                "recording; its buffer holds the first's gradient")
+        gz = held.pop()  # the entry lets go of the buffer with its gradient
+        gz /= s
+        gz[np.arange(t.size), t] -= 1.0
+        gz *= g
+        return gz
+
+    return grad
 
 
 def softmax_cross_entropy(logits: Tensor, target_ids) -> Tensor:
     """Sum over rows of ``cross_entropy_rows``.
 
-    The backward pass is (softmax - onehot) * g; no one-hot is built.
+    The backward pass is (softmax - onehot) * g, written over the forward
+    pass's numerators; no one-hot is built.
     """
-    t = np.asarray(target_ids, dtype=np.intp)
+    t = _target_ids("softmax_cross_entropy", logits.data.shape, target_ids)
     losses, e, s = cross_entropy_rows(logits.data, t)
-    out = Tensor(losses.sum())
+    grad = _logit_grad("softmax_cross_entropy", e, s, t)
+    return record(Tensor(losses.sum()), (logits,), lambda g: (grad(g),))
+
+
+def affine_cross_entropy(x: Tensor, w: Tensor, b: Tensor, target_ids) -> Tensor:
+    """Per-row softmax cross-entropy of the logits ``x @ w.T + b``, one entry.
+
+    The entry owns one (n, V) buffer: the logits, the bias added in place,
+    the softmax numerators of ``cross_entropy_rows`` over them, and in the
+    backward pass the logit gradient over those. It makes no other (n, V)
+    array, where ``softmax_cross_entropy(matmul(x, w.T) + b, ...)`` keeps
+    three on the tape and makes two more going back. Every floating-point
+    operation is the composed path's, in its order, so losses and
+    gradients are equal bit for bit, and the weight gradient is C-ordered.
+    """
+    xd, wd, bd = x.data, w.data, b.data
+    if xd.ndim != 2 or wd.ndim != 2 or xd.shape[1] != wd.shape[1] \
+            or bd.shape != wd.shape[:1]:
+        raise ShapeError(f"affine_cross_entropy: rows {xd.shape}, weight "
+                         f"{wd.shape} and bias {bd.shape}")
+    t = _target_ids("affine_cross_entropy", (xd.shape[0], wd.shape[0]),
+                    target_ids)
+    z = np.matmul(xd, wd.T)
+    z += bd
+    losses, e, s = cross_entropy_rows(z, t, out=z)
+    grad = _logit_grad("affine_cross_entropy", e, s, t)
 
     def backward(g):
-        gz = e / s
-        gz[np.arange(t.size), t] -= 1.0
-        return (gz * g,)
+        gz = grad(g[:, None])
+        return gz @ wd, np.ascontiguousarray((xd.T @ gz).T), gz.sum(axis=0)
 
-    return record(out, (logits,), backward)
+    return record(Tensor(losses), (x, w, b), backward)
 
 
 def concat(tensors, axis: int = -1) -> Tensor:

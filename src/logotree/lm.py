@@ -205,6 +205,8 @@ def _forward(model: LmModel, ids: np.ndarray, state,
 
 
 def _logits(model: LmModel, h: Tensor) -> Tensor:
+    """The output layer alone, for ``lm_step``'s distribution; training and
+    ``eval_lm`` score through ``autodiff.affine_cross_entropy``."""
     return matmul(h, model.w_out.T) + model.b_out
 
 
@@ -285,9 +287,9 @@ def train_lm(config: LmConfig, train_lines: list[str],
             with tape:
                 outs, state = _run_window(model, window_ids, state, rng)
                 # rows are time-major, as are the flattened transposed targets
-                loss = ad.softmax_cross_entropy(_logits(model, concat(outs, axis=0)),
-                                                window_tgts.T.reshape(-1))
-                loss = loss * (1.0 / (B * width))
+                losses = ad.affine_cross_entropy(concat(outs, axis=0), model.w_out,
+                                                 model.b_out, window_tgts.T.reshape(-1))
+                loss = losses.sum() * (1.0 / (B * width))
             value = ad.train_step(tape, loss, params, optimizer,
                                   config.clip_norm, lazy=tables)
             model.version += 1
@@ -335,8 +337,8 @@ def eval_lm(model: LmModel, lines: list[str],
     n = ids.shape[1]
     for start in range(0, n, chunk):
         h, state = _forward(model, ids[:, start:start + chunk], state, cache)
-        nats, _, _ = ad.cross_entropy_rows(_logits(model, h).data,
-                                           tgts[start:start + chunk])
+        nats = ad.affine_cross_entropy(h, model.w_out, model.b_out,
+                                       tgts[start:start + chunk]).data
         # row by row in stream order: a uniform model then scores exactly
         # log2(V) bits
         for value in (nats / math.log(2)).tolist():

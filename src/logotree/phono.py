@@ -306,8 +306,11 @@ def write_split_csv(split: DatasetSplit, path) -> None:
 
 
 def read_split_csv(path) -> DatasetSplit:
+    """The split a ``write_split_csv`` file holds; a character listed twice,
+    in one partition or in two, is a ``DataError``."""
     split = DatasetSplit([], [], [])
     parts = dict(split.partitions())
+    first: dict[str, str] = {}  # character -> the partition it was listed in
     reader = csv.reader(io.StringIO(read_text(path, "split"), newline=""))
     try:
         header = next(reader, None)
@@ -322,6 +325,10 @@ def read_split_csv(path) -> DatasetSplit:
                 raise DataError(f"{path}: row {row}: char must be one character")
             if not all(row[1:4]):
                 raise DataError(f"{path}: row {row}: empty unit ('#' marks none)")
+            if row[0] in first:
+                raise DataError(f"{path}: character {row[0]!r} listed in "
+                                f"{first[row[0]]} and again in {row[4]}")
+            first[row[0]] = row[4]
             parts[row[4]].append(PronEntry(*row[:4]))
     except csv.Error as exc:
         raise DataError(f"{path}: {exc}") from exc

@@ -210,6 +210,9 @@ _PRIMITIVE_CASES = {
     "tanh": lambda t: tanh(t).sum(),
     "softmax": lambda t: (softmax(t) * softmax(t)).sum(),
     "softmax_cross_entropy": lambda t: softmax_cross_entropy(t * t, [3, 0, 0, 2]),
+    # t in all three roles, so one check covers every gradient it returns
+    "affine_cross_entropy": lambda t: ad.affine_cross_entropy(
+        tanh(t), t * t, narrow(t, 1, 2, 1).reshape(4), [3, 0, 0, 2]).sum(),
     "mul": lambda t: (t * t).sum(),
     "matmul": lambda t: matmul(t, t.T).sum(),
     "concat": lambda t: concat([t, tanh(t)], axis=-1).sum(),
@@ -528,6 +531,106 @@ def test_cross_entropy_matches_log_softmax_sum():
 def test_cross_entropy_rejects_mismatched_targets():
     with pytest.raises(ShapeError, match="softmax_cross_entropy"):
         softmax_cross_entropy(Tensor(np.zeros((2, 3))), [0])
+
+
+_CROSS_ENTROPY_CALLS = {
+    "softmax_cross_entropy": lambda t: softmax_cross_entropy(Tensor(np.zeros((2, 3))), t),
+    "cross_entropy_rows": lambda t: ad.cross_entropy_rows(np.zeros((2, 3)), t),
+    "affine_cross_entropy": lambda t: ad.affine_cross_entropy(
+        Tensor(np.zeros((2, 4))), Tensor(np.zeros((3, 4))), Tensor(np.zeros(3)), t),
+}
+
+
+@pytest.mark.parametrize("op", sorted(_CROSS_ENTROPY_CALLS))
+@pytest.mark.parametrize("targets", [[0], [0, 1, 2], [[0], [1]]])
+def test_cross_entropy_shape_errors_name_the_primitive_called(op, targets):
+    with pytest.raises(ShapeError, match=rf"^{op}: logits \(2, 3\) and targets"):
+        _CROSS_ENTROPY_CALLS[op](targets)
+
+
+@pytest.mark.parametrize("shapes", [((2, 4), (3, 5), (3,)), ((2, 4), (3, 4), (4,)),
+                                    ((2, 4), (3, 4), (3, 1)), ((8,), (3, 8), (3,)),
+                                    ((2, 4), (3, 4, 1), (3,))])
+def test_affine_cross_entropy_rejects_mismatched_operands(shapes):
+    x, w, b = (Tensor(np.zeros(s)) for s in shapes)
+    with pytest.raises(ShapeError, match="^affine_cross_entropy: rows"):
+        ad.affine_cross_entropy(x, w, b, [0, 1])
+
+
+def _affine_case(rng, n=7, h=5, v=11):
+    x, w, b = rnd(rng, n, h), rnd(rng, v, h), rnd(rng, v)
+    t = rng.integers(0, v, n)
+    t[1] = t[0]  # a repeated target
+    return x, w, b, t
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_affine_cross_entropy_equals_composed_path_bitwise(dtype):
+    # one entry against matmul(x, w.T) + b and softmax_cross_entropy: the
+    # same operations in the same order, so nothing may differ in any bit
+    ad.set_default_dtype(dtype)
+    try:
+        x, w, b, t = _affine_case(np.random.default_rng(31))
+
+        def run(head):
+            for p in (x, w, b):
+                p.grad = None
+            tp = Tape()
+            with tp:
+                loss = head() * 0.125
+            tp.backward(loss)
+            return [loss.data, x.grad, w.grad, b.grad]
+
+        composed = run(lambda: softmax_cross_entropy(matmul(x, w.T) + b, t))
+        fused = run(lambda: ad.affine_cross_entropy(x, w, b, t).sum())
+        rows_want, _, _ = ad.cross_entropy_rows((matmul(x, w.T) + b).data, t)
+        rows_got = ad.affine_cross_entropy(x, w, b, t).data
+    finally:
+        ad.set_default_dtype(np.float64)
+    np.testing.assert_array_equal(rows_got, rows_want)
+    for got, want in zip(fused, composed, strict=True):
+        assert got.dtype == want.dtype == dtype
+        np.testing.assert_array_equal(got, want)
+    assert w.grad.flags.c_contiguous
+
+
+def test_affine_cross_entropy_is_one_tape_entry():
+    x, w, b, t = _affine_case(np.random.default_rng(32))
+    tp = Tape()
+    with tp:
+        losses = ad.affine_cross_entropy(x, w, b, t)
+    assert len(tp) == 1 and losses.shape == (7,)
+
+
+def test_affine_cross_entropy_survives_a_1000_logit_margin():
+    x = Tensor([[1.0, 0.0], [0.0, 1.0]])
+    w = Tensor([[1000.0, 0.0], [0.0, 1000.0], [0.0, 0.0]])
+    b = Tensor([0.0, 0.0, 0.0])
+    tp = Tape()
+    with tp:
+        losses = ad.affine_cross_entropy(x, w, b, [1, 2])
+        loss = losses.sum()
+    np.testing.assert_array_equal(losses.data, [1000.0, 1000.0])
+    tp.backward(loss)
+    for p in (x, w, b):
+        assert np.all(np.isfinite(p.grad))
+    np.testing.assert_array_equal(b.grad, [1.0, 0.0, -1.0])
+
+
+@pytest.mark.parametrize("head", ["softmax_cross_entropy", "affine_cross_entropy"])
+def test_cross_entropy_backward_runs_once(head):
+    # the backward pass writes the gradient over the forward pass's buffer,
+    # so a second reverse pass over the same recording is refused
+    x, w, b, t = _affine_case(np.random.default_rng(33))
+    tp = Tape()
+    with tp:
+        if head == "softmax_cross_entropy":
+            loss = softmax_cross_entropy(matmul(x, w.T) + b, t)
+        else:
+            loss = ad.affine_cross_entropy(x, w, b, t).sum()
+    tp.backward(loss)
+    with pytest.raises(ContractError, match=f"^{head}: a second reverse pass"):
+        tp.backward(loss)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from logotree import autodiff as ad
 from logotree import lm
-from logotree.autodiff import Tensor, rows, softmax, softmax_cross_entropy
+from logotree.autodiff import (Tape, Tensor, concat, rows, softmax,
+                               softmax_cross_entropy)
 from logotree.checkpoint import save_checkpoint
 from logotree.config import LmConfig, config_to_dict
 from logotree.errors import ContractError, DataError, NumericsError
@@ -283,6 +286,109 @@ def test_train_validation_keeps_best(rule_table):
 
 
 # ---------------------------------------------------------------------------
+# the output head: logits and loss as one tape entry
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("kind", ["standard", "hierarchical"])
+def test_training_head_equals_logits_and_softmax_cross_entropy_bitwise(
+        rule_table, kind, dtype):
+    # one training window with every dropout on, scored by the one-entry
+    # head and by the composed ``_logits`` + ``softmax_cross_entropy``
+    ad.set_default_dtype(dtype)
+    try:
+        config = LmConfig(**{**UNEQUAL.__dict__, "input_kind": kind})
+        model = build_lm(config, list("河湖海江波"), rules=rule_table)
+        stream = lm.stream_ids(model, EVAL_LINES)
+        window = stream[:18].reshape(3, 6)
+        tgts = stream[1:19].reshape(3, 6).T.reshape(-1)  # time-major rows
+        params = model.params()
+
+        def run(score):
+            ad.zero_grads(params.values())
+            tape = Tape()
+            with tape:
+                outs, _ = lm._run_window(model, window, model.core.zero_state(3),
+                                         np.random.default_rng(4))
+                loss = score(concat(outs, axis=0)) * (1.0 / 18)
+            tape.backward(loss)
+            return loss.data, {k: p.grad for k, p in params.items()}
+
+        want_loss, want = run(lambda h: softmax_cross_entropy(lm._logits(model, h),
+                                                              tgts))
+        loss, got = run(lambda h: ad.affine_cross_entropy(
+            h, model.w_out, model.b_out, tgts).sum())
+    finally:
+        ad.set_default_dtype(np.float64)
+    assert loss.dtype == want_loss.dtype == dtype
+    np.testing.assert_array_equal(loss, want_loss)
+    assert got.keys() == want.keys() and got["out.W"] is not None
+    for name, grad in got.items():
+        if want[name] is None:
+            assert grad is None, name
+            continue
+        assert grad.dtype == want[name].dtype == dtype, name
+        np.testing.assert_array_equal(grad, want[name], err_msg=name)
+
+
+def test_train_scores_each_window_with_one_head_entry(monkeypatch):
+    entries = []
+    head = ad.affine_cross_entropy
+
+    def counting(*args):
+        before = len(ad._TAPES[-1])
+        out = head(*args)
+        entries.append(len(ad._TAPES[-1]) - before)
+        return out
+
+    def forbidden(*args):
+        raise AssertionError("training built the logits as taped operations")
+
+    monkeypatch.setattr(ad, "affine_cross_entropy", counting)
+    monkeypatch.setattr(lm, "_logits", forbidden)
+    lines = toy_lines(10)
+    train_lm(TOY, lines)
+    steps = (sum(len(line) + 1 for line in lines)) // TOY.batch_size
+    windows = -(-steps // TOY.bptt) * TOY.epochs
+    assert entries == [1] * windows
+
+
+def test_training_head_holds_at_most_two_logit_sized_buffers(monkeypatch):
+    # a vocabulary of about 2,000 symbols and 400-row windows: from the end
+    # of the window's forward pass through its optimizer step, the head adds
+    # one (rows, V) buffer, where the composed path held four or more
+    chars = [chr(0x4E00 + k) for k in range(2000)]
+    lines = ["".join(chars[k:k + 20]) for k in range(0, 2000, 20)]
+    config = LmConfig(layer_sizes=(8,), embed_dim=8, batch_size=100, bptt=4,
+                      epochs=1, dropout_input=0.0, dropout_hidden=0.0,
+                      dropout_output=0.0, seed=2)
+    run_window, step = lm._run_window, ad.train_step
+    live, above = [], []
+
+    def forward(*args):
+        out = run_window(*args)
+        live.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return out
+
+    def measured(tape, loss, *args, **kwargs):
+        value = step(tape, loss, *args, **kwargs)
+        above.append(tracemalloc.get_traced_memory()[1] - live[-1])
+        return value
+
+    monkeypatch.setattr(lm, "_run_window", forward)
+    monkeypatch.setattr(ad, "train_step", measured)
+    tracemalloc.start()
+    try:
+        model, _ = train_lm(config, lines)
+    finally:
+        tracemalloc.stop()
+    buffer = 400 * len(model.vocab) * 8
+    assert len(model.vocab) == 2002 and len(above) == 6  # five 400-row windows
+    assert max(above) <= 2 * buffer, (above, buffer)
+
+
+# ---------------------------------------------------------------------------
 # metrics
 # ---------------------------------------------------------------------------
 
@@ -342,6 +448,28 @@ def test_eval_chunks_equal_step_by_step_reference(rule_table, kind, chunk):
     assert bpc == pytest.approx(stepwise_bpc(model, EVAL_LINES, cache),
                                 rel=1e-12, abs=0)
     assert ppl == 2.0 ** bpc
+
+
+@pytest.mark.parametrize("kind", ["standard", "hierarchical"])
+def test_eval_chunk_rows_equal_logits_and_cross_entropy_rows_bitwise(
+        rule_table, monkeypatch, kind):
+    config = LmConfig(**{**UNEQUAL.__dict__, "input_kind": kind})
+    model = build_lm(config, list("河湖海江波"), rules=rule_table)
+    cache = build_cache(model) if model.hierarchical else None
+    scored = []
+    head = ad.affine_cross_entropy
+
+    def recording(h, w, b, target_ids):
+        out = head(h, w, b, target_ids)
+        scored.append((h, target_ids, out.data))
+        return out
+
+    monkeypatch.setattr(ad, "affine_cross_entropy", recording)
+    eval_lm(model, EVAL_LINES, cache=cache, chunk=7)
+    assert [len(t) for _, t, _ in scored] == [7, 7, 5]
+    for h, target_ids, nats in scored:
+        want, _, _ = ad.cross_entropy_rows(lm._logits(model, h).data, target_ids)
+        np.testing.assert_array_equal(nats, want)
 
 
 @pytest.mark.parametrize("chunk", [1, 4, 256])

@@ -270,6 +270,35 @@ def test_split_csv_roundtrip(corpus, tmp_path):
     assert loaded.test == split.test
 
 
+@pytest.mark.parametrize("scenario, sizes, seed", [
+    (1, (120, 30, 40), 3), (1, (50, 10, 10), 8), (2, (100, 20, 30), 3),
+    (2, (100, 20, 30), 11), (3, (40, 5, 50), 3), (3, (40, 5, 50), 5)])
+def test_every_built_split_round_trips(corpus, variants, tmp_path, scenario,
+                                       sizes, seed):
+    # built splits never repeat a character, so the reader's repeat check
+    # accepts every one of them
+    split = build_scenario(corpus, scenario, seed=seed, sizes=sizes,
+                           variants=variants)
+    path = tmp_path / "split.csv"
+    write_split_csv(split, path)
+    assert read_split_csv(path).partitions() == split.partitions()
+
+
+@pytest.mark.parametrize("rows, first, again", [
+    (["河,h,o,#,train", "河,h,o,#,test"], "train", "test"),
+    (["河,h,o,#,validation", "江,g,o,ng,test", "河,h,o,#,validation"],
+     "validation", "validation"),
+    (["河,h,o,#,test", "河,k,a,#,train"], "test", "train"),
+])
+def test_read_split_rejects_a_repeated_character(tmp_path, rows, first, again):
+    path = tmp_path / "leak.csv"
+    path.write_text("\n".join(["char,onset,nucleus,coda,partition",
+                               "湖,w,u,#,train", *rows]) + "\n", encoding="utf-8")
+    with pytest.raises(DataError, match=rf"leak\.csv: character '河' listed in "
+                                        rf"{first} and again in {again}$"):
+        read_split_csv(path)
+
+
 def test_read_split_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n", encoding="utf-8")
