@@ -348,7 +348,7 @@ def test_train_scores_each_window_with_one_head_entry(monkeypatch):
     monkeypatch.setattr(lm, "_logits", forbidden)
     lines = toy_lines(10)
     train_lm(TOY, lines)
-    steps = (sum(len(line) + 1 for line in lines)) // TOY.batch_size
+    steps = sum(len(line) + 1 for line in lines) // TOY.batch_size
     windows = -(-steps // TOY.bptt) * TOY.epochs
     assert entries == [1] * windows
 
