@@ -227,16 +227,20 @@ def transpose(a: Tensor) -> Tensor:
                   lambda g: (np.ascontiguousarray(np.swapaxes(g, -1, -2)),))
 
 
-def logistic(x: np.ndarray) -> np.ndarray:
-    """The values of ``sigmoid``, as a new array."""
+def logistic(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The values of ``sigmoid``, into ``out`` (which may be ``x`` itself)
+    or else as a new array."""
     # 1/(1+e) for x >= 0 and e/(1+e) below, with e = exp(-|x|): it cannot
     # overflow, and its underflow to 0 at very negative x is expected
     with np.errstate(under="ignore"):
-        e = np.exp(-np.abs(x), out=np.empty_like(x))  # an array even at 0-d
+        positive = x >= 0  # read before ``out`` overwrites x
+        # e = exp(-|x|), an array even at 0-d
+        e = np.abs(x, out=np.empty_like(x) if out is None else out)
+        np.exp(np.negative(e, out=e), out=e)
         d = 1.0 + e
         # e becomes the numerator: e <= 1, so max(e, x >= 0) is 1 where
         # x >= 0 and e below, without copyto's branch per element
-        np.maximum(e, x >= 0, out=e)
+        np.maximum(e, positive, out=e)
         return np.divide(e, d, out=e)
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -326,7 +327,9 @@ def _cmd_eval_lm(args, loaded, paths) -> Wrote:
     print(f"out-of-vocabulary: {stats['n_oov']} of {stats['n_chars']} "
           f"characters ({stats['n_oov_composable']} composable)")
     out = args.out_dir / "lm_eval.json"
-    write_json(out, {"BPC": bpc, "PPL": ppl, **stats})
+    # strict JSON has no Infinity: a perplexity past the float range is null
+    write_json(out, {"BPC": bpc, "PPL": ppl if math.isfinite(ppl) else None,
+                     **stats})
     return Wrote(config_to_dict(model.config), model.config.seed, [out])
 
 

@@ -289,7 +289,25 @@ def _cell_gates(w: dict, gates, terms, bias: str | None) -> dict:
     """Each gate g of ``gates``, in order: the sum of ``x @ w[f"{key}_{g}"].T``
     over the ordered ``(key, x)`` terms, plus ``w[f"{bias}_{g}"]`` unless
     ``bias`` is None, through tanh for the candidate ``c`` and through the
-    logistic for the others."""
+    logistic for the others.
+
+    A term is packed when ``w`` holds its key itself, as the gate-major
+    stack of the per-gate weights (the bias likewise). Then each term is one
+    product into one (k, len(gates) * H) buffer, one logistic runs in place
+    over every gate but the candidate, which comes last, and the gates are
+    column views of that buffer."""
+    if terms[0][0] in w:
+        pre = None
+        for key, x in terms:
+            term = x @ w[key].T
+            pre = term if pre is None else np.add(pre, term, out=pre)
+        if bias is not None:
+            pre += w[bias]
+        size = pre.shape[1] // len(gates)
+        sig, cand = pre[:, :-size], pre[:, -size:]
+        ad.logistic(sig, out=sig)
+        np.tanh(cand, out=cand)
+        return {g: pre[:, j * size:(j + 1) * size] for j, g in enumerate(gates)}
     act = {}
     for g in gates:
         pre = None
@@ -465,11 +483,20 @@ def treelstm_batch_forward(trees, embeds: VocabEmbeddings, p: TreeLstmParams,
 
 @dataclass
 class LstmParams:
-    """Stacked unidirectional recurrent cell weights, one size per layer."""
+    """Stacked unidirectional recurrent cell weights, one size per layer.
+
+    Each layer keeps one gate-major buffer per kind in ``packed``:
+    ``L{layer}.Wx`` (4H, d_in), ``L{layer}.Wh`` (4H, H) and ``L{layer}.b``
+    (4H,), gates in ``LSTM_GATES`` order. Each per-gate tensor in
+    ``weights`` holds a row-block view of its buffer, so whatever writes a
+    gate's ``.data`` in place (the optimizer, a checkpoint restore) writes
+    the buffer too.
+    """
 
     sizes: tuple[int, ...]
     d_in: int
     weights: dict[str, Tensor] = field(default_factory=dict)
+    packed: dict[str, np.ndarray] = field(default_factory=dict)
 
     @classmethod
     def init(cls, hidden: int | tuple[int, ...], d_in: int,
@@ -481,13 +508,20 @@ class LstmParams:
         p = cls(sizes, d_in)
         for layer, size in enumerate(sizes):
             ind = d_in if layer == 0 else sizes[layer - 1]
+            drawn = {}  # in the order of the draws and of ``weights``
             for g in LSTM_GATES:
-                p.weights[f"L{layer}.Wx_{g}"] = _weight(
-                    rng, size, ind, f"{prefix}.L{layer}.Wx_{g}")
-                p.weights[f"L{layer}.Wh_{g}"] = _weight(
-                    rng, size, size, f"{prefix}.L{layer}.Wh_{g}")
-                p.weights[f"L{layer}.b_{g}"] = Tensor(
-                    np.zeros(size), name=f"{prefix}.L{layer}.b_{g}")
+                drawn[f"Wx_{g}"] = _weight(rng, size, ind, None).data
+                drawn[f"Wh_{g}"] = _weight(rng, size, size, None).data
+                drawn[f"b_{g}"] = Tensor(np.zeros(size)).data
+            blocks = {}
+            for kind in ("Wx", "Wh", "b"):  # stacked cast arrays keep their dtype
+                buf = np.concatenate([drawn[f"{kind}_{g}"] for g in LSTM_GATES])
+                p.packed[f"L{layer}.{kind}"] = buf
+                blocks.update(zip((f"{kind}_{g}" for g in LSTM_GATES),
+                                  np.split(buf, len(LSTM_GATES))))
+            for key in drawn:
+                p.weights[f"L{layer}.{key}"] = Tensor(
+                    blocks[key], name=f"{prefix}.L{layer}.{key}")
         return p
 
     def params(self) -> dict[str, Tensor]:
@@ -556,13 +590,18 @@ def lstm_layer(x: Tensor, p: LstmParams, layer: int, state=None,
     c through unchanged. Returns the outputs (n, T, H) and the final
     ``(h, c)``, handed out of one buffer; the final h equals the outputs at
     step T-1. The backward pass runs the steps in reverse over the same row
-    prefixes.
+    prefixes. With no tape recording, each step reads the packed weights:
+    one product per term and one logistic.
     """
     n, steps, _ = x.data.shape
     running = _running_rows(lengths, n, steps)
     wx, wh, bias = (f"L{layer}.{kind}" for kind in ("Wx", "Wh", "b"))
     names = [f"{key}_{g}" for g in LSTM_GATES for key in (wx, wh, bias)]
-    w = {key: p.weights[key].data for key in names}
+    taped = ad.taping()
+    # untaped, the cell kernel reads the packed buffers; under a tape it
+    # keeps the per-gate products, which the backward pass mirrors
+    w = ({key: p.weights[key].data for key in names} if taped
+         else {key: p.packed[key] for key in (wx, wh, bias)})
     xs = np.ascontiguousarray(x.data.swapaxes(0, 1))  # (T, n, d)
     if state is None:
         h = np.zeros((n, p.sizes[layer]), dtype=xs.dtype)
@@ -572,7 +611,6 @@ def lstm_layer(x: Tensor, p: LstmParams, layer: int, state=None,
     buf = np.empty((steps + 1,) + h.shape, dtype=h.dtype)  # every h, final c
     if running[0] < n:  # rows of length 0 keep the carried c
         buf[steps, running[0]:] = c[running[0]:]
-    taped = ad.taping()
     saved = []  # per step, only under a tape
 
     for t, k in enumerate(running):

@@ -318,7 +318,8 @@ def train_lm(config: LmConfig, train_lines: list[str],
 def eval_lm(model: LmModel, lines: list[str],
             cache: "EmbeddingCache | None" = None,
             chunk: int = 256) -> tuple[float, float]:
-    """Bits per character over the whole corpus and its perplexity 2**BPC.
+    """Bits per character over the whole corpus and its perplexity 2**BPC,
+    ``math.inf`` once that passes the float range (BPC of about 1024).
 
     The stream runs at batch 1 in windows of ``chunk`` characters through
     ``_forward``: each window is embedded once, run layer by layer and
@@ -344,7 +345,10 @@ def eval_lm(model: LmModel, lines: list[str],
         for value in (nats / math.log(2)).tolist():
             bits += value
     bpc = bits / n
-    return bpc, 2.0 ** bpc
+    try:
+        return bpc, 2.0 ** bpc
+    except OverflowError:
+        return bpc, math.inf
 
 
 def lm_step(prev_chars, state, model: LmModel,

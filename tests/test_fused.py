@@ -423,3 +423,140 @@ def test_fused_primitives_keep_float32():
             assert t.grad.dtype == np.float32, t.name
     finally:
         ad.set_default_dtype(np.float64)
+
+
+# ---------------------------------------------------------------------------
+# packed LSTM weights and the untaped step
+# ---------------------------------------------------------------------------
+
+def lstm_cores(p):
+    """The ``LstmParams`` of an LSTM, a biLSTM or a stacked LM core."""
+    return [p.forward, p.backward] if isinstance(p, enc.BiLstmParams) else [p]
+
+
+def assert_packed(p):
+    """Every gate tensor shares memory with its layer's packed buffer, in
+    that buffer's dtype, and equals its row block."""
+    for core in lstm_cores(p):
+        for layer, size in enumerate(core.sizes):
+            for kind in ("Wx", "Wh", "b"):
+                buf = core.packed[f"L{layer}.{kind}"]
+                assert buf.shape[0] == len(enc.LSTM_GATES) * size
+                for j, g in enumerate(enc.LSTM_GATES):
+                    data = core.weights[f"L{layer}.{kind}_{g}"].data
+                    assert np.shares_memory(data, buf), (layer, kind, g)
+                    assert data.dtype == buf.dtype
+                    np.testing.assert_array_equal(
+                        data, buf[j * size:(j + 1) * size])
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_init_packs_each_layer_gate_major(dtype):
+    ad.set_default_dtype(dtype)
+    try:
+        p = enc.LstmParams.init((5, 4), 3, np.random.default_rng(90))
+    finally:
+        ad.set_default_dtype(np.float64)
+    assert_packed(p)
+    assert p.packed["L1.Wx"].shape == (16, 5) and p.packed["L1.Wx"].dtype == dtype
+    # the draws keep their order: the same weights as per-gate draws
+    rng = np.random.default_rng(90)
+    for layer, (size, ind) in enumerate([(5, 3), (4, 5)]):
+        for g in enc.LSTM_GATES:
+            for key, cols in (("Wx", ind), ("Wh", size)):
+                want = enc._weight(rng, size, cols, None).data.astype(dtype)
+                np.testing.assert_array_equal(
+                    p.weights[f"L{layer}.{key}_{g}"].data, want)
+
+
+def test_packing_survives_training_and_loading(rule_table, corpus, tmp_path):
+    from logotree import phono, pron
+    from logotree.config import RunConfig
+    split = phono.build_scenario(corpus, 1, seed=5, sizes=(64, 16, 16))
+    for encoder, layers in (("lstm", 2), ("bilstm", 1)):
+        config = RunConfig(encoder=encoder, layers=layers, hidden=6, d_in=4,
+                           batch_size=32, epochs=2, learning_rate=3e-2,
+                           dropout=0.1, seed=5)
+        model, _ = pron.train(config, split, rule_table)
+        assert_packed(model.encoder)
+        path = tmp_path / f"{encoder}.ckpt"
+        pron.save_model(path, model)
+        assert_packed(pron.load_model(path).encoder)
+    lines = ["河湖海江", "江海湖", "海河"] * 4
+    config = LmConfig(layer_sizes=(6, 5), embed_dim=4, batch_size=2, bptt=4,
+                      epochs=2, learning_rate=3e-2, seed=3)
+    assert_packed(lm.build_lm(config, list("河湖")).core)
+    model, _ = lm.train_lm(config, lines, lines[:3])
+    assert_packed(model.core)
+    path = tmp_path / "lm.ckpt"
+    lm.save_lm(path, model)
+    assert_packed(lm.load_lm(path).core)
+
+
+def test_finite_differences_perturb_the_packed_buffer():
+    # ``check_gradient`` writes each coordinate of the gate weight in place
+    # and evaluates untaped, through the packed buffers: a stale copy there
+    # would give a zero finite difference
+    p, x, state, lengths = lstm_setup(91, [3, 2, 2])
+    gate = p.weights["L0.Wh_o"]
+    seen = []
+
+    def loss(_t):
+        assert_packed(p)
+        seen.append(p.packed["L0.Wh"][6:9].copy())
+        outs, (h, c) = enc.lstm_layer(x, p, 0, state, lengths)
+        return (outs * outs).sum() + (c * h).sum()
+
+    assert check_gradient(loss, gate) < 1e-6
+    assert len({block.tobytes() for block in seen}) > 1
+
+
+def untaped_and_taped_layer(lengths, carried, dtype):
+    """(untaped, taped) pairs of the outputs, the final h and the final c."""
+    ad.set_default_dtype(dtype)
+    try:
+        p, x, state, lengths = lstm_setup(92, lengths, d_in=5, hidden=7)
+        state = state if carried else None
+        untaped = enc.lstm_layer(x, p, 0, state, lengths)
+        with Tape():
+            taped = enc.lstm_layer(x, p, 0, state, lengths)
+    finally:
+        ad.set_default_dtype(np.float64)
+    return [(a.data, b.data) for a, b in zip((untaped[0], *untaped[1]),
+                                             (taped[0], *taped[1]))]
+
+
+@pytest.mark.parametrize("dtype,atol", [(np.float64, 1e-12), (np.float32, 1e-6)])
+@pytest.mark.parametrize("carried", [True, False])
+@pytest.mark.parametrize("lengths", [[5, 5, 3, 3, 2, 1, 1], [1], [4, 4]],
+                         ids=["ragged", "length-1", "full"])
+def test_untaped_layer_equals_taped_layer(lengths, carried, dtype, atol):
+    # the packed step against the per-gate products of the taped path; both
+    # round the same sums, but BLAS may pick another kernel for a (k, 4H)
+    # product than for (k, H) ones
+    for a, b in untaped_and_taped_layer(lengths, carried, dtype):
+        assert a.dtype == b.dtype == dtype
+        np.testing.assert_allclose(a, b, rtol=0, atol=atol)
+
+
+@pytest.mark.parametrize("lengths", [[6, 6, 4, 1], [1]])
+def test_untaped_step_runs_one_logistic(monkeypatch, lengths):
+    # one logistic over the three sigmoid gates per step, not one per gate;
+    # under a tape the per-gate products stay
+    calls = []
+    logistic = ad.logistic
+
+    def counting(x, *args, **kwargs):
+        calls.append(x.shape)
+        return logistic(x, *args, **kwargs)
+
+    monkeypatch.setattr(ad, "logistic", counting)
+    p, x, state, lengths = lstm_setup(93, lengths, d_in=3, hidden=4)
+    steps = x.data.shape[1]
+    enc.lstm_layer(x, p, 0, state, lengths)
+    assert len(calls) == steps
+    assert {shape[1] for shape in calls} == {3 * 4}
+    calls.clear()
+    with Tape():
+        enc.lstm_layer(x, p, 0, state, lengths)
+    assert len(calls) == 3 * steps

@@ -412,6 +412,17 @@ def test_eval_finite_when_target_probability_underflows():
     assert bpc == pytest.approx(5000.0 / math.log(2) / 8, rel=1e-15)
 
 
+def test_eval_ppl_is_inf_past_the_float_range():
+    # a confident model: 2**BPC overflows a float beyond BPC 1024
+    model = build_lm(TOY, list("ab"))
+    model.w_out.data[:] = 0.0
+    model.b_out.data[:] = 0.0
+    model.b_out.data[model.index["a"]] = 2000.0
+    bpc, ppl = eval_lm(model, ["abab", "ba"])
+    assert bpc == pytest.approx(10000.0 / math.log(2) / 8, rel=1e-15)
+    assert ppl == math.inf
+
+
 def test_ppl_exactly_two_to_bpc():
     model = build_lm(TOY, list("abc"))
     bpc, ppl = eval_lm(model, ["abc", "cab"])

@@ -336,6 +336,30 @@ def test_lm_cli_round(tmp_path, capsys):
     assert result["PPL"] == pytest.approx(2 ** result["BPC"])
 
 
+def test_eval_lm_cli_writes_null_ppl_past_the_float_range(tmp_path, capsys):
+    # the output weights of a confident model put BPC past 1024, where
+    # 2**BPC overflows: the command still succeeds, and its JSON stays strict
+    model = lm.build_lm(LmConfig(layer_sizes=(8,), embed_dim=4, seed=4),
+                        list("abcd"))
+    model.w_out.data[:] *= 1e5
+    ckpt = tmp_path / "lm.ckpt"
+    lm.save_lm(ckpt, model)
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("abcd\ndcba\n", encoding="utf-8")
+    rc = dispatch(["--out-dir", str(tmp_path), "eval-lm", "--checkpoint",
+                   str(ckpt), "--corpus", str(corpus)])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert " PPL inf\n" in out
+
+    def reject(name):
+        raise AssertionError(f"non-standard JSON constant {name}")
+
+    result = json.loads((tmp_path / "lm_eval.json").read_text(encoding="utf-8"),
+                        parse_constant=reject)
+    assert result["BPC"] > 1024 and result["PPL"] is None
+
+
 # ---------------------------------------------------------------------------
 # manifests
 # ---------------------------------------------------------------------------
