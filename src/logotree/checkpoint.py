@@ -101,15 +101,23 @@ def _index_entry_ok(entry) -> bool:
 
 
 def manifest_strings(path, manifest: dict, *keys) -> list[str]:
-    """The list of str at ``manifest[keys[0]][keys[1]]...``; a field that is
-    missing or holds anything else is a ``CheckpointError``."""
+    """The list of distinct str at ``manifest[keys[0]][keys[1]]...``; a
+    field that is missing, holds anything else or names a string twice is
+    a ``CheckpointError``."""
     value = manifest
     for key in keys:
         value = value.get(key) if isinstance(value, dict) else None
-    if isinstance(value, list) and all(isinstance(v, str) for v in value):
-        return value
-    raise CheckpointError(f"{path}: manifest field {'.'.join(keys)} is not a "
-                          "list of strings")
+    field = ".".join(keys)
+    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+        raise CheckpointError(f"{path}: manifest field {field} is not a list "
+                              "of strings")
+    seen = set()
+    for v in value:
+        if v in seen:
+            raise CheckpointError(f"{path}: manifest field {field} repeats "
+                                  f"{v!r}")
+        seen.add(v)
+    return value
 
 
 def restore_tensors(path, params: dict, tensors: dict[str, np.ndarray]) -> None:

@@ -74,6 +74,14 @@ def _sizes(text: str) -> tuple[int, int, int]:
     return tuple(int(p) for p in parts)
 
 
+def _char(text: str) -> str:
+    """A positional logograph: exactly one character."""
+    if len(text) != 1:
+        raise argparse.ArgumentTypeError(
+            f"expected one character, got {text!r}")
+    return text
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="logotree",
@@ -91,7 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
         return p
 
     p = command("decompose", _cmd_decompose, "print a logograph's tree")
-    p.add_argument("char")
+    p.add_argument("char", type=_char)
     p.add_argument("--rules", required=True)
     p.add_argument("--max-depth", type=int, default=ids.DEFAULT_MAX_DEPTH)
 
@@ -146,12 +154,12 @@ def _build_parser() -> argparse.ArgumentParser:
                    choices=["train", "validation", "test"])
 
     p = command("probe", _cmd_probe, "per-node prediction trace")
-    p.add_argument("char")
+    p.add_argument("char", type=_char)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--rules", required=True)
 
     p = command("neighbors", _cmd_neighbors, "cosine nearest neighbors")
-    p.add_argument("char")
+    p.add_argument("char", type=_char)
     p.add_argument("-k", type=int, default=5)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--rules")
@@ -357,7 +365,7 @@ def _cmd_probe(args, loaded, paths) -> Wrote:
     for row in trace.rows:
         print(f"{row.node_id:3d} {row.token}  ->  {row.onset} {row.nucleus} "
               f"{row.coda}")
-    out = args.out_dir / f"probe_{ord(args.char[0]):05X}.csv"
+    out = args.out_dir / f"probe_{ord(args.char):05X}.csv"
     diagnostics.probe_to_csv(trace, out)
     print(f"trace written to {out}")
     return Wrote(config_to_dict(model.config), model.config.seed, [out],

@@ -58,9 +58,8 @@ def root_forget_gates(model: PronModel, trees
     kids = [t.left for t in trees] + [t.right for t in trees]
     h_l, h_r = np.split(enc.treelstm_batch_forward(kids, embeds, p).data, 2)
     x = np.split(embeds.lookup([enc._input_token(t) for t in trees + kids]).data, 3)
-    act = enc._cell_gates({key: t.data for key, t in p.weights.items()},
-                          ("fl", "fr"), enc._tree_terms(p, h_l, h_r, x),
-                          "b" if p.use_bias else None)
+    act = enc._cell_gates(p.packed, enc.GATES, enc._tree_terms(p, h_l, h_r, x),
+                          "b" if p.use_bias else None, ("fl", "fr"))
     return act["fl"], act["fr"]
 
 

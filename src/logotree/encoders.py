@@ -83,7 +83,9 @@ class TreeLstmParams:
     Each gate g has recurrent matrices Ul/Ur (hidden x hidden) applied to
     the child hidden states and input matrices V/Vl/Vr (hidden x d_in)
     applied to the node's own input vector and the children's input
-    vectors, plus an optional bias.
+    vectors, plus an optional bias. ``packed`` holds one gate-major buffer
+    per kind (``Ul`` (5H, H), ..., ``b`` (5H,)), gates in ``GATES`` order,
+    and each per-gate tensor in ``weights`` a row-block view of it.
     """
 
     hidden: int
@@ -91,24 +93,45 @@ class TreeLstmParams:
     use_bias: bool = True
     operator_inputs: bool = True  # ablation switch: drop V terms at inner nodes
     weights: dict[str, Tensor] = field(default_factory=dict)
+    packed: dict[str, np.ndarray] = field(default_factory=dict)
 
     @classmethod
     def init(cls, hidden: int, d_in: int, rng: np.random.Generator,
              use_bias: bool = True, operator_inputs: bool = True,
              prefix: str = "tree") -> "TreeLstmParams":
         p = cls(hidden, d_in, use_bias, operator_inputs)
+        drawn = {}
         for g in GATES:
-            p.weights[f"Ul_{g}"] = _weight(rng, hidden, hidden, f"{prefix}.Ul_{g}")
-            p.weights[f"Ur_{g}"] = _weight(rng, hidden, hidden, f"{prefix}.Ur_{g}")
-            p.weights[f"V_{g}"] = _weight(rng, hidden, d_in, f"{prefix}.V_{g}")
-            p.weights[f"Vl_{g}"] = _weight(rng, hidden, d_in, f"{prefix}.Vl_{g}")
-            p.weights[f"Vr_{g}"] = _weight(rng, hidden, d_in, f"{prefix}.Vr_{g}")
+            drawn[f"Ul_{g}"] = _weight(rng, hidden, hidden, None).data
+            drawn[f"Ur_{g}"] = _weight(rng, hidden, hidden, None).data
+            drawn[f"V_{g}"] = _weight(rng, hidden, d_in, None).data
+            drawn[f"Vl_{g}"] = _weight(rng, hidden, d_in, None).data
+            drawn[f"Vr_{g}"] = _weight(rng, hidden, d_in, None).data
             if use_bias:
-                p.weights[f"b_{g}"] = Tensor(np.zeros(hidden), name=f"{prefix}.b_{g}")
+                drawn[f"b_{g}"] = Tensor(np.zeros(hidden)).data
+        _pack(p, drawn, GATES, prefix)
         return p
 
     def params(self) -> dict[str, Tensor]:
         return {t.name: t for t in self.weights.values()}
+
+
+def _pack(p, drawn: dict, gates, prefix: str, scope: str = "") -> None:
+    """Stack the per-gate arrays ``drawn[f"{kind}_{g}"]`` of each kind
+    gate-major into ``p.packed[scope + kind]`` and keep, in the order of
+    ``drawn``, a tensor per gate in ``p.weights`` that views its row block,
+    so whatever writes a gate's ``.data`` in place (the optimizer, a
+    checkpoint restore) writes the buffer too."""
+    blocks = {}
+    for kind in dict.fromkeys(key.rsplit("_", 1)[0] for key in drawn):
+        # stacked cast arrays keep their dtype
+        buf = np.concatenate([drawn[f"{kind}_{g}"] for g in gates])
+        p.packed[scope + kind] = buf
+        blocks.update(zip((f"{kind}_{g}" for g in gates),
+                          np.split(buf, len(gates))))
+    for key in drawn:
+        p.weights[scope + key] = Tensor(blocks[key],
+                                        name=f"{prefix}.{scope}{key}")
 
 
 def _gate_preact(p: TreeLstmParams, g: str, x_n, x_l, x_r, h_l, h_r,
@@ -285,38 +308,45 @@ def _add_grad(grads: dict, key: str, g: np.ndarray) -> None:
 # gated cell kernel
 # ---------------------------------------------------------------------------
 
-def _cell_gates(w: dict, gates, terms, bias: str | None) -> dict:
-    """Each gate g of ``gates``, in order: the sum of ``x @ w[f"{key}_{g}"].T``
-    over the ordered ``(key, x)`` terms, plus ``w[f"{bias}_{g}"]`` unless
-    ``bias`` is None, through tanh for the candidate ``c`` and through the
-    logistic for the others.
+def _cell_gates(w: dict, layout, terms, bias: str | None,
+                gates=None) -> dict:
+    """Each gate g of ``gates`` (a subsequence of ``layout``, by default all
+    of it), in order: the sum of ``x @ W_g.T`` over the ordered ``(key, x)``
+    terms, plus the bias ``b_g`` unless ``bias`` is None, through tanh for
+    the candidate ``c`` and through the logistic for the others. ``w[key]``
+    stacks the gates of ``layout`` gate-major, the candidate last, and W_g
+    is gate g's row block.
 
-    A term is packed when ``w`` holds its key itself, as the gate-major
-    stack of the per-gate weights (the bias likewise). Then each term is one
-    product into one (k, len(gates) * H) buffer, one logistic runs in place
-    over every gate but the candidate, which comes last, and the gates are
-    column views of that buffer."""
-    if terms[0][0] in w:
+    The grouping follows the row count. A single row, where the cost per
+    call dominates, takes one product per term over every gate of the
+    layout and one logistic, in place, over all but the candidate. More
+    rows take one product per term and gate, which keeps the work and the
+    temporaries to the gates asked for."""
+    size = len(w[terms[0][0]]) // len(layout)
+    gates = gates or layout
+    if len(terms[0][1]) == 1:
         pre = None
         for key, x in terms:
             term = x @ w[key].T
             pre = term if pre is None else np.add(pre, term, out=pre)
         if bias is not None:
             pre += w[bias]
-        size = pre.shape[1] // len(gates)
         sig, cand = pre[:, :-size], pre[:, -size:]
         ad.logistic(sig, out=sig)
         np.tanh(cand, out=cand)
-        return {g: pre[:, j * size:(j + 1) * size] for j, g in enumerate(gates)}
+        return {g: pre[:, j * size:(j + 1) * size]
+                for j, g in enumerate(layout) if g in gates}
     act = {}
     for g in gates:
+        j = layout.index(g) * size
         pre = None
         for key, x in terms:
-            term = x @ w[f"{key}_{g}"].T
+            term = x @ w[key][j:j + size].T
             pre = term if pre is None else np.add(pre, term, out=pre)
         if bias is not None:
-            pre += w[f"{bias}_{g}"]
-        act[g] = np.tanh(pre) if g == "c" else ad.logistic(pre)
+            pre += w[bias][j:j + size]
+        act[g] = (np.tanh(pre, out=pre) if g == "c"
+                  else ad.logistic(pre, out=pre))
     return act
 
 
@@ -331,14 +361,16 @@ def _cell_state(act: dict, forget, h, c=None):
     return c, tc
 
 
-def _cell_backward(w: dict, terms, bias: str | None, act: dict, tc, forget,
-                   dh, dc, grads: dict, want=None):
+def _cell_backward(w: dict, layout, terms, bias: str | None, act: dict, tc,
+                   forget, dh, dc, grads: dict, want=None):
     """The reverse of ``_cell_gates`` and ``_cell_state``, given h's gradient
     ``dh`` and c's gradient from its other uses ``dc``: adds each weight's
-    C-ordered ``dp.T @ x`` and each bias's row sum into ``grads``, gate by
-    gate in reverse, and returns c's whole gradient and, per term, its input
-    gradient if its index is in ``want`` (default all), else None."""
+    C-ordered ``dp.T @ x`` and each bias's row sum into ``grads`` under the
+    per-gate key ``f"{key}_{g}"``, gate by gate in reverse, and returns c's
+    whole gradient and, per term, its input gradient if its index is in
+    ``want`` (default all), else None."""
     i, o, cand = act["i"], act["o"], act["c"]
+    size = len(w[terms[0][0]]) // len(layout)
     # product by product in the order the tape would take them
     dcn = dc + dh * o * (1.0 - tc * tc)
     d_pre = {"i": dcn * cand * i * (1.0 - i),
@@ -349,11 +381,11 @@ def _cell_backward(w: dict, terms, bias: str | None, act: dict, tc, forget,
                   for gate, c_prev in forget})
     d_terms = [None] * len(terms)
     for gate in reversed(act):  # gates in forward order; an input's uses, last first
-        dp = d_pre[gate]
+        dp, j = d_pre[gate], layout.index(gate) * size
         for k, (key, x) in enumerate(terms):
             _add_grad(grads, f"{key}_{gate}", dp.T @ x)
             if want is None or k in want:
-                dx = dp @ w[f"{key}_{gate}"]
+                dx = dp @ w[key][j:j + size]
                 d_terms[k] = dx if d_terms[k] is None else np.add(
                     d_terms[k], dx, out=d_terms[k])
         if bias is not None:
@@ -381,7 +413,7 @@ def treelstm_levels(schedule: LevelSchedule, inputs, p: TreeLstmParams) -> Tenso
     cell, gates i, o and c of V·x + b and the cell i*cand. The backward pass
     walks the levels in reverse; weights no level reads get zeros.
     """
-    w = {key: t.data for key, t in p.weights.items()}
+    w = p.packed
     bias = "b" if p.use_bias else None
     taped = ad.taping()
     read: list[Tensor] = []  # under a tape: the input tensors the cell reads
@@ -405,7 +437,7 @@ def treelstm_levels(schedule: LevelSchedule, inputs, p: TreeLstmParams) -> Tenso
                                 [x.data for x in xs])
         if taped:
             read.extend(used)
-        act = _cell_gates(w, gates, terms, bias)
+        act = _cell_gates(w, GATES, terms, bias, gates)
         _, tc = _cell_state(act, forget(kids), h_buf[rows_], c_buf[rows_])
         if taped:
             saved.append((rows_, kids, terms, act, tc))
@@ -425,7 +457,7 @@ def treelstm_levels(schedule: LevelSchedule, inputs, p: TreeLstmParams) -> Tenso
         grads: dict[str, np.ndarray] = {}
         x_grads = []  # per read input, from the top level down
         for rows_, kids, terms, act, tc in reversed(saved):
-            dcn, d_terms = _cell_backward(w, terms, bias, act, tc,
+            dcn, d_terms = _cell_backward(w, GATES, terms, bias, act, tc,
                                           forget(kids), dh[rows_], dc[rows_],
                                           grads)
             if kids:
@@ -436,8 +468,8 @@ def treelstm_levels(schedule: LevelSchedule, inputs, p: TreeLstmParams) -> Tenso
                 _add_rows(dh, left, d_terms[0], shared)
                 d_terms = d_terms[2:]
             x_grads.extend(reversed(d_terms))
-        return (*(grads[key] if key in grads else np.zeros_like(w[key])
-                  for key in p.weights),
+        return (*(grads[key] if key in grads else np.zeros_like(t.data)
+                  for key, t in p.weights.items()),
                 *reversed(x_grads))
 
     return ad.record(out, (*weights, *read), backward)
@@ -487,10 +519,8 @@ class LstmParams:
 
     Each layer keeps one gate-major buffer per kind in ``packed``:
     ``L{layer}.Wx`` (4H, d_in), ``L{layer}.Wh`` (4H, H) and ``L{layer}.b``
-    (4H,), gates in ``LSTM_GATES`` order. Each per-gate tensor in
-    ``weights`` holds a row-block view of its buffer, so whatever writes a
-    gate's ``.data`` in place (the optimizer, a checkpoint restore) writes
-    the buffer too.
+    (4H,), gates in ``LSTM_GATES`` order, and each per-gate tensor in
+    ``weights`` a row-block view of its buffer.
     """
 
     sizes: tuple[int, ...]
@@ -508,20 +538,12 @@ class LstmParams:
         p = cls(sizes, d_in)
         for layer, size in enumerate(sizes):
             ind = d_in if layer == 0 else sizes[layer - 1]
-            drawn = {}  # in the order of the draws and of ``weights``
+            drawn = {}
             for g in LSTM_GATES:
                 drawn[f"Wx_{g}"] = _weight(rng, size, ind, None).data
                 drawn[f"Wh_{g}"] = _weight(rng, size, size, None).data
                 drawn[f"b_{g}"] = Tensor(np.zeros(size)).data
-            blocks = {}
-            for kind in ("Wx", "Wh", "b"):  # stacked cast arrays keep their dtype
-                buf = np.concatenate([drawn[f"{kind}_{g}"] for g in LSTM_GATES])
-                p.packed[f"L{layer}.{kind}"] = buf
-                blocks.update(zip((f"{kind}_{g}" for g in LSTM_GATES),
-                                  np.split(buf, len(LSTM_GATES))))
-            for key in drawn:
-                p.weights[f"L{layer}.{key}"] = Tensor(
-                    blocks[key], name=f"{prefix}.L{layer}.{key}")
+            _pack(p, drawn, LSTM_GATES, prefix, f"L{layer}.")
         return p
 
     def params(self) -> dict[str, Tensor]:
@@ -590,18 +612,13 @@ def lstm_layer(x: Tensor, p: LstmParams, layer: int, state=None,
     c through unchanged. Returns the outputs (n, T, H) and the final
     ``(h, c)``, handed out of one buffer; the final h equals the outputs at
     step T-1. The backward pass runs the steps in reverse over the same row
-    prefixes. With no tape recording, each step reads the packed weights:
-    one product per term and one logistic.
+    prefixes.
     """
     n, steps, _ = x.data.shape
     running = _running_rows(lengths, n, steps)
     wx, wh, bias = (f"L{layer}.{kind}" for kind in ("Wx", "Wh", "b"))
     names = [f"{key}_{g}" for g in LSTM_GATES for key in (wx, wh, bias)]
     taped = ad.taping()
-    # untaped, the cell kernel reads the packed buffers; under a tape it
-    # keeps the per-gate products, which the backward pass mirrors
-    w = ({key: p.weights[key].data for key in names} if taped
-         else {key: p.packed[key] for key in (wx, wh, bias)})
     xs = np.ascontiguousarray(x.data.swapaxes(0, 1))  # (T, n, d)
     if state is None:
         h = np.zeros((n, p.sizes[layer]), dtype=xs.dtype)
@@ -615,7 +632,7 @@ def lstm_layer(x: Tensor, p: LstmParams, layer: int, state=None,
 
     for t, k in enumerate(running):
         terms, c_t = [(wx, xs[t, :k]), (wh, h[:k])], c[:k]
-        act = _cell_gates(w, LSTM_GATES, terms, bias)
+        act = _cell_gates(p.packed, LSTM_GATES, terms, bias)
         c, tc = _cell_state(act, [("f", c_t)], buf[t, :k])
         if taped:
             saved.append((terms, act, tc, c_t))
@@ -640,8 +657,8 @@ def lstm_layer(x: Tensor, p: LstmParams, layer: int, state=None,
             # the h that step 0 reads is a parent only when it was carried in
             want = (0, 1) if t or state is not None else (0,)
             dcn, (dx_t, dh_t) = _cell_backward(
-                w, terms, bias, act, tc, [("f", c_prev)], dh[:k], dc[:k],
-                grads, want)
+                p.packed, LSTM_GATES, terms, bias, act, tc, [("f", c_prev)],
+                dh[:k], dc[:k], grads, want)
             dx[t, :k] = dx_t
             if k < n:  # the ended rows get no input gradient and keep their dc
                 dx[t, k:] = 0.0

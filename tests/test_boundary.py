@@ -231,6 +231,41 @@ def test_sizes_accept_three_non_negative_ints(tmp_path):
         == [5, 0, 3]
 
 
+
+# ---------------------------------------------------------------------------
+# a command's character
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def pron_checkpoint(tmp_path_factory, rule_table, corpus):
+    from logotree import pron
+    from logotree.config import RunConfig
+    path = tmp_path_factory.mktemp("probe") / "pron.ckpt"
+    pron.save_model(path, pron.build_model(
+        RunConfig(encoder="treelstm", hidden=4, d_in=4),
+        pron.Inventories.from_entries(corpus), sorted(rule_table.leaf_set)))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["probe", "decompose", "neighbors"])
+@pytest.mark.parametrize("char", ["", "河湖"], ids=["empty", "two-chars"])
+def test_anything_but_one_character_is_a_usage_error(
+        tmp_path, pron_checkpoint, command, char):
+    # each command's positional logograph
+    flags = ["--rules", RULES]
+    if command != "decompose":
+        flags += ["--checkpoint", pron_checkpoint]
+    rc, out, err = run(["--out-dir", str(tmp_path), command, char, *flags])
+    assert rc == 2 and "one character" in err and "Traceback" not in err
+    assert out == "" and list(tmp_path.iterdir()) == []
+
+
+def test_probe_of_one_character_writes_its_trace(tmp_path, pron_checkpoint):
+    rc, _, _ = run(["--out-dir", str(tmp_path), "probe", "河",
+                    "--checkpoint", pron_checkpoint, "--rules", RULES])
+    assert rc == 0
+    assert (tmp_path / f"probe_{ord('河'):05X}.csv").is_file()
+
 # ---------------------------------------------------------------------------
 # properties: a result, a typed error, or a usage error; nothing else
 # ---------------------------------------------------------------------------

@@ -169,6 +169,39 @@ def test_manifest_without_a_loader_field_is_checkpoint_error(
         _loader(kind, rule_table)(path)
 
 
+
+def _repeat(*keys):
+    """The manifest with entry 2 of the list at ``keys`` overwritten by
+    entry 3."""
+    def edit(manifest):
+        target = manifest
+        for key in keys:
+            target = target[key]
+        target[2] = target[3]
+        return manifest
+    return edit
+
+
+@pytest.mark.parametrize("kind,keys", [
+    ("pron", ("vocab",)), ("pron", ("inventories", "onset")),
+    ("standard", ("vocab",)), ("hierarchical", ("leaf_vocab",)),
+    ("hierarchical", ("tree_chars",)),
+], ids=["pron-vocab", "pron-onset", "lm-vocab", "hier-leaf-vocab",
+        "hier-tree-chars"])
+def test_manifest_repeating_an_entry_is_checkpoint_error(
+        model_checkpoints, rule_table, tmp_path, kind, keys):
+    # a repeated token would leave one index entry short of the table rows
+    path = tmp_path / "model.ckpt"
+    path.write_bytes(model_checkpoints[kind])
+    field = ".".join(keys)
+    repeated = _header(model_checkpoints[kind])["manifest"]
+    for key in keys:
+        repeated = repeated[key]
+    _rewrite_header(path, lambda h: {**h, "manifest": _repeat(*keys)(h["manifest"])})
+    with pytest.raises(CheckpointError,
+                       match=f"manifest field {field} repeats {repeated[3]!r}"):
+        _loader(kind, rule_table)(path)
+
 def test_saved_models_load(model_checkpoints, rule_table, tmp_path):
     # the fuzz below mutates these files; unmutated, each one loads
     for kind, raw in model_checkpoints.items():

@@ -9,6 +9,7 @@ slots of a schedule are not shared, the fused primitives must equal them
 bit for bit, forward values and gradients alike.
 """
 
+import contextlib
 import random
 
 import numpy as np
@@ -426,28 +427,26 @@ def test_fused_primitives_keep_float32():
 
 
 # ---------------------------------------------------------------------------
-# packed LSTM weights and the untaped step
+# gate-major weights and the grouping by row count
 # ---------------------------------------------------------------------------
 
-def lstm_cores(p):
-    """The ``LstmParams`` of an LSTM, a biLSTM or a stacked LM core."""
-    return [p.forward, p.backward] if isinstance(p, enc.BiLstmParams) else [p]
-
-
 def assert_packed(p):
-    """Every gate tensor shares memory with its layer's packed buffer, in
-    that buffer's dtype, and equals its row block."""
-    for core in lstm_cores(p):
-        for layer, size in enumerate(core.sizes):
-            for kind in ("Wx", "Wh", "b"):
-                buf = core.packed[f"L{layer}.{kind}"]
-                assert buf.shape[0] == len(enc.LSTM_GATES) * size
-                for j, g in enumerate(enc.LSTM_GATES):
-                    data = core.weights[f"L{layer}.{kind}_{g}"].data
-                    assert np.shares_memory(data, buf), (layer, kind, g)
-                    assert data.dtype == buf.dtype
-                    np.testing.assert_array_equal(
-                        data, buf[j * size:(j + 1) * size])
+    """Every gate tensor of a tree cell, an LSTM, a biLSTM or a stacked LM
+    core shares memory with its kind's packed buffer, in that buffer's
+    dtype, and equals its row block."""
+    for core in [p.forward, p.backward] if isinstance(p, enc.BiLstmParams) else [p]:
+        tree = isinstance(core, enc.TreeLstmParams)
+        gates = enc.GATES if tree else enc.LSTM_GATES
+        assert len(core.weights) == len(gates) * len(core.packed)
+        for key, t in core.weights.items():
+            kind, g = key.rsplit("_", 1)
+            buf = core.packed[kind]
+            size = core.hidden if tree else core.sizes[int(kind[1:kind.index(".")])]
+            assert buf.shape[0] == len(gates) * size, kind
+            j = gates.index(g) * size
+            assert np.shares_memory(t.data, buf), key
+            assert t.data.dtype == buf.dtype
+            np.testing.assert_array_equal(t.data, buf[j:j + size])
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -469,11 +468,40 @@ def test_init_packs_each_layer_gate_major(dtype):
                     p.weights[f"L{layer}.{key}_{g}"].data, want)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_tree_init_packs_gate_major(dtype):
+    ad.set_default_dtype(dtype)
+    try:
+        p = enc.TreeLstmParams.init(5, 3, np.random.default_rng(94))
+        bare = enc.TreeLstmParams.init(5, 3, np.random.default_rng(94),
+                                       use_bias=False)
+    finally:
+        ad.set_default_dtype(np.float64)
+    assert_packed(p)
+    assert_packed(bare)
+    assert p.packed["Ul"].shape == (25, 5) and p.packed["Ul"].dtype == dtype
+    assert p.packed["Vr"].shape == (25, 3) and p.packed["b"].shape == (25,)
+    assert "b" not in bare.packed
+    # tensor names and their order stay those of the per-gate draws, and so
+    # do the weights
+    kinds = ("Ul", "Ur", "V", "Vl", "Vr")
+    assert list(p.params()) == [f"tree.{key}_{g}" for g in enc.GATES
+                                for key in (*kinds, "b")]
+    rng = np.random.default_rng(94)
+    for g in enc.GATES:
+        for key in kinds:
+            want = enc._weight(rng, 5, 5 if key[0] == "U" else 3, None).data
+            np.testing.assert_array_equal(p.weights[f"{key}_{g}"].data,
+                                          want.astype(dtype))
+            np.testing.assert_array_equal(bare.weights[f"{key}_{g}"].data,
+                                          want.astype(dtype))
+
+
 def test_packing_survives_training_and_loading(rule_table, corpus, tmp_path):
     from logotree import phono, pron
     from logotree.config import RunConfig
     split = phono.build_scenario(corpus, 1, seed=5, sizes=(64, 16, 16))
-    for encoder, layers in (("lstm", 2), ("bilstm", 1)):
+    for encoder, layers in (("lstm", 2), ("bilstm", 1), ("treelstm", 1)):
         config = RunConfig(encoder=encoder, layers=layers, hidden=6, d_in=4,
                            batch_size=32, epochs=2, learning_rate=3e-2,
                            dropout=0.1, seed=5)
@@ -483,14 +511,19 @@ def test_packing_survives_training_and_loading(rule_table, corpus, tmp_path):
         pron.save_model(path, model)
         assert_packed(pron.load_model(path).encoder)
     lines = ["河湖海江", "江海湖", "海河"] * 4
-    config = LmConfig(layer_sizes=(6, 5), embed_dim=4, batch_size=2, bptt=4,
-                      epochs=2, learning_rate=3e-2, seed=3)
-    assert_packed(lm.build_lm(config, list("河湖")).core)
-    model, _ = lm.train_lm(config, lines, lines[:3])
-    assert_packed(model.core)
-    path = tmp_path / "lm.ckpt"
-    lm.save_lm(path, model)
-    assert_packed(lm.load_lm(path).core)
+    for kind in ("standard", "hierarchical"):
+        config = LmConfig(input_kind=kind, layer_sizes=(6, 5), embed_dim=4,
+                          batch_size=2, bptt=4, epochs=2, learning_rate=3e-2,
+                          seed=3)
+        rules = rule_table if kind == "hierarchical" else None
+        built = lm.build_lm(config, list("河湖"), rules)
+        model, _ = lm.train_lm(config, lines, lines[:3], rules)
+        path = tmp_path / f"lm-{kind}.ckpt"
+        lm.save_lm(path, model)
+        for m in (built, model, lm.load_lm(path, rules)):
+            assert_packed(m.core)
+            if kind == "hierarchical":
+                assert_packed(m.tree)
 
 
 def test_finite_differences_perturb_the_packed_buffer():
@@ -511,38 +544,83 @@ def test_finite_differences_perturb_the_packed_buffer():
     assert len({block.tobytes() for block in seen}) > 1
 
 
-def untaped_and_taped_layer(lengths, carried, dtype):
-    """(untaped, taped) pairs of the outputs, the final h and the final c."""
+def untaped_taped_and_composed_layer(lengths, carried, dtype, hidden):
+    """(untaped, taped, composed) triples of the outputs, the final h and
+    the final c; the composed ones from the ``lstm_cell`` loop, untaped."""
     ad.set_default_dtype(dtype)
     try:
-        p, x, state, lengths = lstm_setup(92, lengths, d_in=5, hidden=7)
+        p, x, state, lengths = lstm_setup(92, lengths, d_in=5, hidden=hidden)
+        n = len(lengths)
         state = state if carried else None
         untaped = enc.lstm_layer(x, p, 0, state, lengths)
         with Tape():
             taped = enc.lstm_layer(x, p, 0, state, lengths)
+        zeros = (Tensor(np.zeros((n, hidden))), Tensor(np.zeros((n, hidden))))
+        outs, h, c = packed_layer(x, p, 0, state or zeros, lengths)
+        composed = (ad.concat([ad.reshape(o, (n, 1, hidden)) for o in outs],
+                              axis=1), h, c)
     finally:
         ad.set_default_dtype(np.float64)
-    return [(a.data, b.data) for a, b in zip((untaped[0], *untaped[1]),
-                                             (taped[0], *taped[1]))]
+    return [(a.data, b.data, c.data) for a, b, c in zip(
+        (untaped[0], *untaped[1]), (taped[0], *taped[1]), composed)]
+
+
+def drawn_lengths(n):
+    return sorted(np.random.default_rng(92).integers(1, 12, size=n).tolist(),
+                  reverse=True)
 
 
 @pytest.mark.parametrize("dtype,atol", [(np.float64, 1e-12), (np.float32, 1e-6)])
 @pytest.mark.parametrize("carried", [True, False])
-@pytest.mark.parametrize("lengths", [[5, 5, 3, 3, 2, 1, 1], [1], [4, 4]],
-                         ids=["ragged", "length-1", "full"])
-def test_untaped_layer_equals_taped_layer(lengths, carried, dtype, atol):
-    # the packed step against the per-gate products of the taped path; both
-    # round the same sums, but BLAS may pick another kernel for a (k, 4H)
-    # product than for (k, H) ones
-    for a, b in untaped_and_taped_layer(lengths, carried, dtype):
+@pytest.mark.parametrize("lengths,hidden", [([5, 5, 3, 3, 2, 1, 1], 7), ([1], 7),
+                                            ([4, 4], 7), (drawn_lengths(7), 64),
+                                            (drawn_lengths(45), 64)],
+                         ids=["ragged", "length-1", "full", "ragged-7x64",
+                              "ragged-45x64"])
+def test_untaped_layer_equals_taped_layer(lengths, hidden, carried, dtype, atol):
+    # a step groups its products by its row count alone, with or without a
+    # tape, so inference repeats the training forward bit for bit; the
+    # packed product of a single row may round differently from per-gate
+    # products (one ulp in float32), so the cell loop agrees to ``atol``
+    for a, b, c in untaped_taped_and_composed_layer(lengths, carried, dtype,
+                                                    hidden):
         assert a.dtype == b.dtype == dtype
-        np.testing.assert_allclose(a, b, rtol=0, atol=atol)
+        np.testing.assert_array_equal(a, b)
+        np.testing.assert_allclose(a, c, rtol=0, atol=atol)
 
 
-@pytest.mark.parametrize("lengths", [[6, 6, 4, 1], [1]])
-def test_untaped_step_runs_one_logistic(monkeypatch, lengths):
-    # one logistic over the three sigmoid gates per step, not one per gate;
-    # under a tape the per-gate products stay
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("share", [True, False])
+def test_untaped_tree_levels_equal_taped_levels(share, dtype):
+    ad.set_default_dtype(dtype)
+    try:
+        p, embeds = tree_setup(95, hidden=64, d_in=16)
+        pyrng = random.Random(96)
+        trees = [random_tree(pyrng, pyrng.randint(0, 6)) for _ in range(40)]
+        schedule = enc.build_level_schedule(trees, share=share)
+        untaped = enc.treelstm_levels(schedule, level_inputs(schedule, embeds), p)
+        with Tape():
+            taped = enc.treelstm_levels(schedule, level_inputs(schedule, embeds), p)
+    finally:
+        ad.set_default_dtype(np.float64)
+    # the top levels hold a single row, the lower ones many
+    assert {len(span) == 1 for span in schedule.levels} == {True, False}
+    assert untaped.data.dtype == taped.data.dtype == dtype
+    np.testing.assert_array_equal(untaped.data, taped.data)
+
+
+def expected_logistics(rows_per_call, sigmoid_gates, layout_sigmoids, hidden):
+    """One logistic over every sigmoid gate of the layout for a single row,
+    else one per sigmoid gate read."""
+    calls = []
+    for n in rows_per_call:
+        calls += ([(1, layout_sigmoids * hidden)] if n == 1
+                  else [(n, hidden)] * sigmoid_gates)
+    return calls
+
+
+@pytest.mark.parametrize("taped", [False, True])
+def test_grouping_follows_the_row_count(monkeypatch, taped):
     calls = []
     logistic = ad.logistic
 
@@ -551,12 +629,21 @@ def test_untaped_step_runs_one_logistic(monkeypatch, lengths):
         return logistic(x, *args, **kwargs)
 
     monkeypatch.setattr(ad, "logistic", counting)
-    p, x, state, lengths = lstm_setup(93, lengths, d_in=3, hidden=4)
-    steps = x.data.shape[1]
-    enc.lstm_layer(x, p, 0, state, lengths)
-    assert len(calls) == steps
-    assert {shape[1] for shape in calls} == {3 * 4}
-    calls.clear()
-    with Tape():
+    # an LSTM step: 3 rows, 2 rows for three steps, 1 row for two
+    p, x, state, lengths = lstm_setup(93, [6, 4, 1], d_in=3, hidden=4)
+    with Tape() if taped else contextlib.nullcontext():
         enc.lstm_layer(x, p, 0, state, lengths)
-    assert len(calls) == 3 * steps
+    assert calls == expected_logistics([3, 2, 2, 2, 1, 1], 3, 3, 4)
+    # tree levels: 5 leaves, 2 inner nodes, 1 root; then a shared leaf and
+    # its parent, one row each
+    p, embeds = tree_setup(97, hidden=4)
+    for trees, rows_ in ((
+            [Op("⿰", Op("⿱", Leaf("a"), Leaf("b")), Leaf("c")),
+             Op("⿱", Leaf("d"), Leaf("e"))], [5, 2, 1]),
+            ([Op("⿰", Leaf("a"), Leaf("a"))], [1, 1])):
+        calls.clear()
+        with Tape() if taped else contextlib.nullcontext():
+            enc.treelstm_batch_forward(trees, embeds, p)
+        leaves, *inner = rows_
+        assert calls == (expected_logistics([leaves], 2, 4, 4)
+                         + expected_logistics(inner, 4, 4, 4))
