@@ -43,6 +43,9 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
+    def __len__(self):
+        return len(self.data)
+
     def __repr__(self):
         tag = f" {self.name!r}" if self.name else ""
         return f"Tensor{tag}(shape={self.data.shape})"

@@ -74,6 +74,14 @@ def _sizes(text: str) -> tuple[int, int, int]:
     return tuple(int(p) for p in parts)
 
 
+def _positive(text: str) -> int:
+    """``-k``: a positive integer."""
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _char(text: str) -> str:
     """A positional logograph: exactly one character."""
     if len(text) != 1:
@@ -160,7 +168,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command("neighbors", _cmd_neighbors, "cosine nearest neighbors")
     p.add_argument("char", type=_char)
-    p.add_argument("-k", type=int, default=5)
+    p.add_argument("-k", type=_positive, default=5)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--rules")
     p.add_argument("--split", help="candidate pool for pronunciation models")
@@ -390,8 +398,9 @@ def _cmd_neighbors(args, loaded, paths) -> int:
         chars = sorted({e.ch for _, part in split.partitions() for e in part}
                        | {args.char})
         inputs = pron.encode_inputs(model, chars, rules)
-        h = pron.forward_batch(model, inputs)
-        table = {ch: h.data[k].copy() for k, ch in enumerate(chars)}
+        table = {}
+        for pos, h in pron.embed_blocks(model, inputs):
+            table.update(zip([chars[k] for k in pos.tolist()], h.data))
     else:
         raise LogotreeError(f"unsupported checkpoint kind {kind!r}")
     for ch, sim in diagnostics.nearest_neighbors(table, args.char, args.k):

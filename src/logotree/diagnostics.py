@@ -18,8 +18,7 @@ from . import encoders as enc
 from .atomic import write_csv
 from .errors import ContractError, DataError
 from .ids import IDC_ACROSS, GlyphTree, Leaf, Op, RuleTable, decompose
-from .pron import (EVAL_BATCH, PronModel, decode_rows, encode_inputs,
-                   forward_batch)
+from .pron import PronModel, decode_batch, encode_inputs, forward_batch
 
 log = logging.getLogger(__name__)
 
@@ -48,19 +47,29 @@ def _check_tree_model(model: PronModel) -> None:
 def root_forget_gates(model: PronModel, trees
                       ) -> tuple[np.ndarray, np.ndarray]:
     """Left and right forget-gate activations at the roots of inner-rooted
-    trees, each (n, hidden): one batched pass over all children, then the
-    cell kernel's two forget gates over all roots."""
+    trees, each (n, hidden): one forest pass over all children, then the
+    cell kernel's two forget gates over 256 roots at a time."""
     _check_tree_model(model)
     trees = list(trees)
     if any(isinstance(tree, Leaf) for tree in trees):
         raise ContractError("gate analysis needs an inner root node")
     p, embeds = model.encoder, model.embeds
-    kids = [t.left for t in trees] + [t.right for t in trees]
-    h_l, h_r = np.split(enc.treelstm_batch_forward(kids, embeds, p).data, 2)
-    x = np.split(embeds.lookup([enc._input_token(t) for t in trees + kids]).data, 3)
-    act = enc._cell_gates(p.packed, enc.GATES, enc._tree_terms(p, h_l, h_r, x),
-                          "b" if p.use_bias else None, ("fl", "fr"))
-    return act["fl"], act["fr"]
+    n = len(trees)
+    lefts, rights = [t.left for t in trees], [t.right for t in trees]
+    h = np.empty((2 * n, p.hidden), dtype=embeds.table.data.dtype)
+    for pos, rows in enc.embed_forest(lefts + rights, embeds, p):
+        h[pos] = rows
+    h_l, h_r = h[:n], h[n:]
+    f_l, f_r = np.empty_like(h_l), np.empty_like(h_r)
+    for start in range(0, n, enc.EVAL_BATCH):
+        s = slice(start, start + enc.EVAL_BATCH)
+        x = [embeds.lookup([enc._input_token(t) for t in part]).data
+             for part in (trees[s], lefts[s], rights[s])]
+        act = enc._cell_gates(p.packed, enc.GATES,
+                              enc._tree_terms(p, h_l[s], h_r[s], x),
+                              "b" if p.use_bias else None, ("fl", "fr"))
+        f_l[s], f_r[s] = act["fl"], act["fr"]
+    return f_l, f_r
 
 
 def gate_bias(model: PronModel, trees) -> GateBiasReport:
@@ -69,15 +78,12 @@ def gate_bias(model: PronModel, trees) -> GateBiasReport:
     a gap within rounding of one (under 1e-9) is logged."""
     _check_tree_model(model)
     across = [t for t in trees if isinstance(t, Op) and t.idc == IDC_ACROSS]
-    prefer_right = 0
-    for start in range(0, len(across), EVAL_BATCH):
-        f_l, f_r = root_forget_gates(model, across[start:start + EVAL_BATCH])
-        gap = np.linalg.norm(f_r, axis=1) - np.linalg.norm(f_l, axis=1)
-        prefer_right += int(np.count_nonzero(gap > 0))
-        for k in np.flatnonzero(np.abs(gap) < 1e-9).tolist():
-            log.warning("left-right root %d: forget-gate norms differ by %.3g",
-                        start + k, gap[k])
-    return GateBiasReport(len(across), prefer_right)
+    f_l, f_r = root_forget_gates(model, across)
+    gap = np.linalg.norm(f_r, axis=1) - np.linalg.norm(f_l, axis=1)
+    for k in np.flatnonzero(np.abs(gap) < 1e-9).tolist():
+        log.warning("left-right root %d: forget-gate norms differ by %.3g",
+                    k, gap[k])
+    return GateBiasReport(len(across), int(np.count_nonzero(gap > 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +127,7 @@ def probe(model: PronModel, ch: str, rules: RuleTable) -> ProbeTrace:
     h = forward_batch(model, parts)
     return ProbeTrace(ch, [ProbeRow(node_id, token, np.abs(row), **decoded)
                            for node_id, (token, row, decoded) in enumerate(
-                               zip(tokens, h.data, decode_rows(model, h)))])
+                               zip(tokens, h.data, decode_batch(model, h)))])
 
 
 def _post_order(tree: GlyphTree) -> list[GlyphTree]:

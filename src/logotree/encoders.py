@@ -407,7 +407,9 @@ def treelstm_levels(schedule: LevelSchedule, inputs, p: TreeLstmParams) -> Tenso
 
     ``inputs`` yields each level's input rows in turn: ``(x_n,)`` at level
     0 and ``(x_n, x_l, x_r)`` above, which only ``p.operator_inputs``
-    reads; a generator lets evaluation drop each level's rows once used.
+    reads; a generator lets an untaped call drop each level's rows once
+    used. Evaluation runs ``embed_forest`` instead, which keeps no state
+    buffer over every slot.
     Each level is one cell-kernel evaluation with ``treelstm_node``'s
     arithmetic into (total_slots, hidden) state buffers; level 0 is the leaf
     cell, gates i, o and c of V·x + b and the cell i*cand. The backward pass
@@ -507,6 +509,97 @@ def treelstm_batch_forward(trees, embeds: VocabEmbeddings, p: TreeLstmParams,
             yield xs
 
     return treelstm_levels(schedule, level_inputs(), p)
+
+
+#: Rows per block of untaped embeddings handed out (and per head decode).
+EVAL_BATCH = 256
+#: Rows per product of the forest pass. One ``pron.evaluate`` of the
+#: benchmark's 2,048-character compose-scale sample (seed 31, hidden 256,
+#: one OpenBLAS thread on a 2-vCPU VM) took 0.23 s at a 12.3 MB tracemalloc
+#: peak with 128 rows, 0.25 s at 11.2 MB with 64 and 0.23 s at 15.8 MB with
+#: 256; its eight level-batched 256-character batches took 0.36 s at 9.1 MB.
+_FOREST_ROWS = 128
+
+
+def _chunks(span: range, most: int) -> list[range]:
+    """``span`` cut into ceil(len / most) near-equal ranges: a product of a
+    few rows rounds differently from the same rows in a larger one, so no
+    chunk is a small remainder unless the whole span is small."""
+    k = -(-len(span) // most)
+    ends = [span.start + len(span) * j // k for j in range(k + 1)]
+    return [range(a, b) for a, b in zip(ends, ends[1:])]
+
+
+def _kept_rows(schedule: LevelSchedule) -> np.ndarray:
+    """Per slot, its row among the slots some parent reads (numbered in
+    slot order), or -1 for a slot no parent reads."""
+    read = np.zeros(schedule.total_slots + 1, dtype=bool)  # [-1] takes leaves' -1
+    read[schedule.left] = read[schedule.right] = True
+    read = read[:-1]
+    return np.where(read, np.cumsum(read) - 1, -1)
+
+
+def embed_forest(trees, embeds: VocabEmbeddings, p: TreeLstmParams):
+    """Untaped root hidden states of ``trees``, each distinct subtree
+    computed once, in bounded memory.
+
+    One shared schedule covers every tree. Each level runs through the cell
+    kernel in near-equal chunks of at most ``_FOREST_ROWS`` rows, with
+    ``treelstm_levels``' arithmetic, and (h, c) rows are kept only for the
+    slots a later level reads. Yields ``(positions, h)`` blocks of at most
+    ``EVAL_BATCH`` rows as the roots complete, ``h[k]`` being the root state
+    of ``trees[positions[k]]``; every position comes exactly once, and
+    equal trees get equal rows. No trees, no blocks.
+    """
+    if not trees:
+        return
+    schedule = build_level_schedule(trees, share=True)
+    tok = embeds.token_ids(schedule.label)
+    table = embeds.table.data
+    w, bias = p.packed, ("b" if p.use_bias else None)
+    kept = _kept_rows(schedule)
+    h_keep = np.empty((int(kept.max()) + 1, p.hidden), dtype=table.dtype)
+    c_keep = np.empty_like(h_keep)
+    # input positions grouped by root slot, slots ascending
+    roots = np.asarray(schedule.roots, dtype=np.intp)
+    order = np.argsort(roots, kind="stable")
+    roots = roots[order]
+    done_pos, done_h, pending = [], [], 0
+
+    for lvl, span in enumerate(schedule.levels):
+        for part in _chunks(span, _FOREST_ROWS):
+            rows_ = slice(part.start, part.stop)
+            if lvl == 0:
+                kids, gates = (), ("i", "o", "c")
+                terms = [("V", table[tok[rows_]])]
+            else:
+                left, right = schedule.left[rows_], schedule.right[rows_]
+                kids, gates = (kept[left], kept[right]), GATES
+                # the input rows are gathered only if the cell reads them
+                terms = _tree_terms(p, h_keep[kids[0]], h_keep[kids[1]],
+                                    (table[tok[s]] for s in (rows_, left, right)))
+            act = _cell_gates(w, GATES, terms, bias, gates)
+            h = np.empty((len(part), p.hidden), dtype=table.dtype)
+            c, _ = _cell_state(act, zip(("fl", "fr"), (c_keep[k] for k in kids)), h)
+            del act, terms  # the next chunk's gathers need not wait for these
+            dest = kept[rows_]
+            read = dest >= 0
+            h_keep[dest[read]] = h[read]
+            c_keep[dest[read]] = c[read]
+            lo, hi = np.searchsorted(roots, (part.start, part.stop))
+            if lo == hi:
+                continue
+            done_pos.append(order[lo:hi])
+            done_h.append(h[roots[lo:hi] - part.start])
+            pending += hi - lo
+            if pending >= EVAL_BATCH:
+                pos, out = np.concatenate(done_pos), np.concatenate(done_h)
+                full = pending - pending % EVAL_BATCH
+                for start in range(0, full, EVAL_BATCH):
+                    yield pos[start:start + EVAL_BATCH], out[start:start + EVAL_BATCH]
+                done_pos, done_h, pending = [pos[full:]], [out[full:]], pending - full
+    if pending:
+        yield np.concatenate(done_pos), np.concatenate(done_h)
 
 
 # ---------------------------------------------------------------------------

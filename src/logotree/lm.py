@@ -403,12 +403,10 @@ class EmbeddingCache:
         if not model.hierarchical:
             raise ContractError("cache applies to hierarchical embeddings")
         chars = sorted(model.trees)
-        if chars:
-            trees = [model.trees[ch] for ch in chars]
-            h = enc.treelstm_batch_forward(trees, model.leaf_embeds, model.tree)
-            self.vectors = {ch: h.data[k].copy() for k, ch in enumerate(chars)}
-        else:
-            self.vectors = {}
+        self.vectors = {}
+        for pos, h in enc.embed_forest([model.trees[ch] for ch in chars],
+                                       model.leaf_embeds, model.tree):
+            self.vectors.update(zip([chars[k] for k in pos.tolist()], h))
         self.stamp = model.version
         self.rebuilds += 1
 

@@ -239,7 +239,7 @@ class EvalReport:
                 "coda": round(self.unit_rate("coda"), 2)}
 
 
-def decode_rows(model: PronModel, h: Tensor) -> list[dict[str, str]]:
+def decode_batch(model: PronModel, h: Tensor) -> list[dict[str, str]]:
     """The argmax class of every unit, for each row of embeddings ``h``."""
     probs = predict_pron(h, model.head).probs
     picks = [[model.inventories.classes(u)[k] for k in probs[u].data.argmax(axis=1)]
@@ -247,27 +247,35 @@ def decode_rows(model: PronModel, h: Tensor) -> list[dict[str, str]]:
     return [dict(zip(UNITS, row)) for row in zip(*picks)]
 
 
-def decode_batch(model: PronModel, inputs) -> list[dict[str, str]]:
-    return decode_rows(model, forward_batch(model, inputs))
+def embed_blocks(model: PronModel, inputs):
+    """Untaped embeddings of encoder inputs in blocks of at most 256 rows
+    (``encoders.EVAL_BATCH``): yields ``(positions, h)``, ``h`` a Tensor
+    whose row k embeds ``inputs[positions[k]]``, every position once. The
+    tree encoder runs one forest pass over all inputs, so each distinct
+    subtree is computed once; a sequence encoder runs ``forward_batch`` on
+    256 inputs at a time, in order."""
+    if model.config.encoder == "treelstm":
+        for pos, h in enc.embed_forest(inputs, model.embeds, model.encoder):
+            yield pos, Tensor(h)
+        return
+    for start in range(0, len(inputs), enc.EVAL_BATCH):
+        chunk = inputs[start:start + enc.EVAL_BATCH]
+        yield np.arange(start, start + len(chunk)), forward_batch(model, chunk)
 
 
-#: Rows per evaluation batch.
-EVAL_BATCH = 256
-
-
-def evaluate(model: PronModel, entries: list[PronEntry], rules: RuleTable,
-             batch_size: int = EVAL_BATCH) -> EvalReport:
-    """Argmax decoding of each unit; token and string error rates."""
+def evaluate(model: PronModel, entries: list[PronEntry],
+             rules: RuleTable) -> EvalReport:
+    """Argmax decoding of each unit; token and string error rates. The
+    entries are embedded by ``embed_blocks``, and each block is decoded by
+    one ``decode_batch`` call."""
     if not entries:
         raise DataError("cannot evaluate an empty partition")
     string_errors = 0
     unit_errors = dict.fromkeys(UNITS, 0)
-    for start in range(0, len(entries), batch_size):
-        chunk = entries[start:start + batch_size]
-        inputs = encode_inputs(model, [e.ch for e in chunk], rules)
-        decoded = decode_batch(model, inputs)
-        for e, pred in zip(chunk, decoded):
-            wrong = [u for u in UNITS if pred[u] != getattr(e, u)]
+    inputs = encode_inputs(model, [e.ch for e in entries], rules)
+    for pos, h in embed_blocks(model, inputs):
+        for k, pred in zip(pos.tolist(), decode_batch(model, h)):
+            wrong = [u for u in UNITS if pred[u] != getattr(entries[k], u)]
             for u in wrong:
                 unit_errors[u] += 1
             string_errors += bool(wrong)

@@ -260,6 +260,24 @@ def test_anything_but_one_character_is_a_usage_error(
     assert out == "" and list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("k", ["0", "-3", "2.5", "x", ""])
+def test_neighbors_k_below_one_is_a_usage_error(tmp_path, pron_checkpoint,
+                                                split_csv, k):
+    # refused while parsing, before the checkpoint is read or anything embedded
+    rc, out, err = run(["--out-dir", str(tmp_path), "neighbors", "河", "-k", k,
+                        "--checkpoint", pron_checkpoint, "--rules", RULES,
+                        "--split", split_csv])
+    assert rc == 2 and "positive integer" in err and "Traceback" not in err
+    assert out == "" and list(tmp_path.iterdir()) == []
+
+
+def test_neighbors_k_takes_a_positive_int(tmp_path, pron_checkpoint, split_csv):
+    rc, out, _ = run(["--out-dir", str(tmp_path), "neighbors", "河", "-k", "3",
+                      "--checkpoint", pron_checkpoint, "--rules", RULES,
+                      "--split", split_csv])
+    assert rc == 0 and len(out.splitlines()) == 3
+
+
 def test_probe_of_one_character_writes_its_trace(tmp_path, pron_checkpoint):
     rc, _, _ = run(["--out-dir", str(tmp_path), "probe", "河",
                     "--checkpoint", pron_checkpoint, "--rules", RULES])

@@ -12,8 +12,8 @@ from logotree.config import RunConfig
 from logotree.errors import ContractError, DataError
 from logotree.ids import Leaf, Op, decompose
 from logotree.phono import build_scenario
-from logotree.pron import (Inventories, build_model, decode_batch, decode_rows,
-                           encode_inputs, train)
+from logotree.pron import (Inventories, build_model, decode_batch, encode_inputs,
+                           forward_batch, train)
 
 
 @pytest.fixture(scope="module")
@@ -216,7 +216,7 @@ def test_probe_final_row_equals_model_prediction(small_model, rule_table):
     for entry in split.test[:5]:
         trace = diag.probe(model, entry.ch, rule_table)
         inputs = encode_inputs(model, [entry.ch], rule_table)
-        decoded = decode_batch(model, inputs)[0]
+        decoded = decode_batch(model, forward_batch(model, inputs))[0]
         assert trace.final_decoding() == decoded
 
 
@@ -236,7 +236,8 @@ def test_probe_lstm_per_timestep(rule_table, corpus_entries):
     trace = diag.probe(model, "賄", rule_table)
     seq = encode_inputs(model, ["賄"], rule_table)[0]
     assert len(trace.rows) == len(seq)
-    decoded = decode_batch(model, encode_inputs(model, ["賄"], rule_table))[0]
+    inputs = encode_inputs(model, ["賄"], rule_table)
+    decoded = decode_batch(model, forward_batch(model, inputs))[0]
     assert trace.final_decoding() == decoded
 
 
@@ -254,7 +255,7 @@ def test_probe_rows_equal_per_tree_oracle(small_model, rule_table):
             np.testing.assert_allclose(row.magnitudes, np.abs(state.h.data[0]),
                                        rtol=0, atol=1e-9)
             assert {"onset": row.onset, "nucleus": row.nucleus,
-                    "coda": row.coda} == decode_rows(model, state.h)[0]
+                    "coda": row.coda} == decode_batch(model, state.h)[0]
 
 
 def lstm_prefix_oracle(model, seq):
@@ -289,7 +290,7 @@ def test_probe_lstm_rows_are_prefix_final_states(rule_table):
                 np.testing.assert_allclose(row.magnitudes, np.abs(h.data[0]),
                                            rtol=0, atol=1e-9)
                 assert {"onset": row.onset, "nucleus": row.nucleus,
-                        "coda": row.coda} == decode_rows(model, h)[0]
+                        "coda": row.coda} == decode_batch(model, h)[0]
 
 
 def test_probe_csv_export(small_model, rule_table, tmp_path):

@@ -429,6 +429,146 @@ def test_batched_equals_sequential_50_random_trees(ablated):
         assert np.abs(h_bat.data[k] - h_seq.data[0]).max() < 1e-9
 
 
+# ---------------------------------------------------------------------------
+# untaped forest pass
+# ---------------------------------------------------------------------------
+
+WIDE_TOKENS = "".join(chr(0x4E00 + k) for k in range(129))
+_wide_leaves = [Leaf(tok) for tok in WIDE_TOKENS]
+# 129 distinct leaves under 257 distinct pairs: levels of 129 and 257 rows
+WIDE = [Op("⿰", _wide_leaves[k // 2], _wide_leaves[(k // 2 + 1 + k % 2) % 129])
+        for k in range(257)]
+_t1 = Op("⿰", Leaf("a"), Op("⿱", Leaf("b"), Leaf("a")))
+_t2 = Op("⿱", Op("⿱", Leaf("b"), Leaf("a")), Leaf("c"))
+FORESTS = {
+    "duplicate-roots": [_t1, _t2, _t1, _rebuild(_t1), _t2],
+    "bare-leaf-root": [Leaf("a"), _t1, Leaf("h"), Leaf("a")],
+    "root-is-a-child": [_t1, _t1.right, Op("⿴", _t1, _t2), _t2.left, Leaf("b")],
+    "single-root": [_t2],
+    "wide-levels": WIDE + _wide_leaves[:3] + WIDE[:5],
+}
+
+
+def _forest_rows(trees, embeds, p) -> np.ndarray:
+    """``embed_forest``'s rows in input order, checking that its blocks hold
+    at most 256 rows and cover every position exactly once."""
+    out = np.full((len(trees), p.hidden), np.nan)
+    seen = np.zeros(len(trees), dtype=int)
+    for pos, h in enc.embed_forest(trees, embeds, p):
+        assert 0 < len(pos) == len(h) <= enc.EVAL_BATCH
+        np.add.at(seen, pos, 1)
+        out[pos] = h
+    assert seen.tolist() == [1] * len(trees)
+    return out
+
+
+def _assert_forest_matches(trees, embeds, p) -> None:
+    rows = _forest_rows(trees, embeds, p)
+    np.testing.assert_allclose(
+        rows, treelstm_batch_forward(trees, embeds, p).data, rtol=0, atol=1e-12)
+    for tree, row in zip(trees, rows):
+        np.testing.assert_allclose(row, treelstm_forward(tree, embeds, p)[0].data[0],
+                                   rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("use_bias,operator_inputs",
+                         [(True, True), (False, True), (True, False)])
+@pytest.mark.parametrize("case", sorted(FORESTS))
+def test_forest_rows_equal_batched_and_sequential(case, use_bias, operator_inputs):
+    rng = np.random.default_rng(43)
+    p = TreeLstmParams.init(5, 4, rng, use_bias=use_bias,
+                            operator_inputs=operator_inputs)
+    embeds = make_embeds(rng, tokens="abcdefgh" + WIDE_TOKENS)
+    _assert_forest_matches(FORESTS[case], embeds, p)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.lists(_glyph_trees, min_size=1, max_size=8),
+       st.lists(st.integers(0, 7), max_size=4))
+def test_forest_rows_equal_batched_and_sequential_on_shared_forests(trees, repeats):
+    # repeated trees, equal trees of separate objects, and every root's
+    # children as roots too
+    batch = trees + [trees[k % len(trees)] for k in repeats]
+    batch += [_rebuild(t) for t in trees[::2]]
+    batch += [kid for t in trees if isinstance(t, Op) for kid in (t.left, t.right)]
+    rng = np.random.default_rng(len(batch))
+    _assert_forest_matches(batch, make_embeds(rng), TreeLstmParams.init(4, 4, rng))
+
+
+def test_forest_levels_run_in_near_equal_chunks(monkeypatch):
+    # 129 and 257 rows split into 2 and 3 chunks, none a small remainder
+    rng = np.random.default_rng(44)
+    p = TreeLstmParams.init(3, 4, rng)
+    embeds = make_embeds(rng, tokens=WIDE_TOKENS)
+    rows_per_call = []
+    kernel = enc._cell_gates
+
+    def spy(w, layout, terms, *args):
+        rows_per_call.append(len(terms[0][1]))
+        return kernel(w, layout, terms, *args)
+
+    monkeypatch.setattr(enc, "_cell_gates", spy)
+    blocks = [len(pos) for pos, _ in enc.embed_forest(WIDE, embeds, p)]
+    assert rows_per_call == [64, 65, 85, 86, 86]
+    assert blocks == [256, 1]
+    for n in range(1, 700):
+        parts = enc._chunks(range(5, 5 + n), 128)
+        sizes = [len(part) for part in parts]
+        assert len(parts) == -(-n // 128) and max(sizes) <= 128
+        assert max(sizes) - min(sizes) <= 1
+        assert [i for part in parts for i in part] == list(range(5, 5 + n))
+
+
+def test_forest_keeps_rows_only_for_slots_a_parent_reads():
+    pyrng = random.Random(45)
+    forests = list(FORESTS.values())
+    forests.append([random_tree(pyrng, pyrng.randint(0, 6)) for _ in range(80)])
+    for trees in forests:
+        sched = build_level_schedule(trees, share=True)
+        kept = enc._kept_rows(sched)
+        read = sorted((set(sched.left.tolist()) | set(sched.right.tolist())) - {-1})
+        assert np.flatnonzero(kept >= 0).tolist() == read
+        assert kept[read].tolist() == list(range(len(read)))
+
+
+def test_forest_of_no_trees_yields_nothing():
+    rng = np.random.default_rng(46)
+    assert list(enc.embed_forest([], make_embeds(rng),
+                                 TreeLstmParams.init(3, 4, rng))) == []
+
+
+def test_forest_pass_peaks_under_a_quarter_of_one_unbounded_batch(tmp_path,
+                                                                  monkeypatch):
+    # a benchmark table of 8,321 trees at hidden 64: the pass keeps rows only
+    # for slots with a parent and computes 128 rows at a time, where one
+    # batch holds (h, c) for every slot and each whole level's gates
+    import tracemalloc
+    from pathlib import Path
+
+    from logotree import ids
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    from perfbench.data import DataSpec, generate
+    rules = ids.load_rule_table(generate(DataSpec(n_chars=8000), 4711,
+                                         tmp_path).rules_path)
+    trees = [ids.decompose(ch, rules) for ch in sorted(rules.rules)]
+    assert len(trees) == 8321
+    rng = np.random.default_rng(47)
+    embeds = VocabEmbeddings(sorted(rules.leaf_set), 32, rng)
+    p = TreeLstmParams.init(64, 32, rng)
+
+    def peak(run) -> int:
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    batch = peak(lambda: treelstm_batch_forward(trees, embeds, p))
+    forest = peak(lambda: [len(pos) for pos, _ in enc.embed_forest(trees, embeds, p)])
+    assert forest < batch / 4, (forest, batch)
+
+
 def _tree_grads(trees, embeds, p, batched: bool) -> dict:
     """Gradients of sum(root h) by the level-batched or the sequential path."""
     params = {**p.params(), **embeds.params()}

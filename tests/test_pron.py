@@ -235,7 +235,7 @@ def test_decode_rows_equals_row_by_row_argmax_ties_included(rule_table, toy_spli
     probs = predict_pron(h, head).probs
     row_by_row = [{u: inv.classes(u)[int(np.argmax(probs[u].data[k]))]
                    for u in pron.UNITS} for k in range(10)]
-    assert pron.decode_rows(model, h) == row_by_row
+    assert pron.decode_batch(model, h) == row_by_row
     assert {row[tied] for row in row_by_row} == {inv.classes(tied)[0]}
     assert len({row[head.order[0]] for row in row_by_row}) > 1
 

@@ -518,6 +518,43 @@ def test_perfbench_schedule_counts_match_the_schedule(monkeypatch):
     assert counts["encoders.leaf_slots"] == len(schedule.levels[0]) == 3
 
 
+@pytest.mark.parametrize("encoder", ["treelstm", "bilstm"])
+def test_evaluate_keeps_the_benchmark_probe_contract(monkeypatch, tmp_path,
+                                                     encoder):
+    # the benchmark sizes each pron.decode_batch span by len() of its second
+    # argument, and takes compose-scale's loop steps from the intervals
+    # between those spans' ends inside pron.evaluate
+    import importlib
+
+    from logotree import ids, phono
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    trace = importlib.import_module("perfbench.trace")
+    measure = importlib.import_module("perfbench.measure")
+    data = importlib.import_module("perfbench.data")
+    dataset = data.generate(data.DataSpec(n_chars=600), 4711, tmp_path)
+    rules = ids.load_rule_table(dataset.rules_path)
+    entries, _ = phono.build_corpus(
+        phono.parse_unihan_readings(dataset.readings_path), seed=7)
+    entries = entries[:600]
+    assert len(entries) == 600
+    model = pron.build_model(RunConfig(encoder=encoder, hidden=8, d_in=6, seed=1),
+                             pron.Inventories.from_entries(entries),
+                             sorted(rules.leaf_set))
+    rec = trace.Recorder()
+    rec.install(trace.PROBES)
+    try:
+        with rec.span("job"):
+            pron.evaluate(model, entries, rules)
+    finally:
+        rec.uninstall()
+    spans, counts, losses = rec.take()
+    sizes = [s[4] for s in spans if s[0] == "pron.decode_batch"]
+    assert sizes and max(sizes) <= 256 and sum(sizes) == 600
+    rep = measure.Rep(False, {}, spans, counts, losses)
+    timings = measure.timings(measure.WORKLOADS["compose-scale"], rep)
+    assert len(timings["intervals"]) >= 2
+
+
 BENCHMARK = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json")
                        .read_text(encoding="utf-8"))
 
