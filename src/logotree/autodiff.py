@@ -412,24 +412,6 @@ def permute(a: Tensor, order) -> Tensor:
     return record(out, (a,), backward)
 
 
-def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
-    """Contiguous slice ``[start, start+length)`` along one axis."""
-    if start < 0 or start + length > a.data.shape[axis]:
-        raise ShapeError(f"narrow: [{start},{start + length}) outside axis of "
-                         f"size {a.data.shape[axis]}")
-    index = [slice(None)] * a.data.ndim
-    index[axis] = slice(start, start + length)
-    index = tuple(index)
-    out = Tensor(a.data[index].copy())
-
-    def backward(g):
-        ga = np.zeros_like(a.data)
-        ga[index] = g
-        return (ga,)
-
-    return record(out, (a,), backward)
-
-
 def hand_out(whole: Tensor, view) -> Tensor:
     """``view(whole.data)``, which must be a view, as a tensor of its own.
 

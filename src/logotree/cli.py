@@ -336,8 +336,7 @@ def _cmd_eval_lm(args, loaded, paths) -> Wrote:
     rules = ids.load_rule_table(args.rules) if args.rules else None
     model = lm.load_lm(args.checkpoint, rules=rules)
     lines = lm.read_corpus(args.corpus)
-    cache = lm.build_cache(model) if model.hierarchical else None
-    bpc, ppl = lm.eval_lm(model, lines, cache=cache)
+    bpc, ppl = lm.eval_lm(model, lines)
     print(f"BPC {bpc:.4f} PPL {ppl:.4f}")
     stats = lm.oov_stats(model, lines, rules)
     print(f"out-of-vocabulary: {stats['n_oov']} of {stats['n_chars']} "

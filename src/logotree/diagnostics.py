@@ -16,9 +16,10 @@ import numpy as np
 
 from . import encoders as enc
 from .atomic import write_csv
+from .autodiff import Tensor
 from .errors import ContractError, DataError
 from .ids import IDC_ACROSS, GlyphTree, Leaf, Op, RuleTable, decompose
-from .pron import PronModel, decode_batch, encode_inputs, forward_batch
+from .pron import PronModel, decode_batch, embed_blocks, encode_inputs
 
 log = logging.getLogger(__name__)
 
@@ -105,16 +106,13 @@ class ProbeTrace:
     char: str
     rows: list[ProbeRow]
 
-    def final_decoding(self) -> dict[str, str]:
-        last = self.rows[-1]
-        return {"onset": last.onset, "nucleus": last.nucleus, "coda": last.coda}
-
 
 def probe(model: PronModel, ch: str, rules: RuleTable) -> ProbeTrace:
     """Per-node (or per-timestep) hidden states fed to the task head: every
-    node occurrence of the tree in post-order, or every prefix of the
-    linearization, encoded as one batch. The last row is the model's own
-    prediction for the logograph."""
+    node occurrence of the tree in post-order, each the root of its own
+    subtree, or every prefix of the linearization, embedded by
+    ``embed_blocks`` and decoded as one batch. The last row is the model's
+    own prediction for the logograph."""
     if model.config.encoder == "treelstm":
         parts = _post_order(decompose(ch, rules))
         tokens = [enc._input_token(node) for node in parts]
@@ -124,7 +122,9 @@ def probe(model: PronModel, ch: str, rules: RuleTable) -> ProbeTrace:
     else:
         raise ContractError("probing supports the tree and unidirectional "
                             "sequence encoders")
-    h = forward_batch(model, parts)
+    pos, blocks = zip(*embed_blocks(model, parts))
+    h = np.concatenate([b.data for b in blocks])
+    h = Tensor(h[np.argsort(np.concatenate(pos))])  # back to input order
     return ProbeTrace(ch, [ProbeRow(node_id, token, np.abs(row), **decoded)
                            for node_id, (token, row, decoded) in enumerate(
                                zip(tokens, h.data, decode_batch(model, h)))])
@@ -185,11 +185,10 @@ def nearest_neighbors(table: dict[str, np.ndarray], query: str,
 def lm_embedding_table(model) -> dict[str, np.ndarray]:
     """Character embeddings of a language model, as its input layer reads
     them: composed where a tree exists, else the lookup or auxiliary row."""
-    from .lm import EOS_TOKEN, UNK_TOKEN, build_cache, window_embeddings
+    from .lm import EOS_TOKEN, UNK_TOKEN, EmbeddingCache, window_embeddings
     chars = [ch for ch in model.vocab if ch not in (EOS_TOKEN, UNK_TOKEN)]
     if not chars:
         return {}
     ids = np.array([[model.index[ch] for ch in chars]], dtype=np.intp)
-    cache = build_cache(model) if model.hierarchical else None
-    matrix, flat = window_embeddings(model, ids, cache=cache)
+    matrix, flat = window_embeddings(model, ids, cache=EmbeddingCache())
     return dict(zip(chars, matrix.data[flat]))

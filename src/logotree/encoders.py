@@ -403,23 +403,22 @@ def _tree_terms(p: TreeLstmParams, h_l, h_r, xs) -> list:
 
 def treelstm_levels(schedule: LevelSchedule, inputs, p: TreeLstmParams) -> Tensor:
     """Root hidden states of a whole level schedule, one row per root,
-    recorded as one tape entry.
+    recorded as one tape entry: the taped training kernel. Every untaped
+    tree embedding runs ``embed_forest`` instead, which keeps no state
+    buffer over every slot.
 
     ``inputs`` yields each level's input rows in turn: ``(x_n,)`` at level
     0 and ``(x_n, x_l, x_r)`` above, which only ``p.operator_inputs``
-    reads; a generator lets an untaped call drop each level's rows once
-    used. Evaluation runs ``embed_forest`` instead, which keeps no state
-    buffer over every slot.
-    Each level is one cell-kernel evaluation with ``treelstm_node``'s
-    arithmetic into (total_slots, hidden) state buffers; level 0 is the leaf
-    cell, gates i, o and c of V·x + b and the cell i*cand. The backward pass
-    walks the levels in reverse; weights no level reads get zeros.
+    reads. Each level is one cell-kernel evaluation with
+    ``treelstm_node``'s arithmetic into (total_slots, hidden) state
+    buffers; level 0 is the leaf cell, gates i, o and c of V·x + b and the
+    cell i*cand. The backward pass walks the levels in reverse; weights no
+    level reads get zeros.
     """
     w = p.packed
     bias = "b" if p.use_bias else None
-    taped = ad.taping()
-    read: list[Tensor] = []  # under a tape: the input tensors the cell reads
-    saved = []  # under a tape: per level, what the backward pass needs
+    read: list[Tensor] = []  # the input tensors the cell reads
+    saved = []  # per level, what the backward pass needs
 
     def forget(kids):  # each child's forget gate and cell, gathered anew
         return zip(("fl", "fr"), (c_buf[kid] for kid in kids))
@@ -437,18 +436,13 @@ def treelstm_levels(schedule: LevelSchedule, inputs, p: TreeLstmParams) -> Tenso
             gates, used = GATES, (xs if p.operator_inputs else ())
             terms = _tree_terms(p, h_buf[kids[0]], h_buf[kids[1]],
                                 [x.data for x in xs])
-        if taped:
-            read.extend(used)
+        read.extend(used)
         act = _cell_gates(w, GATES, terms, bias, gates)
         _, tc = _cell_state(act, forget(kids), h_buf[rows_], c_buf[rows_])
-        if taped:
-            saved.append((rows_, kids, terms, act, tc))
-        del act  # untaped, the next level's gates need not wait for these
+        saved.append((rows_, kids, terms, act, tc))
 
     roots = np.array(schedule.roots, dtype=np.intp)
     out = Tensor(h_buf[roots])
-    if not taped:
-        return out
     weights = tuple(p.weights.values())
     shared = schedule.shared
 
@@ -481,7 +475,8 @@ def treelstm_batch_forward(trees, embeds: VocabEmbeddings, p: TreeLstmParams,
                            input_dropout: float = 0.0,
                            rng: np.random.Generator | None = None,
                            training: bool = False) -> Tensor:
-    """Level-batched evaluation; returns root hidden states, one row per tree.
+    """Level-batched training forward; returns root hidden states, one row
+    per tree. Untaped embeddings come from ``embed_forest``.
 
     Per-tree results match the sequential evaluation: ``treelstm_levels``
     does the same arithmetic, grouped into one matrix operation per level.

@@ -478,12 +478,6 @@ def strip_operators(seq) -> list[str]:
     return [t for t in seq if t not in ALL_IDCS]
 
 
-def reconstruct_preorder(seq) -> GlyphTree:
-    """Rebuild a tree from its pre-order walk: ``parse_ids``, which reads a
-    ternary operator with its three operands."""
-    return parse_ids(seq)
-
-
 def leaves(tree: GlyphTree) -> list[str]:
     if isinstance(tree, Leaf):
         return [tree.token]

@@ -7,9 +7,10 @@ at a time through all layers; ``eval_lm``, ``lm_step`` and
 Input embeddings are either a standard lookup table or hierarchical
 embeddings composed by the tree encoder from each character's
 decomposition. During training only the embeddings of characters present
-in the current batch window are updated; during evaluation hierarchical
-embeddings are composed once per character and cached, stamped with the
-parameter version.
+in the current batch window are updated, and their trees run through the
+taped level kernel; inference reads hierarchical embeddings only from an
+``EmbeddingCache``, which composes every tree character in one forest
+pass and is stamped with the parameter version.
 """
 
 from __future__ import annotations
@@ -145,9 +146,9 @@ def window_embeddings(model: LmModel, ids: np.ndarray,
                       rng=None, training: bool = False):
     """Embedding matrix for one (batch, time) id window plus gather indices.
 
-    Hierarchical models compose tree embeddings only for the unique
-    characters present in the window (read from ``cache`` when one is given
-    outside training); everything else reads the auxiliary table. Returns
+    Hierarchical models compose tree embeddings for the unique characters
+    present in the window when training, and read them from ``cache``
+    otherwise; everything else reads the auxiliary table. Returns
     (matrix (U, E), flat gather index (batch*time,)).
     """
     unique = np.unique(ids)
@@ -156,16 +157,17 @@ def window_embeddings(model: LmModel, ids: np.ndarray,
     composed = [int(v) for v in unique if model.vocab[int(v)] in model.trees]
     plain = [int(v) for v in unique if model.vocab[int(v)] not in model.trees]
     parts = []
-    if composed:
-        if cache is not None and not training:
-            vecs = [cache.lookup(model, model.vocab[v]) for v in composed]
-            parts.append(Tensor(np.stack(vecs)))
-        else:
-            trees = [model.trees[model.vocab[v]] for v in composed]
-            parts.append(enc.treelstm_batch_forward(
-                trees, model.leaf_embeds, model.tree,
-                input_dropout=model.config.dropout_input,
-                rng=rng, training=training))
+    if composed and training:
+        trees = [model.trees[model.vocab[v]] for v in composed]
+        parts.append(enc.treelstm_batch_forward(
+            trees, model.leaf_embeds, model.tree,
+            input_dropout=model.config.dropout_input, rng=rng, training=True))
+    elif composed:
+        if cache is None:
+            raise ContractError("inference reads hierarchical embeddings "
+                                "from an EmbeddingCache")
+        vecs = [cache.lookup(model, model.vocab[v]) for v in composed]
+        parts.append(Tensor(np.stack(vecs)))
     if plain:
         parts.append(rows(model.aux, np.array(plain, dtype=np.intp)))
     matrix = parts[0] if len(parts) == 1 else concat(parts, axis=0)
@@ -188,8 +190,7 @@ def _run_window(model: LmModel, ids: np.ndarray, state, rng):
     return outs, state
 
 
-def _forward(model: LmModel, ids: np.ndarray, state,
-             cache: "EmbeddingCache | None" = None):
+def _forward(model: LmModel, ids: np.ndarray, state, cache: "EmbeddingCache"):
     """Embed a (1, T) id window and run the core over it layer by layer, as
     inference has no dropout to interleave the layers: one
     ``encoders.lstm_layer`` per layer over all T steps from its carried (h, c),
@@ -324,12 +325,14 @@ def eval_lm(model: LmModel, lines: list[str],
     The stream runs at batch 1 in windows of ``chunk`` characters through
     ``_forward``: each window is embedded once, run layer by layer and
     scored by one output product. The (h, c) state carries from window to
-    window.
+    window. A hierarchical model without ``cache`` composes its embeddings
+    into one new cache, once for all windows.
     """
     if chunk < 1:
         raise ContractError(f"chunk must be at least 1, got {chunk}")
     if not lines:
         raise DataError("empty evaluation corpus")
+    cache = EmbeddingCache() if cache is None else cache
     stream = stream_ids(model, lines)
     ids = stream[:-1].reshape(1, -1)
     tgts = stream[1:]
@@ -355,30 +358,30 @@ def lm_step(prev_chars, state, model: LmModel,
             cache: "EmbeddingCache | None" = None):
     """Feed characters from the given state; returns (distribution, state).
 
-    ``state`` of None starts from the zero state. The distribution is over
-    the model vocabulary and sums to 1.
+    ``state`` of None starts from the zero state. The characters run as one
+    ``_forward`` window and the distribution, over the model vocabulary and
+    summing to 1, is read from its last row. A hierarchical model without
+    ``cache`` composes its embeddings into one new cache.
     """
     ids = [model.char_id(ch) for ch in prev_chars]
     if not ids:
         raise ContractError("prev_chars must be non-empty")
-    # one window per character: composing a prefix's trees in one batch
-    # changes their embeddings in the last bits (BLAS rounds a one-row
-    # product differently), so a prefix would not equal its steps
-    for i in ids:
-        h, state = _forward(model, np.array([[i]], dtype=np.intp), state, cache)
-    return softmax(_logits(model, h)).data[0], state
+    cache = EmbeddingCache() if cache is None else cache
+    h, state = _forward(model, np.array([ids], dtype=np.intp), state, cache)
+    return softmax(_logits(model, Tensor(h.data[-1:]))).data[0], state
 
 
 def greedy_continue(model: LmModel, prefix: str, n: int) -> str:
     """Argmax continuation of a prefix; EOS stops generation early."""
-    dist, state = lm_step([EOS_TOKEN] + list(prefix), None, model)
+    cache = EmbeddingCache()
+    dist, state = lm_step([EOS_TOKEN] + list(prefix), None, model, cache)
     out = []
     for _ in range(n):
         ch = model.vocab[int(np.argmax(dist))]
         if ch == EOS_TOKEN:
             break
         out.append(ch)
-        dist, state = lm_step([ch], state, model)
+        dist, state = lm_step([ch], state, model, cache)
     return "".join(out)
 
 
@@ -388,7 +391,8 @@ def greedy_continue(model: LmModel, prefix: str, n: int) -> str:
 
 @dataclass
 class EmbeddingCache:
-    """Composed character embeddings stamped with the parameter version."""
+    """Composed character embeddings stamped with the parameter version;
+    an empty cache composes them on its first lookup."""
 
     vectors: dict[str, np.ndarray] = field(default_factory=dict)
     stamp: int = -1

@@ -170,7 +170,7 @@ def test_criterion_3_parser_suite(rule_table):
         for head in rule_table.rules:
             t = ids.decompose(head, rule_table)
             seq = ids.linearize(t, ids.LinearOrder.PRE)
-            assert ids.reconstruct_preorder(seq) == t
+            assert ids.parse_ids(seq) == t
 
         # 1000 random ternary trees: binarize preserves leaf order
         pyrng = random.Random(33)

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from logotree import autodiff as ad
 from logotree import diagnostics as diag
 from logotree import encoders as enc
 from logotree import ids
@@ -13,7 +14,7 @@ from logotree.errors import ContractError, DataError
 from logotree.ids import Leaf, Op, decompose
 from logotree.phono import build_scenario
 from logotree.pron import (Inventories, build_model, decode_batch, encode_inputs,
-                           forward_batch, train)
+                           evaluate, forward_batch, train)
 
 
 @pytest.fixture(scope="module")
@@ -201,6 +202,38 @@ def test_diagnostics_never_walk_single_trees(small_model, rule_table,
         assert len(diag.probe(m, "賄", rule_table).rows) > 1
 
 
+def test_untaped_paths_never_reach_the_level_kernel(small_model, rule_table,
+                                                    monkeypatch):
+    # every untaped tree embedding comes from the forest pass; the level
+    # kernel serves the taped training forward only
+    from logotree import lm
+    from logotree.config import LmConfig
+    levels = enc.treelstm_levels
+
+    def taped_only(*args, **kwargs):
+        if not ad.taping():
+            raise AssertionError("an untaped pass reached the level kernel")
+        return levels(*args, **kwargs)
+
+    monkeypatch.setattr(enc, "treelstm_levels", taped_only)
+    model, split = small_model
+    trees = [decompose(e.ch, rule_table) for e in split.test]
+    assert len(diag.probe(model, "賄", rule_table).rows) > 1
+    evaluate(model, split.test, rule_table)
+    assert diag.gate_bias(model, trees).total > 0
+    config = LmConfig(input_kind="hierarchical", layer_sizes=(6,),
+                      embed_dim=4, seed=2)
+    hier = lm.build_lm(config, list("河湖海江龍"), rules=rule_table)
+    lm.eval_lm(hier, ["河湖海", "江龍河"], chunk=3)
+    lm.lm_step(["河", "湖"], None, hier)
+    lm.greedy_continue(hier, "河", 3)
+    assert set(diag.lm_embedding_table(hier)) >= set("河湖海江龍")
+    with ad.Tape():  # the training forward still runs the kernel
+        enc.treelstm_batch_forward(trees, model.embeds, model.encoder)
+    with pytest.raises(AssertionError, match="untaped"):
+        enc.treelstm_batch_forward(trees, model.embeds, model.encoder)
+
+
 # ---------------------------------------------------------------------------
 # probing
 # ---------------------------------------------------------------------------
@@ -217,7 +250,9 @@ def test_probe_final_row_equals_model_prediction(small_model, rule_table):
         trace = diag.probe(model, entry.ch, rule_table)
         inputs = encode_inputs(model, [entry.ch], rule_table)
         decoded = decode_batch(model, forward_batch(model, inputs))[0]
-        assert trace.final_decoding() == decoded
+        last = trace.rows[-1]
+        assert {"onset": last.onset, "nucleus": last.nucleus,
+                "coda": last.coda} == decoded
 
 
 def test_probe_trace_length_is_node_count(small_model, rule_table):
@@ -238,7 +273,9 @@ def test_probe_lstm_per_timestep(rule_table, corpus_entries):
     assert len(trace.rows) == len(seq)
     inputs = encode_inputs(model, ["賄"], rule_table)
     decoded = decode_batch(model, forward_batch(model, inputs))[0]
-    assert trace.final_decoding() == decoded
+    last = trace.rows[-1]
+    assert {"onset": last.onset, "nucleus": last.nucleus,
+            "coda": last.coda} == decoded
 
 
 def test_probe_rows_equal_per_tree_oracle(small_model, rule_table):

@@ -22,6 +22,7 @@ from logotree.autodiff import Tape, Tensor, check_gradient
 from logotree.config import LmConfig
 from logotree.errors import ContractError
 from logotree.ids import Leaf, Op
+from oracles import narrow
 
 
 def random_tree(rng: random.Random, depth: int):
@@ -92,12 +93,12 @@ def packed_layer(x, p, layer, state, lengths):
     outs = []
     for t, x_t in enumerate(ad.unstack(x, axis=1)):
         k = int(np.count_nonzero(lengths > t))
-        h_new, c_new = enc.lstm_cell(ad.narrow(x_t, 0, 0, k),
-                                     ad.narrow(h, 0, 0, k),
-                                     ad.narrow(c, 0, 0, k), p, layer)
+        h_new, c_new = enc.lstm_cell(narrow(x_t, 0, 0, k),
+                                     narrow(h, 0, 0, k),
+                                     narrow(c, 0, 0, k), p, layer)
         if k < n:
-            h_new = ad.concat([h_new, ad.narrow(h, 0, k, n - k)], axis=0)
-            c_new = ad.concat([c_new, ad.narrow(c, 0, k, n - k)], axis=0)
+            h_new = ad.concat([h_new, narrow(h, 0, k, n - k)], axis=0)
+            c_new = ad.concat([c_new, narrow(c, 0, k, n - k)], axis=0)
         h, c = h_new, c_new
         outs.append(h)
     return outs, h, c

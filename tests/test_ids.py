@@ -14,7 +14,7 @@ from logotree.errors import (CycleError, ExpansionError, LogotreeError,
                              ParseError, StructureError)
 from logotree.ids import (Leaf, LinearOrder, Nary, Op, binarize, decompose,
                           leaves, linearize, load_rule_table, node_count,
-                          parse_ids, reconstruct_preorder, strip_operators)
+                          parse_ids, strip_operators)
 
 FIG_RULES = """\
 U+4ED5\t仕\t⿰亻士
@@ -507,7 +507,7 @@ def glyph_trees(draw, max_depth=5):
 
 @given(glyph_trees())
 def test_preorder_roundtrip(tree):
-    assert reconstruct_preorder(linearize(tree, LinearOrder.PRE)) == tree
+    assert parse_ids(linearize(tree, LinearOrder.PRE)) == tree
 
 
 @given(glyph_trees())
@@ -525,19 +525,19 @@ def test_node_count_identity(tree):
     assert node_count(tree) - len(leaves(tree)) == len(leaves(tree)) - 1
 
 
-def test_reconstruct_preorder_reads_ternary_operators_as_parse_ids_does():
+def test_parse_ids_reads_a_ternary_operator_with_three_operands():
     # a ternary operator takes three operands, so it never labels a
     # two-child Op
     with pytest.raises(ParseError):
-        reconstruct_preorder(["⿲", "a", "b"])
-    tokens = ["⿲", "a", "b", "c"]
-    assert reconstruct_preorder(tokens) == parse_ids(tokens)
+        parse_ids(["⿲", "a", "b"])
+    tree = parse_ids(["⿲", "a", "b", "c"])
+    assert parse_ids(linearize(tree, LinearOrder.PRE)) == tree
 
 
 def test_roundtrip_corpus(rule_table):
     for head in rule_table.rules:
         tree = decompose(head, rule_table)
-        assert reconstruct_preorder(linearize(tree, LinearOrder.PRE)) == tree
+        assert parse_ids(linearize(tree, LinearOrder.PRE)) == tree
 
 
 @given(st.lists(st.sampled_from(sorted(ids.ALL_IDCS) + list("ab人一")),

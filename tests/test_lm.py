@@ -101,7 +101,6 @@ def stepwise_lm_step(model, chars, state, cache=None):
 
 
 @pytest.mark.parametrize("kind, cached", [("standard", False),
-                                          ("hierarchical", False),
                                           ("hierarchical", True)])
 def test_step_equals_time_major_reference(rule_table, kind, cached):
     config = LmConfig(**{**TOY.__dict__, "input_kind": kind,
@@ -141,13 +140,14 @@ def test_step_and_greedy_run_one_lstm_layer_per_layer_and_character(monkeypatch)
     model = build_lm(config, list("河湖海"))
     dist, _ = lm_step([EOS_TOKEN, "河", "湖"], None, model)
     assert dist.sum() == pytest.approx(1.0, abs=1e-12)
-    assert calls == [((1, 1, 12), 0), ((1, 1, 10), 1)] * 3
+    assert calls == [((1, 3, 12), 0), ((1, 3, 10), 1)]
     calls.clear()
     model.w_out.data[:] = 0.0
     model.b_out.data[model.index["湖"]] = 1.0
     assert greedy_continue(model, "河", 4) == "湖湖湖湖"
     # the prefix with its EOS opener, then one window per emitted character
-    assert len(calls) == 2 * (2 + 4)
+    opener = [((1, 2, 12), 0), ((1, 2, 10), 1)]
+    assert calls == opener + [((1, 1, 12), 0), ((1, 1, 10), 1)] * 4
 
 
 def test_memorization_greedy_continuation():
@@ -545,7 +545,7 @@ def test_cache_transparent_for_eval(rule_table):
     model, lines = hier_model(rule_table)
     bpc_plain, _ = eval_lm(model, lines)
     bpc_cached, _ = eval_lm(model, lines, cache=build_cache(model))
-    assert abs(bpc_plain - bpc_cached) < 1e-9
+    assert bpc_plain == bpc_cached
 
 
 def test_cache_stale_stamp_triggers_rebuild(rule_table):
@@ -557,6 +557,45 @@ def test_cache_stale_stamp_triggers_rebuild(rule_table):
     model.version += 1  # parameter update elsewhere
     _ = cache.lookup(model, next(iter(cache.vectors)))
     assert cache.rebuilds == 2
+
+
+def counted_rebuilds(monkeypatch) -> list[int]:
+    """The parameter version of every ``EmbeddingCache.rebuild`` from now on."""
+    versions = []
+    rebuild = EmbeddingCache.rebuild
+
+    def counted(self, model):
+        versions.append(model.version)
+        return rebuild(self, model)
+
+    monkeypatch.setattr(EmbeddingCache, "rebuild", counted)
+    return versions
+
+
+@pytest.mark.parametrize("kind", ["standard", "hierarchical"])
+def test_uncached_eval_composes_once_for_all_chunks(rule_table, monkeypatch,
+                                                    kind):
+    config = LmConfig(**{**UNEQUAL.__dict__, "input_kind": kind})
+    model = build_lm(config, list("河湖海江波"), rules=rule_table)
+    cache = build_cache(model) if model.hierarchical else None
+    explicit = eval_lm(model, EVAL_LINES, cache=cache, chunk=7)
+    versions = counted_rebuilds(monkeypatch)
+    # 19 predicted characters in three chunks; a standard model has no trees
+    assert eval_lm(model, EVAL_LINES, chunk=7) == explicit
+    assert versions == ([model.version] if model.hierarchical else [])
+
+
+def test_hierarchical_validation_composes_once_per_epoch(rule_table,
+                                                         monkeypatch):
+    versions = counted_rebuilds(monkeypatch)
+    config = LmConfig(input_kind="hierarchical", layer_sizes=(6,),
+                      embed_dim=4, batch_size=1, bptt=4, epochs=3, seed=2)
+    model, history = train_lm(config, ["河湖海", "江海湖"], ["湖河江"],
+                              rules=rule_table)
+    assert [h["epoch"] for h in history if "valid_bpc" in h] == [0, 1, 2]
+    # one rebuild after each epoch's steps, every version a new one
+    assert len(versions) == 3 and versions == sorted(set(versions))
+    assert versions[0] > 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
+import ast
 import hashlib
 import json
 import os
+import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -626,3 +629,49 @@ def test_checkpoint_save_failing_midway_keeps_previous_file(tmp_path,
     tensors, manifest = checkpoint.load_checkpoint(path)
     assert manifest == {"v": 1} and tensors["w"].tolist() == [[1.0] * 4] * 4
     assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+
+# ---------------------------------------------------------------------------
+# dead code
+# ---------------------------------------------------------------------------
+
+REPO = Path(__file__).resolve().parents[1]
+
+#: Library functions that nothing outside the tests names, each with why it
+#: stays.
+UNREFERENCED_ALLOWED = {
+    "treelstm_forward": "the per-tree oracle of the batched tree paths",
+    "lstm_cell": "the per-step oracle of the fused LSTM layer",
+    "check_gradient": "the finite-difference oracle of every primitive",
+    "set_default_dtype": "stays until precision is model configuration",
+    "cnn_batch_forward": "reached only by pron.forward_batch's getattr dispatch",
+    "greedy_continue": "public LM API that the README names",
+    "parse_ids": "the tree-building parser that decompose is checked against",
+}
+
+
+def _definitions(module):
+    """A module's top-level functions and its classes' methods."""
+    for node in module.body:
+        for f in node.body if isinstance(node, ast.ClassDef) else [node]:
+            if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield f
+
+
+def test_every_library_function_is_named_outside_the_tests():
+    # a name that occurs only inside its own definitions has no caller but
+    # the tests
+    words = Counter(word for part in ("src", "scripts", "perfbench")
+                    for path in (REPO / part).rglob("*.py")
+                    for word in re.findall(r"\w+", path.read_text(encoding="utf-8")))
+    own = Counter()
+    for path in (REPO / "src" / "logotree").glob("*.py"):
+        text = path.read_text(encoding="utf-8")
+        lines = text.splitlines()
+        for f in _definitions(ast.parse(text)):
+            body = "\n".join(lines[f.lineno - 1:f.end_lineno])
+            own[f.name] += re.findall(r"\w+", body).count(f.name)
+    assert set(UNREFERENCED_ALLOWED) <= set(own)
+    unnamed = sorted(name for name, count in own.items()
+                     if words[name] <= count and not name.startswith("__"))
+    assert [n for n in unnamed if n not in UNREFERENCED_ALLOWED] == []
