@@ -11,7 +11,11 @@ height so each level evaluates as one matrix operation across the batch.
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -361,14 +365,34 @@ def _cell_state(act: dict, forget, h, c=None):
     return c, tc
 
 
+def _weight_grads(terms, bias: str | None, d_pre: dict, gates, grads: dict,
+                  bufs: dict):
+    """Adds each weight's C-ordered ``dp.T @ x`` and each bias's row sum
+    into ``grads`` under the per-gate key ``f"{key}_{g}"``, for the gates
+    in the order given. A key's first term goes into ``bufs.pop(key)`` if
+    ``bufs`` holds a buffer for it."""
+    for gate in gates:
+        dp = d_pre[gate]
+        for key, x in terms:
+            key = f"{key}_{gate}"
+            _add_grad(grads, key, np.matmul(dp.T, x, out=bufs.pop(key, None)))
+        if bias is not None:
+            key = f"{bias}_{gate}"
+            _add_grad(grads, key, dp.sum(axis=0, out=bufs.pop(key, None)))
+
+
 def _cell_backward(w: dict, layout, terms, bias: str | None, act: dict, tc,
-                   forget, dh, dc, grads: dict, want=None):
+                   forget, dh, dc, grads: dict, want=None, run=None, bufs=None):
     """The reverse of ``_cell_gates`` and ``_cell_state``, given h's gradient
-    ``dh`` and c's gradient from its other uses ``dc``: adds each weight's
-    C-ordered ``dp.T @ x`` and each bias's row sum into ``grads`` under the
-    per-gate key ``f"{key}_{g}"``, gate by gate in reverse, and returns c's
-    whole gradient and, per term, its input gradient if its index is in
-    ``want`` (default all), else None."""
+    ``dh`` and c's gradient from its other uses ``dc``: adds the weight
+    gradients into ``grads`` (``_weight_grads``, gate by gate in reverse)
+    and returns c's whole gradient and, per term, its input gradient if
+    its index is in ``want`` (default all), else None.
+
+    Nothing returned depends on the weight gradients, so ``run``, if given,
+    takes them as one job to run at a time of its choosing, after every
+    job it took before; they are added at once otherwise. ``bufs`` are
+    the ``_weight_grads`` buffers, if any."""
     i, o, cand = act["i"], act["o"], act["c"]
     size = len(w[terms[0][0]]) // len(layout)
     # product by product in the order the tape would take them
@@ -379,18 +403,73 @@ def _cell_backward(w: dict, layout, terms, bias: str | None, act: dict, tc,
     # a comprehension, so that no gathered c_prev outlives its use
     d_pre.update({gate: dcn * c_prev * act[gate] * (1.0 - act[gate])
                   for gate, c_prev in forget})
+    gates = tuple(reversed(act))  # gates in forward order; an input's uses, last first
+    job = partial(_weight_grads, terms, bias, d_pre, gates, grads,
+                  {} if bufs is None else bufs)
+    if run is None:
+        job()
+    else:
+        run(job)
     d_terms = [None] * len(terms)
-    for gate in reversed(act):  # gates in forward order; an input's uses, last first
+    for gate in gates:
         dp, j = d_pre[gate], layout.index(gate) * size
-        for k, (key, x) in enumerate(terms):
-            _add_grad(grads, f"{key}_{gate}", dp.T @ x)
+        for k, (key, _) in enumerate(terms):
             if want is None or k in want:
                 dx = dp @ w[key][j:j + size]
                 d_terms[k] = dx if d_terms[k] is None else np.add(
                     d_terms[k], dx, out=d_terms[k])
-        if bias is not None:
-            _add_grad(grads, f"{bias}_{gate}", dp.sum(axis=0))
     return dcn, d_terms
+
+
+# ---------------------------------------------------------------------------
+# the tree reverse pass's helper thread
+# ---------------------------------------------------------------------------
+
+#: The one thread of the process that adds up the tree cell's weight
+#: gradients while the reverse pass goes on: None until the first tree
+#: reverse pass starts it, False where each pass adds them itself.
+_helper = None
+_helper_lock = threading.Lock()
+
+
+def _run_inline() -> None:
+    """Have every later tree reverse pass of this process add its weight
+    gradients itself: in a forked child, whose copy of the helper has no
+    thread, and in worker processes, which already fill the CPUs."""
+    global _helper
+    _helper = False
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_run_inline)
+
+
+#: The fewest multiply-adds of a level's weight-gradient job that the
+#: helper takes; a smaller job costs more to hand off than it saves, and
+#: runs inline unless it must queue behind a job still running. One tree
+#: reverse pass took, with every job / jobs from 2**23 / no job handed off
+#: (median of 15, one OpenBLAS thread, 2-vCPU VM): 64 trees at hidden 48,
+#: d_in 24: 7.3 / 3.9 / 3.8 ms; 64 at hidden 128, d_in 32: 13.3 / 12.8 /
+#: 15.4 ms; 128 at hidden 256, d_in 64 (no shared slots): 55.0 / 55.6 /
+#: 81.8 ms.
+_HAND_OFF = 1 << 23
+
+
+def _weight_grad_helper():
+    """The process's helper, started on the first call where the process
+    may use two or more CPUs, else False. One worker takes the jobs in the
+    order they come, so every gradient adds its terms in the order the
+    inline pass does, and the results are the same bits."""
+    global _helper
+    with _helper_lock:
+        if _helper is None:
+            try:
+                cpus = len(os.sched_getaffinity(0))
+            except AttributeError:  # no affinity on this platform
+                cpus = os.cpu_count() or 1
+            _helper = (ThreadPoolExecutor(1, thread_name_prefix="logotree-grads")
+                       if cpus >= 2 else False)
+        return _helper
 
 
 def _tree_terms(p: TreeLstmParams, h_l, h_r, xs) -> list:
@@ -414,6 +493,14 @@ def treelstm_levels(schedule: LevelSchedule, inputs, p: TreeLstmParams) -> Tenso
     buffers; level 0 is the leaf cell, gates i, o and c of V·x + b and the
     cell i*cand. The backward pass walks the levels in reverse; weights no
     level reads get zeros.
+
+    Where the process may use two or more CPUs, the backward pass hands
+    each large level's weight gradients (``dp.T @ x`` per gate and term,
+    and the bias row sums) to one helper thread as one job, and computes
+    the input gradients and the scatter to the level below meanwhile; it
+    returns once its jobs are done. The helper runs the jobs in the order
+    given, so every product keeps its operands and every gradient its
+    order of sums: the results are the same bits either way.
     """
     w = p.packed
     bias = "b" if p.use_bias else None
@@ -451,21 +538,41 @@ def treelstm_levels(schedule: LevelSchedule, inputs, p: TreeLstmParams) -> Tenso
         dc = np.zeros_like(c_buf)
         _add_rows(dh, roots, g, shared)
         grads: dict[str, np.ndarray] = {}
+        # the weight gradients' buffers come from this thread: the helper's
+        # allocator arena would keep its own copy of the memory they take
+        bufs = {key: np.zeros(t.data.shape, np.result_type(h_buf, t.data))
+                for key, t in p.weights.items()}
         x_grads = []  # per read input, from the top level down
-        for rows_, kids, terms, act, tc in reversed(saved):
-            dcn, d_terms = _cell_backward(w, GATES, terms, bias, act, tc,
-                                          forget(kids), dh[rows_], dc[rows_],
-                                          grads)
-            if kids:
-                left, right = kids
-                _add_rows(dc, right, dcn * act["fr"], shared)
-                _add_rows(dc, left, dcn * act["fl"], shared)
-                _add_rows(dh, right, d_terms[1], shared)
-                _add_rows(dh, left, d_terms[0], shared)
-                d_terms = d_terms[2:]
-            x_grads.extend(reversed(d_terms))
-        return (*(grads[key] if key in grads else np.zeros_like(t.data)
-                  for key, t in p.weights.items()),
+        helper, jobs = _weight_grad_helper(), []
+
+        def hand_off(job):
+            jobs.append(helper.submit(job))
+
+        try:
+            for rows_, kids, terms, act, tc in reversed(saved):
+                # a small job costs the helper more than it saves, unless
+                # it has to queue behind one still running
+                work = (len(terms[0][1]) * len(act) * p.hidden
+                        * sum(x.shape[1] for _, x in terms))
+                late = jobs and not jobs[-1].done()
+                run = hand_off if helper and (work >= _HAND_OFF or late) else None
+                dcn, d_terms = _cell_backward(w, GATES, terms, bias, act, tc,
+                                              forget(kids), dh[rows_],
+                                              dc[rows_], grads, run=run,
+                                              bufs=bufs)
+                if kids:
+                    left, right = kids
+                    _add_rows(dc, right, dcn * act["fr"], shared)
+                    _add_rows(dc, left, dcn * act["fl"], shared)
+                    _add_rows(dh, right, d_terms[1], shared)
+                    _add_rows(dh, left, d_terms[0], shared)
+                    d_terms = d_terms[2:]
+                x_grads.extend(reversed(d_terms))
+        finally:
+            wait(jobs)  # even on an error: no job writes into an ended pass
+        for job in jobs:
+            job.result()  # raises a job's exception, if any
+        return (*(grads[key] if key in grads else bufs[key] for key in p.weights),
                 *reversed(x_grads))
 
     return ad.record(out, (*weights, *read), backward)

@@ -356,8 +356,9 @@ def grid_search(base: RunConfig, split: DatasetSplit, rules: RuleTable,
     """Train every (learning rate, dropout) cell; lowest validation TER wins,
     ties broken by lower learning rate then lower dropout.
 
-    Cells are independent, so ``n_jobs`` > 1 runs them in worker processes;
-    the selection is deterministic either way.
+    Cells are independent, so ``n_jobs`` > 1 runs them in worker processes,
+    which add their tree weight gradients without a helper thread since
+    they already fill the CPUs; the selection is deterministic either way.
     """
     cells = list(product(learning_rates, dropouts))
     if not cells:
@@ -365,7 +366,8 @@ def grid_search(base: RunConfig, split: DatasetSplit, rules: RuleTable,
     configs = [replace(base, learning_rate=lr, dropout=dr) for lr, dr in cells]
     if n_jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+        with ProcessPoolExecutor(max_workers=n_jobs,
+                                 initializer=enc._run_inline) as pool:
             ters = list(pool.map(_grid_cell,
                                  [(c, split, rules) for c in configs]))
     else:

@@ -1,4 +1,5 @@
 import os
+import threading
 
 # One BLAS thread, as in perfbench, set before numpy loads. On a two-CPU
 # machine a threaded OpenBLAS worker can wake on the main thread's CPU; until
@@ -7,13 +8,61 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
+from concurrent.futures import ThreadPoolExecutor  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import pytest  # noqa: E402
 
-from logotree import ids, phono  # noqa: E402
+from logotree import encoders, ids, phono  # noqa: E402
 
 DATA_DIR = Path(__file__).parent / "data"
+
+
+class WeightGrads:
+    """Where the tree reverse passes of a test add their weight gradients.
+
+    ``use(True)`` hands every level's job to a helper thread of the test's
+    own (``test-grads``), whatever its size and the number of CPUs;
+    ``use(False)`` has each pass add them itself. ``threads`` names the
+    thread of every job since the last ``use``."""
+
+    def __init__(self, monkeypatch):
+        self.monkeypatch, self.helpers, self.threads = monkeypatch, [], []
+        weight_grads = encoders._weight_grads
+
+        def recording(*args):
+            self.threads.append(threading.current_thread().name)
+            return weight_grads(*args)
+
+        monkeypatch.setattr(encoders, "_weight_grads", recording)
+
+    def use(self, on: bool) -> None:
+        self.threads.clear()
+        if on:
+            self.helpers.append(ThreadPoolExecutor(1, thread_name_prefix="test-grads"))
+            self.monkeypatch.setattr(encoders, "_helper", self.helpers[-1])
+            self.monkeypatch.setattr(encoders, "_HAND_OFF", 0)
+        else:
+            self.monkeypatch.setattr(encoders, "_helper", False)
+
+    def both_ways(self, run) -> list:
+        """``run()``'s results with the helper, then inline; each run must
+        have added weight gradients, all on the thread its mode says."""
+        results = []
+        for on in (True, False):
+            self.use(on)
+            results.append(run())
+            assert self.threads
+            assert {name.startswith("test-grads") for name in self.threads} == {on}
+        return results
+
+
+@pytest.fixture
+def weight_grads(monkeypatch):
+    grads = WeightGrads(monkeypatch)
+    yield grads
+    for helper in grads.helpers:
+        helper.shutdown()
 
 
 @pytest.fixture(scope="session")

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from logotree import diagnostics, encoders as enc, ids, lm, phono, pron
-from logotree.autodiff import Tensor, check_gradient
+from logotree.autodiff import Tape, Tensor, check_gradient
 from logotree.config import LmConfig, RunConfig
 from logotree.phono import DatasetSplit, build_scenario, segment_jyutping
 from logotree.pron import Inventories, PronHead, predict_pron, pron_loss
@@ -126,32 +126,57 @@ def _random_tree(rng, depth):
                   _random_tree(rng, depth - 1))
 
 
-def test_criterion_2_batching_oracle(rule_table, readings):
+def _oracle_batches(rule_table, readings):
+    """Criterion 2's (trees, embeddings, cell) batches: 50 random trees,
+    then 200 real ones."""
     rng = np.random.default_rng(2)
     p = enc.TreeLstmParams.init(8, 6, rng)
     embeds = enc.VocabEmbeddings("abcdefgh", 6, rng)
     pyrng = random.Random(2)
     trees = [_random_tree(pyrng, pyrng.randint(1, 8)) for _ in range(50)]
-    h_bat = enc.treelstm_batch_forward(trees, embeds, p)
-    max_err = 0.0
-    for k, tree in enumerate(trees):
-        h_seq, _ = enc.treelstm_forward(tree, embeds, p)
-        max_err = max(max_err, float(np.abs(h_bat.data[k] - h_seq.data[0]).max()))
 
     real_chars = sorted(readings)[:200]
     real_trees = [ids.decompose(ch, rule_table) for ch in real_chars]
     rng = np.random.default_rng(3)
     p2 = enc.TreeLstmParams.init(16, 8, rng)
     embeds2 = enc.VocabEmbeddings(sorted(rule_table.leaf_set), 8, rng)
-    h_bat2 = enc.treelstm_batch_forward(real_trees, embeds2, p2)
-    for k, tree in enumerate(real_trees):
-        h_seq, _ = enc.treelstm_forward(tree, embeds2, p2)
-        max_err = max(max_err, float(np.abs(h_bat2.data[k] - h_seq.data[0]).max()))
+    return [(trees, embeds, p), (real_trees, embeds2, p2)]
+
+
+def test_criterion_2_batching_oracle(rule_table, readings):
+    max_err = 0.0
+    batches = _oracle_batches(rule_table, readings)
+    for trees, embeds, p in batches:
+        h_bat = enc.treelstm_batch_forward(trees, embeds, p)
+        for k, tree in enumerate(trees):
+            h_seq, _ = enc.treelstm_forward(tree, embeds, p)
+            max_err = max(max_err, float(np.abs(h_bat.data[k] - h_seq.data[0]).max()))
 
     with criterion(2, "level-batched forward equals sequential within 1e-9 "
-                      f"on 50 random + {len(real_trees)} real trees "
+                      f"on 50 random + {len(batches[1][0])} real trees "
                       f"(max err {max_err:.2e})"):
         assert max_err < 1e-9
+
+
+def test_criterion_2_trees_reverse_pass_on_the_helper_equals_inline(
+        rule_table, readings, weight_grads):
+    # criterion 2 checks the untaped forward, which no helper takes part
+    # in; the reverse pass over its trees gives the same bits either way
+    for trees, embeds, p in _oracle_batches(rule_table, readings):
+        tensors = [*p.weights.values(), embeds.table]
+
+        def run():
+            for t in tensors:
+                t.grad = None
+            with Tape() as tape:
+                h = enc.treelstm_batch_forward(trees, embeds, p)
+                loss = (h * h).sum()
+            tape.backward(loss)
+            return [t.grad.copy() for t in tensors]
+
+        on, off = weight_grads.both_ways(run)
+        for t, g_on, g_off in zip(tensors, on, off):
+            assert g_on.tobytes() == g_off.tobytes(), t.name
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ bit for bit, forward values and gradients alike.
 
 import contextlib
 import random
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -181,6 +183,121 @@ def test_tree_levels_equal_composed_levels_bitwise(use_bias, operator_inputs):
     np.testing.assert_array_equal(fused[0][0], composed[0][0])
     for t, g_fused, g_composed in zip(tensors, fused[1], composed[1]):
         np.testing.assert_array_equal(g_fused, g_composed, err_msg=t.name)
+
+
+def assert_same_bits(a, b, what):
+    if a is None or b is None:
+        assert a is b, what
+        return
+    np.testing.assert_array_equal(a, b, err_msg=what)
+    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), what
+
+
+def tree_pass(schedule, p, inputs):
+    """A function running one taped ``treelstm_levels`` pass, for
+    ``run_and_grad``'s root values and the gradients of every weight and
+    input tensor."""
+    tensors = [*p.weights.values(), *(x for xs in inputs for x in xs)]
+    return lambda: run_and_grad(
+        lambda: [enc.treelstm_levels(schedule, inputs, p)], tensors)
+
+
+def assert_same_passes(a, b):
+    assert_same_bits(a[0][0], b[0][0], "roots")
+    for k, (g_a, g_b) in enumerate(zip(a[1], b[1], strict=True)):
+        assert_same_bits(g_a, g_b, f"gradient {k}")
+
+
+def tree_levels_both_ways(weight_grads, schedule, p, inputs):
+    """``tree_pass`` with the weight gradients on the helper and inline;
+    asserts that both give the same bits."""
+    on, off = weight_grads.both_ways(tree_pass(schedule, p, inputs))
+    assert_same_passes(on, off)
+    return on
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("use_bias,operator_inputs", CELLS)
+@pytest.mark.parametrize("share", [True, False])
+def test_tree_levels_hand_off_equals_inline(weight_grads, share, use_bias,
+                                           operator_inputs, dtype):
+    ad.set_default_dtype(dtype)
+    try:
+        p, embeds = tree_setup(65, use_bias, operator_inputs, hidden=8, d_in=4)
+        pyrng = random.Random(66)
+        trees = [random_tree(pyrng, pyrng.randint(0, 6)) for _ in range(40)]
+        schedule = enc.build_level_schedule(trees, share=share)
+        (roots,), _ = tree_levels_both_ways(
+            weight_grads, schedule, p, level_inputs(schedule, embeds))
+    finally:
+        ad.set_default_dtype(np.float64)
+    assert roots.dtype == dtype
+
+
+class JobError(Exception):
+    pass
+
+
+def test_a_failing_job_raises_from_backward_with_its_own_type(weight_grads,
+                                                               monkeypatch):
+    p, embeds = tree_setup(67, hidden=8, d_in=4)
+    pyrng = random.Random(68)
+    trees = [random_tree(pyrng, pyrng.randint(0, 5)) for _ in range(20)]
+    schedule = enc.build_level_schedule(trees, share=True)
+    run = tree_pass(schedule, p, level_inputs(schedule, embeds))
+    weight_grads.use(True)
+    before = run()
+    matmul = np.matmul
+
+    def failing(*args, **kwargs):  # a product that fails on the helper only
+        if threading.current_thread().name.startswith("test-grads"):
+            raise JobError("a weight-gradient product failed")
+        return matmul(*args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", failing)
+    with pytest.raises(JobError):
+        run()
+    monkeypatch.setattr(np, "matmul", matmul)
+    assert_same_passes(before, run())
+
+
+class ScatterError(Exception):
+    pass
+
+
+def test_a_pass_that_fails_waits_for_its_jobs(weight_grads, monkeypatch):
+    p, embeds = tree_setup(69, hidden=8, d_in=4)
+    schedule = enc.build_level_schedule(SHARED_TREES, share=True)
+    inputs = level_inputs(schedule, embeds)
+    log = []
+    weight_grads.use(True)
+    recording = enc._weight_grads
+
+    def slow(*args):  # each job outlasts the main thread's work by far
+        log.append("start")
+        time.sleep(0.05)
+        recording(*args)
+        log.append("end")
+
+    scatters = []
+    add_rows = enc._add_rows
+
+    def failing_scatter(*args):  # the top level's first scatter fails
+        scatters.append(1)
+        if len(scatters) == 2:
+            raise ScatterError("a scatter failed")
+        return add_rows(*args)
+
+    monkeypatch.setattr(enc, "_weight_grads", slow)
+    monkeypatch.setattr(enc, "_add_rows", failing_scatter)
+    tp = Tape()
+    with tp:
+        loss = enc.treelstm_levels(schedule, inputs, p).sum()
+    with pytest.raises(ScatterError):
+        tp.backward(loss)
+    assert log == ["start", "end"]  # the top level's job, finished
+    time.sleep(0.1)
+    assert log == ["start", "end"]  # and no later job
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +709,7 @@ def test_untaped_layer_equals_taped_layer(lengths, hidden, carried, dtype, atol)
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("share", [True, False])
-def test_untaped_tree_levels_equal_taped_levels(share, dtype):
+def test_untaped_tree_levels_equal_taped_levels(weight_grads, share, dtype):
     ad.set_default_dtype(dtype)
     try:
         p, embeds = tree_setup(95, hidden=64, d_in=16)
@@ -602,6 +719,10 @@ def test_untaped_tree_levels_equal_taped_levels(share, dtype):
         untaped = enc.treelstm_levels(schedule, level_inputs(schedule, embeds), p)
         with Tape():
             taped = enc.treelstm_levels(schedule, level_inputs(schedule, embeds), p)
+        # and the reverse pass of the taped one: the same bits whether the
+        # weight gradients run on the helper or inline
+        tree_levels_both_ways(weight_grads, schedule, p,
+                              level_inputs(schedule, embeds))
     finally:
         ad.set_default_dtype(np.float64)
     # the top levels hold a single row, the lower ones many

@@ -69,7 +69,8 @@ def test_step_unknown_char_maps_to_unk():
 @pytest.mark.parametrize("kind", ["standard", "hierarchical"])
 def test_step_prefix_equals_per_character_steps(rule_table, kind):
     # feeding a prefix at once = feeding it one character per call, bit for
-    # bit; the hierarchical model composes its trees without a cache
+    # bit; without a cache given, each call of the hierarchical model
+    # composes its trees into a new cache of its own
     config = LmConfig(**{**TOY.__dict__, "input_kind": kind})
     model = build_lm(config, list("河湖海江龍"), rules=rule_table)
     prefix = [EOS_TOKEN] + list("河湖海河龍江z")

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -289,8 +290,8 @@ DROPOUT_RUN_DIGEST = ("49f021d7c16abad079e4036c5f8195c4"
                       "cb1a90969dff8079a8f7783ec7515a8f")
 
 
-def test_train_with_input_dropout_reproduces_recorded_run(rule_table, toy_split,
-                                                          monkeypatch):
+def dropout_run(rule_table, toy_split, monkeypatch):
+    """``DROPOUT_RUN``'s step losses and the sha256 of its parameters."""
     import hashlib
     losses = []
 
@@ -302,12 +303,27 @@ def test_train_with_input_dropout_reproduces_recorded_run(rule_table, toy_split,
     real_loss = pron.pron_loss
     monkeypatch.setattr(pron, "pron_loss", recording_loss)
     model, _ = train(DROPOUT_RUN, toy_split, rule_table)
-    assert losses == DROPOUT_RUN_LOSSES
+    monkeypatch.setattr(pron, "pron_loss", real_loss)
     digest = hashlib.sha256()
     for name, t in sorted(model.params().items()):
         digest.update(name.encode())
         digest.update(np.ascontiguousarray(t.data).tobytes())
-    assert digest.hexdigest() == DROPOUT_RUN_DIGEST
+    return losses, digest.hexdigest()
+
+
+def test_train_with_input_dropout_reproduces_recorded_run(rule_table, toy_split,
+                                                          monkeypatch):
+    losses, digest = dropout_run(rule_table, toy_split, monkeypatch)
+    assert losses == DROPOUT_RUN_LOSSES
+    assert digest == DROPOUT_RUN_DIGEST
+
+
+def test_recorded_run_with_tree_weight_gradients_on_the_helper_and_inline(
+        rule_table, toy_split, monkeypatch, weight_grads):
+    for losses, digest in weight_grads.both_ways(
+            lambda: dropout_run(rule_table, toy_split, monkeypatch)):
+        assert losses == DROPOUT_RUN_LOSSES
+        assert digest == DROPOUT_RUN_DIGEST
 
 
 def test_train_loss_decreases(rule_table, toy_split):
@@ -409,6 +425,72 @@ def test_grid_zero_lr_never_beats_learning_cell(rule_table, toy_split):
     learn_cell = next(r for r in table if r["learning_rate"] == 1e-2)
     assert learn_cell["dev_TER"] < zero_cell["dev_TER"]
     assert best.learning_rate == 1e-2
+
+
+GRID_IN_FORKED_WORKERS = """
+import concurrent.futures, json, multiprocessing, sys
+from functools import partial
+from pathlib import Path
+import numpy as np
+from logotree import encoders, ids, phono, pron
+from logotree.autodiff import Tape
+from logotree.config import RunConfig
+
+data = Path(sys.argv[1])
+rules = ids.load_rule_table(data / "mini_ids.txt")
+corpus, _ = phono.build_corpus(
+    phono.parse_unihan_readings(data / "mini_readings.txt"), seed=7)
+split = phono.build_scenario(corpus, 1, seed=5, sizes=(64, 16, 16))
+config = RunConfig(encoder="treelstm", hidden=8, d_in=6, batch_size=32,
+                   epochs=2, dropout=0.0, seed=7)
+# the helper thread is running, with a tree reverse pass done, when the
+# pool forks its workers
+encoders._helper = concurrent.futures.ThreadPoolExecutor(1)
+encoders._HAND_OFF = 0
+rng = np.random.default_rng(0)
+p = encoders.TreeLstmParams.init(8, 6, rng)
+embeds = encoders.VocabEmbeddings(sorted(rules.leaf_set), 6, rng)
+trees = [ids.decompose(e.ch, rules) for e in split.train]
+with Tape() as tape:
+    loss = encoders.treelstm_batch_forward(trees, embeds, p).sum()
+tape.backward(loss)
+assert encoders._helper._threads
+concurrent.futures.ProcessPoolExecutor = partial(
+    concurrent.futures.ProcessPoolExecutor,
+    mp_context=multiprocessing.get_context("fork"))
+grid = dict(learning_rates=(1e-2, 3e-3), dropouts=(0.0, 0.2))
+tables = [pron.grid_search(config, split, rules, n_jobs=n, **grid)[1]
+          for n in (2, 1)]
+print(json.dumps(tables))
+"""
+
+
+def test_grid_search_in_forked_workers_after_a_tree_backward(tmp_path):
+    # a forked worker never waits on its parent's helper thread, which does
+    # not exist in the child, and its cells equal those run in-process
+    import json
+    import signal
+    import subprocess
+    import sys
+    from pathlib import Path
+    script = tmp_path / "grid.py"
+    script.write_text(GRID_IN_FORKED_WORKERS, encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(pron.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.Popen([sys.executable, str(script),
+                             str(Path(__file__).parent / "data")],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, env=env, start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)  # the workers too
+        proc.communicate()
+        pytest.fail("grid search in forked workers did not finish in 120 s")
+    assert proc.returncode == 0, err[-2000:]
+    forked, in_process = json.loads(out)
+    assert len(forked) == 4
+    assert forked == in_process
 
 
 def test_matrix_single_cell(rule_table, toy_split, tmp_path):
