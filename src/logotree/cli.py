@@ -264,13 +264,14 @@ def _cmd_eval_pron(args, loaded, paths) -> Wrote:
     row = report.row()
     print(f"n={report.n} SER {row['SER']} TER {row['TER']} "
           f"onset {row['onset']} nucleus {row['nucleus']} coda {row['coda']}")
-    out = args.out_dir / "eval.csv"
+    out = args.out_dir / f"eval_{args.partition}.csv"
     pron.write_matrix_csv([{"model": model.model_name(),
                             "scenario": model.config.scenario,
                             "order": model.config.output_order,
                             "ablation": "full" if model.config.operators
                                         else "no-operators", **row}], out)
-    return Wrote(config_to_dict(model.config), model.config.seed, [out])
+    return Wrote(config_to_dict(model.config), model.config.seed, [out],
+                 name=out.stem)
 
 
 def _cmd_grid_search(args, loaded, paths) -> Wrote:
@@ -359,10 +360,11 @@ def _cmd_gate_bias(args, loaded, paths) -> Wrote:
     print(f"left-right roots: {report.total}")
     print(f"prefer right: {report.prefer_right} "
           f"({'n/a' if pct is None else f'{pct:.1f}%'})")
-    out = args.out_dir / "gate_bias.json"
+    out = args.out_dir / f"gate_bias_{args.partition}.json"
     write_json(out, {"total": report.total,
                      "prefer_right": report.prefer_right, "percentage": pct})
-    return Wrote(config_to_dict(model.config), model.config.seed, [out])
+    return Wrote(config_to_dict(model.config), model.config.seed, [out],
+                 name=out.stem)
 
 
 def _cmd_probe(args, loaded, paths) -> Wrote:
@@ -396,10 +398,8 @@ def _cmd_neighbors(args, loaded, paths) -> int:
         split = phono.read_split_csv(args.split)
         chars = sorted({e.ch for _, part in split.partitions() for e in part}
                        | {args.char})
-        inputs = pron.encode_inputs(model, chars, rules)
-        table = {}
-        for pos, h in pron.embed_blocks(model, inputs):
-            table.update(zip([chars[k] for k in pos.tolist()], h.data))
+        table = dict(zip(chars, pron.embed_rows(
+            model, pron.encode_inputs(model, chars, rules))))
     else:
         raise LogotreeError(f"unsupported checkpoint kind {kind!r}")
     for ch, sim in diagnostics.nearest_neighbors(table, args.char, args.k):

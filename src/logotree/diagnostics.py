@@ -19,7 +19,7 @@ from .atomic import write_csv
 from .autodiff import Tensor
 from .errors import ContractError, DataError
 from .ids import IDC_ACROSS, GlyphTree, Leaf, Op, RuleTable, decompose
-from .pron import PronModel, decode_batch, embed_blocks, encode_inputs
+from .pron import EVAL_BATCH, PronModel, decode_batch, embed_rows, encode_inputs
 
 log = logging.getLogger(__name__)
 
@@ -57,13 +57,11 @@ def root_forget_gates(model: PronModel, trees
     p, embeds = model.encoder, model.embeds
     n = len(trees)
     lefts, rights = [t.left for t in trees], [t.right for t in trees]
-    h = np.empty((2 * n, p.hidden), dtype=embeds.table.data.dtype)
-    for pos, rows in enc.embed_forest(lefts + rights, embeds, p):
-        h[pos] = rows
+    h = enc.embed_forest(lefts + rights, embeds, p)
     h_l, h_r = h[:n], h[n:]
     f_l, f_r = np.empty_like(h_l), np.empty_like(h_r)
-    for start in range(0, n, enc.EVAL_BATCH):
-        s = slice(start, start + enc.EVAL_BATCH)
+    for start in range(0, n, EVAL_BATCH):
+        s = slice(start, start + EVAL_BATCH)
         x = [embeds.lookup([enc._input_token(t) for t in part]).data
              for part in (trees[s], lefts[s], rights[s])]
         act = enc._cell_gates(p.packed, enc.GATES,
@@ -110,9 +108,9 @@ class ProbeTrace:
 def probe(model: PronModel, ch: str, rules: RuleTable) -> ProbeTrace:
     """Per-node (or per-timestep) hidden states fed to the task head: every
     node occurrence of the tree in post-order, each the root of its own
-    subtree, or every prefix of the linearization, embedded by
-    ``embed_blocks`` and decoded as one batch. The last row is the model's
-    own prediction for the logograph."""
+    subtree, or every prefix of the linearization, embedded in that order by
+    ``embed_rows`` and decoded as one batch. The last row is the model's own
+    prediction for the logograph."""
     if model.config.encoder == "treelstm":
         parts = _post_order(decompose(ch, rules))
         tokens = [enc._input_token(node) for node in parts]
@@ -122,9 +120,7 @@ def probe(model: PronModel, ch: str, rules: RuleTable) -> ProbeTrace:
     else:
         raise ContractError("probing supports the tree and unidirectional "
                             "sequence encoders")
-    pos, blocks = zip(*embed_blocks(model, parts))
-    h = np.concatenate([b.data for b in blocks])
-    h = Tensor(h[np.argsort(np.concatenate(pos))])  # back to input order
+    h = Tensor(embed_rows(model, parts))
     return ProbeTrace(ch, [ProbeRow(node_id, token, np.abs(row), **decoded)
                            for node_id, (token, row, decoded) in enumerate(
                                zip(tokens, h.data, decode_batch(model, h)))])

@@ -613,8 +613,6 @@ def treelstm_batch_forward(trees, embeds: VocabEmbeddings, p: TreeLstmParams,
     return treelstm_levels(schedule, level_inputs(), p)
 
 
-#: Rows per block of untaped embeddings handed out (and per head decode).
-EVAL_BATCH = 256
 #: Rows per product of the forest pass. One ``pron.evaluate`` of the
 #: benchmark's 2,048-character compose-scale sample (seed 31, hidden 256,
 #: one OpenBLAS thread on a 2-vCPU VM) took 0.23 s at a 12.3 MB tracemalloc
@@ -641,20 +639,20 @@ def _kept_rows(schedule: LevelSchedule) -> np.ndarray:
     return np.where(read, np.cumsum(read) - 1, -1)
 
 
-def embed_forest(trees, embeds: VocabEmbeddings, p: TreeLstmParams):
+def embed_forest(trees, embeds: VocabEmbeddings, p: TreeLstmParams) -> np.ndarray:
     """Untaped root hidden states of ``trees``, each distinct subtree
-    computed once, in bounded memory.
+    computed once, in bounded memory: one (len(trees), hidden) array whose
+    row k is the root state of ``trees[k]``.
 
     One shared schedule covers every tree. Each level runs through the cell
     kernel in near-equal chunks of at most ``_FOREST_ROWS`` rows, with
     ``treelstm_levels``' arithmetic, and (h, c) rows are kept only for the
-    slots a later level reads. Yields ``(positions, h)`` blocks of at most
-    ``EVAL_BATCH`` rows as the roots complete, ``h[k]`` being the root state
-    of ``trees[positions[k]]``; every position comes exactly once, and
-    equal trees get equal rows. No trees, no blocks.
+    slots a later level reads. Each chunk writes the roots it completes
+    straight into their rows, so equal trees get equal rows.
     """
+    out = np.empty((len(trees), p.hidden), dtype=embeds.table.data.dtype)
     if not trees:
-        return
+        return out
     schedule = build_level_schedule(trees, share=True)
     tok = embeds.token_ids(schedule.label)
     table = embeds.table.data
@@ -666,7 +664,6 @@ def embed_forest(trees, embeds: VocabEmbeddings, p: TreeLstmParams):
     roots = np.asarray(schedule.roots, dtype=np.intp)
     order = np.argsort(roots, kind="stable")
     roots = roots[order]
-    done_pos, done_h, pending = [], [], 0
 
     for lvl, span in enumerate(schedule.levels):
         for part in _chunks(span, _FOREST_ROWS):
@@ -689,19 +686,8 @@ def embed_forest(trees, embeds: VocabEmbeddings, p: TreeLstmParams):
             h_keep[dest[read]] = h[read]
             c_keep[dest[read]] = c[read]
             lo, hi = np.searchsorted(roots, (part.start, part.stop))
-            if lo == hi:
-                continue
-            done_pos.append(order[lo:hi])
-            done_h.append(h[roots[lo:hi] - part.start])
-            pending += hi - lo
-            if pending >= EVAL_BATCH:
-                pos, out = np.concatenate(done_pos), np.concatenate(done_h)
-                full = pending - pending % EVAL_BATCH
-                for start in range(0, full, EVAL_BATCH):
-                    yield pos[start:start + EVAL_BATCH], out[start:start + EVAL_BATCH]
-                done_pos, done_h, pending = [pos[full:]], [out[full:]], pending - full
-    if pending:
-        yield np.concatenate(done_pos), np.concatenate(done_h)
+            out[order[lo:hi]] = h[roots[lo:hi] - part.start]
+    return out
 
 
 # ---------------------------------------------------------------------------

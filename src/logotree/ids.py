@@ -71,14 +71,6 @@ class Op:
 GlyphTree = Leaf | Op
 
 
-@dataclass(frozen=True)
-class Nary:
-    """Inner node as parsed, before ternary rewriting (arity 2 or 3)."""
-
-    idc: str
-    children: tuple
-
-
 class LinearOrder(Enum):
     PRE = "pre"
     POST = "post"
@@ -210,35 +202,10 @@ def tokenize_ids(text: str) -> list[str]:
     return tokens
 
 
-def _parse_raw(expr) -> Leaf | Nary:
-    """Prefix-notation parse keeping ternary nodes; consumes every token."""
-    tokens = list(expr)
-    if not tokens:
-        raise ParseError("empty expression")
-    pos = 0
-
-    def parse_one():
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ParseError(f"dangling operator: operand missing at token {pos}")
-        tok = tokens[pos]
-        pos += 1
-        if tok in ALL_IDCS:
-            arity = 3 if tok in TERNARY_IDCS else 2
-            children = tuple(parse_one() for _ in range(arity))
-            return Nary(tok, children)
-        return Leaf(tok)
-
-    tree = parse_one()
-    if pos != len(tokens):
-        raise ParseError(f"trailing tokens from index {pos}: {tokens[pos:]}")
-    return tree
-
-
 def _check_syntax(tokens) -> None:
-    """Raise the ``ParseError`` that ``_parse_raw`` raises on ``tokens``,
-    building nothing: a prefix expression is whole when its count of missing
-    operands first reaches zero at its last token."""
+    """Raise the ``ParseError`` that a full prefix-notation parse would raise
+    on ``tokens``, building nothing: a prefix expression is whole when its
+    count of missing operands first reaches zero at its last token."""
     if not tokens:
         raise ParseError("empty expression")
     missing = 1
@@ -248,22 +215,6 @@ def _check_syntax(tokens) -> None:
         missing += _ARITY.get(tok, 0) - 1
     if missing:
         raise ParseError(f"dangling operator: operand missing at token {len(tokens)}")
-
-
-def binarize(node) -> GlyphTree:
-    """Rewrite ternary nodes into two nested binary nodes.
-
-    ⿲ a b c becomes ⿰(a, ⿰(b, c)) and ⿳ a b c becomes ⿱(a, ⿱(b, c)),
-    preserving left-to-right leaf order. Already-binary input is returned
-    structurally unchanged.
-    """
-    if isinstance(node, Leaf):
-        return node
-    if isinstance(node, Op):
-        return Op(node.idc, binarize(node.left), binarize(node.right))
-    if isinstance(node, Nary):
-        return _join(node.idc, [binarize(c) for c in node.children])
-    raise StructureError(f"unsupported node type {type(node).__name__}")
 
 
 def _join(idc: str, kids: list, make=Op):
@@ -276,11 +227,6 @@ def _join(idc: str, kids: list, make=Op):
         inner = IDC_ACROSS if idc == IDC_ACROSS3 else IDC_DOWN
         return make(inner, kids[0], make(inner, kids[1], kids[2]))
     raise StructureError(f"node arity {len(kids)} not in {{0,2,3}}")
-
-
-def parse_ids(expr) -> GlyphTree:
-    """Parse a prefix expression into a strictly binary tree."""
-    return binarize(_parse_raw(expr))
 
 
 # ---------------------------------------------------------------------------

@@ -391,8 +391,8 @@ def greedy_continue(model: LmModel, prefix: str, n: int) -> str:
 
 @dataclass
 class EmbeddingCache:
-    """Composed character embeddings stamped with the parameter version;
-    an empty cache composes them on its first lookup."""
+    """Composed character embeddings, the rows of one forest pass, stamped
+    with the parameter version; an empty cache composes them on first lookup."""
 
     vectors: dict[str, np.ndarray] = field(default_factory=dict)
     stamp: int = -1
@@ -407,10 +407,8 @@ class EmbeddingCache:
         if not model.hierarchical:
             raise ContractError("cache applies to hierarchical embeddings")
         chars = sorted(model.trees)
-        self.vectors = {}
-        for pos, h in enc.embed_forest([model.trees[ch] for ch in chars],
-                                       model.leaf_embeds, model.tree):
-            self.vectors.update(zip([chars[k] for k in pos.tolist()], h))
+        self.vectors = dict(zip(chars, enc.embed_forest(
+            [model.trees[ch] for ch in chars], model.leaf_embeds, model.tree)))
         self.stamp = model.version
         self.rebuilds += 1
 

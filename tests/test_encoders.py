@@ -449,21 +449,12 @@ FORESTS = {
 }
 
 
-def _forest_rows(trees, embeds, p) -> np.ndarray:
-    """``embed_forest``'s rows in input order, checking that its blocks hold
-    at most 256 rows and cover every position exactly once."""
-    out = np.full((len(trees), p.hidden), np.nan)
-    seen = np.zeros(len(trees), dtype=int)
-    for pos, h in enc.embed_forest(trees, embeds, p):
-        assert 0 < len(pos) == len(h) <= enc.EVAL_BATCH
-        np.add.at(seen, pos, 1)
-        out[pos] = h
-    assert seen.tolist() == [1] * len(trees)
-    return out
-
-
 def _assert_forest_matches(trees, embeds, p) -> None:
-    rows = _forest_rows(trees, embeds, p)
+    rows = enc.embed_forest(trees, embeds, p)
+    assert rows.shape == (len(trees), p.hidden)
+    first = {}
+    for tree, row in zip(trees, rows):  # equal trees get equal rows
+        np.testing.assert_array_equal(row, first.setdefault(tree, row))
     np.testing.assert_allclose(
         rows, treelstm_batch_forward(trees, embeds, p).data, rtol=0, atol=1e-12)
     for tree, row in zip(trees, rows):
@@ -508,9 +499,8 @@ def test_forest_levels_run_in_near_equal_chunks(monkeypatch):
         return kernel(w, layout, terms, *args)
 
     monkeypatch.setattr(enc, "_cell_gates", spy)
-    blocks = [len(pos) for pos, _ in enc.embed_forest(WIDE, embeds, p)]
+    enc.embed_forest(WIDE, embeds, p)
     assert rows_per_call == [64, 65, 85, 86, 86]
-    assert blocks == [256, 1]
     for n in range(1, 700):
         parts = enc._chunks(range(5, 5 + n), 128)
         sizes = [len(part) for part in parts]
@@ -531,10 +521,10 @@ def test_forest_keeps_rows_only_for_slots_a_parent_reads():
         assert kept[read].tolist() == list(range(len(read)))
 
 
-def test_forest_of_no_trees_yields_nothing():
+def test_forest_of_no_trees_is_an_empty_array():
     rng = np.random.default_rng(46)
-    assert list(enc.embed_forest([], make_embeds(rng),
-                                 TreeLstmParams.init(3, 4, rng))) == []
+    rows = enc.embed_forest([], make_embeds(rng), TreeLstmParams.init(3, 4, rng))
+    assert rows.shape == (0, 3)
 
 
 def test_forest_pass_peaks_under_a_quarter_of_one_unbounded_batch(tmp_path,
@@ -565,7 +555,7 @@ def test_forest_pass_peaks_under_a_quarter_of_one_unbounded_batch(tmp_path,
             tracemalloc.stop()
 
     batch = peak(lambda: treelstm_batch_forward(trees, embeds, p))
-    forest = peak(lambda: [len(pos) for pos, _ in enc.embed_forest(trees, embeds, p)])
+    forest = peak(lambda: enc.embed_forest(trees, embeds, p))
     assert forest < batch / 4, (forest, batch)
 
 

@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from logotree import ids
 from logotree.errors import (CycleError, ExpansionError, LogotreeError,
                              ParseError, StructureError)
-from logotree.ids import (Leaf, LinearOrder, Nary, Op, binarize, decompose,
-                          leaves, linearize, load_rule_table, node_count,
-                          parse_ids, strip_operators)
+from logotree.ids import (Leaf, LinearOrder, Op, decompose, leaves, linearize,
+                          load_rule_table, node_count, strip_operators)
+from oracles import Nary, _parse_raw, binarize, parse_ids
 
 FIG_RULES = """\
 U+4ED5\t仕\t⿰亻士
@@ -244,7 +244,7 @@ def _fresh_decompose(ch, table, max_depth):
                 return expand(node.token, depth + 1)
             return Nary(node.idc, tuple(subst(c) for c in node.children))
 
-        return subst(ids._parse_raw(rule.expr))
+        return subst(_parse_raw(rule.expr))
 
     if ch not in table.rules and ch not in table.leaf_set:
         return Leaf(ids.UNK_TOKEN)
@@ -378,12 +378,10 @@ def test_forest_shares_equal_subtrees():
     assert len(seen) == len(table.forest)  # the forest holds nothing else
 
 
-def test_forest_path_builds_no_parse_tree(monkeypatch):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("a parse tree was built")
-
-    monkeypatch.setattr(ids, "_parse_raw", forbidden)
-    monkeypatch.setattr(ids, "Nary", forbidden)
+def test_forest_path_builds_no_parse_tree():
+    # the tree-building parser lives with the test oracles only
+    for name in ("_parse_raw", "Nary", "binarize", "parse_ids"):
+        assert not hasattr(ids, name)
     table = load_rule_table(Path(__file__).parent / "data" / "mini_ids.txt")
     assert any(t in ids.TERNARY_IDCS for r in table.rules.values() for t in r.expr)
     hist = ids.depth_histogram(table)
@@ -566,7 +564,7 @@ def _parse_raw_view(text):
             continue
         try:
             tokens = ids.tokenize_ids(parts[2])
-            ids._parse_raw(tokens)
+            _parse_raw(tokens)
         except ParseError:
             skipped += 1
             continue

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from logotree import encoders as enc
 from logotree import pron
 from logotree.config import ENCODER_KINDS, RunConfig
 from logotree.autodiff import Tensor, softmax
@@ -254,6 +255,26 @@ def test_evaluate_is_pure(rule_table, toy_split):
     r1 = evaluate(model, toy_split.test, rule_table)
     r2 = evaluate(model, toy_split.test, rule_table)
     assert r1 == r2
+
+
+@pytest.mark.parametrize("encoder", ["treelstm", "lstm", "bilstm", "cnn"])
+def test_embed_rows_are_the_forward_rows_in_input_order(rule_table, encoder):
+    # 300 inputs cross the 256-input boundary of a sequence encoder's batches
+    chars = sorted(rule_table.rules)
+    rng = np.random.default_rng(9)
+    chars = [chars[k] for k in rng.integers(0, len(chars), 300)]
+    model = build_model(RunConfig(encoder=encoder, hidden=6, d_in=5, seed=2),
+                        make_inventories(), sorted(rule_table.leaf_set))
+    inputs = pron.encode_inputs(model, chars, rule_table)
+    rows = pron.embed_rows(model, inputs)
+    if encoder == "treelstm":
+        np.testing.assert_array_equal(
+            rows, enc.embed_forest(inputs, model.embeds, model.encoder))
+        return
+    assert rows.shape[0] == 300
+    for k in range(300):
+        np.testing.assert_allclose(rows[k], forward_batch(model, [inputs[k]]).data[0],
+                                   rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

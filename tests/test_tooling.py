@@ -260,7 +260,27 @@ def test_train_eval_replay_byte_identical(tmp_path):
                    "--split", str(tmp_path / "split.csv"),
                    "--rules", str(DATA / "mini_ids.txt")])
     assert rc == 0
-    assert (run1 / "eval.csv").read_bytes() == (run2 / "eval.csv").read_bytes()
+    assert (run1 / "eval_test.csv").read_bytes() == (run2 / "eval_test.csv").read_bytes()
+
+
+@pytest.mark.parametrize("command,output", [("eval-pron", "eval_{}.csv"),
+                                            ("gate-bias", "gate_bias_{}.json")])
+def test_partitions_into_one_out_dir_keep_their_own_outputs(tmp_path, command,
+                                                           output):
+    run = _train_once(tmp_path, "parts")
+    for part in ("validation", "test"):
+        rc = dispatch(["--out-dir", str(run), command,
+                       "--checkpoint", str(run / "pron.ckpt"),
+                       "--split", str(tmp_path / "split.csv"),
+                       "--rules", str(DATA / "mini_ids.txt"), "--partition", part])
+        assert rc == 0
+    for part in ("validation", "test"):
+        out = run / output.format(part)
+        manifest = json.loads((run / f"manifest-{out.stem}.json").read_text(
+            encoding="utf-8"))
+        assert manifest["command"] == command
+        assert manifest["outputs"] == [str(out)]
+        assert out.stat().st_size > 0
 
 
 def test_diagnostics_cli_round(tmp_path, capsys):
@@ -272,7 +292,7 @@ def test_diagnostics_cli_round(tmp_path, capsys):
     rc = dispatch(["--out-dir", str(run), "gate-bias", "--checkpoint", ckpt,
                    "--split", split, "--rules", rules])
     assert rc == 0
-    payload = json.loads((run / "gate_bias.json").read_text(encoding="utf-8"))
+    payload = json.loads((run / "gate_bias_test.json").read_text(encoding="utf-8"))
     assert payload["total"] >= 0
 
     rc = dispatch(["--out-dir", str(run), "probe", "賄", "--checkpoint", ckpt,
@@ -282,8 +302,8 @@ def test_diagnostics_cli_round(tmp_path, capsys):
     # each diagnostic writes a manifest that hashes its inputs and lists
     # its output
     for name, command, inputs, output in (
-            ("gate-bias", "gate-bias", {"checkpoint", "split", "rules"},
-             "gate_bias.json"),
+            ("gate_bias_test", "gate-bias", {"checkpoint", "split", "rules"},
+             "gate_bias_test.json"),
             (f"probe_{ord('賄'):05X}", "probe", {"checkpoint", "rules"},
              f"probe_{ord('賄'):05X}.csv")):
         manifest = json.loads((run / f"manifest-{name}.json").read_text(
@@ -421,7 +441,7 @@ def _manifest_case(case, d, tmp_path):
         "eval-pron": (
             ["eval-pron", "--checkpoint", pron_ckpt, "--split", split,
              "--rules", RULES],
-            "eval-pron", {"checkpoint": pron_ckpt, "split": split,
+            "eval_test", {"checkpoint": pron_ckpt, "split": split,
                           "rules": RULES}),
         "grid-search": (
             config("grid", TINY_PRON, split=missing, rules=RULES,
@@ -447,8 +467,8 @@ def _manifest_case(case, d, tmp_path):
         "gate-bias": (
             ["gate-bias", "--checkpoint", pron_ckpt, "--split", split,
              "--rules", RULES],
-            "gate-bias", {"checkpoint": pron_ckpt, "split": split,
-                          "rules": RULES}),
+            "gate_bias_test", {"checkpoint": pron_ckpt, "split": split,
+                               "rules": RULES}),
         "probe": (
             ["probe", "賄", "--checkpoint", pron_ckpt, "--rules", RULES],
             f"probe_{ord('賄'):05X}", {"checkpoint": pron_ckpt,
@@ -526,8 +546,11 @@ def test_evaluate_keeps_the_benchmark_probe_contract(monkeypatch, tmp_path,
                                                      encoder):
     # the benchmark sizes each pron.decode_batch span by len() of its second
     # argument, and takes compose-scale's loop steps from the intervals
-    # between those spans' ends inside pron.evaluate
+    # between those spans' ends inside pron.evaluate; evaluate decodes 256
+    # rows at a time in input order
     import importlib
+
+    import numpy as np
 
     from logotree import ids, phono
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
@@ -543,6 +566,14 @@ def test_evaluate_keeps_the_benchmark_probe_contract(monkeypatch, tmp_path,
     model = pron.build_model(RunConfig(encoder=encoder, hidden=8, d_in=6, seed=1),
                              pron.Inventories.from_entries(entries),
                              sorted(rules.leaf_set))
+    decoded = []
+    decode = pron.decode_batch
+
+    def spy(model, h):
+        decoded.append(h.data.copy())
+        return decode(model, h)
+
+    monkeypatch.setattr(pron, "decode_batch", spy)
     rec = trace.Recorder()
     rec.install(trace.PROBES)
     try:
@@ -553,6 +584,10 @@ def test_evaluate_keeps_the_benchmark_probe_contract(monkeypatch, tmp_path,
     spans, counts, losses = rec.take()
     sizes = [s[4] for s in spans if s[0] == "pron.decode_batch"]
     assert sizes and max(sizes) <= 256 and sum(sizes) == 600
+    assert sizes == [len(h) for h in decoded] == [256, 256, 88]
+    inputs = pron.encode_inputs(model, [e.ch for e in entries], rules)
+    np.testing.assert_array_equal(np.concatenate(decoded),
+                                  pron.embed_rows(model, inputs))
     rep = measure.Rep(False, {}, spans, counts, losses)
     timings = measure.timings(measure.WORKLOADS["compose-scale"], rep)
     assert len(timings["intervals"]) >= 2
@@ -646,7 +681,6 @@ UNREFERENCED_ALLOWED = {
     "set_default_dtype": "stays until precision is model configuration",
     "cnn_batch_forward": "reached only by pron.forward_batch's getattr dispatch",
     "greedy_continue": "public LM API that the README names",
-    "parse_ids": "the tree-building parser that decompose is checked against",
 }
 
 
