@@ -14,6 +14,7 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -390,9 +391,10 @@ def _cell_backward(w: dict, layout, terms, bias: str | None, act: dict, tc,
     its index is in ``want`` (default all), else None.
 
     Nothing returned depends on the weight gradients, so ``run``, if given,
-    takes them as one job to run at a time of its choosing, after every
-    job it took before; they are added at once otherwise. ``bufs`` are
-    the ``_weight_grads`` buffers, if any."""
+    takes them as ``run(job, work)``, one job of ``work`` multiply-adds to
+    run at a time of its choosing, after every job it took before
+    (``_weight_grad_jobs``); they are added at once otherwise. ``bufs``
+    are the ``_weight_grads`` buffers, if any."""
     i, o, cand = act["i"], act["o"], act["c"]
     size = len(w[terms[0][0]]) // len(layout)
     # product by product in the order the tape would take them
@@ -409,7 +411,7 @@ def _cell_backward(w: dict, layout, terms, bias: str | None, act: dict, tc,
     if run is None:
         job()
     else:
-        run(job)
+        run(job, len(dh) * len(gates) * size * sum(x.shape[1] for _, x in terms))
     d_terms = [None] * len(terms)
     for gate in gates:
         dp, j = d_pre[gate], layout.index(gate) * size
@@ -422,18 +424,18 @@ def _cell_backward(w: dict, layout, terms, bias: str | None, act: dict, tc,
 
 
 # ---------------------------------------------------------------------------
-# the tree reverse pass's helper thread
+# the reverse passes' helper thread
 # ---------------------------------------------------------------------------
 
-#: The one thread of the process that adds up the tree cell's weight
-#: gradients while the reverse pass goes on: None until the first tree
-#: reverse pass starts it, False where each pass adds them itself.
+#: The one thread of the process that adds up the gated cells' weight
+#: gradients while a tree or LSTM reverse pass goes on: None until the
+#: first reverse pass starts it, False where each pass adds them itself.
 _helper = None
 _helper_lock = threading.Lock()
 
 
 def _run_inline() -> None:
-    """Have every later tree reverse pass of this process add its weight
+    """Have every later reverse pass of this process add its weight
     gradients itself: in a forked child, whose copy of the helper has no
     thread, and in worker processes, which already fill the CPUs."""
     global _helper
@@ -444,15 +446,23 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_run_inline)
 
 
-#: The fewest multiply-adds of a level's weight-gradient job that the
-#: helper takes; a smaller job costs more to hand off than it saves, and
-#: runs inline unless it must queue behind a job still running. One tree
-#: reverse pass took, with every job / jobs from 2**23 / no job handed off
-#: (median of 15, one OpenBLAS thread, 2-vCPU VM): 64 trees at hidden 48,
-#: d_in 24: 7.3 / 3.9 / 3.8 ms; 64 at hidden 128, d_in 32: 13.3 / 12.8 /
-#: 15.4 ms; 128 at hidden 256, d_in 64 (no shared slots): 55.0 / 55.6 /
-#: 81.8 ms.
+#: The fewest multiply-adds of a weight-gradient job (a tree level or an
+#: LSTM step) that the helper takes; a smaller job costs more to hand off
+#: than it saves, and runs inline unless it must queue behind a job still
+#: running. One tree reverse pass took, with every job / jobs from 2**23 /
+#: no job handed off (median of 15, one OpenBLAS thread, 2-vCPU VM): 64
+#: trees at hidden 48, d_in 24: 7.3 / 3.9 / 3.8 ms; 64 at hidden 128, d_in
+#: 32: 13.3 / 12.8 / 15.4 ms; 128 at hidden 256, d_in 64 (no shared
+#: slots): 55.0 / 55.6 / 81.8 ms.
 _HAND_OFF = 1 << 23
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity on this platform
+        return os.cpu_count() or 1
 
 
 def _weight_grad_helper():
@@ -463,13 +473,43 @@ def _weight_grad_helper():
     global _helper
     with _helper_lock:
         if _helper is None:
-            try:
-                cpus = len(os.sched_getaffinity(0))
-            except AttributeError:  # no affinity on this platform
-                cpus = os.cpu_count() or 1
             _helper = (ThreadPoolExecutor(1, thread_name_prefix="logotree-grads")
-                       if cpus >= 2 else False)
+                       if usable_cpus() >= 2 else False)
         return _helper
+
+
+def helper_ran() -> bool:
+    """Whether this process's helper has taken a job."""
+    return bool(_helper and _helper._threads)
+
+
+@contextmanager
+def _weight_grad_jobs():
+    """Yields one reverse pass's ``run(job, work)`` for ``_cell_backward``.
+    The helper, if the process has one, takes a job of ``work``
+    multiply-adds that is large (``_HAND_OFF``) or must queue behind one
+    still running, once the job handed off two before has ended, so at
+    most two jobs' operands wait on it; other jobs run at once. Leaving
+    waits for every job, even on an error, so that no job writes into an
+    ended pass, then raises a job's exception with its own type."""
+    helper, jobs = _weight_grad_helper(), []
+
+    def run(job, work):
+        # a small job costs the helper more than it saves, unless it must
+        # queue behind one still running to keep every sum in order
+        if helper and (work >= _HAND_OFF or jobs and not jobs[-1].done()):
+            if len(jobs) >= 2:
+                jobs[-2].result()
+            jobs.append(helper.submit(job))
+        else:
+            job()
+
+    try:
+        yield run
+    finally:
+        wait(jobs)
+    for job in jobs:
+        job.result()
 
 
 def _tree_terms(p: TreeLstmParams, h_l, h_r, xs) -> list:
@@ -543,19 +583,8 @@ def treelstm_levels(schedule: LevelSchedule, inputs, p: TreeLstmParams) -> Tenso
         bufs = {key: np.zeros(t.data.shape, np.result_type(h_buf, t.data))
                 for key, t in p.weights.items()}
         x_grads = []  # per read input, from the top level down
-        helper, jobs = _weight_grad_helper(), []
-
-        def hand_off(job):
-            jobs.append(helper.submit(job))
-
-        try:
+        with _weight_grad_jobs() as run:
             for rows_, kids, terms, act, tc in reversed(saved):
-                # a small job costs the helper more than it saves, unless
-                # it has to queue behind one still running
-                work = (len(terms[0][1]) * len(act) * p.hidden
-                        * sum(x.shape[1] for _, x in terms))
-                late = jobs and not jobs[-1].done()
-                run = hand_off if helper and (work >= _HAND_OFF or late) else None
                 dcn, d_terms = _cell_backward(w, GATES, terms, bias, act, tc,
                                               forget(kids), dh[rows_],
                                               dc[rows_], grads, run=run,
@@ -568,10 +597,6 @@ def treelstm_levels(schedule: LevelSchedule, inputs, p: TreeLstmParams) -> Tenso
                     _add_rows(dh, left, d_terms[0], shared)
                     d_terms = d_terms[2:]
                 x_grads.extend(reversed(d_terms))
-        finally:
-            wait(jobs)  # even on an error: no job writes into an ended pass
-        for job in jobs:
-            job.result()  # raises a job's exception, if any
         return (*(grads[key] if key in grads else bufs[key] for key in p.weights),
                 *reversed(x_grads))
 
@@ -793,7 +818,9 @@ def lstm_layer(x: Tensor, p: LstmParams, layer: int, state=None,
     c through unchanged. Returns the outputs (n, T, H) and the final
     ``(h, c)``, handed out of one buffer; the final h equals the outputs at
     step T-1. The backward pass runs the steps in reverse over the same row
-    prefixes.
+    prefixes. It hands each large step's weight gradients to the helper
+    thread as ``treelstm_levels`` does each level's, and computes the step's
+    input and carried gradients meanwhile: the same bits either way.
     """
     n, steps, _ = x.data.shape
     running = _running_rows(lengths, n, steps)
@@ -830,35 +857,40 @@ def lstm_layer(x: Tensor, p: LstmParams, layer: int, state=None,
     def backward(g_buf):
         whole.grad = None
         grads: dict[str, np.ndarray] = {}
+        # from this thread, as in treelstm_levels
+        bufs = {key: np.zeros(p.weights[key].data.shape,
+                              np.result_type(buf, p.weights[key].data))
+                for key in names}
         dx = np.empty_like(xs)
         dh, dc = g_buf[steps - 1], g_buf[steps]
-        for t in reversed(range(steps)):
-            k = running[t]
-            terms, act, tc, c_prev = saved[t]
-            # the h that step 0 reads is a parent only when it was carried in
-            want = (0, 1) if t or state is not None else (0,)
-            dcn, (dx_t, dh_t) = _cell_backward(
-                p.packed, LSTM_GATES, terms, bias, act, tc, [("f", c_prev)],
-                dh[:k], dc[:k], grads, want)
-            dx[t, :k] = dx_t
-            if k < n:  # the ended rows get no input gradient and keep their dc
-                dx[t, k:] = 0.0
-                np.multiply(dcn, act["f"], out=dc[:k])
-            else:  # a fresh dc: a view of g_buf would keep all of it alive
-                dc = dcn * act["f"]
-            # step t-1's h: its outside uses (already in g_buf) plus this
-            # step's gates in the running rows and the carry in the others
-            if t:
-                prev = g_buf[t - 1]
-                prev[:k] += dh_t
-                if k < n:
-                    prev[k:] += dh[k:]
-                dh = prev
-            elif state is not None:
-                if k < n:
-                    dh[:k] = dh_t
-                else:
-                    dh = dh_t
+        with _weight_grad_jobs() as run:
+            for t in reversed(range(steps)):
+                k = running[t]
+                terms, act, tc, c_prev = saved[t]
+                # the h that step 0 reads is a parent only when it was carried in
+                want = (0, 1) if t or state is not None else (0,)
+                dcn, (dx_t, dh_t) = _cell_backward(
+                    p.packed, LSTM_GATES, terms, bias, act, tc, [("f", c_prev)],
+                    dh[:k], dc[:k], grads, want, run, bufs)
+                dx[t, :k] = dx_t
+                if k < n:  # the ended rows get no input gradient and keep their dc
+                    dx[t, k:] = 0.0
+                    np.multiply(dcn, act["f"], out=dc[:k])
+                else:  # a fresh dc: a view of g_buf would keep all of it alive
+                    dc = dcn * act["f"]
+                # step t-1's h: its outside uses (already in g_buf) plus this
+                # step's gates in the running rows and the carry in the others
+                if t:
+                    prev = g_buf[t - 1]
+                    prev[:k] += dh_t
+                    if k < n:
+                        prev[k:] += dh[k:]
+                    dh = prev
+                elif state is not None:
+                    if k < n:
+                        dh[:k] = dh_t
+                    else:
+                        dh = dh_t
         carried = () if state is None else (dh, dc)
         return (dx.swapaxes(0, 1), *(grads[key] for key in names), *carried)
 

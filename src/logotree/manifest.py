@@ -2,16 +2,21 @@
 
 A manifest ties outputs to the exact command, canonicalized-config hash,
 input-file hashes, and seed that produced them, so any report can be
-replayed byte-for-byte.
+replayed byte-for-byte, and records the software and CPUs they came from.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+import platform
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
+from . import encoders
 from .atomic import write_json
 
 
@@ -32,6 +37,18 @@ def now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
+def environment() -> dict:
+    """Python, numpy and BLAS versions, the BLAS thread settings, the usable
+    CPUs and whether the weight-gradient helper thread took a job."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas": f"{blas.get('name', '?')} {blas.get('version', '?')}",
+            "blas_threads_env": {var: os.environ.get(var) for var in
+                                 ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
+            "usable_cpus": encoders.usable_cpus(),
+            "weight_grad_helper": encoders.helper_ran()}
+
+
 def write_manifest(out_dir, command: str, config_dict: dict, inputs: dict,
                    seed: int, started_at: str, outputs,
                    name: str | None = None) -> Path:
@@ -46,5 +63,5 @@ def write_manifest(out_dir, command: str, config_dict: dict, inputs: dict,
         "command": command, "config_hash": config_hash(config_dict),
         "data_hashes": {k: file_hash(p) for k, p in sorted(inputs.items())},
         "seed": seed, "started_at": started_at, "finished_at": now(),
-        "outputs": [str(p) for p in outputs]})
+        "outputs": [str(p) for p in outputs], "environment": environment()})
     return path

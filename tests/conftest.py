@@ -19,11 +19,12 @@ DATA_DIR = Path(__file__).parent / "data"
 
 
 class WeightGrads:
-    """Where the tree reverse passes of a test add their weight gradients.
+    """Where the tree and LSTM reverse passes of a test add their weight
+    gradients.
 
-    ``use(True)`` hands every level's job to a helper thread of the test's
-    own (``test-grads``), whatever its size and the number of CPUs;
-    ``use(False)`` has each pass add them itself. ``threads`` names the
+    ``use(True)`` hands every level's or step's job to a helper thread of
+    the test's own (``test-grads``), whatever its size and the number of
+    CPUs; ``use(False)`` has each pass add them itself. ``threads`` names the
     thread of every job since the last ``use``."""
 
     def __init__(self, monkeypatch):

@@ -467,6 +467,146 @@ def test_lm_step_equals_cell_steps_bitwise():
 
 
 # ---------------------------------------------------------------------------
+# lstm_layer's weight gradients on the helper
+# ---------------------------------------------------------------------------
+
+def layer_pass(lengths, carried, seed=76):
+    """A function running one taped ``lstm_layer`` pass, for ``run_and_grad``'s
+    outputs, final h and final c and the gradients of the input, every
+    weight and the carried state. Unsorted ``lengths`` are sorted and
+    restored around the layer, as ``lstm_batch_forward`` does; None runs
+    every row at every step."""
+    p, x, state, lengths_ = lstm_setup(seed, lengths or [4, 4, 4], d_in=3,
+                                       hidden=5)
+    order = np.argsort(-lengths_, kind="stable")
+    restore = np.argsort(order)
+    tensors = [x, *p.weights.values()] + (list(state) if carried else [])
+
+    def build():
+        carry = tuple(ad.permute(s, order) for s in state) if carried else None
+        outs, (h, c) = enc.lstm_layer(ad.permute(x, order), p, 0, carry,
+                                      None if lengths is None else lengths_[order])
+        return [ad.permute(o, restore) for o in (outs, h, c)]
+
+    return lambda: run_and_grad(build, tensors)
+
+
+def assert_same_runs(a, b):
+    for k, (v_a, v_b) in enumerate(zip(a[0], b[0], strict=True)):
+        assert_same_bits(v_a, v_b, f"output {k}")
+    for k, (g_a, g_b) in enumerate(zip(a[1], b[1], strict=True)):
+        assert_same_bits(g_a, g_b, f"gradient {k}")
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("carried", [True, False])
+@pytest.mark.parametrize("lengths", [[2, 4, 1, 4, 1, 3], None],
+                         ids=["unsorted-ties-length-1", "full"])
+def test_lstm_layer_hand_off_equals_inline(weight_grads, lengths, carried,
+                                           dtype):
+    ad.set_default_dtype(dtype)
+    try:
+        on, off = weight_grads.both_ways(layer_pass(lengths, carried))
+    finally:
+        ad.set_default_dtype(np.float64)
+    assert_same_runs(on, off)
+    assert on[0][0].dtype == dtype
+    assert all(g is not None and g.dtype == dtype for g in on[1])
+
+
+def test_sequence_encoders_hand_off_equals_inline(weight_grads):
+    # two stacked layers with dropout and unsorted lengths, both directions
+    # of a biLSTM, and an LM window of carried one-step windows
+    rng = np.random.default_rng(77)
+    stacked = enc.LstmParams.init((5, 4), 3, rng)
+    bi = enc.BiLstmParams.init(4, 3, rng)
+    embeds = enc.VocabEmbeddings("abcdef", 3, rng)
+    seqs = [list("abc"), list("b"), list("fcaed"), list("dab"), list("e"),
+            list("ab")]
+    core = lm.build_lm(LmConfig(layer_sizes=(4, 3), embed_dim=3, seed=5),
+                       list("abc")).core
+    xs = [Tensor(np.random.default_rng(78 + t).standard_normal((2, 3)))
+          for t in range(3)]
+
+    def window():
+        state, outs = core.zero_state(2), []
+        for x in xs:
+            out, state = core.step(x, state, 0.3, np.random.default_rng(1), True)
+            outs.append(out)
+        return outs + [h for pair in state for h in pair]
+
+    for build, tensors in (
+            (lambda: [enc.lstm_batch_forward(seqs, embeds, stacked, 0.2,
+                                             np.random.default_rng(5), True)],
+             [*stacked.weights.values(), embeds.table]),
+            (lambda: [enc.bilstm_batch_forward(seqs, embeds, bi, 0.2,
+                                               np.random.default_rng(6), True)],
+             [*bi.params().values(), embeds.table]),
+            (window, [*core.params().values(), *xs])):
+        on, off = weight_grads.both_ways(lambda: run_and_grad(build, tensors))
+        assert_same_runs(on, off)
+
+
+def test_a_failing_lstm_job_raises_from_backward_with_its_own_type(
+        weight_grads, monkeypatch):
+    run = layer_pass([3, 1, 3, 2], True, seed=79)
+    weight_grads.use(True)
+    before = run()
+    matmul = np.matmul
+
+    def failing(*args, **kwargs):  # a product that fails on the helper only
+        if threading.current_thread().name.startswith("test-grads"):
+            raise JobError("a weight-gradient product failed")
+        return matmul(*args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", failing)
+    with pytest.raises(JobError):
+        run()
+    monkeypatch.setattr(np, "matmul", matmul)
+    assert_same_runs(before, run())
+
+
+@pytest.mark.parametrize("kernel", ["tree", "lstm"])
+def test_the_helper_lags_at_most_two_jobs_behind(weight_grads, monkeypatch,
+                                                  kernel):
+    # job k is handed off only once job k-2 has ended, so at most two jobs'
+    # operands wait on the helper however far its work lags
+    if kernel == "tree":
+        p, embeds = tree_setup(80, hidden=4, d_in=3)
+        pyrng = random.Random(81)
+        trees = [random_tree(pyrng, 5) for _ in range(8)]
+        schedule = enc.build_level_schedule(trees, share=False)
+        run = tree_pass(schedule, p, level_inputs(schedule, embeds))
+    else:
+        run = layer_pass([6, 5, 5, 2], False, seed=82)
+    weight_grads.use(True)
+    ended = []
+    recording = enc._weight_grads
+
+    def slow(*args):  # each job outlasts the main thread's work by far
+        time.sleep(0.02)
+        recording(*args)
+        ended.append(1)
+
+    helper, ended_at_submit = enc._helper, []
+    submit = helper.submit
+
+    def counting(job):
+        ended_at_submit.append(len(ended))
+        return submit(job)
+
+    monkeypatch.setattr(enc, "_weight_grads", slow)
+    monkeypatch.setattr(helper, "submit", counting)
+    expected = run()
+    assert len(ended_at_submit) == len(ended) >= 4
+    assert all(done >= k - 1 for k, done in enumerate(ended_at_submit))
+    assert any(done < k for k, done in enumerate(ended_at_submit))  # it lagged
+    monkeypatch.setattr(enc, "_weight_grads", recording)
+    weight_grads.use(False)
+    assert_same_runs(expected, run())
+
+
+# ---------------------------------------------------------------------------
 # tape entries and gradient layout
 # ---------------------------------------------------------------------------
 

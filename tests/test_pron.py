@@ -462,18 +462,25 @@ rules = ids.load_rule_table(data / "mini_ids.txt")
 corpus, _ = phono.build_corpus(
     phono.parse_unihan_readings(data / "mini_readings.txt"), seed=7)
 split = phono.build_scenario(corpus, 1, seed=5, sizes=(64, 16, 16))
-config = RunConfig(encoder="treelstm", hidden=8, d_in=6, batch_size=32,
+encoder = sys.argv[2]
+config = RunConfig(encoder=encoder, hidden=8, d_in=6, batch_size=32,
                    epochs=2, dropout=0.0, seed=7)
-# the helper thread is running, with a tree reverse pass done, when the
-# pool forks its workers
+# the helper thread is running, with a reverse pass of the encoder done,
+# when the pool forks its workers
 encoders._helper = concurrent.futures.ThreadPoolExecutor(1)
 encoders._HAND_OFF = 0
 rng = np.random.default_rng(0)
-p = encoders.TreeLstmParams.init(8, 6, rng)
 embeds = encoders.VocabEmbeddings(sorted(rules.leaf_set), 6, rng)
 trees = [ids.decompose(e.ch, rules) for e in split.train]
 with Tape() as tape:
-    loss = encoders.treelstm_batch_forward(trees, embeds, p).sum()
+    if encoder == "treelstm":
+        out = encoders.treelstm_batch_forward(
+            trees, embeds, encoders.TreeLstmParams.init(8, 6, rng))
+    else:
+        out = encoders.lstm_batch_forward(
+            [ids.linearize(t, ids.LinearOrder.PRE) for t in trees], embeds,
+            encoders.LstmParams.init(8, 6, rng))
+    loss = out.sum()
 tape.backward(loss)
 assert encoders._helper._threads
 concurrent.futures.ProcessPoolExecutor = partial(
@@ -489,6 +496,14 @@ print(json.dumps(tables))
 def test_grid_search_in_forked_workers_after_a_tree_backward(tmp_path):
     # a forked worker never waits on its parent's helper thread, which does
     # not exist in the child, and its cells equal those run in-process
+    grid_in_forked_workers(tmp_path, "treelstm")
+
+
+def test_grid_search_in_forked_workers_after_an_lstm_backward(tmp_path):
+    grid_in_forked_workers(tmp_path, "lstm")
+
+
+def grid_in_forked_workers(tmp_path, encoder):
     import json
     import signal
     import subprocess
@@ -499,7 +514,7 @@ def test_grid_search_in_forked_workers_after_a_tree_backward(tmp_path):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(Path(pron.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.Popen([sys.executable, str(script),
-                             str(Path(__file__).parent / "data")],
+                             str(Path(__file__).parent / "data"), encoder],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                             text=True, env=env, start_new_session=True)
     try:

@@ -217,6 +217,39 @@ def test_prepare_data_writes_split_and_manifest(tmp_path, capsys):
                           .read_text(encoding="utf-8"))
     assert manifest["seed"] == 3
     assert "readings" in manifest["data_hashes"]
+    assert manifest["environment"]["usable_cpus"] >= 1
+
+
+def test_manifest_records_the_environment(tmp_path, monkeypatch):
+    import platform
+    from concurrent.futures import ThreadPoolExecutor
+
+    import numpy as np
+
+    from logotree import encoders
+    from logotree.manifest import write_manifest
+
+    def environment():
+        path = write_manifest(tmp_path, "train-pron", {}, {}, 1, "start", [])
+        return json.loads(path.read_text(encoding="utf-8"))["environment"]
+
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setattr(encoders, "_helper", False)
+    env = environment()
+    assert env == {"python": platform.python_version(), "numpy": np.__version__,
+                   "blas": env["blas"],
+                   "blas_threads_env": {"OPENBLAS_NUM_THREADS": "1",
+                                        "OMP_NUM_THREADS": None},
+                   "usable_cpus": len(os.sched_getaffinity(0)),
+                   "weight_grad_helper": False}
+    name, version = env["blas"].split()
+    assert "blas" in name.lower() and version[0].isdigit()
+    with ThreadPoolExecutor(1) as helper:
+        monkeypatch.setattr(encoders, "_helper", helper)
+        assert environment()["weight_grad_helper"] is False  # no job yet
+        helper.submit(int).result()
+        assert environment()["weight_grad_helper"] is True
 
 
 def _train_once(tmp_path, tag):
