@@ -512,12 +512,10 @@ class Adam:
     to the given rows, the lazy variant used for large embedding tables.
     """
 
-    def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
+
+    def __init__(self, lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
@@ -597,6 +595,38 @@ def train_step(tape: Tape, loss: Tensor, params: dict[str, Tensor],
               for name in lazy if params[name].grad is not None}
     optimizer.step(params, sparse_rows=sparse)
     return value
+
+
+def fit(params: dict[str, Tensor], optimizer: Adam, clip_norm: float,
+        epochs: int, batches, validate=None, lazy=()) -> list[tuple]:
+    """The epoch loop of both training tasks; returns each epoch's
+    ``(mean loss, score)``.
+
+    ``batches(epoch)`` yields one ``(tape, loss, weight)`` per step, each
+    recorded after the previous step's ``train_step``; an epoch's mean loss
+    is the ``weight``-weighted mean of its step losses. ``validate()``, if
+    given, scores the parameters after each epoch, lower being better, and
+    the parameters of the first epoch with the lowest score are restored at
+    the end. Without it the scores are None and the last parameters stay.
+    """
+    history = []
+    best = None  # (score, parameter snapshot)
+    for epoch in range(epochs):
+        total, count = 0.0, 0
+        for tape, loss, weight in batches(epoch):
+            total += train_step(tape, loss, params, optimizer, clip_norm,
+                                lazy) * weight
+            count += weight
+            # the step's tape would otherwise live through the next forward
+            del tape, loss
+        score = None if validate is None else validate()
+        if score is not None and (best is None or score < best[0]):
+            best = (score, {k: t.data.copy() for k, t in params.items()})
+        history.append((total / count, score))
+    if best is not None:
+        for k, t in params.items():
+            t.data[:] = best[1][k]
+    return history
 
 
 # ---------------------------------------------------------------------------

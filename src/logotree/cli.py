@@ -265,11 +265,7 @@ def _cmd_eval_pron(args, loaded, paths) -> Wrote:
     print(f"n={report.n} SER {row['SER']} TER {row['TER']} "
           f"onset {row['onset']} nucleus {row['nucleus']} coda {row['coda']}")
     out = args.out_dir / f"eval_{args.partition}.csv"
-    pron.write_matrix_csv([{"model": model.model_name(),
-                            "scenario": model.config.scenario,
-                            "order": model.config.output_order,
-                            "ablation": "full" if model.config.operators
-                                        else "no-operators", **row}], out)
+    pron.write_matrix_csv([pron.report_row(model, report)], out)
     return Wrote(config_to_dict(model.config), model.config.seed, [out],
                  name=out.stem)
 

@@ -102,8 +102,8 @@ class TreeLstmParams:
 
     @classmethod
     def init(cls, hidden: int, d_in: int, rng: np.random.Generator,
-             use_bias: bool = True, operator_inputs: bool = True,
-             prefix: str = "tree") -> "TreeLstmParams":
+             use_bias: bool = True, operator_inputs: bool = True
+             ) -> "TreeLstmParams":
         p = cls(hidden, d_in, use_bias, operator_inputs)
         drawn = {}
         for g in GATES:
@@ -114,7 +114,7 @@ class TreeLstmParams:
             drawn[f"Vr_{g}"] = _weight(rng, hidden, d_in, None).data
             if use_bias:
                 drawn[f"b_{g}"] = Tensor(np.zeros(hidden)).data
-        _pack(p, drawn, GATES, prefix)
+        _pack(p, drawn, GATES, "tree")
         return p
 
     def params(self) -> dict[str, Tensor]:
@@ -383,18 +383,17 @@ def _weight_grads(terms, bias: str | None, d_pre: dict, gates, grads: dict,
 
 
 def _cell_backward(w: dict, layout, terms, bias: str | None, act: dict, tc,
-                   forget, dh, dc, grads: dict, want=None, run=None, bufs=None):
+                   forget, dh, dc, grads: dict, run, bufs: dict, want=None):
     """The reverse of ``_cell_gates`` and ``_cell_state``, given h's gradient
     ``dh`` and c's gradient from its other uses ``dc``: adds the weight
     gradients into ``grads`` (``_weight_grads``, gate by gate in reverse)
     and returns c's whole gradient and, per term, its input gradient if
     its index is in ``want`` (default all), else None.
 
-    Nothing returned depends on the weight gradients, so ``run``, if given,
-    takes them as ``run(job, work)``, one job of ``work`` multiply-adds to
-    run at a time of its choosing, after every job it took before
-    (``_weight_grad_jobs``); they are added at once otherwise. ``bufs``
-    are the ``_weight_grads`` buffers, if any."""
+    Nothing returned depends on the weight gradients, so ``run`` takes
+    them as ``run(job, work)``, one job of ``work`` multiply-adds to run at
+    a time of its choosing, after every job it took before
+    (``_weight_grad_jobs``). ``bufs`` are the ``_weight_grads`` buffers."""
     i, o, cand = act["i"], act["o"], act["c"]
     size = len(w[terms[0][0]]) // len(layout)
     # product by product in the order the tape would take them
@@ -406,12 +405,8 @@ def _cell_backward(w: dict, layout, terms, bias: str | None, act: dict, tc,
     d_pre.update({gate: dcn * c_prev * act[gate] * (1.0 - act[gate])
                   for gate, c_prev in forget})
     gates = tuple(reversed(act))  # gates in forward order; an input's uses, last first
-    job = partial(_weight_grads, terms, bias, d_pre, gates, grads,
-                  {} if bufs is None else bufs)
-    if run is None:
-        job()
-    else:
-        run(job, len(dh) * len(gates) * size * sum(x.shape[1] for _, x in terms))
+    run(partial(_weight_grads, terms, bias, d_pre, gates, grads, bufs),
+        len(dh) * len(gates) * size * sum(x.shape[1] for _, x in terms))
     d_terms = [None] * len(terms)
     for gate in gates:
         dp, j = d_pre[gate], layout.index(gate) * size
@@ -545,7 +540,8 @@ def treelstm_levels(schedule: LevelSchedule, inputs, p: TreeLstmParams) -> Tenso
     w = p.packed
     bias = "b" if p.use_bias else None
     read: list[Tensor] = []  # the input tensors the cell reads
-    saved = []  # per level, what the backward pass needs
+    taped = ad.taping()
+    saved = []  # per level, what the backward pass needs, only under a tape
 
     def forget(kids):  # each child's forget gate and cell, gathered anew
         return zip(("fl", "fr"), (c_buf[kid] for kid in kids))
@@ -566,7 +562,8 @@ def treelstm_levels(schedule: LevelSchedule, inputs, p: TreeLstmParams) -> Tenso
         read.extend(used)
         act = _cell_gates(w, GATES, terms, bias, gates)
         _, tc = _cell_state(act, forget(kids), h_buf[rows_], c_buf[rows_])
-        saved.append((rows_, kids, terms, act, tc))
+        if taped:
+            saved.append((rows_, kids, terms, act, tc))
 
     roots = np.array(schedule.roots, dtype=np.intp)
     out = Tensor(h_buf[roots])
@@ -587,8 +584,7 @@ def treelstm_levels(schedule: LevelSchedule, inputs, p: TreeLstmParams) -> Tenso
             for rows_, kids, terms, act, tc in reversed(saved):
                 dcn, d_terms = _cell_backward(w, GATES, terms, bias, act, tc,
                                               forget(kids), dh[rows_],
-                                              dc[rows_], grads, run=run,
-                                              bufs=bufs)
+                                              dc[rows_], grads, run, bufs)
                 if kids:
                     left, right = kids
                     _add_rows(dc, right, dcn * act["fr"], shared)
@@ -871,7 +867,7 @@ def lstm_layer(x: Tensor, p: LstmParams, layer: int, state=None,
                 want = (0, 1) if t or state is not None else (0,)
                 dcn, (dx_t, dh_t) = _cell_backward(
                     p.packed, LSTM_GATES, terms, bias, act, tc, [("f", c_prev)],
-                    dh[:k], dc[:k], grads, want, run, bufs)
+                    dh[:k], dc[:k], grads, run, bufs, want)
                 dx[t, :k] = dx_t
                 if k < n:  # the ended rows get no input gradient and keep their dc
                     dx[t, k:] = 0.0
@@ -934,9 +930,9 @@ class BiLstmParams:
 
     @classmethod
     def init(cls, hidden: int, d_in: int, rng: np.random.Generator,
-             layers: int = 1, prefix: str = "bilstm") -> "BiLstmParams":
-        return cls(LstmParams.init(hidden, d_in, rng, layers, f"{prefix}.fwd"),
-                   LstmParams.init(hidden, d_in, rng, layers, f"{prefix}.bwd"))
+             layers: int = 1) -> "BiLstmParams":
+        return cls(LstmParams.init(hidden, d_in, rng, layers, "bilstm.fwd"),
+                   LstmParams.init(hidden, d_in, rng, layers, "bilstm.bwd"))
 
     def params(self) -> dict[str, Tensor]:
         return {**self.forward.params(), **self.backward.params()}
@@ -974,14 +970,14 @@ class CnnParams:
 
     @classmethod
     def init(cls, d_in: int, out_dim: int, rng: np.random.Generator,
-             n_filters: int = 200, prefix: str = "cnn") -> "CnnParams":
+             n_filters: int = 200) -> "CnnParams":
         p = cls(d_in, out_dim, n_filters)
         for w in p.widths:
-            p.weights[f"K{w}"] = _weight(rng, w * d_in, n_filters, f"{prefix}.K{w}")
-            p.weights[f"kb{w}"] = Tensor(np.zeros(n_filters), name=f"{prefix}.kb{w}")
+            p.weights[f"K{w}"] = _weight(rng, w * d_in, n_filters, f"cnn.K{w}")
+            p.weights[f"kb{w}"] = Tensor(np.zeros(n_filters), name=f"cnn.kb{w}")
         total = n_filters * len(p.widths)
-        p.weights["W_fc"] = _weight(rng, out_dim, total, f"{prefix}.W_fc")
-        p.weights["b_fc"] = Tensor(np.zeros(out_dim), name=f"{prefix}.b_fc")
+        p.weights["W_fc"] = _weight(rng, out_dim, total, "cnn.W_fc")
+        p.weights["b_fc"] = Tensor(np.zeros(out_dim), name="cnn.b_fc")
         return p
 
     def params(self) -> dict[str, Tensor]:

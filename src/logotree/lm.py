@@ -237,16 +237,6 @@ def stream_ids(model: LmModel, lines: list[str]) -> np.ndarray:
 # training
 # ---------------------------------------------------------------------------
 
-def _detach_state(state):
-    return [(Tensor(h.data.copy()), Tensor(c.data.copy())) for h, c in state]
-
-
-def _embedding_table_names(model: LmModel) -> list[str]:
-    if model.hierarchical:
-        return [model.leaf_embeds.table.name, model.aux.name]
-    return [model.lookup.name]
-
-
 def train_lm(config: LmConfig, train_lines: list[str],
              valid_lines: list[str] | None = None,
              rules: RuleTable | None = None) -> tuple[LmModel, list[dict]]:
@@ -262,9 +252,8 @@ def train_lm(config: LmConfig, train_lines: list[str],
     chars = sorted({ch for line in train_lines for ch in line})
     model = build_lm(config, chars, rules)
     rng = np.random.default_rng(config.seed)
-    optimizer = Adam(lr=config.learning_rate)
-    params = model.params()
-    tables = _embedding_table_names(model)
+    tables = ([model.leaf_embeds.table.name, model.aux.name] if model.hierarchical
+              else [model.lookup.name])
 
     stream = stream_ids(model, train_lines)
     B = min(config.batch_size, max(1, (len(stream) - 1) // max(1, config.bptt)))
@@ -274,42 +263,33 @@ def train_lm(config: LmConfig, train_lines: list[str],
     inputs = stream[:B * L].reshape(B, L)
     targets = stream[1:B * L + 1].reshape(B, L)
 
-    history: list[dict] = []
-    best = None
-    for epoch in range(config.epochs):
+    def windows(epoch):
         state = model.core.zero_state(B)
-        nats = 0.0
-        count = 0
         for start in range(0, L, config.bptt):
             width = min(config.bptt, L - start)
-            window_ids = inputs[:, start:start + width]
-            window_tgts = targets[:, start:start + width]
-            tape = Tape()
-            with tape:
-                outs, state = _run_window(model, window_ids, state, rng)
+            with Tape() as tape:
+                outs, state = _run_window(model, inputs[:, start:start + width],
+                                          state, rng)
                 # rows are time-major, as are the flattened transposed targets
-                losses = ad.affine_cross_entropy(concat(outs, axis=0), model.w_out,
-                                                 model.b_out, window_tgts.T.reshape(-1))
+                losses = ad.affine_cross_entropy(
+                    concat(outs, axis=0), model.w_out, model.b_out,
+                    targets[:, start:start + width].T.reshape(-1))
                 loss = losses.sum() * (1.0 / (B * width))
-            value = ad.train_step(tape, loss, params, optimizer,
-                                  config.clip_norm, lazy=tables)
+            yield tape, loss, B * width
             model.version += 1
-            state = _detach_state(state)
-            nats += value * B * width
-            count += B * width
-        train_bpc = nats / count / math.log(2)
-        entry = {"epoch": epoch, "train_bpc": train_bpc}
-        if valid_lines:
-            bpc, _ = eval_lm(model, valid_lines)
-            entry["valid_bpc"] = bpc
-            if best is None or bpc < best[0]:
-                best = (bpc, {k: t.data.copy() for k, t in params.items()})
-        history.append(entry)
-    if best is not None:
-        for k, t in params.items():
-            t.data[:] = best[1][k]
-        model.version += 1
-    return model, history
+            # the next window starts from this one's values, not its graph
+            state = [(Tensor(h.data.copy()), Tensor(c.data.copy()))
+                     for h, c in state]
+
+    history = ad.fit(model.params(), Adam(lr=config.learning_rate),
+                     config.clip_norm, config.epochs, windows,
+                     validate=(lambda: eval_lm(model, valid_lines)[0])
+                     if valid_lines else None, lazy=tables)
+    if valid_lines:
+        model.version += 1  # the restored parameters
+    return model, [{"epoch": epoch, "train_bpc": nats / math.log(2),
+                    **({"valid_bpc": bpc} if valid_lines else {})}
+                   for epoch, (nats, bpc) in enumerate(history)]
 
 
 # ---------------------------------------------------------------------------

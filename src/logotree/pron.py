@@ -293,44 +293,32 @@ class EpochStats:
 
 def train(config: RunConfig, split: DatasetSplit, rules: RuleTable
           ) -> tuple[PronModel, list[EpochStats]]:
-    """Mini-batch Adam over shuffled epochs, keeping the best-validation
-    parameters. Deterministic for a fixed (config, split, rules)."""
+    """Mini-batch Adam over shuffled epochs (``autodiff.fit``), keeping the
+    best-validation parameters; deterministic from (config, split, rules)."""
     if not split.train or not split.validation:
         raise DataError("train and validation partitions must be non-empty")
     inventories = Inventories.from_entries(split.train)
     model = build_model(config, inventories, sorted(rules.leaf_set))
     rng = np.random.default_rng(config.seed)
-    optimizer = Adam(lr=config.learning_rate)
-    params = model.params()
-
     train_inputs = encode_inputs(model, [e.ch for e in split.train], rules)
-    history: list[EpochStats] = []
-    best = None  # (ter, param snapshot)
     n = len(split.train)
-    for epoch in range(config.epochs):
+
+    def batches(epoch):
         perm = rng.permutation(n)
-        total_loss = 0.0
         for start in range(0, n, config.batch_size):
             idx = perm[start:start + config.batch_size]
-            batch_inputs = [train_inputs[i] for i in idx]
-            batch_targets = [split.train[i] for i in idx]
-            tape = Tape()
-            with tape:
-                h = forward_batch(model, batch_inputs, rng=rng, training=True)
-                loss = pron_loss(predict_pron(h, model.head), batch_targets,
-                                 inventories)
-            total_loss += ad.train_step(tape, loss, params, optimizer,
-                                        config.clip_norm) * len(idx)
-        val = evaluate(model, split.validation, rules)
-        stats = EpochStats(epoch, total_loss / n, val.ter)
-        history.append(stats)
-        if best is None or stats.val_ter < best[0]:
-            best = (stats.val_ter, {k: t.data.copy() for k, t in params.items()})
-        log.debug("epoch %d loss %.4f val TER %.2f", epoch, stats.train_loss,
-                  stats.val_ter)
-    for k, t in params.items():
-        t.data[:] = best[1][k]
-    return model, history
+            with Tape() as tape:
+                h = forward_batch(model, [train_inputs[i] for i in idx],
+                                  rng=rng, training=True)
+                loss = pron_loss(predict_pron(h, model.head),
+                                 [split.train[i] for i in idx], inventories)
+            yield tape, loss, len(idx)
+
+    history = ad.fit(model.params(), Adam(lr=config.learning_rate),
+                     config.clip_norm, config.epochs, batches,
+                     validate=lambda: evaluate(model, split.validation, rules).ter)
+    return model, [EpochStats(epoch, loss, ter)
+                   for epoch, (loss, ter) in enumerate(history)]
 
 
 # ---------------------------------------------------------------------------
@@ -393,10 +381,7 @@ def run_matrix(base: RunConfig, splits: dict[int, DatasetSplit],
         config = replace(base, encoder=kind, layers=layers, scenario=scenario,
                          output_order=order, operators=not ablated)
         model, _ = train(config, splits[scenario], rules)
-        report = evaluate(model, splits[scenario].test, rules)
-        row = {"model": model.model_name(), "scenario": scenario,
-               "order": order, "ablation": "no-operators" if ablated else "full",
-               **report.row()}
+        row = report_row(model, evaluate(model, splits[scenario].test, rules))
         rows.append(row)
         log.info("matrix row: %s", row)
     return rows
@@ -430,6 +415,16 @@ def linearization_study(base: RunConfig, split: DatasetSplit, rules: RuleTable,
 
 MATRIX_HEADER = ["model", "scenario", "order", "ablation", "SER", "TER",
                  "onset", "nucleus", "coda"]
+
+
+def report_row(model: PronModel, report: EvalReport) -> dict:
+    """One ``MATRIX_HEADER`` row: the model's cell of the experiment grid,
+    read from its config, and its error rates."""
+    cfg = model.config
+    return {"model": model.model_name(), "scenario": cfg.scenario,
+            "order": cfg.output_order,
+            "ablation": "full" if cfg.operators else "no-operators",
+            **report.row()}
 
 
 def write_matrix_csv(rows: list[dict], path) -> None:

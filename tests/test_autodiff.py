@@ -416,6 +416,83 @@ def test_clip_global_norm_below_bound_keeps_arrays():
     assert a.grad is before
 
 
+# ---------------------------------------------------------------------------
+# the epoch loop
+# ---------------------------------------------------------------------------
+
+def _fit_step(p: Tensor, value: float, slope: float):
+    """A recorded loss ``slope * sum(p) + value - slope * sum(p)``: it reads
+    ``value`` and gives ``p`` the gradient ``slope`` everywhere."""
+    with Tape() as tape:
+        offset = Tensor(value - slope * float(p.data.sum()))
+        loss = (p * Tensor(np.full(p.shape, slope))).sum() + offset
+    return tape, loss
+
+
+def test_fit_restores_the_first_best_epoch():
+    p = Tensor(np.zeros(2), name="w")
+    after, scores = [], iter([3.0, 1.0, 1.0, 2.0])
+
+    def batches(epoch):
+        yield (*_fit_step(p, 1.0, 1.0), 1)
+
+    def validate():
+        after.append(p.data.copy())
+        return next(scores)
+
+    history = ad.fit({"w": p}, Adam(lr=0.1), 5.0, 4, batches, validate)
+    assert [score for _, score in history] == [3.0, 1.0, 1.0, 2.0]
+    assert all(not np.array_equal(a, b) for a, b in zip(after, after[1:]))
+    np.testing.assert_array_equal(p.data, after[1])  # a tie keeps the first
+
+
+def test_fit_mean_loss_is_weighted_by_step():
+    p = Tensor(np.zeros(2), name="w")
+    steps = ((1.0, 1), (2.0, 2), (4.0, 5))
+
+    def batches(epoch):
+        for value, weight in steps:
+            yield (*_fit_step(p, value * (epoch + 1), 0.0), weight)
+
+    history = ad.fit({"w": p}, Adam(lr=0.1), 5.0, 2, batches)
+    assert history == [(25.0 / 8, None), (50.0 / 8, None)]
+
+
+def test_fit_without_validation_keeps_the_last_parameters():
+    p = Tensor(np.zeros(2), name="w")
+    after = []
+
+    def batches(epoch):
+        for _ in range(2):
+            yield (*_fit_step(p, 1.0, 1.0), 1)
+            after.append(p.data.copy())
+
+    history = ad.fit({"w": p}, Adam(lr=0.1), 5.0, 3, batches)
+    assert [score for _, score in history] == [None] * 3
+    assert len(after) == 6
+    np.testing.assert_array_equal(p.data, after[-1])
+    assert not np.array_equal(after[-1], after[-2])
+
+
+def test_fit_lets_go_of_each_tape_before_the_next_batch():
+    # the next batch's forward pass runs while the loop waits for it, so a
+    # tape the loop still holds would live through that pass
+    import weakref
+    p = Tensor(np.zeros(2), name="w")
+    checked = []
+
+    def batches(epoch):
+        for _ in range(3):
+            tape, loss = _fit_step(p, 1.0, 1.0)
+            yield tape, loss, 1
+            previous = weakref.ref(tape)
+            del tape, loss
+            checked.append(previous() is None)
+
+    ad.fit({"w": p}, Adam(lr=0.1), 5.0, 2, batches)
+    assert checked == [True] * 6
+
+
 def test_every_gradient_reaches_adam_c_ordered(monkeypatch, rule_table, corpus):
     # a weight read as ``W.T`` (the LM output layer, the pron head, the CNN's
     # projection) gets its gradient through ``transpose``; Adam and the norm

@@ -309,6 +309,10 @@ DROPOUT_RUN_LOSSES = [7.603580140311129, 7.646708901717796, 7.568760699226836,
                       7.451466938227296, 7.39696666166909]
 DROPOUT_RUN_DIGEST = ("49f021d7c16abad079e4036c5f8195c4"
                       "cb1a90969dff8079a8f7783ec7515a8f")
+# its per-epoch (train_loss, val_ter), recorded before ``autodiff.fit``
+# took over the epoch loop
+DROPOUT_RUN_HISTORY = [(7.58563522528223, 75.0),
+                       (7.4440505220728355, 72.91666666666667)]
 
 
 def dropout_run(rule_table, toy_split, monkeypatch):
@@ -323,28 +327,30 @@ def dropout_run(rule_table, toy_split, monkeypatch):
 
     real_loss = pron.pron_loss
     monkeypatch.setattr(pron, "pron_loss", recording_loss)
-    model, _ = train(DROPOUT_RUN, toy_split, rule_table)
+    model, history = train(DROPOUT_RUN, toy_split, rule_table)
     monkeypatch.setattr(pron, "pron_loss", real_loss)
     digest = hashlib.sha256()
     for name, t in sorted(model.params().items()):
         digest.update(name.encode())
         digest.update(np.ascontiguousarray(t.data).tobytes())
-    return losses, digest.hexdigest()
+    return losses, digest.hexdigest(), history
 
 
 def test_train_with_input_dropout_reproduces_recorded_run(rule_table, toy_split,
                                                           monkeypatch):
-    losses, digest = dropout_run(rule_table, toy_split, monkeypatch)
+    losses, digest, history = dropout_run(rule_table, toy_split, monkeypatch)
     assert losses == DROPOUT_RUN_LOSSES
     assert digest == DROPOUT_RUN_DIGEST
+    assert [(h.train_loss, h.val_ter) for h in history] == DROPOUT_RUN_HISTORY
 
 
 def test_recorded_run_with_tree_weight_gradients_on_the_helper_and_inline(
         rule_table, toy_split, monkeypatch, weight_grads):
-    for losses, digest in weight_grads.both_ways(
+    for losses, digest, history in weight_grads.both_ways(
             lambda: dropout_run(rule_table, toy_split, monkeypatch)):
         assert losses == DROPOUT_RUN_LOSSES
         assert digest == DROPOUT_RUN_DIGEST
+        assert [(h.train_loss, h.val_ter) for h in history] == DROPOUT_RUN_HISTORY
 
 
 def test_train_loss_decreases(rule_table, toy_split):
