@@ -325,7 +325,12 @@ def _cmd_train_lm(args, loaded, paths) -> Wrote:
               ["epoch", "train_bpc"] + (["valid_bpc"] if valid_lines else []),
               ({k: (f"{v:.6f}" if isinstance(v, float) else v)
                 for k, v in h.items()} for h in history))
-    print(f"final train BPC {history[-1]['train_bpc']:.4f}; checkpoint: {ckpt}")
+    if valid_lines:  # the checkpoint holds the first best-validation epoch
+        kept = min(history, key=lambda h: h["valid_bpc"])
+        print(f"kept epoch {kept['epoch']}: train BPC {kept['train_bpc']:.4f}, "
+              f"valid BPC {kept['valid_bpc']:.4f}; checkpoint: {ckpt}")
+    else:
+        print(f"final train BPC {history[-1]['train_bpc']:.4f}; checkpoint: {ckpt}")
     return Wrote(config_to_dict(config), config.seed, [ckpt, hist_path])
 
 

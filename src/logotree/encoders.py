@@ -419,20 +419,22 @@ def _cell_backward(w: dict, layout, terms, bias: str | None, act: dict, tc,
 
 
 # ---------------------------------------------------------------------------
-# the reverse passes' helper thread
+# the helper thread of the reverse passes and the forest pass
 # ---------------------------------------------------------------------------
 
 #: The one thread of the process that adds up the gated cells' weight
-#: gradients while a tree or LSTM reverse pass goes on: None until the
-#: first reverse pass starts it, False where each pass adds them itself.
+#: gradients while a tree or LSTM reverse pass goes on, and shares the
+#: large levels' chunks of a forest pass with the main thread: None until
+#: the first pass that wants it starts it, False where each pass runs
+#: inline.
 _helper = None
 _helper_lock = threading.Lock()
 
 
 def _run_inline() -> None:
-    """Have every later reverse pass of this process add its weight
-    gradients itself: in a forked child, whose copy of the helper has no
-    thread, and in worker processes, which already fill the CPUs."""
+    """Have every later pass of this process run inline: in a forked
+    child, whose copy of the helper has no thread, and in worker
+    processes, which already fill the CPUs."""
     global _helper
     _helper = False
 
@@ -442,13 +444,17 @@ if hasattr(os, "register_at_fork"):
 
 
 #: The fewest multiply-adds of a weight-gradient job (a tree level or an
-#: LSTM step) that the helper takes; a smaller job costs more to hand off
-#: than it saves, and runs inline unless it must queue behind a job still
-#: running. One tree reverse pass took, with every job / jobs from 2**23 /
-#: no job handed off (median of 15, one OpenBLAS thread, 2-vCPU VM): 64
-#: trees at hidden 48, d_in 24: 7.3 / 3.9 / 3.8 ms; 64 at hidden 128, d_in
-#: 32: 13.3 / 12.8 / 15.4 ms; 128 at hidden 256, d_in 64 (no shared
-#: slots): 55.0 / 55.6 / 81.8 ms.
+#: LSTM step), or of each chunk of a forest level, that the helper takes;
+#: a smaller one costs more to hand off than it saves, and runs inline
+#: (a weight-gradient job unless it must queue behind one still running).
+#: One tree reverse pass took, with every job / jobs from 2**23 / no job
+#: handed off (median of 15, one OpenBLAS thread, 2-vCPU VM): 64 trees at
+#: hidden 48, d_in 24: 7.3 / 3.9 / 3.8 ms; 64 at hidden 128, d_in 32:
+#: 13.3 / 12.8 / 15.4 ms; 128 at hidden 256, d_in 64 (no shared slots):
+#: 55.0 / 55.6 / 81.8 ms. A forest pass of 1,500 trees at the LM's width
+#: (hidden 32, d_in 32: about 3.3M per 128-row chunk) took 15-16 ms inline
+#: and 20-22 ms with every level of two or more chunks shared (median of
+#: 30, same VM).
 _HAND_OFF = 1 << 23
 
 
@@ -464,7 +470,8 @@ def _weight_grad_helper():
     """The process's helper, started on the first call where the process
     may use two or more CPUs, else False. One worker takes the jobs in the
     order they come, so every gradient adds its terms in the order the
-    inline pass does, and the results are the same bits."""
+    inline pass does, and the results are the same bits; a forest chunk
+    computes the same products on either thread."""
     global _helper
     with _helper_lock:
         if _helper is None:
@@ -474,7 +481,8 @@ def _weight_grad_helper():
 
 
 def helper_ran() -> bool:
-    """Whether this process's helper has taken a job."""
+    """Whether this process's helper has taken a job: weight gradients or
+    forest chunks."""
     return bool(_helper and _helper._threads)
 
 
@@ -505,6 +513,36 @@ def _weight_grad_jobs():
         wait(jobs)
     for job in jobs:
         job.result()
+
+
+def _share_chunks(helper, run, parts) -> None:
+    """``run(part)`` for every part, each pulled in turn by this thread or
+    by the helper, whichever is free; returns once both have stopped. A
+    helper that is busy or late takes fewer parts or none, so it never
+    holds the parts back. After an exception no part starts; the one in
+    flight ends, then the first exception is raised with its own type."""
+    lock, parts, failed = threading.Lock(), iter(parts), []
+
+    def drain():
+        while True:
+            with lock:
+                part = None if failed else next(parts, None)
+            if part is None:
+                return
+            try:
+                run(part)
+            except BaseException as exc:  # raised below, once both stop
+                with lock:
+                    failed.append(exc)
+
+    job = helper.submit(drain)
+    try:
+        drain()
+    finally:
+        if not job.cancel():  # a job the helper never started needs no wait
+            wait((job,))
+    if failed:
+        raise failed[0]
 
 
 def _tree_terms(p: TreeLstmParams, h_l, h_r, xs) -> list:
@@ -636,9 +674,10 @@ def treelstm_batch_forward(trees, embeds: VocabEmbeddings, p: TreeLstmParams,
 
 #: Rows per product of the forest pass. One ``pron.evaluate`` of the
 #: benchmark's 2,048-character compose-scale sample (seed 31, hidden 256,
-#: one OpenBLAS thread on a 2-vCPU VM) took 0.23 s at a 12.3 MB tracemalloc
-#: peak with 128 rows, 0.25 s at 11.2 MB with 64 and 0.23 s at 15.8 MB with
-#: 256; its eight level-batched 256-character batches took 0.36 s at 9.1 MB.
+#: one OpenBLAS thread on a 2-vCPU VM) took, with the helper sharing the
+#: levels / inline, 0.16-0.18 / 0.26 s at a 17.5-18.1 / 15.0 MB tracemalloc
+#: peak with 128 rows, 0.18-0.21 / 0.26 s at 15.0 / 13.5 MB with 64 and
+#: 0.15-0.19 / 0.26 s at 22.5-23.0 / 18.0 MB with 256.
 _FOREST_ROWS = 128
 
 
@@ -670,6 +709,12 @@ def embed_forest(trees, embeds: VocabEmbeddings, p: TreeLstmParams) -> np.ndarra
     ``treelstm_levels``' arithmetic, and (h, c) rows are kept only for the
     slots a later level reads. Each chunk writes the roots it completes
     straight into their rows, so equal trees get equal rows.
+
+    Where the process has the helper, a level of two or more chunks of at
+    least ``_HAND_OFF`` multiply-adds each is shared: the main thread and
+    the helper take its chunks in turn (``_share_chunks``), and the next
+    level starts once both are done. Every chunk writes its own rows and
+    keeps its products, so the rows are the same bits either way.
     """
     out = np.empty((len(trees), p.hidden), dtype=embeds.table.data.dtype)
     if not trees:
@@ -686,28 +731,41 @@ def embed_forest(trees, embeds: VocabEmbeddings, p: TreeLstmParams) -> np.ndarra
     order = np.argsort(roots, kind="stable")
     roots = roots[order]
 
+    def chunk(lvl, part):
+        rows_ = slice(part.start, part.stop)
+        if lvl == 0:
+            kids, gates = (), ("i", "o", "c")
+            terms = [("V", table[tok[rows_]])]
+        else:
+            left, right = schedule.left[rows_], schedule.right[rows_]
+            kids, gates = (kept[left], kept[right]), GATES
+            # the input rows are gathered only if the cell reads them
+            terms = _tree_terms(p, h_keep[kids[0]], h_keep[kids[1]],
+                                (table[tok[s]] for s in (rows_, left, right)))
+        act = _cell_gates(w, GATES, terms, bias, gates)
+        h = np.empty((len(part), p.hidden), dtype=table.dtype)
+        c, _ = _cell_state(act, zip(("fl", "fr"), (c_keep[k] for k in kids)), h)
+        del act, terms  # the next chunk's gathers need not wait for these
+        dest = kept[rows_]
+        read = dest >= 0
+        h_keep[dest[read]] = h[read]
+        c_keep[dest[read]] = c[read]
+        lo, hi = np.searchsorted(roots, (part.start, part.stop))
+        out[order[lo:hi]] = h[roots[lo:hi] - part.start]
+
+    # a row's multiply-adds at the leaves and above, counted as
+    # _cell_backward counts them: gates x hidden x summed term widths
+    per_row = (3 * p.hidden * p.d_in, len(GATES) * p.hidden
+               * (2 * p.hidden + (3 * p.d_in if p.operator_inputs else 0)))
     for lvl, span in enumerate(schedule.levels):
-        for part in _chunks(span, _FOREST_ROWS):
-            rows_ = slice(part.start, part.stop)
-            if lvl == 0:
-                kids, gates = (), ("i", "o", "c")
-                terms = [("V", table[tok[rows_]])]
-            else:
-                left, right = schedule.left[rows_], schedule.right[rows_]
-                kids, gates = (kept[left], kept[right]), GATES
-                # the input rows are gathered only if the cell reads them
-                terms = _tree_terms(p, h_keep[kids[0]], h_keep[kids[1]],
-                                    (table[tok[s]] for s in (rows_, left, right)))
-            act = _cell_gates(w, GATES, terms, bias, gates)
-            h = np.empty((len(part), p.hidden), dtype=table.dtype)
-            c, _ = _cell_state(act, zip(("fl", "fr"), (c_keep[k] for k in kids)), h)
-            del act, terms  # the next chunk's gathers need not wait for these
-            dest = kept[rows_]
-            read = dest >= 0
-            h_keep[dest[read]] = h[read]
-            c_keep[dest[read]] = c[read]
-            lo, hi = np.searchsorted(roots, (part.start, part.stop))
-            out[order[lo:hi]] = h[roots[lo:hi] - part.start]
+        parts = _chunks(span, _FOREST_ROWS)
+        work = len(parts[0]) * per_row[lvl > 0]  # the smallest chunk's
+        helper = len(parts) >= 2 and work >= _HAND_OFF and _weight_grad_helper()
+        if helper:
+            _share_chunks(helper, partial(chunk, lvl), parts)
+        else:
+            for part in parts:
+                chunk(lvl, part)
     return out
 
 

@@ -1,6 +1,8 @@
 import contextlib
 import math
 import random
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -558,6 +560,164 @@ def test_forest_pass_peaks_under_a_quarter_of_one_unbounded_batch(tmp_path,
     batch = peak(lambda: treelstm_batch_forward(trees, embeds, p))
     forest = peak(lambda: enc.embed_forest(trees, embeds, p))
     assert forest < batch / 4, (forest, batch)
+
+
+# WIDE with one pair of its roots above: levels of 2, 3 and 1 chunks
+SPLIT_LEVELS = WIDE + [Op("⿱", WIDE[0], WIDE[1])]
+
+
+def _on_helper() -> bool:
+    return threading.current_thread().name.startswith("test-grads")
+
+
+def both_threads_and_inline(weight_grads, monkeypatch, run) -> list:
+    """``run()``'s result with the helper sharing every forest level of two
+    or more chunks, then inline; asserts that the helper took chunks in the
+    first run and none in the second. The first chunk of the first run
+    waits until the helper has started one, so that both threads take part
+    however late the helper starts."""
+    kernel, results = enc._cell_gates, []
+    for on in (True, False):
+        weight_grads.use(on)
+        names, helper_in = [], threading.Event()
+
+        def spy(*args):
+            names.append(threading.current_thread().name)
+            if _on_helper():
+                helper_in.set()
+            elif on and len(names) == 1:
+                assert helper_in.wait(10)
+            return kernel(*args)
+
+        monkeypatch.setattr(enc, "_cell_gates", spy)
+        results.append(run())
+        assert any(name.startswith("test-grads") for name in names) == on
+    monkeypatch.setattr(enc, "_cell_gates", kernel)
+    return results
+
+
+def test_forest_rows_on_two_threads_equal_inline(weight_grads, monkeypatch):
+    rng = np.random.default_rng(49)
+    p = TreeLstmParams.init(256, 64, rng)
+    embeds = make_embeds(rng, 64, WIDE_TOKENS)
+    levels = build_level_schedule(SPLIT_LEVELS, share=True).levels
+    assert [len(enc._chunks(span, enc._FOREST_ROWS)) for span in levels] == [2, 3, 1]
+    on, off = both_threads_and_inline(
+        weight_grads, monkeypatch, lambda: enc.embed_forest(SPLIT_LEVELS, embeds, p))
+    assert on.tobytes() == off.tobytes()
+
+
+def test_evaluate_and_lm_cache_on_two_threads_equal_inline(
+        weight_grads, monkeypatch, corpus, rule_table):
+    from logotree import lm, pron
+    from logotree.config import LmConfig, RunConfig
+    model = pron.build_model(RunConfig(hidden=256, d_in=64, seed=50),
+                             pron.Inventories.from_entries(corpus),
+                             sorted(rule_table.leaf_set))
+    on, off = both_threads_and_inline(
+        weight_grads, monkeypatch, lambda: pron.evaluate(model, corpus, rule_table))
+    assert on == off
+    language = lm.build_lm(LmConfig(input_kind="hierarchical", layer_sizes=(8,),
+                                    embed_dim=64, seed=51),
+                           sorted(rule_table.rules), rule_table)
+    on, off = both_threads_and_inline(
+        weight_grads, monkeypatch,
+        lambda: {ch: v.tobytes() for ch, v in lm.build_cache(language).vectors.items()})
+    assert len(on) == len(language.trees) and on == off
+
+
+class ChunkError(Exception):
+    pass
+
+
+@pytest.mark.parametrize("failing", ["main", "helper"])
+def test_a_failing_chunk_ends_the_forest_pass_with_its_own_type(
+        weight_grads, monkeypatch, failing):
+    # one leaf chunk, then three chunks of 128 pairs: the failing chunk waits
+    # until the other thread has one in flight, which ends before the pass
+    # raises, and the third chunk never starts
+    leaves = _wide_leaves[:128]
+    trees = [Op("⿰", leaves[k % 128], leaves[(k + 1 + k // 128) % 128])
+             for k in range(384)]
+    rng = np.random.default_rng(52)
+    p = TreeLstmParams.init(8, 4, rng)
+    embeds = make_embeds(rng, 4, WIDE_TOKENS)
+    weight_grads.use(True)
+    log, other_in = [], threading.Event()
+    kernel, share = enc._cell_gates, enc._share_chunks
+
+    def who() -> str:
+        return "helper" if _on_helper() else "main"
+
+    def gates(w, layout, terms, *args):
+        if len(terms) > 1:  # an inner chunk
+            if who() == failing:
+                assert other_in.wait(10)
+                log.append(("raise", who()))
+                raise ChunkError("a chunk failed")
+            other_in.set()
+            time.sleep(0.05)
+        return kernel(w, layout, terms, *args)
+
+    def logged_share(helper, run, parts):
+        def logged(part):  # a chunk's start, and its end once it has written
+            log.append(("start", who()))
+            try:
+                run(part)
+            finally:
+                log.append(("end", who()))
+        share(helper, logged, parts)
+
+    monkeypatch.setattr(enc, "_cell_gates", gates)
+    monkeypatch.setattr(enc, "_share_chunks", logged_share)
+    assert [len(span) for span in build_level_schedule(trees, share=True).levels] == [128, 384]
+    with pytest.raises(ChunkError):
+        enc.embed_forest(trees, embeds, p)
+    returned = list(log)
+    assert sorted(returned) == [("end", "helper"), ("end", "main"), ("raise", failing),
+                                ("start", "helper"), ("start", "main")]
+    after = returned[returned.index(("raise", failing)):]
+    assert all(event != "start" for event, _ in after)
+    time.sleep(0.2)
+    assert log == returned  # nothing ran on after the pass returned
+
+
+def test_shared_chunks_run_once_each_under_fast_thread_switching(weight_grads):
+    # every part is pulled once, by one thread or the other, however often
+    # the interpreter switches threads between the lock and the run
+    import sys
+    weight_grads.use(True)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            ran = []
+            enc._share_chunks(enc._helper, ran.append, range(500))
+            assert sorted(ran) == list(range(500))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_forest_chunks_below_the_hand_off_stay_inline(weight_grads, monkeypatch):
+    # at the LM's width (hidden 32, d_in 32) an 85-row chunk is about 2.2M
+    # multiply-adds and every level runs inline; at paper width only level
+    # 1's three chunks are shared: the leaves' are small, level 2 is one chunk
+    hand_off = enc._HAND_OFF
+    weight_grads.use(True)
+    monkeypatch.setattr(enc, "_HAND_OFF", hand_off)
+    submitted, submit = [], enc._helper.submit
+
+    def counting(job):
+        submitted.append(job)
+        return submit(job)
+
+    monkeypatch.setattr(enc._helper, "submit", counting)
+    for hidden, d_in, shared in ((32, 32, 0), (256, 64, 1)):
+        rng = np.random.default_rng(53)
+        p = TreeLstmParams.init(hidden, d_in, rng)
+        submitted.clear()
+        enc.embed_forest(SPLIT_LEVELS, make_embeds(rng, d_in, WIDE_TOKENS), p)
+        assert len(submitted) == shared, hidden
 
 
 def test_untaped_level_kernel_keeps_no_level_for_a_reverse_pass():

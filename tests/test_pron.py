@@ -469,25 +469,31 @@ corpus, _ = phono.build_corpus(
     phono.parse_unihan_readings(data / "mini_readings.txt"), seed=7)
 split = phono.build_scenario(corpus, 1, seed=5, sizes=(64, 16, 16))
 encoder = sys.argv[2]
-config = RunConfig(encoder=encoder, hidden=8, d_in=6, batch_size=32,
-                   epochs=2, dropout=0.0, seed=7)
-# the helper thread is running, with a reverse pass of the encoder done,
-# when the pool forks its workers
+config = RunConfig(encoder="treelstm" if encoder == "forest" else encoder,
+                   hidden=8, d_in=6, batch_size=32, epochs=2, dropout=0.0, seed=7)
+# the helper thread is running, with a reverse pass of the encoder or a
+# paper-width evaluation done, when the pool forks its workers
 encoders._helper = concurrent.futures.ThreadPoolExecutor(1)
-encoders._HAND_OFF = 0
-rng = np.random.default_rng(0)
-embeds = encoders.VocabEmbeddings(sorted(rules.leaf_set), 6, rng)
-trees = [ids.decompose(e.ch, rules) for e in split.train]
-with Tape() as tape:
-    if encoder == "treelstm":
-        out = encoders.treelstm_batch_forward(
-            trees, embeds, encoders.TreeLstmParams.init(8, 6, rng))
-    else:
-        out = encoders.lstm_batch_forward(
-            [ids.linearize(t, ids.LinearOrder.PRE) for t in trees], embeds,
-            encoders.LstmParams.init(8, 6, rng))
-    loss = out.sum()
-tape.backward(loss)
+if encoder == "forest":  # the forest's level 1 is two chunks, each large
+    model = pron.build_model(RunConfig(hidden=256, d_in=64, seed=7),
+                             pron.Inventories.from_entries(corpus),
+                             sorted(rules.leaf_set))
+    pron.evaluate(model, corpus, rules)
+else:
+    encoders._HAND_OFF = 0
+    rng = np.random.default_rng(0)
+    embeds = encoders.VocabEmbeddings(sorted(rules.leaf_set), 6, rng)
+    trees = [ids.decompose(e.ch, rules) for e in split.train]
+    with Tape() as tape:
+        if encoder == "treelstm":
+            out = encoders.treelstm_batch_forward(
+                trees, embeds, encoders.TreeLstmParams.init(8, 6, rng))
+        else:
+            out = encoders.lstm_batch_forward(
+                [ids.linearize(t, ids.LinearOrder.PRE) for t in trees], embeds,
+                encoders.LstmParams.init(8, 6, rng))
+        loss = out.sum()
+    tape.backward(loss)
 assert encoders._helper._threads
 concurrent.futures.ProcessPoolExecutor = partial(
     concurrent.futures.ProcessPoolExecutor,
@@ -507,6 +513,11 @@ def test_grid_search_in_forked_workers_after_a_tree_backward(tmp_path):
 
 def test_grid_search_in_forked_workers_after_an_lstm_backward(tmp_path):
     grid_in_forked_workers(tmp_path, "lstm")
+
+
+def test_grid_search_in_forked_workers_after_a_forest_pass(tmp_path):
+    # a paper-width evaluate shared its forest levels with the helper
+    grid_in_forked_workers(tmp_path, "forest")
 
 
 def grid_in_forked_workers(tmp_path, encoder):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from logotree import lm, pron
+from logotree import ids, lm, pron
 from logotree.checkpoint import save_checkpoint
 from logotree.cli import dispatch
 from logotree.config import (LmConfig, RunConfig, config_to_dict, load_config,
@@ -383,6 +383,8 @@ def test_lm_cli_round(tmp_path, capsys):
     out_dir = tmp_path / "lmrun"
     rc = dispatch(["--config", str(cfg), "--out-dir", str(out_dir), "train-lm"])
     assert rc == 0
+    last = (out_dir / "lm_history.csv").read_text(encoding="utf-8").splitlines()[-1]
+    assert f"final train BPC {float(last.split(',')[1]):.4f};" in capsys.readouterr().out
     rc = dispatch(["--out-dir", str(out_dir), "eval-lm",
                    "--checkpoint", str(out_dir / "lm.ckpt"),
                    "--corpus", str(corpus),
@@ -390,6 +392,32 @@ def test_lm_cli_round(tmp_path, capsys):
     assert rc == 0
     result = json.loads((out_dir / "lm_eval.json").read_text(encoding="utf-8"))
     assert result["PPL"] == pytest.approx(2 ** result["BPC"])
+
+
+def test_train_lm_reports_the_epoch_its_checkpoint_holds(tmp_path, capsys):
+    # validation BPC falls for one epoch, then rises as the model learns the
+    # training order: the checkpoint holds epoch 1, not the last
+    train, valid = tmp_path / "train.txt", tmp_path / "valid.txt"
+    train.write_text("河湖海江\n" * 12, encoding="utf-8")
+    valid.write_text("河湖海江\n江海湖河\n", encoding="utf-8")
+    cfg = write_config(tmp_path, {
+        "run": {"input_kind": "hierarchical", "layer_sizes": [12],
+                "embed_dim": 8, "batch_size": 2, "bptt": 8, "epochs": 4,
+                "learning_rate": 2e-2, "dropout_input": 0.0,
+                "dropout_hidden": 0.0, "dropout_output": 0.0, "seed": 4},
+        "rules": str(DATA / "mini_ids.txt"),
+    }, name="lm.json")
+    out_dir = tmp_path / "lmrun"
+    assert dispatch(["--config", str(cfg), "--out-dir", str(out_dir), "train-lm",
+                     "--corpus", str(train), "--valid", str(valid)]) == 0
+    rows = (out_dir / "lm_history.csv").read_text(encoding="utf-8").splitlines()[1:]
+    history = [[float(v) for v in row.split(",")] for row in rows]
+    assert [h[2] for h in history].index(min(h[2] for h in history)) == 1
+    epoch, train_bpc, valid_bpc = history[1]
+    assert capsys.readouterr().out.startswith(
+        f"kept epoch 1: train BPC {train_bpc:.4f}, valid BPC {valid_bpc:.4f};")
+    model = lm.load_lm(out_dir / "lm.ckpt", rules=ids.load_rule_table(DATA / "mini_ids.txt"))
+    assert lm.eval_lm(model, lm.read_corpus(valid))[0] == pytest.approx(valid_bpc, abs=1e-6)
 
 
 def test_eval_lm_cli_writes_null_ppl_past_the_float_range(tmp_path, capsys):
@@ -585,7 +613,7 @@ def test_evaluate_keeps_the_benchmark_probe_contract(monkeypatch, tmp_path,
 
     import numpy as np
 
-    from logotree import ids, phono
+    from logotree import phono
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
     trace = importlib.import_module("perfbench.trace")
     measure = importlib.import_module("perfbench.measure")
