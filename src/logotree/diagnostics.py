@@ -48,7 +48,7 @@ def _check_tree_model(model: PronModel) -> None:
 def root_forget_gates(model: PronModel, trees
                       ) -> tuple[np.ndarray, np.ndarray]:
     """Left and right forget-gate activations at the roots of inner-rooted
-    trees, each (n, hidden): one forest pass over all children, then the
+    trees, each (n, hidden): one untaped pass over all children, then the
     cell kernel's two forget gates over 256 roots at a time."""
     _check_tree_model(model)
     trees = list(trees)
@@ -57,7 +57,7 @@ def root_forget_gates(model: PronModel, trees
     p, embeds = model.encoder, model.embeds
     n = len(trees)
     lefts, rights = [t.left for t in trees], [t.right for t in trees]
-    h = enc.embed_forest(lefts + rights, embeds, p)
+    h = enc.treelstm_batch_forward(lefts + rights, embeds, p).data
     h_l, h_r = h[:n], h[n:]
     f_l, f_r = np.empty_like(h_l), np.empty_like(h_r)
     for start in range(0, n, EVAL_BATCH):

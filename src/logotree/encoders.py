@@ -419,13 +419,13 @@ def _cell_backward(w: dict, layout, terms, bias: str | None, act: dict, tc,
 
 
 # ---------------------------------------------------------------------------
-# the helper thread of the reverse passes and the forest pass
+# the helper thread of the reverse passes and the untaped tree pass
 # ---------------------------------------------------------------------------
 
 #: The one thread of the process that adds up the gated cells' weight
 #: gradients while a tree or LSTM reverse pass goes on, and shares the
-#: large levels' chunks of a forest pass with the main thread: None until
-#: the first pass that wants it starts it, False where each pass runs
+#: large levels' chunks of an untaped tree pass with the main thread: None
+#: until the first pass that wants it starts it, False where each pass runs
 #: inline.
 _helper = None
 _helper_lock = threading.Lock()
@@ -444,14 +444,14 @@ if hasattr(os, "register_at_fork"):
 
 
 #: The fewest multiply-adds of a weight-gradient job (a tree level or an
-#: LSTM step), or of each chunk of a forest level, that the helper takes;
+#: LSTM step), or of each chunk of an untaped level, that the helper takes;
 #: a smaller one costs more to hand off than it saves, and runs inline
 #: (a weight-gradient job unless it must queue behind one still running).
 #: One tree reverse pass took, with every job / jobs from 2**23 / no job
 #: handed off (median of 15, one OpenBLAS thread, 2-vCPU VM): 64 trees at
 #: hidden 48, d_in 24: 7.3 / 3.9 / 3.8 ms; 64 at hidden 128, d_in 32:
 #: 13.3 / 12.8 / 15.4 ms; 128 at hidden 256, d_in 64 (no shared slots):
-#: 55.0 / 55.6 / 81.8 ms. A forest pass of 1,500 trees at the LM's width
+#: 55.0 / 55.6 / 81.8 ms. An untaped pass of 1,500 trees at the LM's width
 #: (hidden 32, d_in 32: about 3.3M per 128-row chunk) took 15-16 ms inline
 #: and 20-22 ms with every level of two or more chunks shared (median of
 #: 30, same VM).
@@ -470,7 +470,7 @@ def _weight_grad_helper():
     """The process's helper, started on the first call where the process
     may use two or more CPUs, else False. One worker takes the jobs in the
     order they come, so every gradient adds its terms in the order the
-    inline pass does, and the results are the same bits; a forest chunk
+    inline pass does, and the results are the same bits; an untaped chunk
     computes the same products on either thread."""
     global _helper
     with _helper_lock:
@@ -482,7 +482,7 @@ def _weight_grad_helper():
 
 def helper_ran() -> bool:
     """Whether this process's helper has taken a job: weight gradients or
-    forest chunks."""
+    untaped chunks."""
     return bool(_helper and _helper._threads)
 
 
@@ -553,131 +553,12 @@ def _tree_terms(p: TreeLstmParams, h_l, h_r, xs) -> list:
     return terms
 
 
-def treelstm_levels(schedule: LevelSchedule, inputs, p: TreeLstmParams) -> Tensor:
-    """Root hidden states of a whole level schedule, one row per root,
-    recorded as one tape entry: the taped training kernel. Every untaped
-    tree embedding runs ``embed_forest`` instead, which keeps no state
-    buffer over every slot.
-
-    ``inputs`` yields each level's input rows in turn: ``(x_n,)`` at level
-    0 and ``(x_n, x_l, x_r)`` above, which only ``p.operator_inputs``
-    reads. Each level is one cell-kernel evaluation with
-    ``treelstm_node``'s arithmetic into (total_slots, hidden) state
-    buffers; level 0 is the leaf cell, gates i, o and c of V·x + b and the
-    cell i*cand. The backward pass walks the levels in reverse; weights no
-    level reads get zeros.
-
-    Where the process may use two or more CPUs, the backward pass hands
-    each large level's weight gradients (``dp.T @ x`` per gate and term,
-    and the bias row sums) to one helper thread as one job, and computes
-    the input gradients and the scatter to the level below meanwhile; it
-    returns once its jobs are done. The helper runs the jobs in the order
-    given, so every product keeps its operands and every gradient its
-    order of sums: the results are the same bits either way.
-    """
-    w = p.packed
-    bias = "b" if p.use_bias else None
-    read: list[Tensor] = []  # the input tensors the cell reads
-    taped = ad.taping()
-    saved = []  # per level, what the backward pass needs, only under a tape
-
-    def forget(kids):  # each child's forget gate and cell, gathered anew
-        return zip(("fl", "fr"), (c_buf[kid] for kid in kids))
-
-    for lvl, (span, xs) in enumerate(zip(schedule.levels, inputs)):
-        rows_ = slice(span.start, span.stop)
-        if lvl == 0:
-            h_buf = np.empty((schedule.total_slots, p.hidden),
-                             dtype=xs[0].data.dtype)
-            c_buf = np.empty_like(h_buf)
-            kids, gates = (), ("i", "o", "c")
-            terms, used = [("V", xs[0].data)], xs[:1]
-        else:
-            kids = (schedule.left[rows_], schedule.right[rows_])
-            gates, used = GATES, (xs if p.operator_inputs else ())
-            terms = _tree_terms(p, h_buf[kids[0]], h_buf[kids[1]],
-                                [x.data for x in xs])
-        read.extend(used)
-        act = _cell_gates(w, GATES, terms, bias, gates)
-        _, tc = _cell_state(act, forget(kids), h_buf[rows_], c_buf[rows_])
-        if taped:
-            saved.append((rows_, kids, terms, act, tc))
-
-    roots = np.array(schedule.roots, dtype=np.intp)
-    out = Tensor(h_buf[roots])
-    weights = tuple(p.weights.values())
-    shared = schedule.shared
-
-    def backward(g):
-        dh = np.zeros_like(h_buf)
-        dc = np.zeros_like(c_buf)
-        _add_rows(dh, roots, g, shared)
-        grads: dict[str, np.ndarray] = {}
-        # the weight gradients' buffers come from this thread: the helper's
-        # allocator arena would keep its own copy of the memory they take
-        bufs = {key: np.zeros(t.data.shape, np.result_type(h_buf, t.data))
-                for key, t in p.weights.items()}
-        x_grads = []  # per read input, from the top level down
-        with _weight_grad_jobs() as run:
-            for rows_, kids, terms, act, tc in reversed(saved):
-                dcn, d_terms = _cell_backward(w, GATES, terms, bias, act, tc,
-                                              forget(kids), dh[rows_],
-                                              dc[rows_], grads, run, bufs)
-                if kids:
-                    left, right = kids
-                    _add_rows(dc, right, dcn * act["fr"], shared)
-                    _add_rows(dc, left, dcn * act["fl"], shared)
-                    _add_rows(dh, right, d_terms[1], shared)
-                    _add_rows(dh, left, d_terms[0], shared)
-                    d_terms = d_terms[2:]
-                x_grads.extend(reversed(d_terms))
-        return (*(grads[key] if key in grads else bufs[key] for key in p.weights),
-                *reversed(x_grads))
-
-    return ad.record(out, (*weights, *read), backward)
-
-
-def treelstm_batch_forward(trees, embeds: VocabEmbeddings, p: TreeLstmParams,
-                           input_dropout: float = 0.0,
-                           rng: np.random.Generator | None = None,
-                           training: bool = False) -> Tensor:
-    """Level-batched training forward; returns root hidden states, one row
-    per tree. Untaped embeddings come from ``embed_forest``.
-
-    Per-tree results match the sequential evaluation: ``treelstm_levels``
-    does the same arithmetic, grouped into one matrix operation per level.
-    The input rows are looked up (and dropped out) level by level, in that
-    order, as the cell reaches each level.
-
-    Each distinct subtree is evaluated once, and its gradients accumulate
-    over every use, unless training draws an input-dropout mask: then every
-    node occurrence keeps its own slot and its own mask rows.
-    """
-    share = not (training and input_dropout > 0)
-    schedule = build_level_schedule(trees, share=share)
-    tok = embeds.token_ids(schedule.label)
-
-    def look_up(ids_) -> Tensor:
-        return dropout(rows(embeds.table, ids_), input_dropout, rng, training)
-
-    def level_inputs():
-        for lvl, span in enumerate(schedule.levels):
-            rows_ = slice(span.start, span.stop)
-            xs = [look_up(tok[rows_])]
-            if lvl:
-                xs += [look_up(tok[schedule.left[rows_]]),
-                       look_up(tok[schedule.right[rows_]])]
-            yield xs
-
-    return treelstm_levels(schedule, level_inputs(), p)
-
-
-#: Rows per product of the forest pass. One ``pron.evaluate`` of the
-#: benchmark's 2,048-character compose-scale sample (seed 31, hidden 256,
-#: one OpenBLAS thread on a 2-vCPU VM) took, with the helper sharing the
-#: levels / inline, 0.16-0.18 / 0.26 s at a 17.5-18.1 / 15.0 MB tracemalloc
-#: peak with 128 rows, 0.18-0.21 / 0.26 s at 15.0 / 13.5 MB with 64 and
-#: 0.15-0.19 / 0.26 s at 22.5-23.0 / 18.0 MB with 256.
+#: Rows per product of an untaped pass over a shared schedule. One
+#: ``pron.evaluate`` of the benchmark's 2,048-character compose-scale sample
+#: (seed 31, hidden 256, one OpenBLAS thread on a 2-vCPU VM) took, with the
+#: helper sharing the levels / inline, 0.16-0.18 / 0.26 s at a 17.5-18.1 /
+#: 15.0 MB tracemalloc peak with 128 rows, 0.18-0.21 / 0.26 s at 15.0 / 13.5
+#: MB with 64 and 0.15-0.19 / 0.26 s at 22.5-23.0 / 18.0 MB with 256.
 _FOREST_ROWS = 128
 
 
@@ -699,66 +580,84 @@ def _kept_rows(schedule: LevelSchedule) -> np.ndarray:
     return np.where(read, np.cumsum(read) - 1, -1)
 
 
-def embed_forest(trees, embeds: VocabEmbeddings, p: TreeLstmParams) -> np.ndarray:
-    """Untaped root hidden states of ``trees``, each distinct subtree
-    computed once, in bounded memory: one (len(trees), hidden) array whose
-    row k is the root state of ``trees[k]``.
+def treelstm_levels(schedule: LevelSchedule, inputs, p: TreeLstmParams) -> Tensor:
+    """Root hidden states of a whole level schedule, one row per root: the
+    one tree kernel, one tape entry under a tape.
 
-    One shared schedule covers every tree. Each level runs through the cell
-    kernel in near-equal chunks of at most ``_FOREST_ROWS`` rows, with
-    ``treelstm_levels``' arithmetic, and (h, c) rows are kept only for the
-    slots a later level reads. Each chunk writes the roots it completes
-    straight into their rows, so equal trees get equal rows.
+    ``inputs(lvl, rows)`` returns the input rows of the slots ``rows``, a
+    slice of level ``lvl``: ``(x_n,)`` at level 0 and ``(x_n, x_l, x_r)``
+    above, which only ``p.operator_inputs`` reads. Each slice is one
+    cell-kernel evaluation with ``treelstm_node``'s arithmetic; level 0 is
+    the leaf cell, gates i, o and c of V·x + b and the cell i*cand. (h, c)
+    is kept only for the slots a later level reads, and each slice writes
+    the roots it completes straight into their rows.
 
-    Where the process has the helper, a level of two or more chunks of at
-    least ``_HAND_OFF`` multiply-adds each is shared: the main thread and
-    the helper take its chunks in turn (``_share_chunks``), and the next
-    level starts once both are done. Every chunk writes its own rows and
-    keeps its products, so the rows are the same bits either way.
+    Without a tape, over a shared schedule, a level runs in near-equal
+    slices of at most ``_FOREST_ROWS`` rows; where the process has the
+    helper, a level of two or more slices of at least ``_HAND_OFF``
+    multiply-adds each is shared with it (``_share_chunks``). A row of a
+    product rounds as in the whole level's product (the tests pin this), so
+    the rows are the same bits on either thread, in slices or whole. Under
+    a tape, or over an unshared schedule (whose inputs may draw dropout
+    masks), a level is one slice, on this thread, in level order.
+
+    The backward pass walks the levels in reverse; weights no level reads
+    get zeros. It hands each large level's weight gradients (``dp.T @ x``
+    per gate and term, and the bias row sums) to the helper as one job, if
+    the process has one, and computes the input gradients and the scatter
+    to the level below meanwhile; it returns once its jobs are done. The
+    helper runs the jobs in the order given, so every gradient keeps its
+    order of sums: the results are the same bits either way.
     """
-    out = np.empty((len(trees), p.hidden), dtype=embeds.table.data.dtype)
-    if not trees:
-        return out
-    schedule = build_level_schedule(trees, share=True)
-    tok = embeds.token_ids(schedule.label)
-    table = embeds.table.data
-    w, bias = p.packed, ("b" if p.use_bias else None)
+    w = p.packed
+    bias = "b" if p.use_bias else None
+    taped = ad.taping()
+    most = _FOREST_ROWS if schedule.shared and not taped else schedule.total_slots
+    read: list[Tensor] = []  # the input tensors the cell reads
+    saved = []  # per level, what the backward pass needs, only under a tape
+    out = Tensor(np.zeros((len(schedule.roots), p.hidden)))  # every input's dtype
     kept = _kept_rows(schedule)
-    h_keep = np.empty((int(kept.max()) + 1, p.hidden), dtype=table.dtype)
+    h_keep = np.empty((int(kept.max()) + 1, p.hidden), dtype=out.data.dtype)
     c_keep = np.empty_like(h_keep)
-    # input positions grouped by root slot, slots ascending
+    # output rows grouped by root slot, slots ascending
     roots = np.asarray(schedule.roots, dtype=np.intp)
     order = np.argsort(roots, kind="stable")
     roots = roots[order]
 
+    def forget(kids):  # each child's forget gate and cell, gathered anew
+        return zip(("fl", "fr"), (c_keep[kept[kid]] for kid in kids))
+
     def chunk(lvl, part):
         rows_ = slice(part.start, part.stop)
+        xs = inputs(lvl, rows_)
         if lvl == 0:
-            kids, gates = (), ("i", "o", "c")
-            terms = [("V", table[tok[rows_]])]
+            kids, gates, used = (), ("i", "o", "c"), xs[:1]
+            terms = [("V", xs[0].data)]
         else:
-            left, right = schedule.left[rows_], schedule.right[rows_]
-            kids, gates = (kept[left], kept[right]), GATES
-            # the input rows are gathered only if the cell reads them
-            terms = _tree_terms(p, h_keep[kids[0]], h_keep[kids[1]],
-                                (table[tok[s]] for s in (rows_, left, right)))
+            kids = (schedule.left[rows_], schedule.right[rows_])
+            gates, used = GATES, (xs if p.operator_inputs else ())
+            terms = _tree_terms(p, h_keep[kept[kids[0]]], h_keep[kept[kids[1]]],
+                                [x.data for x in xs])
         act = _cell_gates(w, GATES, terms, bias, gates)
-        h = np.empty((len(part), p.hidden), dtype=table.dtype)
-        c, _ = _cell_state(act, zip(("fl", "fr"), (c_keep[k] for k in kids)), h)
-        del act, terms  # the next chunk's gathers need not wait for these
+        h = np.empty((len(part), p.hidden), dtype=h_keep.dtype)
+        c, tc = _cell_state(act, forget(kids), h)
+        if taped:
+            read.extend(used)
+            saved.append((rows_, kids, terms, act, tc))
+        del xs, used, act, terms, tc  # the next chunk's gathers need not wait
         dest = kept[rows_]
-        read = dest >= 0
-        h_keep[dest[read]] = h[read]
-        c_keep[dest[read]] = c[read]
+        keep = dest >= 0
+        h_keep[dest[keep]] = h[keep]
+        c_keep[dest[keep]] = c[keep]
         lo, hi = np.searchsorted(roots, (part.start, part.stop))
-        out[order[lo:hi]] = h[roots[lo:hi] - part.start]
+        out.data[order[lo:hi]] = h[roots[lo:hi] - part.start]
 
     # a row's multiply-adds at the leaves and above, counted as
     # _cell_backward counts them: gates x hidden x summed term widths
     per_row = (3 * p.hidden * p.d_in, len(GATES) * p.hidden
                * (2 * p.hidden + (3 * p.d_in if p.operator_inputs else 0)))
     for lvl, span in enumerate(schedule.levels):
-        parts = _chunks(span, _FOREST_ROWS)
+        parts = _chunks(span, most)
         work = len(parts[0]) * per_row[lvl > 0]  # the smallest chunk's
         helper = len(parts) >= 2 and work >= _HAND_OFF and _weight_grad_helper()
         if helper:
@@ -766,7 +665,68 @@ def embed_forest(trees, embeds: VocabEmbeddings, p: TreeLstmParams) -> np.ndarra
         else:
             for part in parts:
                 chunk(lvl, part)
-    return out
+
+    shared = schedule.shared
+
+    def backward(g):
+        dh = np.zeros((schedule.total_slots, p.hidden), dtype=h_keep.dtype)
+        dc = np.zeros_like(dh)
+        _add_rows(dh, roots, g[order], shared)  # a slot's rows in input order
+        grads: dict[str, np.ndarray] = {}
+        # the weight gradients' buffers come from this thread: the helper's
+        # allocator arena would keep its own copy of the memory they take
+        bufs = {key: np.zeros(t.data.shape, np.result_type(dh, t.data))
+                for key, t in p.weights.items()}
+        x_grads = []  # per read input, from the top level down
+        with _weight_grad_jobs() as run:
+            for rows_, kids, terms, act, tc in reversed(saved):
+                dcn, d_terms = _cell_backward(w, GATES, terms, bias, act, tc,
+                                              forget(kids), dh[rows_],
+                                              dc[rows_], grads, run, bufs)
+                if kids:
+                    left, right = kids
+                    _add_rows(dc, right, dcn * act["fr"], shared)
+                    _add_rows(dc, left, dcn * act["fl"], shared)
+                    _add_rows(dh, right, d_terms[1], shared)
+                    _add_rows(dh, left, d_terms[0], shared)
+                    d_terms = d_terms[2:]
+                x_grads.extend(reversed(d_terms))
+        return (*(grads[key] if key in grads else bufs[key] for key in p.weights),
+                *reversed(x_grads))
+
+    return ad.record(out, (*p.weights.values(), *read), backward)
+
+
+def treelstm_batch_forward(trees, embeds: VocabEmbeddings, p: TreeLstmParams,
+                           input_dropout: float = 0.0,
+                           rng: np.random.Generator | None = None,
+                           training: bool = False) -> Tensor:
+    """Root hidden states of ``trees``, row k that of ``trees[k]``, by
+    ``treelstm_levels``, whose rows match the sequential evaluation; (0,
+    hidden) for no trees. The input rows are looked up (and dropped out)
+    slice by slice, in that order, as the cell reaches each slice.
+
+    Each distinct subtree is evaluated once, and its gradients accumulate
+    over every use, unless training draws an input-dropout mask: then every
+    node occurrence keeps its own slot and its own mask rows.
+    """
+    if not trees:
+        return Tensor(np.empty((0, p.hidden)))
+    share = not (training and input_dropout > 0)
+    schedule = build_level_schedule(trees, share=share)
+    tok = embeds.token_ids(schedule.label)
+
+    def look_up(ids_) -> Tensor:
+        return dropout(rows(embeds.table, ids_), input_dropout, rng, training)
+
+    def level_inputs(lvl, rows_):
+        xs = [look_up(tok[rows_])]
+        if lvl:
+            xs += [look_up(tok[schedule.left[rows_]]),
+                   look_up(tok[schedule.right[rows_]])]
+        return xs
+
+    return treelstm_levels(schedule, level_inputs, p)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ Input embeddings are either a standard lookup table or hierarchical
 embeddings composed by the tree encoder from each character's
 decomposition. During training only the embeddings of characters present
 in the current batch window are updated, and their trees run through the
-taped level kernel; inference reads hierarchical embeddings only from an
-``EmbeddingCache``, which composes every tree character in one forest
+taped tree kernel; inference reads hierarchical embeddings only from an
+``EmbeddingCache``, which composes every tree character in one untaped
 pass and is stamped with the parameter version.
 """
 
@@ -371,7 +371,7 @@ def greedy_continue(model: LmModel, prefix: str, n: int) -> str:
 
 @dataclass
 class EmbeddingCache:
-    """Composed character embeddings, the rows of one forest pass, stamped
+    """Composed character embeddings, the rows of one untaped pass, stamped
     with the parameter version; an empty cache composes them on first lookup."""
 
     vectors: dict[str, np.ndarray] = field(default_factory=dict)
@@ -387,8 +387,8 @@ class EmbeddingCache:
         if not model.hierarchical:
             raise ContractError("cache applies to hierarchical embeddings")
         chars = sorted(model.trees)
-        self.vectors = dict(zip(chars, enc.embed_forest(
-            [model.trees[ch] for ch in chars], model.leaf_embeds, model.tree)))
+        self.vectors = dict(zip(chars, enc.treelstm_batch_forward(
+            [model.trees[ch] for ch in chars], model.leaf_embeds, model.tree).data))
         self.stamp = model.version
         self.rebuilds += 1
 

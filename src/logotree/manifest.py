@@ -40,7 +40,7 @@ def now() -> str:
 def environment() -> dict:
     """Python, numpy and BLAS versions, the BLAS thread settings, the usable
     CPUs and whether the helper thread took a job: weight gradients or
-    forest chunks (``weight_grad_helper``, named for the first kind, keeps
+    untaped chunks (``weight_grad_helper``, named for the first kind, keeps
     its name so that manifests stay comparable)."""
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     return {"python": platform.python_version(), "numpy": np.__version__,

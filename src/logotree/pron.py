@@ -71,17 +71,17 @@ class PronHead:
     @classmethod
     def init(cls, embed_dim: int, inventories: Inventories,
              rng: np.random.Generator, order_name: str = "cd_nu_on",
-             use_bias: bool = True, prefix: str = "head") -> "PronHead":
+             use_bias: bool = True) -> "PronHead":
         order = ORDERS[order_name]
         head = cls(order, use_bias)
         in_dim = embed_dim
         for unit in order:
             n_classes = len(inventories.classes(unit))
             head.weights[f"W_{unit}"] = enc._weight(rng, n_classes, in_dim,
-                                                    f"{prefix}.W_{unit}")
+                                                    f"head.W_{unit}")
             if use_bias:
                 head.weights[f"b_{unit}"] = Tensor(np.zeros(n_classes),
-                                                   name=f"{prefix}.b_{unit}")
+                                                   name=f"head.b_{unit}")
             in_dim += n_classes
         return head
 
@@ -254,11 +254,11 @@ EVAL_BATCH = 256
 
 def embed_rows(model: PronModel, inputs) -> np.ndarray:
     """Untaped embeddings of encoder inputs, row k embedding ``inputs[k]``.
-    The tree encoder runs one forest pass over all inputs, so each distinct
+    The tree encoder runs one untaped pass over all inputs, so each distinct
     subtree is computed once; a sequence encoder runs ``forward_batch`` on
     ``EVAL_BATCH`` inputs at a time."""
     if model.config.encoder == "treelstm":
-        return enc.embed_forest(inputs, model.embeds, model.encoder)
+        return enc.treelstm_batch_forward(inputs, model.embeds, model.encoder).data
     return np.concatenate([forward_batch(model, inputs[start:start + EVAL_BATCH]).data
                            for start in range(0, len(inputs), EVAL_BATCH)])
 

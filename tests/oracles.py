@@ -4,7 +4,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from logotree.autodiff import Tensor, record
+from logotree import encoders as enc
+from logotree.autodiff import Tensor, record, rows
 from logotree.errors import ParseError, StructureError
 from logotree.ids import ALL_IDCS, TERNARY_IDCS, GlyphTree, Leaf, Op, _join
 
@@ -78,3 +79,33 @@ def parse_ids(expr) -> GlyphTree:
     full parse tree: the reference that ``ids.decompose``, which builds
     none, is checked against."""
     return binarize(_parse_raw(expr))
+
+
+def all_slot_forest(trees, embeds, p) -> np.ndarray:
+    """Untaped root hidden states of ``trees``, row k that of ``trees[k]``,
+    by the level walk the tree kernel's slices replaced: over a shared
+    schedule, one product per term and gate of each whole level, with (h, c)
+    kept for every slot and the input rows it reads kept to the end, as for
+    a tape entry. The yardstick of the kernel's rows and memory."""
+    schedule = enc.build_level_schedule(trees, share=True)
+    tok = embeds.token_ids(schedule.label)
+    bias = "b" if p.use_bias else None
+    h = np.empty((schedule.total_slots, p.hidden), dtype=embeds.table.data.dtype)
+    c = np.empty_like(h)
+    read = []
+    for lvl, span in enumerate(schedule.levels):
+        level = slice(span.start, span.stop)
+        xs = [rows(embeds.table, tok[level]).data]
+        if lvl == 0:
+            kids, gates, terms = (), ("i", "o", "c"), [("V", xs[0])]
+        else:
+            kids = (schedule.left[level], schedule.right[level])
+            xs += [rows(embeds.table, tok[kid]).data for kid in kids]
+            gates = enc.GATES
+            terms = enc._tree_terms(p, h[kids[0]], h[kids[1]], xs)
+        read.append(xs if lvl == 0 or p.operator_inputs else ())
+        act = enc._cell_gates(p.packed, enc.GATES, terms, bias, gates)
+        # tanh(c) is kept, as were the gates, until the next level's replace it
+        _, tc = enc._cell_state(act, zip(("fl", "fr"), (c[kid] for kid in kids)),
+                                h[level], c[level])
+    return Tensor(h[schedule.roots]).data

@@ -202,36 +202,54 @@ def test_diagnostics_never_walk_single_trees(small_model, rule_table,
         assert len(diag.probe(m, "賄", rule_table).rows) > 1
 
 
-def test_untaped_paths_never_reach_the_level_kernel(small_model, rule_table,
-                                                    monkeypatch):
-    # every untaped tree embedding comes from the forest pass; the level
-    # kernel serves the taped training forward only
+def test_untaped_paths_run_the_tree_kernel_in_slices(small_model, rule_table,
+                                                     monkeypatch):
+    # with no tape, every tree embedding runs the kernel's products over
+    # slices of at most _FOREST_ROWS rows (2 here); a taped forward runs
+    # each level as one product
     from logotree import lm
     from logotree.config import LmConfig
-    levels = enc.treelstm_levels
-
-    def taped_only(*args, **kwargs):
-        if not ad.taping():
-            raise AssertionError("an untaped pass reached the level kernel")
-        return levels(*args, **kwargs)
-
-    monkeypatch.setattr(enc, "treelstm_levels", taped_only)
     model, split = small_model
     trees = [decompose(e.ch, rule_table) for e in split.test]
-    assert len(diag.probe(model, "賄", rule_table).rows) > 1
-    evaluate(model, split.test, rule_table)
-    assert diag.gate_bias(model, trees).total > 0
     config = LmConfig(input_kind="hierarchical", layer_sizes=(6,),
                       embed_dim=4, seed=2)
     hier = lm.build_lm(config, list("河湖海江龍"), rules=rule_table)
-    lm.eval_lm(hier, ["河湖海", "江龍河"], chunk=3)
-    lm.lm_step(["河", "湖"], None, hier)
-    lm.greedy_continue(hier, "河", 3)
-    assert set(diag.lm_embedding_table(hier)) >= set("河湖海江龍")
-    with ad.Tape():  # the training forward still runs the kernel
+    products, levels, kernel, running = [], enc.treelstm_levels, enc._cell_gates, []
+
+    def tree_kernel(*args):
+        running.append(True)
+        try:
+            return levels(*args)
+        finally:
+            running.pop()
+
+    def spy(w, layout, terms, *args):
+        if running:
+            products.append(len(terms[0][1]))
+        return kernel(w, layout, terms, *args)
+
+    monkeypatch.setattr(enc, "treelstm_levels", tree_kernel)
+    monkeypatch.setattr(enc, "_cell_gates", spy)
+    monkeypatch.setattr(enc, "_FOREST_ROWS", 2)
+    paths = {"probe": lambda: diag.probe(model, "賄", rule_table),
+             "evaluate": lambda: evaluate(model, split.test, rule_table),
+             "gate_bias": lambda: diag.gate_bias(model, trees),
+             "eval_lm": lambda: lm.eval_lm(hier, ["河湖海", "江龍河"], chunk=3),
+             "lm_step": lambda: lm.lm_step(["河", "湖"], None, hier),
+             "greedy_continue": lambda: lm.greedy_continue(hier, "河", 3),
+             "lm_embedding_table": lambda: diag.lm_embedding_table(hier)}
+    results = {}
+    for name, run in paths.items():
+        products.clear()
+        results[name] = run()
+        assert products and max(products) <= 2, (name, products)
+    assert len(results["probe"].rows) > 1 and results["gate_bias"].total > 0
+    assert set(results["lm_embedding_table"]) >= set("河湖海江龍")
+    products.clear()
+    with ad.Tape():
         enc.treelstm_batch_forward(trees, model.embeds, model.encoder)
-    with pytest.raises(AssertionError, match="untaped"):
-        enc.treelstm_batch_forward(trees, model.embeds, model.encoder)
+    spans = enc.build_level_schedule(trees, share=True).levels
+    assert products == [len(span) for span in spans] and max(products) > 2
 
 
 # ---------------------------------------------------------------------------

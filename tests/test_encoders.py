@@ -18,6 +18,7 @@ from logotree.encoders import (BiLstmParams, CnnParams, LstmParams, TreeLstmPara
                                treelstm_batch_forward, treelstm_forward, treelstm_node)
 from logotree.errors import ContractError
 from logotree.ids import Leaf, Op
+from oracles import all_slot_forest
 
 
 def make_embeds(rng, d_in=4, tokens="abcdefgh"):
@@ -123,7 +124,7 @@ def test_leaf_cell_equals_node_with_zero_children(use_bias):
         tp = Tape()
         with tp:
             if fused:
-                h = enc.treelstm_levels(leaves, [[x]], p)
+                h = enc.treelstm_levels(leaves, lambda lvl, rows: [x], p)
             else:
                 h = treelstm_node(x, zx, zx, zh, zh, zh, zh, p)[1]
             loss = (h * h).sum()
@@ -453,13 +454,13 @@ FORESTS = {
 
 
 def _assert_forest_matches(trees, embeds, p) -> None:
-    rows = enc.embed_forest(trees, embeds, p)
+    rows = treelstm_batch_forward(trees, embeds, p).data
     assert rows.shape == (len(trees), p.hidden)
     first = {}
     for tree, row in zip(trees, rows):  # equal trees get equal rows
         np.testing.assert_array_equal(row, first.setdefault(tree, row))
     np.testing.assert_allclose(
-        rows, treelstm_batch_forward(trees, embeds, p).data, rtol=0, atol=1e-12)
+        rows, all_slot_forest(trees, embeds, p), rtol=0, atol=1e-12)
     for tree, row in zip(trees, rows):
         np.testing.assert_allclose(row, treelstm_forward(tree, embeds, p)[0].data[0],
                                    rtol=0, atol=1e-9)
@@ -502,7 +503,7 @@ def test_forest_levels_run_in_near_equal_chunks(monkeypatch):
         return kernel(w, layout, terms, *args)
 
     monkeypatch.setattr(enc, "_cell_gates", spy)
-    enc.embed_forest(WIDE, embeds, p)
+    treelstm_batch_forward(WIDE, embeds, p)
     assert rows_per_call == [64, 65, 85, 86, 86]
     for n in range(1, 700):
         parts = enc._chunks(range(5, 5 + n), 128)
@@ -526,15 +527,16 @@ def test_forest_keeps_rows_only_for_slots_a_parent_reads():
 
 def test_forest_of_no_trees_is_an_empty_array():
     rng = np.random.default_rng(46)
-    rows = enc.embed_forest([], make_embeds(rng), TreeLstmParams.init(3, 4, rng))
-    assert rows.shape == (0, 3)
+    rows = treelstm_batch_forward([], make_embeds(rng), TreeLstmParams.init(3, 4, rng))
+    assert rows.data.shape == (0, 3)
 
 
 def test_forest_pass_peaks_under_a_quarter_of_one_unbounded_batch(tmp_path,
                                                                   monkeypatch):
-    # a benchmark table of 8,321 trees at hidden 64: the pass keeps rows only
-    # for slots with a parent and computes 128 rows at a time, where one
-    # batch holds (h, c) for every slot and each whole level's gates
+    # a benchmark table of 8,321 trees at hidden 64: the untaped pass keeps
+    # rows only for slots with a parent and computes 128 rows at a time,
+    # where the all-slot walk holds (h, c) for every slot and each whole
+    # level's gates
     import tracemalloc
     from pathlib import Path
 
@@ -557,8 +559,8 @@ def test_forest_pass_peaks_under_a_quarter_of_one_unbounded_batch(tmp_path,
         finally:
             tracemalloc.stop()
 
-    batch = peak(lambda: treelstm_batch_forward(trees, embeds, p))
-    forest = peak(lambda: enc.embed_forest(trees, embeds, p))
+    batch = peak(lambda: all_slot_forest(trees, embeds, p))
+    forest = peak(lambda: treelstm_batch_forward(trees, embeds, p))
     assert forest < batch / 4, (forest, batch)
 
 
@@ -603,7 +605,8 @@ def test_forest_rows_on_two_threads_equal_inline(weight_grads, monkeypatch):
     levels = build_level_schedule(SPLIT_LEVELS, share=True).levels
     assert [len(enc._chunks(span, enc._FOREST_ROWS)) for span in levels] == [2, 3, 1]
     on, off = both_threads_and_inline(
-        weight_grads, monkeypatch, lambda: enc.embed_forest(SPLIT_LEVELS, embeds, p))
+        weight_grads, monkeypatch,
+        lambda: treelstm_batch_forward(SPLIT_LEVELS, embeds, p).data)
     assert on.tobytes() == off.tobytes()
 
 
@@ -672,7 +675,7 @@ def test_a_failing_chunk_ends_the_forest_pass_with_its_own_type(
     monkeypatch.setattr(enc, "_share_chunks", logged_share)
     assert [len(span) for span in build_level_schedule(trees, share=True).levels] == [128, 384]
     with pytest.raises(ChunkError):
-        enc.embed_forest(trees, embeds, p)
+        treelstm_batch_forward(trees, embeds, p)
     returned = list(log)
     assert sorted(returned) == [("end", "helper"), ("end", "main"), ("raise", failing),
                                 ("start", "helper"), ("start", "main")]
@@ -716,8 +719,75 @@ def test_forest_chunks_below_the_hand_off_stay_inline(weight_grads, monkeypatch)
         rng = np.random.default_rng(53)
         p = TreeLstmParams.init(hidden, d_in, rng)
         submitted.clear()
-        enc.embed_forest(SPLIT_LEVELS, make_embeds(rng, d_in, WIDE_TOKENS), p)
+        treelstm_batch_forward(SPLIT_LEVELS, make_embeds(rng, d_in, WIDE_TOKENS), p)
         assert len(submitted) == shared, hidden
+
+
+# 300 distinct leaves under 300 distinct pairs under 300 distinct pairs of
+# pairs, with a few of the lower nodes as roots too: three levels of three
+# chunks each
+MANY_TOKENS = "".join(chr(0x4E00 + k) for k in range(300))
+_many_leaves = [Leaf(tok) for tok in MANY_TOKENS]
+_pairs = [Op("⿰", _many_leaves[k], _many_leaves[(k + 1) % 300]) for k in range(300)]
+THREE_CHUNK_LEVELS = ([Op("⿱", _pairs[k], _pairs[(k + 7) % 300]) for k in range(300)]
+                      + _pairs[:5] + _many_leaves[:3])
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("operator_inputs", [True, False])
+@pytest.mark.parametrize("hidden,d_in", [(8, 4), (64, 16), (256, 64)])
+def test_untaped_slices_equal_whole_levels_bitwise(hidden, d_in, operator_inputs,
+                                                   dtype):
+    # the premise of one tree kernel: each row of a product over a slice of
+    # a level rounds as in the whole level's product, so the untaped
+    # kernel's rows are the all-slot walk's bit for bit
+    ad.set_default_dtype(dtype)
+    try:
+        rng = np.random.default_rng(54)
+        p = TreeLstmParams.init(hidden, d_in, rng, operator_inputs=operator_inputs)
+        for key, w in p.weights.items():
+            if key.startswith("b_"):
+                w.data[:] = rng.standard_normal(hidden)
+        embeds = make_embeds(rng, d_in, MANY_TOKENS)
+        levels = build_level_schedule(THREE_CHUNK_LEVELS, share=True).levels
+        assert [len(enc._chunks(span, enc._FOREST_ROWS)) for span in levels] == [3, 3, 3]
+        rows = treelstm_batch_forward(THREE_CHUNK_LEVELS, embeds, p).data
+        whole = all_slot_forest(THREE_CHUNK_LEVELS, embeds, p)
+    finally:
+        ad.set_default_dtype(np.float64)
+    assert rows.dtype == whole.dtype == dtype
+    assert rows.tobytes() == whole.tobytes()
+
+
+def test_untaped_training_forward_runs_whole_levels_inline(weight_grads,
+                                                           monkeypatch):
+    # input dropout draws its masks as the kernel reaches each slice: over
+    # the unshared schedule of a dropout forward, each level is one product
+    # on this thread, with no tape as with one, even where the helper would
+    # take every chunk, so the rows are the taped forward's from the same seed
+    rng = np.random.default_rng(55)
+    p = TreeLstmParams.init(256, 64, rng)
+    embeds = make_embeds(rng, 64, WIDE_TOKENS)
+    weight_grads.use(True)
+    kernel, calls = enc._cell_gates, []
+
+    def spy(w, layout, terms, *args):
+        calls.append((len(terms[0][1]), threading.current_thread().name))
+        return kernel(w, layout, terms, *args)
+
+    monkeypatch.setattr(enc, "_cell_gates", spy)
+    spans = build_level_schedule(SPLIT_LEVELS, share=False).levels
+    assert max(len(enc._chunks(span, enc._FOREST_ROWS)) for span in spans) >= 2
+    runs = []
+    for tape in (contextlib.nullcontext(), Tape()):
+        calls.clear()
+        with tape:
+            runs.append(treelstm_batch_forward(
+                SPLIT_LEVELS, embeds, p, input_dropout=0.2,
+                rng=np.random.default_rng(56), training=True).data)
+        main = threading.current_thread().name
+        assert calls == [(len(span), main) for span in spans]
+    assert runs[0].tobytes() == runs[1].tobytes()
 
 
 def test_untaped_level_kernel_keeps_no_level_for_a_reverse_pass():

@@ -34,8 +34,23 @@ def random_tree(rng: random.Random, depth: int):
               random_tree(rng, depth - 1))
 
 
+class LevelInputs(list):
+    """Input rows per level, looked up as ``treelstm_batch_forward`` does;
+    called as ``treelstm_levels``' ``inputs(lvl, rows)``, it returns the
+    rows of a slice of a level, the level's own tensors for a whole level."""
+
+    def __init__(self, schedule, levels):
+        super().__init__(levels)
+        self.starts = [span.start for span in schedule.levels]
+
+    def __call__(self, lvl, rows):
+        xs, start = self[lvl], self.starts[lvl]
+        if len(xs[0]) == rows.stop - rows.start:
+            return xs
+        return [Tensor(x.data[rows.start - start:rows.stop - start]) for x in xs]
+
+
 def level_inputs(schedule, embeds):
-    """Input rows per level, looked up as ``treelstm_batch_forward`` does."""
     label = schedule.label
     inputs = []
     for lvl, span in enumerate(schedule.levels):
@@ -44,7 +59,7 @@ def level_inputs(schedule, embeds):
             xs += [embeds.lookup([label[k] for k in schedule.left[span]]),
                    embeds.lookup([label[k] for k in schedule.right[span]])]
         inputs.append(xs)
-    return inputs
+    return LevelInputs(schedule, inputs)
 
 
 def composed_levels(schedule, inputs, p):

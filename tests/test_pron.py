@@ -4,7 +4,6 @@ import os
 import numpy as np
 import pytest
 
-from logotree import encoders as enc
 from logotree import pron
 from logotree.config import ENCODER_KINDS, RunConfig
 from logotree.autodiff import Tensor, softmax
@@ -267,10 +266,6 @@ def test_embed_rows_are_the_forward_rows_in_input_order(rule_table, encoder):
                         make_inventories(), sorted(rule_table.leaf_set))
     inputs = pron.encode_inputs(model, chars, rule_table)
     rows = pron.embed_rows(model, inputs)
-    if encoder == "treelstm":
-        np.testing.assert_array_equal(
-            rows, enc.embed_forest(inputs, model.embeds, model.encoder))
-        return
     assert rows.shape[0] == 300
     for k in range(300):
         np.testing.assert_allclose(rows[k], forward_batch(model, [inputs[k]]).data[0],
