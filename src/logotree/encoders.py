@@ -419,14 +419,15 @@ def _cell_backward(w: dict, layout, terms, bias: str | None, act: dict, tc,
 
 
 # ---------------------------------------------------------------------------
-# the helper thread of the reverse passes and the untaped tree pass
+# the helper thread of the reverse passes, the untaped tree pass and the biLSTM
 # ---------------------------------------------------------------------------
 
 #: The one thread of the process that adds up the gated cells' weight
-#: gradients while a tree or LSTM reverse pass goes on, and shares the
-#: large levels' chunks of an untaped tree pass with the main thread: None
-#: until the first pass that wants it starts it, False where each pass runs
-#: inline.
+#: gradients while a tree or LSTM reverse pass goes on, shares the large
+#: levels' chunks of an untaped tree pass with the main thread, and runs a
+#: biLSTM layer's reverse-order window while the main thread runs the
+#: forward one: None until the first pass that wants it starts it, False
+#: where each pass runs inline.
 _helper = None
 _helper_lock = threading.Lock()
 
@@ -444,9 +445,10 @@ if hasattr(os, "register_at_fork"):
 
 
 #: The fewest multiply-adds of a weight-gradient job (a tree level or an
-#: LSTM step), or of each chunk of an untaped level, that the helper takes;
-#: a smaller one costs more to hand off than it saves, and runs inline
-#: (a weight-gradient job unless it must queue behind one still running).
+#: LSTM step), of each chunk of an untaped level, or of a biLSTM window,
+#: that the helper takes; a smaller one costs more to hand off than it
+#: saves, and runs inline (a weight-gradient job unless it must queue behind
+#: one still running).
 #: One tree reverse pass took, with every job / jobs from 2**23 / no job
 #: handed off (median of 15, one OpenBLAS thread, 2-vCPU VM): 64 trees at
 #: hidden 48, d_in 24: 7.3 / 3.9 / 3.8 ms; 64 at hidden 128, d_in 32:
@@ -468,21 +470,25 @@ def usable_cpus() -> int:
 
 def _weight_grad_helper():
     """The process's helper, started on the first call where the process
-    may use two or more CPUs, else False. One worker takes the jobs in the
-    order they come, so every gradient adds its terms in the order the
-    inline pass does, and the results are the same bits; an untaped chunk
+    may use two or more CPUs, else False; False on the helper's own thread
+    too, so that a pass started there runs inline rather than wait on jobs
+    queued behind itself. One worker takes the jobs in the order they come,
+    so every gradient adds its terms in the order the inline pass does, and
+    the results are the same bits; an untaped chunk or a biLSTM window
     computes the same products on either thread."""
     global _helper
     with _helper_lock:
         if _helper is None:
             _helper = (ThreadPoolExecutor(1, thread_name_prefix="logotree-grads")
                        if usable_cpus() >= 2 else False)
+        if _helper and threading.current_thread() in _helper._threads:
+            return False
         return _helper
 
 
 def helper_ran() -> bool:
-    """Whether this process's helper has taken a job: weight gradients or
-    untaped chunks."""
+    """Whether this process's helper has taken a job: weight gradients,
+    untaped chunks or a biLSTM layer's reverse-order window."""
     return bool(_helper and _helper._threads)
 
 
@@ -586,7 +592,8 @@ def treelstm_levels(schedule: LevelSchedule, inputs, p: TreeLstmParams) -> Tenso
 
     ``inputs(lvl, rows)`` returns the input rows of the slots ``rows``, a
     slice of level ``lvl``: ``(x_n,)`` at level 0 and ``(x_n, x_l, x_r)``
-    above, which only ``p.operator_inputs`` reads. Each slice is one
+    above, which only ``p.operator_inputs`` reads; without it, ``inputs``
+    may return no rows above level 0. Each slice is one
     cell-kernel evaluation with ``treelstm_node``'s arithmetic; level 0 is
     the leaf cell, gates i, o and c of V·x + b and the cell i*cand. (h, c)
     is kept only for the slots a later level reads, and each slice writes
@@ -704,7 +711,9 @@ def treelstm_batch_forward(trees, embeds: VocabEmbeddings, p: TreeLstmParams,
     """Root hidden states of ``trees``, row k that of ``trees[k]``, by
     ``treelstm_levels``, whose rows match the sequential evaluation; (0,
     hidden) for no trees. The input rows are looked up (and dropped out)
-    slice by slice, in that order, as the cell reaches each slice.
+    slice by slice, in that order, as the cell reaches each slice; above
+    the leaves, only where operator inputs read them or a dropout mask is
+    drawn for them.
 
     Each distinct subtree is evaluated once, and its gradients accumulate
     over every use, unless training draws an input-dropout mask: then every
@@ -719,7 +728,13 @@ def treelstm_batch_forward(trees, embeds: VocabEmbeddings, p: TreeLstmParams,
     def look_up(ids_) -> Tensor:
         return dropout(rows(embeds.table, ids_), input_dropout, rng, training)
 
+    # the cell reads inner slots' inputs only with operator inputs; a
+    # dropout forward still draws their masks, which keeps the random stream
+    inner = p.operator_inputs or not share
+
     def level_inputs(lvl, rows_):
+        if lvl and not inner:
+            return []
         xs = [look_up(tok[rows_])]
         if lvl:
             xs += [look_up(tok[schedule.left[rows_]]),
@@ -819,34 +834,31 @@ def _running_rows(lengths, n: int, steps: int) -> list[int]:
     return np.count_nonzero(lengths[:, None] > np.arange(steps), axis=0).tolist()
 
 
-def lstm_layer(x: Tensor, p: LstmParams, layer: int, state=None,
-               lengths: np.ndarray | None = None):
-    """One layer of the stacked cell over a (n, T, d) window, recorded as
-    one tape entry.
+def _lstm_names(layer: int) -> list[str]:
+    """Layer ``layer``'s per-gate weight keys, in its gradients' order."""
+    return [f"L{layer}.{kind}_{g}" for g in LSTM_GATES for kind in ("Wx", "Wh", "b")]
 
-    ``state`` is the carried ``(h, c)``, each (n, H), or None for zeros.
-    ``lengths`` are the rows' numbers of real steps in non-increasing order,
-    or None when every row runs all T steps. Step t is one cell-kernel
-    evaluation with ``lstm_cell``'s arithmetic on the first n_t =
-    #(lengths > t) rows only; the rows whose sequence has ended carry h and
-    c through unchanged. Returns the outputs (n, T, H) and the final
-    ``(h, c)``, handed out of one buffer; the final h equals the outputs at
-    step T-1. The backward pass runs the steps in reverse over the same row
-    prefixes. It hands each large step's weight gradients to the helper
-    thread as ``treelstm_levels`` does each level's, and computes the step's
-    input and carried gradients meanwhile: the same bits either way.
+
+def _lstm_window(x: np.ndarray, p: LstmParams, layer: int, state, running,
+                 taped: bool):
+    """``lstm_layer``'s arithmetic on arrays: it records nothing and hands
+    nothing out, so it may run on the helper thread.
+
+    ``x`` is the (n, T, d) window, ``state`` the carried ``(h, c)`` arrays
+    or None and ``running`` the rows n_t that run at each step. Returns the
+    buffer of every step's h and the final c, (T+1, n, H), and the backward
+    pass from that buffer's gradient to the gradients of ``x``, of the
+    weights in ``_lstm_names(layer)`` order and of the carried state, which
+    keeps what it needs only if ``taped``.
     """
-    n, steps, _ = x.data.shape
-    running = _running_rows(lengths, n, steps)
+    n, steps, _ = x.shape
     wx, wh, bias = (f"L{layer}.{kind}" for kind in ("Wx", "Wh", "b"))
-    names = [f"{key}_{g}" for g in LSTM_GATES for key in (wx, wh, bias)]
-    taped = ad.taping()
-    xs = np.ascontiguousarray(x.data.swapaxes(0, 1))  # (T, n, d)
+    xs = np.ascontiguousarray(x.swapaxes(0, 1))  # (T, n, d)
     if state is None:
         h = np.zeros((n, p.sizes[layer]), dtype=xs.dtype)
         c = np.zeros_like(h)
     else:
-        h, c = state[0].data, state[1].data
+        h, c = state
     buf = np.empty((steps + 1,) + h.shape, dtype=h.dtype)  # every h, final c
     if running[0] < n:  # rows of length 0 keep the carried c
         buf[steps, running[0]:] = c[running[0]:]
@@ -866,10 +878,8 @@ def lstm_layer(x: Tensor, p: LstmParams, layer: int, state=None,
         if ending < k:  # the rows whose sequence ends at step t
             buf[steps, ending:k] = c[ending:]
 
-    whole = Tensor(buf)
-
     def backward(g_buf):
-        whole.grad = None
+        names = _lstm_names(layer)
         grads: dict[str, np.ndarray] = {}
         # from this thread, as in treelstm_levels
         bufs = {key: np.zeros(p.weights[key].data.shape,
@@ -908,11 +918,63 @@ def lstm_layer(x: Tensor, p: LstmParams, layer: int, state=None,
         carried = () if state is None else (dh, dc)
         return (dx.swapaxes(0, 1), *(grads[key] for key in names), *carried)
 
-    parents = (x, *(p.weights[key] for key in names), *(state or ()))
-    ad.record(whole, parents, backward)
+    return buf, backward
+
+
+def _record_window(x: Tensor, p: LstmParams, layer: int, state, buf, backward):
+    """``_lstm_window``'s result as one tape entry: the outputs (n, T, H)
+    and the final ``(h, c)``, handed out of ``buf``."""
+    steps = len(buf) - 1
+    whole = Tensor(buf)
+
+    def hand_back(g_buf):
+        whole.grad = None
+        return backward(g_buf)
+
+    parents = (x, *(p.weights[key] for key in _lstm_names(layer)), *(state or ()))
+    ad.record(whole, parents, hand_back)
     outs = ad.hand_out(whole, lambda d: d[:steps].swapaxes(0, 1))
     return outs, (ad.hand_out(whole, lambda d: d[steps - 1]),
                   ad.hand_out(whole, lambda d: d[steps]))
+
+
+def lstm_layer(x: Tensor, p: LstmParams, layer: int, state=None,
+               lengths: np.ndarray | None = None):
+    """One layer of the stacked cell over a (n, T, d) window, recorded as
+    one tape entry.
+
+    ``state`` is the carried ``(h, c)``, each (n, H), or None for zeros.
+    ``lengths`` are the rows' numbers of real steps in non-increasing order,
+    or None when every row runs all T steps. Step t is one cell-kernel
+    evaluation with ``lstm_cell``'s arithmetic on the first n_t =
+    #(lengths > t) rows only; the rows whose sequence has ended carry h and
+    c through unchanged. Returns the outputs (n, T, H) and the final
+    ``(h, c)``, handed out of one buffer; the final h equals the outputs at
+    step T-1. The backward pass runs the steps in reverse over the same row
+    prefixes. It hands each large step's weight gradients to the helper
+    thread as ``treelstm_levels`` does each level's, and computes the step's
+    input and carried gradients meanwhile: the same bits either way.
+    """
+    running = _running_rows(lengths, *x.data.shape[:2])
+    carried = None if state is None else (state[0].data, state[1].data)
+    window = _lstm_window(x.data, p, layer, carried, running, ad.taping())
+    return _record_window(x, p, layer, state, *window)
+
+
+def _packed_inputs(seqs: list[list[str]], embeds: VocabEmbeddings,
+                   input_dropout: float, rng, training: bool):
+    """The first layer's (n, max_len, d_in) window of ``seqs``, its rows
+    sorted by length (stable, longest first), with the sorted lengths and
+    the sorting order. The input-dropout mask is drawn over the end-padded
+    batch in the caller's order, before the sort moves its rows along with
+    the inputs, so the random draws do not depend on the packing."""
+    ids_, lengths = _pad_ids(seqs, embeds, 1)
+    n, max_len = ids_.shape
+    order = np.argsort(-lengths, kind="stable")
+    x_all = dropout(rows(embeds.table, ids_.reshape(-1)), input_dropout, rng,
+                    training)
+    x = ad.permute(ad.reshape(x_all, (n, max_len, embeds.d_in)), order)
+    return x, lengths[order], order
 
 
 def lstm_batch_forward(seqs: list[list[str]], embeds: VocabEmbeddings,
@@ -922,22 +984,13 @@ def lstm_batch_forward(seqs: list[list[str]], embeds: VocabEmbeddings,
     """Batched recurrence over variable-length sequences; returns final h
     (n, H), each row at its sequence's true last token.
 
-    The rows run packed: sorted by length (stable, longest first), so step
-    t of every layer computes only the sequences that have not ended. The
-    input-dropout mask is drawn over the end-padded batch in the caller's
-    order, before the sort moves its rows along with the inputs, so the
-    random draws do not depend on the packing. Results come back in the
-    caller's row order.
+    The rows run packed (``_packed_inputs``), so step t of every layer
+    computes only the sequences that have not ended. Results come back in
+    the caller's row order.
     """
-    ids_, lengths = _pad_ids(seqs, embeds, 1)
-    n, max_len = ids_.shape
-    order = np.argsort(-lengths, kind="stable")
-    x_all = dropout(rows(embeds.table, ids_.reshape(-1)), input_dropout, rng,
-                    training)
-    out = ad.permute(ad.reshape(x_all, (n, max_len, embeds.d_in)), order)
-    lengths = lengths[order]
+    x, lengths, order = _packed_inputs(seqs, embeds, input_dropout, rng, training)
     for layer in range(len(p.sizes)):
-        out, (h, _) = lstm_layer(out, p, layer, lengths=lengths)
+        x, (h, _) = lstm_layer(x, p, layer, lengths=lengths)
     return ad.permute(h, np.argsort(order))
 
 
@@ -956,15 +1009,56 @@ class BiLstmParams:
         return {**self.forward.params(), **self.backward.params()}
 
 
+def _alongside(helper, here, there) -> list:
+    """``[here(), there()]``, the helper running ``there`` meanwhile.
+    Leaving waits for both, even on an error, so that neither runs on past
+    the pass; then an exception of ``here``'s, else of ``there``'s, is
+    raised with its own type."""
+    job = helper.submit(there)
+    try:
+        mine = here()
+    finally:
+        wait((job,))
+    return [mine, job.result()]
+
+
 def bilstm_batch_forward(seqs: list[list[str]], embeds: VocabEmbeddings,
                          p: BiLstmParams, input_dropout: float = 0.0,
                          rng: np.random.Generator | None = None,
                          training: bool = False) -> Tensor:
-    """Concatenation [forward final state, backward final state], (n, 2H)."""
-    h_f = lstm_batch_forward(seqs, embeds, p.forward, input_dropout, rng, training)
+    """Concatenation [forward final state, backward final state], (n, 2H):
+    ``lstm_batch_forward``'s rows over ``seqs`` with ``p.forward`` and over
+    the reversed sequences with ``p.backward``, the same bits.
+
+    Both directions' inputs are looked up and dropped out first, the
+    forward direction's first, which keeps the random draws in that order.
+    Then each layer runs the two directions' windows (``_lstm_window``):
+    where the process has the helper and a window's multiply-adds reach
+    ``_HAND_OFF``, the reverse-order direction's on the helper while this
+    thread runs the forward direction's, else one after the other here.
+    The helper records nothing: this thread records each layer's two tape
+    entries, forward direction first, and the reverse pass runs them one
+    after the other as ``lstm_layer``'s.
+    """
+    x, lengths, order = _packed_inputs(seqs, embeds, input_dropout, rng, training)
     rev = [list(reversed(s)) for s in seqs]
-    h_b = lstm_batch_forward(rev, embeds, p.backward, input_dropout, rng, training)
-    return concat([h_f, h_b], axis=-1)
+    # the same lengths, so the same order
+    xs = [x, _packed_inputs(rev, embeds, input_dropout, rng, training)[0]]
+    params, finals = (p.forward, p.backward), [None, None]
+    running = _running_rows(lengths, *x.data.shape[:2])
+    taped = ad.taping()
+    for layer, size in enumerate(p.forward.sizes):
+        runs = [partial(_lstm_window, x_.data, q, layer, None, running, taped)
+                for x_, q in zip(xs, params)]
+        # as _cell_backward counts a step's: gates x hidden x term widths
+        work = sum(running) * len(LSTM_GATES) * size * (xs[0].data.shape[-1] + size)
+        helper = work >= _HAND_OFF and _weight_grad_helper()
+        windows = _alongside(helper, *runs) if helper else [run() for run in runs]
+        for k, window in enumerate(windows):
+            xs[k], (finals[k], _) = _record_window(xs[k], params[k], layer, None,
+                                                   *window)
+    restore = np.argsort(order)
+    return concat([ad.permute(h, restore) for h in finals], axis=-1)
 
 
 # ---------------------------------------------------------------------------

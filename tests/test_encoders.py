@@ -759,6 +759,39 @@ def test_untaped_slices_equal_whole_levels_bitwise(hidden, d_in, operator_inputs
     assert rows.tobytes() == whole.tobytes()
 
 
+@pytest.mark.parametrize("operator_inputs", [True, False])
+def test_forest_gathers_inner_inputs_only_where_read(monkeypatch, operator_inputs):
+    # the cell reads an inner slot's inputs only with operator inputs, so
+    # without them only the leaves' rows are looked up, taped and untaped,
+    # while a dropout forward still draws every slot's mask; the rows are
+    # the all-slot walk's, which looks up every input, bit for bit
+    rng = np.random.default_rng(57)
+    p = TreeLstmParams.init(8, 4, rng, operator_inputs=operator_inputs)
+    embeds = make_embeds(rng, 4, MANY_TOKENS)
+    gathered, look_up = [], ad.rows
+
+    def counting(table, ids_):
+        gathered.append(len(ids_))
+        return look_up(table, ids_)
+
+    monkeypatch.setattr(enc, "rows", counting)
+    whole = all_slot_forest(THREE_CHUNK_LEVELS, embeds, p)
+    for share, dropout in ((True, 0.0), (False, 0.3)):
+        levels = build_level_schedule(THREE_CHUNK_LEVELS, share=share).levels
+        leaves = len(levels[0])
+        inner = sum(map(len, levels[1:]))
+        read = leaves + (3 * inner if operator_inputs or dropout else 0)
+        for tape in (contextlib.nullcontext(), Tape()):
+            gathered.clear()
+            with tape:
+                out = treelstm_batch_forward(
+                    THREE_CHUNK_LEVELS, embeds, p, input_dropout=dropout,
+                    rng=np.random.default_rng(58), training=dropout > 0).data
+            assert sum(gathered) == read
+            if not dropout:
+                assert out.tobytes() == whole.tobytes()
+
+
 def test_untaped_training_forward_runs_whole_levels_inline(weight_grads,
                                                            monkeypatch):
     # input dropout draws its masks as the kernel reaches each slice: over

@@ -562,6 +562,114 @@ def test_sequence_encoders_hand_off_equals_inline(weight_grads):
         assert_same_runs(on, off)
 
 
+@pytest.mark.parametrize("layers", [1, 2])
+def test_bilstm_reverse_direction_on_the_helper_equals_inline(
+        weight_grads, monkeypatch, corpus, rule_table, layers):
+    # with the helper forced, each layer's reverse-order window runs on the
+    # helper and the forward one here, taped and untaped; the loss, the
+    # gradients and the untaped embeddings are the inline run's bits
+    from logotree import pron
+    from logotree.config import RunConfig
+    entries = corpus[:40]
+    model = pron.build_model(
+        RunConfig(encoder="bilstm", layers=layers, hidden=6, d_in=4,
+                  dropout=0.2, seed=87),
+        pron.Inventories.from_entries(entries), sorted(rule_table.leaf_set))
+    inputs = pron.encode_inputs(model, [e.ch for e in entries], rule_table)
+    params = list(model.params().values())
+    kernel, ran = enc._cell_gates, []
+
+    def spy(w, *args):
+        side = "forward" if w is model.encoder.forward.packed else "reverse"
+        ran.append((side, threading.current_thread().name))
+        return kernel(w, *args)
+
+    def run():
+        ran.clear()
+        with Tape() as tape:
+            h = pron.forward_batch(model, inputs, np.random.default_rng(88), True)
+            loss = pron.pron_loss(pron.predict_pron(h, model.head), entries,
+                                  model.inventories)
+        ad.zero_grads(params)
+        tape.backward(loss)
+        taped_ran = list(ran)
+        ran.clear()
+        rows = pron.embed_rows(model, inputs)
+        return loss.data, [t.grad for t in params], rows, taped_ran, list(ran)
+
+    monkeypatch.setattr(enc, "_cell_gates", spy)
+    on, off = weight_grads.both_ways(run)
+    main = threading.current_thread().name
+    for ran_, helper in ((on[3], True), (on[4], True), (off[3], False),
+                         (off[4], False)):
+        assert len(ran_) == 2 * layers * max(map(len, inputs))  # every step
+        assert {name for side, name in ran_ if side == "forward"} == {main}
+        assert {name.startswith("test-grads")
+                for side, name in ran_ if side == "reverse"} == {helper}
+    assert_same_bits(on[0], off[0], "loss")
+    for t, g_on, g_off in zip(params, on[1], off[1], strict=True):
+        assert_same_bits(g_on, g_off, t.name)
+    assert_same_bits(on[2], off[2], "embed_rows")
+
+
+class WindowError(Exception):
+    pass
+
+
+@pytest.mark.parametrize("failing", ["forward", "reverse"])
+def test_a_failing_bilstm_window_ends_the_pass_with_its_own_type(
+        weight_grads, monkeypatch, failing):
+    # the pass raises only once the other direction's window has ended
+    rng = np.random.default_rng(89)
+    p = enc.BiLstmParams.init(4, 3, rng)
+    embeds = enc.VocabEmbeddings("abcdef", 3, rng)
+    weight_grads.use(True)
+    ended, window = [], enc._lstm_window
+
+    def failing_window(x, q, *args):
+        side = "forward" if q is p.forward else "reverse"
+        if side == failing:
+            raise WindowError("a window failed")
+        time.sleep(0.05)
+        out = window(x, q, *args)
+        ended.append(side)
+        return out
+
+    monkeypatch.setattr(enc, "_lstm_window", failing_window)
+    with pytest.raises(WindowError):
+        enc.bilstm_batch_forward([list("abc"), list("de")], embeds, p)
+    assert ended == [{"forward": "reverse", "reverse": "forward"}[failing]]
+
+
+def test_passes_started_on_the_helper_run_inline(weight_grads):
+    # a pass that handed work to the helper from the helper's own thread and
+    # then waited for it would never end: there, a shared untaped forest
+    # pass and a taped LSTM reverse pass run inline, with the inline bits
+    from concurrent.futures import wait
+    leaves = [Leaf(chr(0x4E00 + k)) for k in range(300)]
+    trees = [Op("⿰", leaves[k], leaves[(k + 1) % 300]) for k in range(300)]
+    schedule = enc.build_level_schedule(trees, share=True)
+    assert all(len(enc._chunks(span, enc._FOREST_ROWS)) >= 2
+               for span in schedule.levels)
+    rng = np.random.default_rng(90)
+    p = enc.TreeLstmParams.init(8, 4, rng)
+    embeds = enc.VocabEmbeddings([leaf.token for leaf in leaves], 4, rng)
+    passes = (lambda: enc.treelstm_batch_forward(trees, embeds, p).data,
+              layer_pass([6, 5, 5, 2], True, seed=91))
+    weight_grads.use(False)
+    inline = [run() for run in passes]
+    weight_grads.use(True)
+    helper = enc._helper
+    jobs = [helper.submit(run) for run in passes]
+    try:
+        done, _ = wait(jobs, timeout=60)
+    finally:  # frees a helper that waits on itself
+        helper.shutdown(wait=False, cancel_futures=True)
+    assert len(done) == 2
+    assert_same_bits(jobs[0].result(), inline[0], "forest rows")
+    assert_same_runs(jobs[1].result(), inline[1])
+
+
 def test_a_failing_lstm_job_raises_from_backward_with_its_own_type(
         weight_grads, monkeypatch):
     run = layer_pass([3, 1, 3, 2], True, seed=79)

@@ -310,9 +310,18 @@ DROPOUT_RUN_HISTORY = [(7.58563522528223, 75.0),
                        (7.4440505220728355, 72.91666666666667)]
 
 
+def params_digest(model) -> str:
+    """The sha256 of a model's parameters, by name, names sorted."""
+    import hashlib
+    digest = hashlib.sha256()
+    for name, t in sorted(model.params().items()):
+        digest.update(name.encode())
+        digest.update(np.ascontiguousarray(t.data).tobytes())
+    return digest.hexdigest()
+
+
 def dropout_run(rule_table, toy_split, monkeypatch):
     """``DROPOUT_RUN``'s step losses and the sha256 of its parameters."""
-    import hashlib
     losses = []
 
     def recording_loss(*args, **kwargs):
@@ -324,11 +333,7 @@ def dropout_run(rule_table, toy_split, monkeypatch):
     monkeypatch.setattr(pron, "pron_loss", recording_loss)
     model, history = train(DROPOUT_RUN, toy_split, rule_table)
     monkeypatch.setattr(pron, "pron_loss", real_loss)
-    digest = hashlib.sha256()
-    for name, t in sorted(model.params().items()):
-        digest.update(name.encode())
-        digest.update(np.ascontiguousarray(t.data).tobytes())
-    return losses, digest.hexdigest(), history
+    return losses, params_digest(model), history
 
 
 def test_train_with_input_dropout_reproduces_recorded_run(rule_table, toy_split,
@@ -346,6 +351,31 @@ def test_recorded_run_with_tree_weight_gradients_on_the_helper_and_inline(
         assert losses == DROPOUT_RUN_LOSSES
         assert digest == DROPOUT_RUN_DIGEST
         assert [(h.train_loss, h.val_ter) for h in history] == DROPOUT_RUN_HISTORY
+
+
+# the sha256 of the parameters after one epoch (four Adam steps) of a small
+# biLSTM with input dropout, per layer count, recorded while the two
+# directions ran one after the other on one thread
+BILSTM_DROPOUT_RUN_DIGEST = {
+    1: "e7aaf77d50a1a003f69ae374404a661d105111c76a58bdda95cc7e36bf4604d2",
+    2: "95fa9cf38ff1f778e62dfe3db53cce56209a97beb3a78552ec3df3dc35332415"}
+
+
+def bilstm_dropout_run(rule_table, toy_split, layers: int) -> str:
+    config = RunConfig(encoder="bilstm", layers=layers, hidden=8, d_in=6,
+                       batch_size=16, epochs=1, learning_rate=1e-2,
+                       dropout=0.2, seed=6)
+    model, _ = train(config, toy_split, rule_table)
+    return params_digest(model)
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+def test_bilstm_dropout_run_reproduces_recorded_parameters(
+        rule_table, toy_split, weight_grads, layers):
+    # with the helper forced to take every window and job, and inline
+    for digest in weight_grads.both_ways(
+            lambda: bilstm_dropout_run(rule_table, toy_split, layers)):
+        assert digest == BILSTM_DROPOUT_RUN_DIGEST[layers]
 
 
 def test_train_loss_decreases(rule_table, toy_split):
