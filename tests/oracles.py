@@ -1,5 +1,7 @@
-"""Primitives the library no longer needs, kept as test oracles."""
+"""Primitives the library no longer needs, kept as test oracles, and the
+digest that pins a trained model's bits."""
 
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -8,6 +10,15 @@ from logotree import encoders as enc
 from logotree.autodiff import Tensor, record, rows
 from logotree.errors import ParseError, StructureError
 from logotree.ids import ALL_IDCS, TERNARY_IDCS, GlyphTree, Leaf, Op, _join
+
+
+def params_digest(model) -> str:
+    """The sha256 of a model's parameters, by name, names sorted."""
+    digest = hashlib.sha256()
+    for name, t in sorted(model.params().items()):
+        digest.update(name.encode())
+        digest.update(np.ascontiguousarray(t.data).tobytes())
+    return digest.hexdigest()
 
 
 def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:

@@ -14,6 +14,7 @@ from logotree.config import LmConfig, config_to_dict
 from logotree.errors import ContractError, DataError, NumericsError
 from logotree.lm import (EOS_TOKEN, EmbeddingCache, build_cache, build_lm,
                          eval_lm, greedy_continue, lm_step, train_lm)
+from oracles import params_digest
 
 TOY = LmConfig(layer_sizes=(24,), embed_dim=12, batch_size=4, bptt=8,
                epochs=5, learning_rate=5e-3, dropout_input=0.0,
@@ -227,6 +228,43 @@ def test_unequal_layer_sizes_reproduce_recorded_training(rule_table, kind):
         assert names == core | {"out.W", "out.b", "lookup"}
     assert model.params()["core.L1.Wx_i"].data.shape == (4, 6)
     assert model.params()["core.L1.Wh_i"].data.shape == (4, 4)
+
+
+# the sha256 of the trained parameters of this run, recorded while the
+# training window stepped the core one timestep at a time: three unequal
+# layers, every dropout, and windows of 5 ending in a short one (36
+# steps a row standard, 12 hierarchical)
+LM_DROPOUT_RUN = LmConfig(layer_sizes=(9, 6, 4), embed_dim=5, batch_size=3,
+                          bptt=5, epochs=2, learning_rate=1e-2,
+                          dropout_input=0.1, dropout_hidden=0.2,
+                          dropout_output=0.25, seed=8)
+LM_DROPOUT_RUN_DIGEST = {
+    "standard": "c156113486e9e804b16bc5bcc1a890a3e0360371826bc302bc3943165d923544",
+    "hierarchical": "0289ce06844d35232a6e8ad114d844be2e7df82b8f542babe4657763708c0a77"}
+
+
+def lm_dropout_run(rule_table, kind) -> str:
+    if kind == "standard":
+        lines, rules = toy_lines(12), None
+    else:
+        lines, rules = ["河湖海江波", "江波海湖河", "湖河波江海"] * 2, rule_table
+    config = LmConfig(**{**LM_DROPOUT_RUN.__dict__, "input_kind": kind})
+    model, _ = train_lm(config, lines, rules=rules)
+    return params_digest(model)
+
+
+@pytest.mark.parametrize("kind", sorted(LM_DROPOUT_RUN_DIGEST))
+def test_lm_dropout_run_reproduces_recorded_parameters(rule_table, kind):
+    assert lm_dropout_run(rule_table, kind) == LM_DROPOUT_RUN_DIGEST[kind]
+
+
+@pytest.mark.parametrize("kind", sorted(LM_DROPOUT_RUN_DIGEST))
+def test_lm_dropout_run_with_the_helper_and_inline(rule_table, weight_grads,
+                                                    kind):
+    # every weight-gradient job on a forced helper, then every job inline
+    for digest in weight_grads.both_ways(lambda: lm_dropout_run(rule_table,
+                                                                 kind)):
+        assert digest == LM_DROPOUT_RUN_DIGEST[kind]
 
 
 def test_step_training_dropout_needs_rng():

@@ -12,6 +12,7 @@ from logotree.phono import DatasetSplit, PronEntry, build_scenario
 from logotree.pron import (EvalReport, HeadOutput, Inventories, PronHead,
                            build_model, evaluate, forward_batch, grid_search,
                            predict_pron, pron_loss, run_matrix, train)
+from oracles import params_digest
 
 TOY_CONFIG = RunConfig(encoder="treelstm", hidden=24, d_in=12, batch_size=32,
                        epochs=5, learning_rate=3e-3, dropout=0.0, seed=1)
@@ -308,16 +309,6 @@ DROPOUT_RUN_DIGEST = ("49f021d7c16abad079e4036c5f8195c4"
 # took over the epoch loop
 DROPOUT_RUN_HISTORY = [(7.58563522528223, 75.0),
                        (7.4440505220728355, 72.91666666666667)]
-
-
-def params_digest(model) -> str:
-    """The sha256 of a model's parameters, by name, names sorted."""
-    import hashlib
-    digest = hashlib.sha256()
-    for name, t in sorted(model.params().items()):
-        digest.update(name.encode())
-        digest.update(np.ascontiguousarray(t.data).tobytes())
-    return digest.hexdigest()
 
 
 def dropout_run(rule_table, toy_split, monkeypatch):
