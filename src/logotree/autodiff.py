@@ -3,7 +3,7 @@
 Deliberately small: float64 numpy storage, an explicit tape of executed
 primitives, and only the operations the encoders need (matmul, add, mul,
 sigmoid, tanh, softmax, softmax cross-entropy and its fused affine head,
-dropout, concat, slicing, gather, sum, max). When no tape is active all
+dropout, concat, gather, sum, max). When no tape is active all
 operations run untracked, which is the evaluation path. ``record``,
 ``taping`` and ``hand_out`` let a module add a fused primitive with its
 own backward pass (the encoders' recurrent cells do).
@@ -76,9 +76,6 @@ class Tensor:
 
     def reshape(self, *shape):
         return reshape(self, shape if len(shape) > 1 else shape[0])
-
-    def transpose(self):
-        return transpose(self)
 
     @property
     def T(self):
@@ -220,14 +217,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return record(out, (a, b), backward)
 
 
-def transpose(a: Tensor) -> Tensor:
+def transpose(a: Tensor, axis1: int = -1, axis2: int = -2) -> Tensor:
+    """``a`` with two axes swapped, by default the last two."""
     if a.data.ndim < 2:
         raise ShapeError(f"transpose: need >=2 dims, got {a.data.shape}")
-    out = Tensor(np.swapaxes(a.data, -1, -2))  # a view; BLAS reads it in place
+    out = Tensor(np.swapaxes(a.data, axis1, axis2))  # a view; BLAS reads it in place
     # a C-ordered gradient: a weight read as ``W.T`` reaches the optimizer
     # contiguous, not as a strided view of the product's result
-    return record(out, (a,),
-                  lambda g: (np.ascontiguousarray(np.swapaxes(g, -1, -2)),))
+    return record(out, (a,), lambda g: (
+        np.ascontiguousarray(np.swapaxes(g, axis1, axis2)),))
 
 
 def logistic(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -434,23 +432,6 @@ def hand_out(whole: Tensor, view) -> Tensor:
     return record(out, (whole,), backward)
 
 
-def unstack(a: Tensor, axis: int) -> list[Tensor]:
-    """The slices of ``a`` at each index of ``axis``, that axis removed.
-
-    The backward pass writes every slice's gradient into one buffer, so n
-    slices cost one array of ``a``'s size, not n.
-    """
-    whole = Tensor(np.ascontiguousarray(np.moveaxis(a.data, axis, 0)))
-
-    def hand_back(g):
-        whole.grad = None
-        return (np.moveaxis(g, 0, axis),)
-
-    record(whole, (a,), hand_back)
-    return [hand_out(whole, lambda d, k=k: d[k])
-            for k in range(whole.data.shape[0])]
-
-
 def reshape(a: Tensor, shape) -> Tensor:
     out = Tensor(a.data.reshape(shape))
     return record(out, (a,), lambda g: (g.reshape(a.data.shape),))
@@ -480,24 +461,33 @@ def tmax(a: Tensor, axis: int) -> Tensor:
 # dropout
 # ---------------------------------------------------------------------------
 
+def dropout_mask(rate, rng: np.random.Generator | None, shape) -> np.ndarray:
+    """Inverted dropout's constant over ``shape``: each entry 0 with
+    probability ``rate`` (a number, or an array that broadcasts against
+    ``shape``), else 1/(1-rate), from uniforms drawn in row-major order."""
+    if rng is None:
+        raise ContractError("training dropout needs an rng")
+    return Tensor((rng.random(shape) >= rate) / (1.0 - rate)).data
+
+
+def apply_mask(x: Tensor, mask: np.ndarray) -> Tensor:
+    """``x`` times the constant ``mask``: the backward pass is ``g * mask``
+    and, unlike a ``mul`` entry's, computes no gradient for the mask."""
+    return record(Tensor(x.data * mask), (x,), lambda g: (g * mask,))
+
+
 def dropout(x: Tensor, rate: float, rng: np.random.Generator | None,
             training: bool) -> Tensor:
-    """Inverted dropout: each entry is zeroed with probability ``rate``, the
-    rest are scaled by 1/(1-rate).
+    """Inverted dropout: ``x`` times a ``dropout_mask`` of its shape.
 
     Returns ``x`` itself when not training or at rate 0, so evaluation
-    records nothing. The mask is a constant: the backward pass is
-    ``g * mask`` and computes no gradient for it.
+    records nothing.
     """
     if not 0.0 <= rate < 1.0:
         raise ContractError(f"dropout rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
         return x
-    if rng is None:
-        raise ContractError("training dropout needs an rng")
-    mask = Tensor((rng.random(x.data.shape) >= rate) / (1.0 - rate)).data
-    out = Tensor(x.data * mask)
-    return record(out, (x,), lambda g: (g * mask,))
+    return apply_mask(x, dropout_mask(rate, rng, x.data.shape))
 
 
 # ---------------------------------------------------------------------------

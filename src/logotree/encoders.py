@@ -817,11 +817,6 @@ def _pad_ids(seqs: list[list[str]], embeds: VocabEmbeddings,
     return ids_, lengths
 
 
-def split_steps(x: Tensor, batch: int, steps: int) -> list[Tensor]:
-    """Batch-major rows (batch*steps, d) as ``steps`` step inputs (batch, d)."""
-    return ad.unstack(ad.reshape(x, (batch, steps, x.data.shape[-1])), axis=1)
-
-
 def _running_rows(lengths, n: int, steps: int) -> list[int]:
     """n_t = #(lengths > t) for each step t: the rows that still run."""
     if lengths is None:

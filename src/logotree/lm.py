@@ -1,9 +1,9 @@
 """Character-level language modeling with lookup or tree-composed embeddings.
 
 The recurrent core is the stacked recurrent cell of the sequence encoders,
-with configurable per-layer sizes. Training alone steps it one timestep
-at a time through all layers; ``eval_lm``, ``lm_step`` and
-``greedy_continue`` run it layer by layer, one window at a time.
+with configurable per-layer sizes. Training, ``eval_lm``, ``lm_step`` and
+``greedy_continue`` all run it through ``StackedLstm.step``: layer by
+layer, one window at a time.
 Input embeddings are either a standard lookup table or hierarchical
 embeddings composed by the tree encoder from each character's
 decomposition. During training only the embeddings of characters present
@@ -39,28 +39,45 @@ EOS_TOKEN = "<EOS>"
 # ---------------------------------------------------------------------------
 
 class StackedLstm(enc.LstmParams):
-    """Stacked cell weights stepped one timestep at a time, carrying state."""
+    """Stacked cell weights run over a window at a time, carrying state."""
 
     def zero_state(self, batch: int) -> list[tuple[Tensor, Tensor]]:
         return [(Tensor(np.zeros((batch, s))), Tensor(np.zeros((batch, s))))
                 for s in self.sizes]
 
     def step(self, x: Tensor, state, hidden_dropout: float = 0.0,
-             rng=None, training: bool = False):
-        """One timestep through all layers; returns (top output, new state).
+             rng=None, training: bool = False, output_dropout: float = 0.0):
+        """A window's batch-major rows ``x`` (B*T, E) through every layer,
+        one ``encoders.lstm_layer`` each, from the carried ``state`` of
+        batch B; returns the top layer's rows in time-major order (T*B, H),
+        as the loss reads its targets, and the new state.
 
-        Each layer is one ``encoders.lstm_layer`` over a one-step window.
+        In training, hidden dropout follows each layer but the top one and
+        output dropout the top one. Their masks are one ``dropout_mask``
+        whose row t holds step t's masks in layer order, the order of a
+        core stepped one timestep at a time; a rate of 0 draws nothing.
         """
+        batch = state[0][0].data.shape[0]
+        steps = x.data.shape[0] // batch
+        rates = [hidden_dropout] * (len(self.sizes) - 1) + [output_dropout]
+        dropped = [k for k, rate in enumerate(rates) if training and rate]
+        widths = [batch * self.sizes[k] for k in dropped]
+        masks = {}
+        if dropped:
+            drawn = ad.dropout_mask(np.repeat([rates[k] for k in dropped], widths),
+                                    rng, (steps, sum(widths)))
+            masks = dict(zip(dropped, np.split(drawn, np.cumsum(widths)[:-1], 1)))
+        inp = ad.reshape(x, (batch, steps, x.data.shape[1]))
         new_state = []
-        inp = x
         for layer, carried in enumerate(state):
-            window = ad.reshape(inp, (inp.data.shape[0], 1, inp.data.shape[1]))
-            _, (h, c) = enc.lstm_layer(window, self, layer, carried)
-            new_state.append((h, c))
-            inp = h
-            if layer < len(self.sizes) - 1:
-                inp = dropout(inp, hidden_dropout, rng, training)
-        return inp, new_state
+            inp, carried = enc.lstm_layer(inp, self, layer, carried)
+            new_state.append(carried)
+            if layer in masks:
+                inp = ad.apply_mask(inp, masks[layer].reshape(steps, batch, -1)
+                                    .swapaxes(0, 1))
+        # lstm_layer's buffer, and a mask product over it, are time-major in
+        # memory: the swap and the reshape are views
+        return ad.reshape(ad.transpose(inp, 0, 1), (steps * batch, -1)), new_state
 
 
 # ---------------------------------------------------------------------------
@@ -177,32 +194,23 @@ def window_embeddings(model: LmModel, ids: np.ndarray,
 
 
 def _run_window(model: LmModel, ids: np.ndarray, state, rng):
-    """The training window: embed a (batch, time) id window and step the
-    core through it with input, hidden and output dropout. Returns the
-    per-step top-layer outputs, each (batch, H), and the final state."""
+    """The training window: embed a (batch, time) id window and run the
+    core over it with input, hidden and output dropout. Returns the
+    top-layer rows in time-major order (time*batch, H) and the final
+    state."""
     cfg = model.config
     matrix, flat = window_embeddings(model, ids, rng=rng, training=True)
-    x_all = dropout(rows(matrix, flat), cfg.dropout_input, rng, True)
-    outs = []
-    for x_t in enc.split_steps(x_all, *ids.shape):
-        out, state = model.core.step(x_t, state, cfg.dropout_hidden, rng, True)
-        outs.append(dropout(out, cfg.dropout_output, rng, True))
-    return outs, state
+    x = dropout(rows(matrix, flat), cfg.dropout_input, rng, True)
+    return model.core.step(x, state, cfg.dropout_hidden, rng, True,
+                           cfg.dropout_output)
 
 
 def _forward(model: LmModel, ids: np.ndarray, state, cache: "EmbeddingCache"):
-    """Embed a (1, T) id window and run the core over it layer by layer, as
-    inference has no dropout to interleave the layers: one
-    ``encoders.lstm_layer`` per layer over all T steps from its carried (h, c),
-    zeros for a None ``state``. Returns the top-layer (T, H) outputs and the
-    new state."""
+    """Embed a (1, T) id window and run the core over it from ``state``
+    (zeros for None); returns the top-layer (T, H) rows and the new state."""
     matrix, flat = window_embeddings(model, ids, cache)
-    x = ad.reshape(rows(matrix, flat), (*ids.shape, -1))
-    new_state = []
-    for layer, carried in enumerate(state or [None] * len(model.core.sizes)):
-        x, carried = enc.lstm_layer(x, model.core, layer, carried)
-        new_state.append(carried)
-    return ad.reshape(x, (ids.shape[1], -1)), new_state
+    return model.core.step(rows(matrix, flat),
+                           state or model.core.zero_state(1))
 
 
 def _logits(model: LmModel, h: Tensor) -> Tensor:
@@ -268,11 +276,11 @@ def train_lm(config: LmConfig, train_lines: list[str],
         for start in range(0, L, config.bptt):
             width = min(config.bptt, L - start)
             with Tape() as tape:
-                outs, state = _run_window(model, inputs[:, start:start + width],
-                                          state, rng)
+                h, state = _run_window(model, inputs[:, start:start + width],
+                                       state, rng)
                 # rows are time-major, as are the flattened transposed targets
                 losses = ad.affine_cross_entropy(
-                    concat(outs, axis=0), model.w_out, model.b_out,
+                    h, model.w_out, model.b_out,
                     targets[:, start:start + width].T.reshape(-1))
                 loss = losses.sum() * (1.0 / (B * width))
             yield tape, loss, B * width

@@ -217,9 +217,6 @@ _PRIMITIVE_CASES = {
     "mul": lambda t: (t * t).sum(),
     "matmul": lambda t: matmul(t, t.T).sum(),
     "concat": lambda t: concat([t, tanh(t)], axis=-1).sum(),
-    "unstack": lambda t: sum((u * float(k + 1) for k, u in
-                              enumerate(ad.unstack(tanh(t), 1))),
-                             Tensor(0.0)).sum(),
     "rows": lambda t: (rows(t, [1, 1, 0]) * rows(t, [0, 2, 2])).sum(),
     "permute": lambda t: (ad.permute(t, [2, 0, 3, 1]) * t).sum(),
     "max": lambda t: t.max(axis=1).sum(),
@@ -239,37 +236,6 @@ def test_primitive_gradients(name):
 def test_permute_rejects_what_is_not_a_permutation(order):
     with pytest.raises(ContractError, match="not a permutation"):
         ad.permute(Tensor(np.zeros((3, 2))), order)
-
-
-@pytest.mark.parametrize("shape,axis", [((4, 1, 3), 1), ((5, 7, 3), 1),
-                                        ((6, 2), 0)])
-def test_unstack_gradients_equal_narrow_slices_bitwise(shape, axis):
-    # the one-buffer backward against one zero-padded array per slice
-    rng = np.random.default_rng(21)
-    x = rnd(rng, *shape)
-    w = rnd(rng, shape[-1], 4)
-
-    def grads(slices):
-        x.grad = w.grad = None
-        tp = Tape()
-        with tp:
-            loss = None
-            for k, part in enumerate(slices(tanh(x))):
-                part = part.reshape(-1, shape[-1])
-                term = (tanh(matmul(part, w)) * float(k + 1)).sum()
-                loss = term if loss is None else loss + term
-        tp.backward(loss)
-        return loss.data, x.grad, w.grad
-
-    def by_narrow(t):
-        rest = tuple(n for a, n in enumerate(shape) if a != axis)
-        return [narrow(t, axis, k, 1).reshape(*rest)
-                for k in range(shape[axis])]
-
-    old = grads(by_narrow)
-    new = grads(lambda t: ad.unstack(t, axis))
-    for a, b in zip(old, new):
-        np.testing.assert_array_equal(a, b)
 
 
 @settings(max_examples=50, deadline=None)

@@ -10,7 +10,11 @@ bit for bit, forward values and gradients alike.
 """
 
 import contextlib
+import os
+import pickle
 import random
+import subprocess
+import sys
 import threading
 import time
 
@@ -89,10 +93,11 @@ def composed_layer(x, p, layer, state, mask):
     """The padded program: an ``lstm_cell`` loop over every row at every
     step, with the padding mask applied per step; returns (per-step outputs,
     final h, final c)."""
-    n, steps, _ = x.data.shape
+    n, steps, d = x.data.shape
     h, c = state
     outs = []
-    for t, x_t in enumerate(ad.unstack(x, axis=1)):
+    for t in range(steps):
+        x_t = narrow(x, 1, t, 1).reshape(n, d)
         m, keep = Tensor(mask[:, t]), Tensor(1.0 - mask[:, t])
         h_new, c_new = enc.lstm_cell(x_t, h, c, p, layer)
         h = h_new * m + h * keep
@@ -105,10 +110,11 @@ def packed_layer(x, p, layer, state, lengths):
     """``lstm_layer`` as an ``lstm_cell`` loop over the rows that still run
     at each step, a prefix since ``lengths`` do not increase, with the
     others carried; returns (per-step outputs, final h, final c)."""
-    n = x.data.shape[0]
+    n, steps, d = x.data.shape
     h, c = state
     outs = []
-    for t, x_t in enumerate(ad.unstack(x, axis=1)):
+    for t in range(steps):
+        x_t = narrow(x, 1, t, 1).reshape(n, d)
         k = int(np.count_nonzero(lengths > t))
         h_new, c_new = enc.lstm_cell(narrow(x_t, 0, 0, k),
                                      narrow(h, 0, 0, k),
@@ -641,11 +647,10 @@ def test_a_failing_bilstm_window_ends_the_pass_with_its_own_type(
     assert ended == [{"forward": "reverse", "reverse": "forward"}[failing]]
 
 
-def test_passes_started_on_the_helper_run_inline(weight_grads):
-    # a pass that handed work to the helper from the helper's own thread and
-    # then waited for it would never end: there, a shared untaped forest
-    # pass and a taped LSTM reverse pass run inline, with the inline bits
-    from concurrent.futures import wait
+def helper_passes() -> tuple:
+    """A shared untaped forest pass whose every level has two or more
+    chunks, and a taped ``lstm_layer`` reverse pass: each hands work to
+    the helper when it has one."""
     leaves = [Leaf(chr(0x4E00 + k)) for k in range(300)]
     trees = [Op("⿰", leaves[k], leaves[(k + 1) % 300]) for k in range(300)]
     schedule = enc.build_level_schedule(trees, share=True)
@@ -654,20 +659,38 @@ def test_passes_started_on_the_helper_run_inline(weight_grads):
     rng = np.random.default_rng(90)
     p = enc.TreeLstmParams.init(8, 4, rng)
     embeds = enc.VocabEmbeddings([leaf.token for leaf in leaves], 4, rng)
-    passes = (lambda: enc.treelstm_batch_forward(trees, embeds, p).data,
-              layer_pass([6, 5, 5, 2], True, seed=91))
+    return (lambda: enc.treelstm_batch_forward(trees, embeds, p).data,
+            layer_pass([6, 5, 5, 2], True, seed=91))
+
+
+def run_passes_on_a_helper(out) -> None:
+    """Submits each of ``helper_passes`` to a helper of this process's own
+    that takes every job, as ``weight_grads.use(True)`` forces it, and
+    pickles their results into ``out``."""
+    from concurrent.futures import ThreadPoolExecutor
+    helper = ThreadPoolExecutor(1, thread_name_prefix="test-grads")
+    enc._helper, enc._HAND_OFF = helper, 0
+    jobs = [helper.submit(run) for run in helper_passes()]
+    pickle.dump([job.result() for job in jobs], out)
+
+
+def test_passes_started_on_the_helper_run_inline(weight_grads):
+    # a pass that handed work to the helper from the helper's own thread and
+    # then waited for it would never end: there, a shared untaped forest
+    # pass and a taped LSTM reverse pass run inline, with the inline bits.
+    # The helper runs them in a child process, so that a pass that waits
+    # on itself ends with the child and not with a hung test run
     weight_grads.use(False)
-    inline = [run() for run in passes]
-    weight_grads.use(True)
-    helper = enc._helper
-    jobs = [helper.submit(run) for run in passes]
-    try:
-        done, _ = wait(jobs, timeout=60)
-    finally:  # frees a helper that waits on itself
-        helper.shutdown(wait=False, cancel_futures=True)
-    assert len(done) == 2
-    assert_same_bits(jobs[0].result(), inline[0], "forest rows")
-    assert_same_runs(jobs[1].result(), inline[1])
+    inline = [run() for run in helper_passes()]
+    child = subprocess.run(
+        [sys.executable, "-c", "import sys, test_fused; "
+         "test_fused.run_passes_on_a_helper(sys.stdout.buffer)"],
+        capture_output=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert child.returncode == 0, child.stderr.decode()
+    on_helper = pickle.loads(child.stdout)
+    assert_same_bits(on_helper[0], inline[0], "forest rows")
+    assert_same_runs(on_helper[1], inline[1])
 
 
 def test_a_failing_lstm_job_raises_from_backward_with_its_own_type(

@@ -7,7 +7,7 @@ import pytest
 
 from logotree import autodiff as ad
 from logotree import lm
-from logotree.autodiff import (Tape, Tensor, concat, rows, softmax,
+from logotree.autodiff import (Tape, Tensor, rows, softmax,
                                softmax_cross_entropy)
 from logotree.checkpoint import save_checkpoint
 from logotree.config import LmConfig, config_to_dict
@@ -125,6 +125,20 @@ def test_step_equals_time_major_reference(rule_table, kind, cached):
         state = new_state
 
 
+def count_step_rows(monkeypatch) -> list[int]:
+    """The rows of every ``StackedLstm.step`` call from now on: one call per
+    window, never one per timestep."""
+    rows_ = []
+    step = lm.StackedLstm.step
+
+    def counting(self, x, *args, **kwargs):
+        rows_.append(x.data.shape[0])
+        return step(self, x, *args, **kwargs)
+
+    monkeypatch.setattr(lm.StackedLstm, "step", counting)
+    return rows_
+
+
 def test_step_and_greedy_run_one_lstm_layer_per_layer_and_character(monkeypatch):
     calls = []
     layer = lm.enc.lstm_layer
@@ -133,23 +147,23 @@ def test_step_and_greedy_run_one_lstm_layer_per_layer_and_character(monkeypatch)
         calls.append((x.data.shape, k))
         return layer(x, p, k, state, lengths)
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("inference stepped the core one timestep at a time")
-
     monkeypatch.setattr(lm.enc, "lstm_layer", counting)
-    monkeypatch.setattr(lm.StackedLstm, "step", forbidden)
+    windows = count_step_rows(monkeypatch)
     config = LmConfig(**{**TOY.__dict__, "layer_sizes": (10, 6)})
     model = build_lm(config, list("河湖海"))
     dist, _ = lm_step([EOS_TOKEN, "河", "湖"], None, model)
     assert dist.sum() == pytest.approx(1.0, abs=1e-12)
     assert calls == [((1, 3, 12), 0), ((1, 3, 10), 1)]
+    assert windows == [3]
     calls.clear()
+    windows.clear()
     model.w_out.data[:] = 0.0
     model.b_out.data[model.index["湖"]] = 1.0
     assert greedy_continue(model, "河", 4) == "湖湖湖湖"
     # the prefix with its EOS opener, then one window per emitted character
     opener = [((1, 2, 12), 0), ((1, 2, 10), 1)]
     assert calls == opener + [((1, 1, 12), 0), ((1, 1, 10), 1)] * 4
+    assert windows == [2, 1, 1, 1, 1]
 
 
 def test_memorization_greedy_continuation():
@@ -347,9 +361,9 @@ def test_training_head_equals_logits_and_softmax_cross_entropy_bitwise(
             ad.zero_grads(params.values())
             tape = Tape()
             with tape:
-                outs, _ = lm._run_window(model, window, model.core.zero_state(3),
-                                         np.random.default_rng(4))
-                loss = score(concat(outs, axis=0)) * (1.0 / 18)
+                h, _ = lm._run_window(model, window, model.core.zero_state(3),
+                                      np.random.default_rng(4))
+                loss = score(h) * (1.0 / 18)
             tape.backward(loss)
             return loss.data, {k: p.grad for k, p in params.items()}
 
@@ -390,6 +404,27 @@ def test_train_scores_each_window_with_one_head_entry(monkeypatch):
     steps = sum(len(line) + 1 for line in lines) // TOY.batch_size
     windows = -(-steps // TOY.bptt) * TOY.epochs
     assert entries == [1] * windows
+
+
+def test_train_window_tape_entries_do_not_grow_with_bptt(monkeypatch):
+    # the core runs layer by layer over the window, so a window records
+    # O(layers) entries, not O(bptt x layers); three layers, every dropout
+    entries = []
+    step = ad.train_step
+
+    def counting(tape, *args, **kwargs):
+        entries.append(len(tape))
+        return step(tape, *args, **kwargs)
+
+    monkeypatch.setattr(ad, "train_step", counting)
+    counts = {}
+    for bptt in (4, 32):
+        entries.clear()
+        train_lm(LmConfig(**{**LM_DROPOUT_RUN.__dict__, "bptt": bptt,
+                             "epochs": 1}), toy_lines(40))
+        counts[bptt] = set(entries)
+    # 120 steps a row: 30 windows of 4, and 32, 32, 32 and 24
+    assert counts[4] == counts[32] and len(counts[4]) == 1
 
 
 def test_training_head_holds_at_most_two_logit_sized_buffers(monkeypatch):
@@ -531,17 +566,15 @@ def test_eval_runs_one_lstm_layer_per_layer_and_chunk(monkeypatch, chunk):
         calls.append((x.data.shape, k))
         return layer(x, p, k, state, lengths)
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("eval_lm stepped the core one timestep at a time")
-
     monkeypatch.setattr(lm.enc, "lstm_layer", counting)
-    monkeypatch.setattr(lm.StackedLstm, "step", forbidden)
+    windows = count_step_rows(monkeypatch)
     model = build_lm(UNEQUAL, list("河湖海江波"))
     eval_lm(model, EVAL_LINES, chunk=chunk)
     chunks = -(-19 // chunk)
     assert len(calls) == len(UNEQUAL.layer_sizes) * chunks
     assert [k for _, k in calls] == [0, 1] * chunks
     assert calls[-1][0] == (1, 19 - (chunks - 1) * chunk, 6)
+    assert windows == [chunk] * (chunks - 1) + [19 - (chunks - 1) * chunk]
 
 
 @pytest.mark.parametrize("chunk", [0, -3])
