@@ -419,15 +419,15 @@ def _cell_backward(w: dict, layout, terms, bias: str | None, act: dict, tc,
 
 
 # ---------------------------------------------------------------------------
-# the helper thread of the reverse passes, the untaped tree pass and the biLSTM
+# the helper thread: reverse passes' weight gradients and shared parts
 # ---------------------------------------------------------------------------
 
 #: The one thread of the process that adds up the gated cells' weight
-#: gradients while a tree or LSTM reverse pass goes on, shares the large
-#: levels' chunks of an untaped tree pass with the main thread, and runs a
-#: biLSTM layer's reverse-order window while the main thread runs the
-#: forward one: None until the first pass that wants it starts it, False
-#: where each pass runs inline.
+#: gradients while a tree or LSTM reverse pass goes on, and pulls parts of
+#: shared work alongside the main thread (``_share_chunks``): an untaped
+#: tree level's chunks, a biLSTM layer's two direction windows. None until
+#: the first pass that wants it starts it, False where each pass runs
+#: inline.
 _helper = None
 _helper_lock = threading.Lock()
 
@@ -445,10 +445,10 @@ if hasattr(os, "register_at_fork"):
 
 
 #: The fewest multiply-adds of a weight-gradient job (a tree level or an
-#: LSTM step), of each chunk of an untaped level, or of a biLSTM window,
-#: that the helper takes; a smaller one costs more to hand off than it
-#: saves, and runs inline (a weight-gradient job unless it must queue behind
-#: one still running).
+#: LSTM step) or of each part of shared work (``_share_chunks``) that the
+#: helper takes; a smaller one costs more to hand off than it saves, and
+#: runs inline (a weight-gradient job unless it must queue behind one still
+#: running).
 #: One tree reverse pass took, with every job / jobs from 2**23 / no job
 #: handed off (median of 15, one OpenBLAS thread, 2-vCPU VM): 64 trees at
 #: hidden 48, d_in 24: 7.3 / 3.9 / 3.8 ms; 64 at hidden 128, d_in 32:
@@ -474,8 +474,8 @@ def _weight_grad_helper():
     too, so that a pass started there runs inline rather than wait on jobs
     queued behind itself. One worker takes the jobs in the order they come,
     so every gradient adds its terms in the order the inline pass does, and
-    the results are the same bits; an untaped chunk or a biLSTM window
-    computes the same products on either thread."""
+    the results are the same bits; a part of shared work computes the same
+    products on either thread."""
     global _helper
     with _helper_lock:
         if _helper is None:
@@ -487,8 +487,8 @@ def _weight_grad_helper():
 
 
 def helper_ran() -> bool:
-    """Whether this process's helper has taken a job: weight gradients,
-    untaped chunks or a biLSTM layer's reverse-order window."""
+    """Whether this process's helper has taken a job: weight gradients or
+    parts of shared work."""
     return bool(_helper and _helper._threads)
 
 
@@ -521,12 +521,22 @@ def _weight_grad_jobs():
         job.result()
 
 
-def _share_chunks(helper, run, parts) -> None:
-    """``run(part)`` for every part, each pulled in turn by this thread or
-    by the helper, whichever is free; returns once both have stopped. A
-    helper that is busy or late takes fewer parts or none, so it never
-    holds the parts back. After an exception no part starts; the one in
-    flight ends, then the first exception is raised with its own type."""
+def _share_chunks(run, parts, work) -> None:
+    """``run(part)`` for every part of the sized ``parts``, the smallest of
+    which is ``work`` multiply-adds. Where there are two or more parts,
+    ``work`` reaches ``_HAND_OFF`` and the process has the helper, each part
+    is pulled in turn by this thread or by the helper, whichever is free,
+    and the call returns once both have stopped; else the parts run here,
+    in order. A helper that is busy or late takes fewer parts or none, so
+    it never holds the parts back. After an exception no part starts; the
+    one in flight ends, then the first exception is raised with its own
+    type."""
+    # the sizes first, so that one part never starts the helper
+    helper = len(parts) >= 2 and work >= _HAND_OFF and _weight_grad_helper()
+    if not helper:
+        for part in parts:
+            run(part)
+        return
     lock, parts, failed = threading.Lock(), iter(parts), []
 
     def drain():
@@ -600,9 +610,8 @@ def treelstm_levels(schedule: LevelSchedule, inputs, p: TreeLstmParams) -> Tenso
     the roots it completes straight into their rows.
 
     Without a tape, over a shared schedule, a level runs in near-equal
-    slices of at most ``_FOREST_ROWS`` rows; where the process has the
-    helper, a level of two or more slices of at least ``_HAND_OFF``
-    multiply-adds each is shared with it (``_share_chunks``). A row of a
+    slices of at most ``_FOREST_ROWS`` rows, its parts of shared work
+    (``_share_chunks``), which the helper may pull too. A row of a
     product rounds as in the whole level's product (the tests pin this), so
     the rows are the same bits on either thread, in slices or whole. Under
     a tape, or over an unshared schedule (whose inputs may draw dropout
@@ -665,13 +674,8 @@ def treelstm_levels(schedule: LevelSchedule, inputs, p: TreeLstmParams) -> Tenso
                * (2 * p.hidden + (3 * p.d_in if p.operator_inputs else 0)))
     for lvl, span in enumerate(schedule.levels):
         parts = _chunks(span, most)
-        work = len(parts[0]) * per_row[lvl > 0]  # the smallest chunk's
-        helper = len(parts) >= 2 and work >= _HAND_OFF and _weight_grad_helper()
-        if helper:
-            _share_chunks(helper, partial(chunk, lvl), parts)
-        else:
-            for part in parts:
-                chunk(lvl, part)
+        # the smallest chunk's work
+        _share_chunks(partial(chunk, lvl), parts, len(parts[0]) * per_row[lvl > 0])
 
     shared = schedule.shared
 
@@ -1004,19 +1008,6 @@ class BiLstmParams:
         return {**self.forward.params(), **self.backward.params()}
 
 
-def _alongside(helper, here, there) -> list:
-    """``[here(), there()]``, the helper running ``there`` meanwhile.
-    Leaving waits for both, even on an error, so that neither runs on past
-    the pass; then an exception of ``here``'s, else of ``there``'s, is
-    raised with its own type."""
-    job = helper.submit(there)
-    try:
-        mine = here()
-    finally:
-        wait((job,))
-    return [mine, job.result()]
-
-
 def bilstm_batch_forward(seqs: list[list[str]], embeds: VocabEmbeddings,
                          p: BiLstmParams, input_dropout: float = 0.0,
                          rng: np.random.Generator | None = None,
@@ -1027,28 +1018,28 @@ def bilstm_batch_forward(seqs: list[list[str]], embeds: VocabEmbeddings,
 
     Both directions' inputs are looked up and dropped out first, the
     forward direction's first, which keeps the random draws in that order.
-    Then each layer runs the two directions' windows (``_lstm_window``):
-    where the process has the helper and a window's multiply-adds reach
-    ``_HAND_OFF``, the reverse-order direction's on the helper while this
-    thread runs the forward direction's, else one after the other here.
-    The helper records nothing: this thread records each layer's two tape
-    entries, forward direction first, and the reverse pass runs them one
-    after the other as ``lstm_layer``'s.
+    Then each layer's two direction windows (``_lstm_window``) are its two
+    parts of shared work (``_share_chunks``): either thread may run either
+    window, with the same bits. The helper records nothing: this thread
+    records each layer's two tape entries, forward direction first, and the
+    reverse pass runs them one after the other as ``lstm_layer``'s.
     """
     x, lengths, order = _packed_inputs(seqs, embeds, input_dropout, rng, training)
     rev = [list(reversed(s)) for s in seqs]
     # the same lengths, so the same order
     xs = [x, _packed_inputs(rev, embeds, input_dropout, rng, training)[0]]
-    params, finals = (p.forward, p.backward), [None, None]
+    params, finals, windows = (p.forward, p.backward), [None, None], [None, None]
     running = _running_rows(lengths, *x.data.shape[:2])
     taped = ad.taping()
+
+    def run(layer, k):  # direction k's window, stored at its index
+        windows[k] = _lstm_window(xs[k].data, params[k], layer, None, running,
+                                  taped)
+
     for layer, size in enumerate(p.forward.sizes):
-        runs = [partial(_lstm_window, x_.data, q, layer, None, running, taped)
-                for x_, q in zip(xs, params)]
         # as _cell_backward counts a step's: gates x hidden x term widths
         work = sum(running) * len(LSTM_GATES) * size * (xs[0].data.shape[-1] + size)
-        helper = work >= _HAND_OFF and _weight_grad_helper()
-        windows = _alongside(helper, *runs) if helper else [run() for run in runs]
+        _share_chunks(partial(run, layer), (0, 1), work)
         for k, window in enumerate(windows):
             xs[k], (finals[k], _) = _record_window(xs[k], params[k], layer, None,
                                                    *window)

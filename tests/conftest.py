@@ -24,8 +24,9 @@ class WeightGrads:
 
     ``use(True)`` hands every level's or step's job to a helper thread of
     the test's own (``test-grads``), whatever its size and the number of
-    CPUs, and with it every untaped chunk and biLSTM window the helper may
-    take; ``use(False)`` has each pass add them itself. ``threads`` names
+    CPUs, and with it every part of shared work (``_share_chunks``) of two
+    or more parts, an untaped tree chunk or a biLSTM direction window;
+    ``use(False)`` has each pass add them itself. ``threads`` names
     the thread of every weight-gradient job since the last ``use``."""
 
     def __init__(self, monkeypatch):

@@ -662,14 +662,15 @@ def test_a_failing_chunk_ends_the_forest_pass_with_its_own_type(
             time.sleep(0.05)
         return kernel(w, layout, terms, *args)
 
-    def logged_share(helper, run, parts):
+    def logged_share(run, parts, work):
         def logged(part):  # a chunk's start, and its end once it has written
             log.append(("start", who()))
             try:
                 run(part)
             finally:
                 log.append(("end", who()))
-        share(helper, logged, parts)
+        # only the inner level's chunks: the leaves are one chunk
+        share(logged if len(parts) >= 2 else run, parts, work)
 
     monkeypatch.setattr(enc, "_cell_gates", gates)
     monkeypatch.setattr(enc, "_share_chunks", logged_share)
@@ -695,7 +696,7 @@ def test_shared_chunks_run_once_each_under_fast_thread_switching(weight_grads):
     try:
         for _ in range(20):
             ran = []
-            enc._share_chunks(enc._helper, ran.append, range(500))
+            enc._share_chunks(ran.append, range(500), 0)
             assert sorted(ran) == list(range(500))
     finally:
         sys.setswitchinterval(interval)
@@ -704,7 +705,9 @@ def test_shared_chunks_run_once_each_under_fast_thread_switching(weight_grads):
 def test_forest_chunks_below_the_hand_off_stay_inline(weight_grads, monkeypatch):
     # at the LM's width (hidden 32, d_in 32) an 85-row chunk is about 2.2M
     # multiply-adds and every level runs inline; at paper width only level
-    # 1's three chunks are shared: the leaves' are small, level 2 is one chunk
+    # 1's three chunks are shared: the leaves' are small, level 2 is one chunk.
+    # A biLSTM of 128 rows shares no window at the toy pipeline's width
+    # (hidden 16, d_in 8) and each layer's two windows at paper width
     hand_off = enc._HAND_OFF
     weight_grads.use(True)
     monkeypatch.setattr(enc, "_HAND_OFF", hand_off)
@@ -721,6 +724,20 @@ def test_forest_chunks_below_the_hand_off_stay_inline(weight_grads, monkeypatch)
         submitted.clear()
         treelstm_batch_forward(SPLIT_LEVELS, make_embeds(rng, d_in, WIDE_TOKENS), p)
         assert len(submitted) == shared, hidden
+    pyrng = random.Random(54)
+    seqs = [[pyrng.choice("abcdefgh") for _ in range(pyrng.randint(1, 6))]
+            for _ in range(128)]
+    for hidden, d_in, shared in ((16, 8, 0), (256, 64, 2)):
+        rng = np.random.default_rng(55)
+        p = BiLstmParams.init(hidden, d_in, rng, layers=2)
+        submitted.clear()
+        bilstm_batch_forward(seqs, make_embeds(rng, d_in), p)
+        assert len(submitted) == shared, hidden
+    # however large, one part runs here and starts no helper
+    monkeypatch.setattr(enc, "_helper", None)
+    ran = []
+    enc._share_chunks(ran.append, [0], 1 << 40)
+    assert ran == [0] and enc._helper is None
 
 
 # 300 distinct leaves under 300 distinct pairs under 300 distinct pairs of

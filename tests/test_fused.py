@@ -569,10 +569,11 @@ def test_sequence_encoders_hand_off_equals_inline(weight_grads):
 
 
 @pytest.mark.parametrize("layers", [1, 2])
-def test_bilstm_reverse_direction_on_the_helper_equals_inline(
+def test_bilstm_directions_on_two_threads_equal_inline(
         weight_grads, monkeypatch, corpus, rule_table, layers):
-    # with the helper forced, each layer's reverse-order window runs on the
-    # helper and the forward one here, taped and untaped; the loss, the
+    # with the helper forced, the first window of each layer waits for the
+    # other, so the layer's two windows run one on each thread, taped and
+    # untaped; each window's steps run on one thread, and the loss, the
     # gradients and the untaped embeddings are the inline run's bits
     from logotree import pron
     from logotree.config import RunConfig
@@ -583,12 +584,18 @@ def test_bilstm_reverse_direction_on_the_helper_equals_inline(
         pron.Inventories.from_entries(entries), sorted(rule_table.leaf_set))
     inputs = pron.encode_inputs(model, [e.ch for e in entries], rule_table)
     params = list(model.params().values())
-    kernel, ran = enc._cell_gates, []
+    kernel, window, ran = enc._cell_gates, enc._lstm_window, []
+    meet = threading.Barrier(2)
 
-    def spy(w, *args):
+    def spy(w, layout, terms, *args):  # a step: its window and thread
         side = "forward" if w is model.encoder.forward.packed else "reverse"
-        ran.append((side, threading.current_thread().name))
-        return kernel(w, *args)
+        ran.append(((side, terms[0][0]), threading.current_thread().name))
+        return kernel(w, layout, terms, *args)
+
+    def met(*args):  # with the helper, a layer's windows start together
+        if enc._helper:
+            meet.wait(10)
+        return window(*args)
 
     def run():
         ran.clear()
@@ -604,14 +611,23 @@ def test_bilstm_reverse_direction_on_the_helper_equals_inline(
         return loss.data, [t.grad for t in params], rows, taped_ran, list(ran)
 
     monkeypatch.setattr(enc, "_cell_gates", spy)
+    monkeypatch.setattr(enc, "_lstm_window", met)
     on, off = weight_grads.both_ways(run)
     main = threading.current_thread().name
     for ran_, helper in ((on[3], True), (on[4], True), (off[3], False),
                          (off[4], False)):
         assert len(ran_) == 2 * layers * max(map(len, inputs))  # every step
-        assert {name for side, name in ran_ if side == "forward"} == {main}
-        assert {name.startswith("test-grads")
-                for side, name in ran_ if side == "reverse"} == {helper}
+        threads: dict = {}
+        for window_, name in ran_:
+            threads.setdefault(window_, set()).add(
+                "main" if name == main else "helper" if name.startswith("test-grads")
+                else name)
+        assert len(threads) == 2 * layers
+        assert all(len(names) == 1 for names in threads.values())  # one thread each
+        for layer in range(layers):
+            pair = sorted(threads[side, f"L{layer}.Wx"].pop()
+                          for side in ("forward", "reverse"))
+            assert pair == (["helper", "main"] if helper else ["main", "main"])
     assert_same_bits(on[0], off[0], "loss")
     for t, g_on, g_off in zip(params, on[1], off[1], strict=True):
         assert_same_bits(g_on, g_off, t.name)
@@ -625,32 +641,46 @@ class WindowError(Exception):
 @pytest.mark.parametrize("failing", ["forward", "reverse"])
 def test_a_failing_bilstm_window_ends_the_pass_with_its_own_type(
         weight_grads, monkeypatch, failing):
-    # the pass raises only once the other direction's window has ended
+    # the two windows start together, one on each thread: the failing
+    # direction's raises while the other's is in flight, which ends before
+    # the pass raises, and nothing runs on after the pass returns
     rng = np.random.default_rng(89)
     p = enc.BiLstmParams.init(4, 3, rng)
     embeds = enc.VocabEmbeddings("abcdef", 3, rng)
     weight_grads.use(True)
-    ended, window = [], enc._lstm_window
+    log, threads, meet = [], set(), threading.Barrier(2)
+    window = enc._lstm_window
 
-    def failing_window(x, q, *args):
+    def failing_window(x, q, *args):  # a window's start, and its end once it ran
         side = "forward" if q is p.forward else "reverse"
-        if side == failing:
-            raise WindowError("a window failed")
-        time.sleep(0.05)
-        out = window(x, q, *args)
-        ended.append(side)
-        return out
+        threads.add(threading.current_thread().name)
+        log.append(("start", side))
+        try:
+            meet.wait(10)
+            if side == failing:
+                log.append(("raise", side))
+                raise WindowError("a window failed")
+            time.sleep(0.05)
+            return window(x, q, *args)
+        finally:
+            log.append(("end", side))
 
     monkeypatch.setattr(enc, "_lstm_window", failing_window)
     with pytest.raises(WindowError):
         enc.bilstm_batch_forward([list("abc"), list("de")], embeds, p)
-    assert ended == [{"forward": "reverse", "reverse": "forward"}[failing]]
+    returned = list(log)
+    assert sorted(returned) == [("end", "forward"), ("end", "reverse"), ("raise", failing),
+                                ("start", "forward"), ("start", "reverse")]
+    assert len(threads) == 2
+    time.sleep(0.2)
+    assert log == returned  # nothing ran on after the pass returned
 
 
 def helper_passes() -> tuple:
     """A shared untaped forest pass whose every level has two or more
-    chunks, and a taped ``lstm_layer`` reverse pass: each hands work to
-    the helper when it has one."""
+    chunks, a taped ``lstm_layer`` reverse pass and a two-layer biLSTM
+    forward with its reverse pass: each hands work to the helper when it
+    has one."""
     leaves = [Leaf(chr(0x4E00 + k)) for k in range(300)]
     trees = [Op("⿰", leaves[k], leaves[(k + 1) % 300]) for k in range(300)]
     schedule = enc.build_level_schedule(trees, share=True)
@@ -659,8 +689,17 @@ def helper_passes() -> tuple:
     rng = np.random.default_rng(90)
     p = enc.TreeLstmParams.init(8, 4, rng)
     embeds = enc.VocabEmbeddings([leaf.token for leaf in leaves], 4, rng)
+    bi = enc.BiLstmParams.init(4, 3, rng, layers=2)
+    chars = enc.VocabEmbeddings("abcdef", 3, rng)
+    seqs = [list("abc"), list("fcaed"), list("b"), list("dab")]
+
+    def bilstm():
+        return [enc.bilstm_batch_forward(seqs, chars, bi, 0.2,
+                                         np.random.default_rng(92), True)]
+
     return (lambda: enc.treelstm_batch_forward(trees, embeds, p).data,
-            layer_pass([6, 5, 5, 2], True, seed=91))
+            layer_pass([6, 5, 5, 2], True, seed=91),
+            lambda: run_and_grad(bilstm, [*bi.params().values(), chars.table]))
 
 
 def run_passes_on_a_helper(out) -> None:
@@ -677,7 +716,8 @@ def run_passes_on_a_helper(out) -> None:
 def test_passes_started_on_the_helper_run_inline(weight_grads):
     # a pass that handed work to the helper from the helper's own thread and
     # then waited for it would never end: there, a shared untaped forest
-    # pass and a taped LSTM reverse pass run inline, with the inline bits.
+    # pass, a taped LSTM reverse pass and a biLSTM forward and reverse pass
+    # run inline, with the inline bits.
     # The helper runs them in a child process, so that a pass that waits
     # on itself ends with the child and not with a hung test run
     weight_grads.use(False)
@@ -691,6 +731,7 @@ def test_passes_started_on_the_helper_run_inline(weight_grads):
     on_helper = pickle.loads(child.stdout)
     assert_same_bits(on_helper[0], inline[0], "forest rows")
     assert_same_runs(on_helper[1], inline[1])
+    assert_same_runs(on_helper[2], inline[2])
 
 
 def test_a_failing_lstm_job_raises_from_backward_with_its_own_type(
